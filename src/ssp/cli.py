@@ -7,7 +7,10 @@ decimal strings, and every numeric result carries a provenance label
 
 Exit codes: 0 ok, 1 verify mismatch, 2 parse/validation, 3 insufficient
 precision, 4 enumeration budget exceeded.  The SSP_MAX_ENUM environment
-variable caps enumeration budgets (default 10^8 candidates).
+variable caps the candidates one enumeration may examine (default 10^8):
+vectors scanned or filtered while unitary frames are built column by
+column, and candidate matrices in the level-p lemma check.  It stops an
+enumeration as soon as the count is sure to pass the cap.
 """
 
 from __future__ import annotations
@@ -385,6 +388,8 @@ def _verify_checks(level: str):
             ("superspecial-model-core(3,2,2)", model_check(2, 2)),
             ("endpoint-admissibility(3,2,2)", admissibility_check(2, 2)),
             ("equivariant-dimension-regular(3,1,1)", equivariant_check),
+            ("u-order-vs-enumeration(3,3)", u_check(3, 3)),
+            ("gusplit-order-vs-enumeration(2,2,3)", gusplit_check(2, 2, 3)),
         ]
     return checks
 

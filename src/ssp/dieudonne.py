@@ -397,7 +397,8 @@ def newton_polygon(m: DieudonneModule) -> NewtonPolygon:
         root_val = Fraction(y1 - y2, x2 - x1)
         pairs.append((root_val / ring.s, x2 - x1))
     np = NewtonPolygon.from_pairs(pairs)
-    assert np.height == h
+    if np.height != h:
+        raise FormulaInconsistencyError(f"Newton polygon height {np.height} differs from rank {h}")
     return np
 
 

@@ -6,6 +6,9 @@ with dense lookup tables.  Tables are derived directly from the object
 arithmetic in gf/groups, never written by hand, so the encodings stay
 consistent with the rest of the library: a field element with
 coefficients (c0, .., c_{s-1}) is the code sum(c_i p^i).
+
+`similitude_frames` is the one enumerator of {X : X* G X = c G} behind
+every unitary-group and automorphism-group oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
 from .gf import FieldCtx, FqElem, field_ctx
 
 
@@ -30,7 +34,6 @@ class FieldTable:
         self.mul = [[self.encode(a * b) for b in self.elements] for a in self.elements]
         self.neg = [self.encode(-a) for a in self.elements]
         self.conj = [self.encode(a.frobenius()) for a in self.elements]
-        self.inv = [0] + [self.encode(a.inv()) for a in self.elements[1:]]
         self.fp_codes = [self.encode(ctx.el(c)) for c in range(p)]
         self.fp_units = self.fp_codes[1:]
 
@@ -53,7 +56,10 @@ class FieldTable:
         return tuple(tuple(self.encode(x) for x in row) for row in M)
 
     def mat_decode(self, M):
-        return tuple(tuple(self.decode(x) for x in row) for row in M)
+        # elements[code] is the decoded value; sharing these immutable
+        # objects keeps large decoded element lists small
+        els = self.elements
+        return tuple(tuple(els[x] for x in row) for row in M)
 
     def mat_mul(self, A, B):
         mul, add = self.mul, self.add
@@ -103,6 +109,95 @@ class FieldTable:
 @lru_cache(maxsize=None)
 def field_table(p: int, s: int = 2) -> FieldTable:
     return FieldTable(field_ctx(p, s))
+
+
+def similitude_frames(table: FieldTable, gram, similitudes, budget: EnumBudget) -> dict:
+    """{c: sorted list of the t x t coded X with X* G X = c G} for c in
+    `similitudes`, where G = `gram` is a coded Hermitian matrix.
+
+    X is built one column at a time.  With <u, v> = u* G v, column j has
+    norm <x_j, x_j> = c G_jj and <x_i, x_j> = c G_ij for every earlier
+    column i (the transposed conditions follow, as G is Hermitian and c
+    lies in F_p).  The q^t vectors are scanned once and grouped by norm;
+    fixing a column filters the candidate lists of the later columns.
+    `budget` is charged one candidate per vector scanned or filtered; it
+    stops the enumeration as soon as the count is sure to pass the limit.
+    Every finished X is checked again in full with mat_mul, and sorting
+    puts each bucket in row-major enumeration order.
+    """
+    t = len(gram)
+    if table.conj_transpose(gram) != gram:
+        raise ValidationError("similitude_frames needs a Hermitian Gram matrix")
+    if t == 0:
+        return {c: [()] for c in similitudes}
+    mul, add, conj = table.mul, table.add, table.conj
+
+    def dot(a, v):
+        acc = 0
+        for ak, vk in zip(a, v):
+            acc = add[acc][mul[ak][vk]]
+        return acc
+
+    # charged before anything is stored, so an oversized t or q fails at once
+    budget.spend(table.q**t)
+    wants = [table.scale(c, gram) for c in similitudes]
+    gram_cols = tuple(zip(*gram))
+    covector: dict[tuple, tuple] = {}  # u -> u* G, so that <u, v> = dot(u* G, v)
+    by_norm: dict[int, list] = {}
+
+    def first_level_cost():
+        # what extend() charges at the first column, from the current bucket sizes
+        sizes = [[len(by_norm.get(w[k][k], ())) for k in range(t)] for w in wants]
+        return sum(n[0] * sum(n[1:]) for n in sizes)
+
+    for i, v in enumerate(itertools.product(range(table.q), repeat=t)):
+        a = covector[v] = tuple(dot([conj[x] for x in v], col) for col in gram_cols)
+        by_norm.setdefault(dot(a, v), []).append(v)
+        if i % 1024 == 0:
+            # bucket sizes only grow, so a cost that will certainly pass
+            # the limit stops the scan before the buckets outgrow memory
+            budget.ensure(first_level_cost())
+    budget.ensure(first_level_cost())
+
+    def extend(cols, pools, want, found):
+        j = len(cols)
+        if j == t:
+            found.append(tuple(zip(*cols)))
+            return
+        for x in pools[0]:
+            a = covector[x]
+            later = []
+            for k, pool in enumerate(pools[1:], j + 1):
+                budget.spend(len(pool))
+                later.append([v for v in pool if dot(a, v) == want[j][k]])
+            extend(cols + [x], later, want, found)
+
+    frames = {}
+    for c, want in zip(similitudes, wants):
+        found: list = []
+        extend([], [by_norm.get(want[j][j], []) for j in range(t)], want, found)
+        for X in found:
+            if table.mat_mul(table.mat_mul(table.conj_transpose(X), gram), X) != want:
+                raise FormulaInconsistencyError(f"frame {X} fails X* G X = c G for c = {c}")
+        frames[c] = sorted(found)
+    return frames
+
+
+def block_similitudes(table: FieldTable, grams, budget: EnumBudget) -> list:
+    """All block-diagonal coded diag(X_1, .., X_k) with X_i* G_i X_i = c G_i
+    for one c in F_p^x, ordered by c and then block by block."""
+    sizes = [len(G) for G in grams]
+    n = sum(sizes)
+    frames = [similitude_frames(table, G, table.fp_units, budget) for G in grams]
+    out = []
+    for c in table.fp_units:
+        for blocks in itertools.product(*(f[c] for f in frames)):
+            rows, offset = [], 0
+            for X, size in zip(blocks, sizes):
+                rows += [(0,) * offset + row + (0,) * (n - offset - size) for row in X]
+                offset += size
+            out.append(tuple(rows))
+    return out
 
 
 class QuatTable:

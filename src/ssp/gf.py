@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import ValidationError
+from .errors import FormulaInconsistencyError, ValidationError
 
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over F_p (coefficients low-degree first)
@@ -376,5 +376,6 @@ def sqrt_nonresidue(ctx: FieldCtx, alpha: int) -> FqElem:
     u = ctx.el((x, y))
     cands = sorted([u, -u], key=lambda e: e.coeffs)
     u = cands[0]
-    assert u * u == ctx.el(a) and u.frobenius() == -u
+    if u * u != ctx.el(a) or u.frobenius() != -u:
+        raise FormulaInconsistencyError(f"square root of {alpha} in F_{p}^2 failed its check")
     return u

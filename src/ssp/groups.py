@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .errors import BudgetExceededError, ValidationError
-from .ftables import QuatTable, field_table
+from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
+from .ftables import QuatTable, block_similitudes, field_table, similitude_frames
 from .gf import sqrt_nonresidue
-from .hermitian import enum_budget
 
 # ---------------------------------------------------------------------------
 # integer utilities
@@ -137,6 +136,8 @@ class GroupSpec:
 
     def order(self) -> int:
         fam, pr = self.family, self.params
+        if fam in ("su", "u", "gu", "gusplit") and not is_prime(pr[-1]):
+            raise ValidationError(f"p = {pr[-1]} is not prime")
         if fam == "su":
             return order_su(*pr)
         if fam == "u":
@@ -154,21 +155,12 @@ class GroupSpec:
 # exhaustive enumeration oracles (coded matrices over F_{p^2})
 
 
-def _all_matrices(t: int, q: int):
-    for entries in itertools.product(range(q), repeat=t * t):
-        yield tuple(entries[k * t : (k + 1) * t] for k in range(t))
-
-
 def unitary_group_elements(t: int, p: int, budget: Optional[int] = None) -> list:
-    """All X over F_{p^2} with X* X = I (identity Hermitian form)."""
+    """All X over F_{p^2} with X* X = I (identity Hermitian form), built
+    column by column as orthonormal frames (ftables.similitude_frames)."""
     table = field_table(p)
-    _check_budget(table.q ** (t * t), budget)
-    ident = table.identity(t)
-    out = []
-    for X in _all_matrices(t, table.q):
-        if table.mat_mul(table.conj_transpose(X), X) == ident:
-            out.append(X)
-    return out
+    meter = EnumBudget("unitary_group_elements", budget)
+    return similitude_frames(table, table.identity(t), (1,), meter)[1]
 
 
 def su_group_elements(t: int, p: int, budget: Optional[int] = None) -> list:
@@ -179,44 +171,13 @@ def su_group_elements(t: int, p: int, budget: Optional[int] = None) -> list:
 def gusplit_group_elements(r: int, s: int, p: int, budget: Optional[int] = None) -> list:
     """All block-diagonal (X, Y) with X*X = cI_r, Y*Y = cI_s, c in F_p^x.
 
-    Blocks are enumerated independently and bucketed by similitude, so
-    the work is q^(r^2) + q^(s^2) candidates rather than the product.
+    The frames of each block are enumerated once for every similitude c
+    and paired up by c, so the work is that of the two blocks, not of
+    their product.
     """
     table = field_table(p)
-    _check_budget(table.q ** (r * r) + table.q ** (s * s), budget)
-
-    def buckets(t: int):
-        res: dict[int, list] = {c: [] for c in table.fp_units}
-        if t == 0:
-            for c in table.fp_units:
-                res[c].append(())
-            return res
-        for X in _all_matrices(t, table.q):
-            M = table.mat_mul(table.conj_transpose(X), X)
-            c = M[0][0]
-            if c == 0 or c >= table.p:
-                continue
-            if M == table.scale(c, table.identity(t)):
-                res[c].append(X)
-        return res
-
-    bm, bp = buckets(r), buckets(s)
-    out = []
-    for c in table.fp_units:
-        for X in bm[c]:
-            for Y in bp[c]:
-                rows = [list(X[i]) + [0] * s for i in range(r)]
-                rows += [[0] * r + list(Y[i]) for i in range(s)]
-                out.append(tuple(tuple(rw) for rw in rows))
-    return out
-
-
-def _check_budget(cost: int, budget: Optional[int]):
-    limit = enum_budget(budget)
-    if cost > limit:
-        raise BudgetExceededError(
-            f"enumeration needs {cost} candidates; budget is {limit} (set SSP_MAX_ENUM)"
-        )
+    meter = EnumBudget("gusplit_group_elements", budget)
+    return block_similitudes(table, (table.identity(r), table.identity(s)), meter)
 
 
 def gl2_order_enumerated(N: int) -> int:
@@ -290,7 +251,8 @@ def conjugacy_class_data(elements: list, p: int):
         if x in seen:
             continue
         orbit = {table.mat_mul(table.mat_mul(inverses[gel], x), gel) for gel in elements}
-        assert orbit <= elems
+        if not orbit <= elems:
+            raise FormulaInconsistencyError("conjugation left the enumerated group")
         seen |= orbit
         reps.append(x)
         if gcd(_element_order(x, table.mat_mul, ident), p) == 1:
@@ -410,7 +372,7 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = N
     g = r + s
     table = field_table(p)
     q = table.q
-    _check_budget(q ** (g * g), budget)
+    EnumBudget("lemma_gp_check", budget).spend(q ** (g * g))
     quat = QuatModP(p, alpha)
     qt = QuatTable(quat)
 
@@ -454,7 +416,8 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = N
     kernel_ok = True
     for X in members:
         red = tuple(tuple(qt.mod_pi(x) for x in row) for row in X)
-        assert red in gp_elements, "reduction left the block-diagonal unitary group"
+        if red not in gp_elements:
+            raise FormulaInconsistencyError("reduction left the block-diagonal unitary group")
         image.add(red)
         if red == gp_identity:
             kernel_size += 1

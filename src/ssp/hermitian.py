@@ -11,25 +11,14 @@ here by exhaustive enumeration.
 
 from __future__ import annotations
 
-import itertools
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
 from .dieudonne import DieudonneModule, _mod_p_matrix, _quotient_data, check_axioms
-from .errors import BudgetExceededError, ValidationError
-from .ftables import FieldTable, field_table
+from .errors import EnumBudget, ValidationError
+from .ftables import block_similitudes, field_table
 from .gf import FieldCtx, FqElem
-
-DEFAULT_ENUM_BUDGET = 10**8
-
-
-def enum_budget(budget: Optional[int] = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("SSP_MAX_ENUM")
-    return int(env) if env else DEFAULT_ENUM_BUDGET
 
 
 def _conj_mat(M):
@@ -176,76 +165,21 @@ def pairing_well_defined(m: DieudonneModule, h: HermitianQuotient, trials: int =
 # automorphism groups by exhaustive enumeration
 
 
-def _similitude_buckets(size: int, gram_codes, table: FieldTable):
-    """All size x size coded matrices X with X* G X = c G, bucketed by c."""
-    buckets: dict[int, list] = {c: [] for c in table.fp_units}
-    if size == 0:
-        for c in table.fp_units:
-            buckets[c].append(())
-        return buckets
-    mul, add = table.mul, table.add
-    q = table.q
-    anchor = next(
-        (i, j) for i in range(size) for j in range(size) if gram_codes[i][j] != 0
-    )
-    anchor_inv = table.inv[gram_codes[anchor[0]][anchor[1]]]
-    for entries in itertools.product(range(q), repeat=size * size):
-        X = tuple(entries[k * size : (k + 1) * size] for k in range(size))
-        XG = table.mat_mul(table.conj_transpose(X), gram_codes)
-        M = table.mat_mul(XG, X)
-        c = mul[M[anchor[0]][anchor[1]]][anchor_inv]
-        if c == 0 or c >= table.p:
-            continue
-        ok = True
-        for i in range(size):
-            for j in range(size):
-                if M[i][j] != mul[c][gram_codes[i][j]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            buckets[c].append(X)
-    return buckets
-
-
 def automorphism_group_bruteforce(
     h: HermitianQuotient, budget: Optional[int] = None
 ) -> tuple[int, list]:
     """All automorphisms of the Hermitian space: block-diagonal matrices
     with X* gram X = c gram for a common similitude c in F_p^x.
 
-    Enumerates each grading block independently (the blocks only
-    interact through c), so the candidate count is q^(r^2) + q^(s^2).
+    Enumerates the frames of each grading block independently (the
+    blocks only interact through c; see ftables.similitude_frames).
     Returns (order, elements) with elements as FqElem matrices.
     """
     table = field_table(h.ctx.p, h.ctx.s)
-    r, s = h.grading if h.grading is not None else (h.dim, 0)
-    cost = table.q ** (r * r) + table.q ** (s * s)
-    limit = enum_budget(budget)
-    if cost > limit:
-        raise BudgetExceededError(
-            f"enumeration needs {cost} candidates; budget is {limit} (set SSP_MAX_ENUM)"
-        )
-    gm, gp = h.blocks()
-    bm = _similitude_buckets(r, table.mat_encode(gm), table)
-    bp = _similitude_buckets(s, table.mat_encode(gp), table)
-    order = 0
-    elements = []
-    zero = h.ctx.zero()
-    for c in table.fp_units:
-        order += len(bm[c]) * len(bp[c])
-        for Xm in bm[c]:
-            dm = table.mat_decode(Xm) if r else ()
-            for Xp in bp[c]:
-                dp = table.mat_decode(Xp) if s else ()
-                rows = []
-                for i in range(r):
-                    rows.append(tuple(dm[i]) + tuple(zero for _ in range(s)))
-                for i in range(s):
-                    rows.append(tuple(zero for _ in range(r)) + tuple(dp[i]))
-                elements.append(tuple(rows))
-    return order, elements
+    meter = EnumBudget("automorphism_group_bruteforce", budget)
+    coded = block_similitudes(table, [table.mat_encode(block) for block in h.blocks()], meter)
+    elements = [table.mat_decode(X) for X in coded]
+    return len(elements), elements
 
 
 def similitude_factor(h: HermitianQuotient, X) -> FqElem:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import InsufficientPrecisionError, ValidationError
+from .errors import FormulaInconsistencyError, InsufficientPrecisionError, ValidationError
 from .gf import FieldCtx, FqElem, field_ctx
 
 INF = math.inf
@@ -38,7 +38,8 @@ class WittRing:
         x = gen
         for _ in range(s):
             x = self.sigma(x)
-        assert x == gen, "sigma^s must fix the generator"
+        if x != gen:
+            raise FormulaInconsistencyError("sigma^s must fix the generator")
 
     # -- construction helpers ------------------------------------------------
 
@@ -56,7 +57,8 @@ class WittRing:
             r = r - fr * dr.inv()
         else:
             raise InsufficientPrecisionError("Frobenius-lift Newton iteration stalled")
-        assert self._eval_modulus(r).is_zero()
+        if not self._eval_modulus(r).is_zero():
+            raise FormulaInconsistencyError("Frobenius lift is not a root of the modulus")
         pows = [self.one()]
         for _ in range(1, self.s):
             pows.append(pows[-1] * r)
@@ -238,7 +240,8 @@ class WittElem:
             if err == ring.one():
                 return z
             z = z * (ring.el(2) - err)
-        assert self * z == ring.one()
+        if self * z != ring.one():
+            raise FormulaInconsistencyError("Newton inversion did not converge")
         return z
 
     def val(self):
@@ -286,7 +289,10 @@ def hensel_sqrt(ring: WittRing, alpha: int) -> WittElem:
         if err.is_zero():
             break
         u = u - err * (ring.el(2) * u).inv()
-    assert (u * u) == target, "Hensel square-root iteration failed"
-    assert ring.sigma(u) == -u
-    assert ring.reduce(u) == u0
+    if u * u != target:
+        raise FormulaInconsistencyError("Hensel square-root iteration failed")
+    if ring.sigma(u) != -u:
+        raise FormulaInconsistencyError("Hensel square root is not negated by sigma")
+    if ring.reduce(u) != u0:
+        raise FormulaInconsistencyError("Hensel square root does not lift the residue root")
     return u

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ssp import groups
 from ssp.cli import main
 
@@ -75,6 +77,30 @@ class TestGroup:
         code, _ = run(capsys, "group", "--family", "su", "--params", "1,1,3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [("su", "2,4"), ("su", "2,-3"), ("u", "2,4"), ("gu", "2,-3"), ("gusplit", "1,1,4")],
+    )
+    def test_non_prime_p_exits_2(self, capsys, family, params):
+        code, out = run(capsys, "group", "--family", family, "--params", params)
+        assert code == 2
+        assert "not prime" in json.loads(out)["results"]["error"]
+
+    @pytest.mark.parametrize(
+        "params, reached",
+        [
+            # 9^9 vectors: over the default budget before any is stored
+            ("9,3", "reached 387420489"),
+            # 9^8 vectors fit the budget, but the first column's filtering does not
+            ("8,3", "would reach"),
+        ],
+    )
+    def test_oversized_oracle_exits_4_before_storing(self, run_capped, params, reached):
+        proc = run_capped("group", "--family", "u", "--params", params, "--oracle")
+        assert proc.returncode == 4, proc.stderr
+        error = json.loads(proc.stdout)["results"]["error"]
+        assert f"unitary_group_elements {reached}" in error
+
 
 class TestNewton:
     def test_a_half_fixture(self, tmp_path, capsys):
@@ -134,6 +160,18 @@ class TestPairing:
         monkeypatch.setenv("SSP_MAX_ENUM", "5")
         code, _ = run(capsys, "pairing", "--p", "3", "--alpha", "-1", "--r", "1", "--s", "1")
         assert code == 4
+
+    def test_budget_error_names_routine_and_count(self, capsys, monkeypatch):
+        monkeypatch.setenv("SSP_MAX_ENUM", "5")
+        _, out = run(capsys, "pairing", "--p", "3", "--alpha", "-1", "--r", "1", "--s", "1")
+        assert "automorphism_group_bruteforce reached 9 candidates" in json.loads(out)["results"]["error"]
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1e3"])
+    def test_bad_budget_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SSP_MAX_ENUM", value)
+        code, out = run(capsys, "pairing", "--p", "3", "--alpha", "-1", "--r", "1", "--s", "1")
+        assert code == 2
+        assert "SSP_MAX_ENUM" in json.loads(out)["results"]["error"]
 
 
 class TestAmf:

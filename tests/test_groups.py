@@ -1,11 +1,13 @@
+import itertools
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssp.errors import BudgetExceededError, ValidationError
-from ssp.ftables import field_table
+from ssp.dieudonne import build_a_half, build_superspecial_unitary
+from ssp.errors import BudgetExceededError, EnumBudget, ValidationError
+from ssp.ftables import field_table, similitude_frames
 from ssp.groups import (
     GroupSpec,
     QuatModP,
@@ -28,11 +30,15 @@ from ssp.groups import (
     sylow_p_order,
     unitary_group_elements,
 )
+from ssp.hermitian import reduce_pairing
+from ssp.witt import witt_ring
 
 
 class TestOrderFormulas:
     def test_frozen_values(self):
         assert order_su(2, 3) == 24
+        assert order_u(3, 3) == 24192
+        assert order_gusplit(2, 2, 3) == 18432
         assert order_u(1, 3) == 4
         assert order_gusplit(1, 1, 3) == 32
         assert order_gusplit(2, 0, 3) == 192
@@ -60,12 +66,12 @@ class TestOrderFormulas:
 
 
 class TestEnumerationOracles:
-    @pytest.mark.parametrize("t, p", [(0, 3), (1, 3), (2, 3), (1, 5), (2, 5)])
+    @pytest.mark.parametrize("t, p", [(0, 3), (1, 3), (2, 3), (1, 5), (2, 5), (3, 3)])
     def test_su_and_u_vs_enumeration(self, t, p):
         assert len(unitary_group_elements(t, p)) == order_u(t, p)
         assert len(su_group_elements(t, p)) == order_su(t, p)
 
-    @pytest.mark.parametrize("r, s, p", [(1, 1, 3), (2, 0, 3), (0, 2, 3), (1, 1, 5)])
+    @pytest.mark.parametrize("r, s, p", [(1, 1, 3), (2, 0, 3), (0, 2, 3), (1, 1, 5), (2, 2, 3)])
     def test_gusplit_vs_enumeration(self, r, s, p):
         assert len(gusplit_group_elements(r, s, p)) == order_gusplit(r, s, p)
 
@@ -84,6 +90,89 @@ class TestEnumerationOracles:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             unitary_group_elements(3, 5, budget=100)
+
+    def test_non_prime_p_rejected(self):
+        for p in (4, -3, 1):
+            for family, params in (("su", (2, p)), ("u", (2, p)), ("gu", (2, p)), ("gusplit", (1, 1, p))):
+                with pytest.raises(ValidationError, match="not prime"):
+                    GroupSpec(family, params).order()
+            with pytest.raises(ValidationError):
+                unitary_group_elements(2, p)
+            with pytest.raises(ValidationError):
+                gusplit_group_elements(1, 1, p)
+
+
+def _filter_oracle(table, gram, similitudes):
+    """The slow oracle: filter all q^(t^2) coded t x t matrices in
+    row-major order, keeping X with X* G X = c G."""
+    t = len(gram)
+    scaled = {table.scale(c, gram): c for c in similitudes}
+    buckets = {c: [] for c in similitudes}
+    for entries in itertools.product(range(table.q), repeat=t * t):
+        X = tuple(entries[k * t : (k + 1) * t] for k in range(t))
+        c = scaled.get(table.mat_mul(table.mat_mul(table.conj_transpose(X), gram), X))
+        if c is not None:
+            buckets[c].append(X)
+    return buckets
+
+
+def _frames(table, gram, similitudes):
+    return similitude_frames(table, gram, similitudes, EnumBudget("test"))
+
+
+class TestSimilitudeFrames:
+    """The column-by-column enumerator returns exactly the lists, in the
+    same order, that the row-major filter gives."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_u2_matches_filter(self, p):
+        table = field_table(p)
+        oracle = _filter_oracle(table, table.identity(2), (1,))
+        assert _frames(table, table.identity(2), (1,)) == oracle
+        assert unitary_group_elements(2, p) == oracle[1]
+
+    def test_gusplit_2_0_3_matches_filter(self):
+        table = field_table(3)
+        oracle = _filter_oracle(table, table.identity(2), table.fp_units)
+        assert _frames(table, table.identity(2), table.fp_units) == oracle
+        assert gusplit_group_elements(2, 0, 3) == [X for c in table.fp_units for X in oracle[c]]
+
+    @pytest.mark.parametrize("p, alpha, r, s", [(3, -1, 1, 1), (3, -1, 2, 2), (5, -2, 1, 1)])
+    def test_reduced_pairing_blocks_match_filter(self, p, alpha, r, s):
+        h = reduce_pairing(build_superspecial_unitary(p, 2, alpha, r, s))
+        table = field_table(p, 2)
+        for block in h.blocks():
+            gram = table.mat_encode(block)
+            assert _frames(table, gram, table.fp_units) == _filter_oracle(table, gram, table.fp_units)
+
+    def test_ungraded_a_half_quotient_matches_filter(self):
+        h = reduce_pairing(build_a_half(witt_ring(3, 2, 2)))
+        table = field_table(3, 2)
+        gram = table.mat_encode(h.gram)
+        assert _frames(table, gram, table.fp_units) == _filter_oracle(table, gram, table.fp_units)
+
+    def test_hyperbolic_plane_matches_filter(self):
+        # zero diagonal: every column is drawn from the isotropic vectors
+        table = field_table(3)
+        gram = ((0, 1), (1, 0))
+        assert _frames(table, gram, table.fp_units) == _filter_oracle(table, gram, table.fp_units)
+
+    def test_non_hermitian_gram_rejected(self):
+        table = field_table(3)
+        with pytest.raises(ValidationError, match="Hermitian"):
+            _frames(table, ((0, 1), (2, 0)), table.fp_units)
+
+    def test_budget_counts_candidates_deterministically(self):
+        # U_2(F_9): 81 vectors scanned, then each of the 24 unit vectors
+        # filters the 24 unit vectors for the second column
+        table = field_table(3)
+        for _ in range(2):
+            meter = EnumBudget("test")
+            similitude_frames(table, table.identity(2), (1,), meter)
+            assert meter.count == 81 + 24 * 24
+        unitary_group_elements(2, 3, budget=81 + 24 * 24)
+        with pytest.raises(BudgetExceededError, match="unitary_group_elements reached 81 candidates"):
+            unitary_group_elements(2, 3, budget=80)
 
 
 class TestMultiplicativity:

@@ -150,8 +150,6 @@ def test_field_table_consistency():
             assert table.decode(table.mul[ca][cb]) == a * b
             assert table.decode(table.add[ca][cb]) == a + b
         assert table.decode(table.conj[table.encode(a)]) == a.frobenius()
-        if not a.is_zero():
-            assert table.decode(table.inv[table.encode(a)]) == a.inv()
 
 
 def test_field_table_det_matches_generic():
