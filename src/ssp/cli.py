@@ -390,6 +390,7 @@ def _verify_checks(level: str):
             ("equivariant-dimension-regular(3,1,1)", equivariant_check),
             ("u-order-vs-enumeration(3,3)", u_check(3, 3)),
             ("gusplit-order-vs-enumeration(2,2,3)", gusplit_check(2, 2, 3)),
+            ("pregular-classes-vs-enumeration(2,2,3)", pregular_check(2, 2, 3)),
         ]
     return checks
 
@@ -429,6 +430,8 @@ def _cmd_sweep(args) -> tuple[dict, int]:
         lo, hi = (int(x) for x in args.sweep.split(":"))
     except ValueError:
         raise ValidationError("--sweep takes a range like p=3:13 (pass 3:13)") from None
+    if lo > hi:
+        raise ValidationError(f"--sweep range {args.sweep} is empty: {lo} > {hi}")
     rows = []
     for p in range(lo, hi + 1):
         if not groups.is_prime(p):

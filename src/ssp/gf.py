@@ -132,14 +132,18 @@ def minimal_irreducible(p: int, s: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
+    """Trial division by 2 and the odd numbers up to sqrt(n), stopping
+    at the first divisor."""
     if n < 2:
         return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
             return False
-        i += 1
+        d += 2
     return True
 
 
@@ -147,7 +151,7 @@ class FieldCtx:
     """The field F_{p^s} = F_p[t]/(modulus), p an odd prime."""
 
     def __init__(self, p: int, s: int = 1):
-        if not _is_prime(p) or p == 2:
+        if not is_prime(p) or p == 2:
             raise ValidationError(f"p = {p} must be an odd prime")
         if s < 1:
             raise ValidationError("s must be >= 1")

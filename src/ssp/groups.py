@@ -22,7 +22,7 @@ from typing import Optional
 
 from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
 from .ftables import QuatTable, block_similitudes, field_table, similitude_frames
-from .gf import sqrt_nonresidue
+from .gf import is_prime, sqrt_nonresidue
 
 # ---------------------------------------------------------------------------
 # integer utilities
@@ -41,10 +41,6 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == {n: 1}
 
 
 def sylow_p_order(order: int, p: int) -> int:
@@ -223,39 +219,106 @@ def gsp_order_enumerated(g: int, ell: int) -> int:
 # conjugacy classes of enumerated groups
 
 
-def _element_order(x, mat_mul, ident) -> int:
-    k = 1
-    y = x
-    while y != ident:
-        y = mat_mul(y, x)
-        k += 1
-    return k
+def _powers(x, mat_mul, ident, bound: int) -> list:
+    """[x, x^2, ..., x^k = ident]; an element of a group of order `bound`
+    has order at most `bound`, so a longer run is an inconsistency."""
+    out = [x]
+    while out[-1] != ident:
+        if len(out) >= bound:
+            raise FormulaInconsistencyError("element order exceeds the group order")
+        out.append(mat_mul(out[-1], x))
+    return out
+
+
+def _generating_set(elements: list, elems: set, mat_mul, ident) -> list:
+    """Greedy generators of `elements`, with the closure grown by right
+    multiplication as a union of right cosets (Dimino's algorithm).
+
+    Every product must lie in `elems` and the closure must end up equal
+    to it; that proves the generators generate the enumerated set."""
+    gens: list = []
+    closure = [ident]
+    reached = {ident}
+    # candidates are taken at a stride near n / golden ratio, coprime to n:
+    # consecutive enumerated elements tend to generate small subgroups,
+    # spread-out ones reach G(U_r x U_s) with 2-4 generators
+    n = len(elements)
+    step = n * 618 // 1000 or 1
+    while gcd(step, n) != 1:
+        step += 1
+
+    def add_coset(sub, rep):
+        for h in sub:
+            y = mat_mul(h, rep)
+            if y not in elems:
+                raise FormulaInconsistencyError("a product left the enumerated group")
+            closure.append(y)
+            reached.add(y)
+
+    for i in range(n):
+        if len(reached) == len(elems):
+            break
+        x = elements[i * step % n]
+        if x in reached:
+            continue
+        gens.append(x)
+        # H = <previous generators> starts with the identity, so each new
+        # right coset H*rep is a block of len(H) that starts with rep
+        sub = closure[:]
+        pos = len(closure)
+        add_coset(sub, x)
+        while pos < len(closure):
+            for g in gens:
+                rep = mat_mul(closure[pos], g)
+                if rep not in reached:
+                    add_coset(sub, rep)
+            pos += len(sub)
+    if reached != elems:
+        raise FormulaInconsistencyError(
+            f"the generators reach {len(reached)} of {len(elems)} enumerated elements"
+        )
+    return gens
 
 
 def conjugacy_class_data(elements: list, p: int):
-    """(class representatives, p-regular class count) for a coded group."""
+    """(class representatives, p-regular class count) for a coded group.
+
+    The classes are explored as orbits of x -> g^-1 x g over a small
+    generating set, not over the whole group.  The generators are picked
+    greedily and their closure is built Dimino-style; it must equal the
+    enumerated set, which proves that they generate it, so each orbit is
+    a full conjugacy class.  The cost is about |G| * #generators
+    conjugations plus |G| products for the closure.  Representatives are
+    the first element of each class in sorted order.
+    """
+    if not elements:
+        raise ValidationError("conjugacy_class_data needs a non-empty element list")
     table = field_table(p)
+    mul = table.mat_mul
     ident = table.identity(len(elements[0]))
     elems = set(elements)
-    inverses = {}
-    for x in elements:
-        k = _element_order(x, table.mat_mul, ident)
-        y = x
-        for _ in range(k - 2):
-            y = table.mat_mul(y, x)
-        inverses[x] = y if k > 1 else ident
+    gens = _generating_set(elements, elems, mul, ident)
+    # no generator is the identity, so its inverse is the power before it
+    pairs = [(_powers(g, mul, ident, len(elems))[-2], g) for g in gens]
     seen = set()
     reps = []
     regular = 0
     for x in sorted(elems):
         if x in seen:
             continue
-        orbit = {table.mat_mul(table.mat_mul(inverses[gel], x), gel) for gel in elements}
-        if not orbit <= elems:
-            raise FormulaInconsistencyError("conjugation left the enumerated group")
-        seen |= orbit
+        seen.add(x)
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            for g_inv, g in pairs:
+                z = mul(mul(g_inv, y), g)
+                if z not in seen:
+                    if z not in elems:
+                        raise FormulaInconsistencyError("conjugation left the enumerated group")
+                    seen.add(z)
+                    todo.append(z)
         reps.append(x)
-        if gcd(_element_order(x, table.mat_mul, ident), p) == 1:
+        if gcd(len(_powers(x, mul, ident, len(elems))), p) == 1:
             regular += 1
     return reps, regular
 

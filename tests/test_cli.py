@@ -146,6 +146,25 @@ class TestNewton:
         code, _ = run(capsys, "newton", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ([1], "JSON object"),
+            ({"F": 1}, "'rank'"),
+            (
+                {"p": 3, "s": 2, "n": 2, "rank": 2, "F": [[0, "x"], [-3, 0]], "V": [[0, -1], [3, 0]]},
+                "'F[0][1]'",
+            ),
+        ],
+        ids=["top-level-list", "missing-rank", "non-integer-entry"],
+    )
+    def test_malformed_spec_exits_2_naming_field(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "newton", str(path))
+        assert code == 2
+        assert field in json.loads(out)["results"]["error"]
+
 
 class TestPairing:
     def test_orders_match(self, capsys):
@@ -232,6 +251,13 @@ class TestSweep:
         # -1 is a square mod 5 and mod 13: p splits, rows are skipped
         assert by_p[5]["status"] == "skipped" and by_p[13]["status"] == "skipped"
         assert by_p[7]["status"] == by_p[11]["status"] == "ok"
+
+    def test_empty_range_exits_2(self, capsys):
+        code, out = run(
+            capsys, "sweep", "--sweep", "13:3", "--alpha", "-1", "--r", "1", "--s", "1", "--N", "3"
+        )
+        assert code == 2
+        assert "13:3" in json.loads(out)["results"]["error"]
 
     def test_sweep_csv(self, capsys):
         code, out = run(

@@ -3,7 +3,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssp.errors import ValidationError
-from ssp.gf import field_ctx, frobenius, is_irreducible, norm, sqrt_nonresidue
+from ssp import groups
+from ssp.gf import field_ctx, frobenius, is_irreducible, is_prime, norm, sqrt_nonresidue
+
+
+def test_is_prime_matches_sieve():
+    n = 10**4
+    sieve = [False, False] + [True] * (n - 1)
+    for d in range(2, 101):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
+    assert [is_prime(k) for k in range(n + 1)] == sieve
+    assert not is_prime(-7)
+    assert groups.is_prime is is_prime
 
 
 def test_modulus_is_deterministic_and_minimal():

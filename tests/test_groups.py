@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssp.dieudonne import build_a_half, build_superspecial_unitary
-from ssp.errors import BudgetExceededError, EnumBudget, ValidationError
+from ssp.errors import BudgetExceededError, EnumBudget, FormulaInconsistencyError, ValidationError
 from ssp.ftables import field_table, similitude_frames
 from ssp.groups import (
     GroupSpec,
@@ -194,7 +194,7 @@ class TestClassCounts:
         assert p_regular_classes(1, 1, 5) == 144
         assert p_regular_classes(2, 2, 3) == 3**2 * 2 * 16
 
-    @pytest.mark.parametrize("r, s, p", [(1, 1, 3), (2, 0, 3), (1, 1, 5)])
+    @pytest.mark.parametrize("r, s, p", [(1, 1, 3), (2, 0, 3), (1, 1, 5), (2, 2, 3)])
     def test_formula_vs_enumeration(self, r, s, p):
         assert p_regular_class_count_enumerated(r, s, p) == p_regular_classes(r, s, p)
 
@@ -213,6 +213,85 @@ class TestClassCounts:
             if all(table.mat_mul(x, y) == table.mat_mul(y, x) for y in elements)
         ]
         assert len(center) == 2 * 16
+
+
+def _conjugacy_class_data_slow(elements, p):
+    """The slow oracle: conjugate every element by every element of the
+    group, O(|G|^2) products, with inverses found by powering."""
+    table = field_table(p)
+    ident = table.identity(len(elements[0]))
+
+    def order(x):
+        k, y = 1, x
+        while y != ident:
+            y, k = table.mat_mul(y, x), k + 1
+        return k
+
+    inverses = {}
+    for x in elements:
+        y = ident
+        for _ in range(order(x) - 1):
+            y = table.mat_mul(y, x)
+        inverses[x] = y
+    seen, reps, regular = set(), [], 0
+    for x in sorted(set(elements)):
+        if x in seen:
+            continue
+        seen |= {table.mat_mul(table.mat_mul(inverses[g], x), g) for g in elements}
+        reps.append(x)
+        regular += gcd(order(x), p) == 1
+    return reps, regular
+
+
+_CLASS_GROUPS = {
+    "gusplit(1,1,3)": lambda: (gusplit_group_elements(1, 1, 3), 3),
+    "gusplit(1,1,5)": lambda: (gusplit_group_elements(1, 1, 5), 5),
+    "gusplit(2,0,3)": lambda: (gusplit_group_elements(2, 0, 3), 3),
+    "u(2,3)": lambda: (unitary_group_elements(2, 3), 3),
+    "su(2,5)": lambda: (su_group_elements(2, 5), 5),
+}
+
+
+class TestClassOrbits:
+    """Orbits under a checked generating set give exactly the classes of
+    the all-pairs conjugation loop, and a list that is not a group is
+    refused."""
+
+    @pytest.mark.parametrize("name", sorted(_CLASS_GROUPS))
+    def test_matches_all_pairs_oracle(self, name):
+        elements, p = _CLASS_GROUPS[name]()
+        assert conjugacy_class_data(elements, p) == _conjugacy_class_data_slow(elements, p)
+
+    @pytest.mark.parametrize("name", ["gusplit(2,0,3)", "su(2,5)"])
+    def test_missing_element_raises(self, name):
+        elements, p = _CLASS_GROUPS[name]()
+        for k in (1, len(elements) // 2, len(elements) - 1):
+            with pytest.raises(FormulaInconsistencyError):
+                conjugacy_class_data(elements[:k] + elements[k + 1 :], p)
+
+    @pytest.mark.parametrize("name", ["gusplit(2,0,3)", "su(2,5)"])
+    def test_stray_matrix_raises(self, name):
+        elements, p = _CLASS_GROUPS[name]()
+        unipotent = ((1, 1), (0, 1))  # not unitary: its first column has norm 1, its second 2
+        singular = ((1, 0), (0, 0))
+        for stray in (unipotent, singular):
+            assert stray not in elements
+            with pytest.raises(FormulaInconsistencyError):
+                conjugacy_class_data(elements + [stray], p)
+
+    def test_monoid_that_is_not_a_group_raises(self):
+        # {I, e} with e idempotent is closed under products, but e has no inverse
+        table = field_table(3)
+        e = ((1, 0), (0, 0))
+        with pytest.raises(FormulaInconsistencyError):
+            conjugacy_class_data([table.identity(2), e], 3)
+
+    def test_empty_list_raises_validation_error(self):
+        with pytest.raises(ValidationError):
+            conjugacy_class_data([], 3)
+
+    def test_trivial_group(self):
+        assert conjugacy_class_data([field_table(3).identity(2)], 3) == ([((1, 0), (0, 1))], 1)
 
 
 class TestSylowAndDimBounds:
