@@ -24,12 +24,7 @@ from fractions import Fraction
 
 from . import count as count_mod
 from . import dieudonne, exact, groups, hermitian
-from .errors import (
-    BudgetExceededError,
-    InsufficientPrecisionError,
-    SspError,
-    ValidationError,
-)
+from .errors import SspError, ValidationError, exit_code
 from .witt import witt_ring
 
 # ---------------------------------------------------------------------------
@@ -520,22 +515,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.handler(args)
-    except ValidationError as e:
-        _emit(_report(args.command, {}, {"error": str(e)}, status="error"), args.csv)
-        return 2
-    except InsufficientPrecisionError as e:
-        _emit(_report(args.command, {}, {"error": str(e)}, status="error"), args.csv)
-        return 3
-    except BudgetExceededError as e:
-        _emit(_report(args.command, {}, {"error": str(e)}, status="error"), args.csv)
-        return 4
-    except FileNotFoundError as e:
-        _emit(_report(args.command, {}, {"error": str(e)}, status="error"), args.csv)
-        return 2
-    except SspError as e:
-        # formula regressions and other internal inconsistencies
-        _emit(_report(args.command, {}, {"error": str(e)}, status="error"), args.csv)
-        return 1
+    except Exception as e:
+        code = exit_code(e)
+        if code is None:
+            raise
+        report = _report(args.command, {}, {"error": str(e)}, status="error")
     _emit(report, args.csv)
     return code
 

@@ -21,7 +21,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import FormulaInconsistencyError, ValidationError
+from .errors import (
+    FormulaInconsistencyError,
+    ValidationError,
+    spec_field,
+    spec_int,
+    spec_list,
+    spec_value,
+)
 from .exact import mass_constant, mass_constant_bernoulli_abs
 from .gf import FieldCtx, FqElem, field_ctx, is_nonresidue
 from .groups import (
@@ -336,36 +343,36 @@ def dim_superspecial_bound_check(space: CosetSpace, rho: GroupRepresentation) ->
 
 
 def coset_space_from_dict(data: dict) -> CosetSpace:
-    try:
-        points = int(data["points"])
-        gens = data["generators"]
-    except KeyError as e:
-        raise ValidationError(f"coset-space spec missing field {e}") from None
+    spec = "coset-space spec"
+    points = spec_field(data, "points", spec)
     perms, names = [], []
-    for i, g in enumerate(gens):
-        perms.append(tuple(int(x) for x in g["perm"]))
+    for i, g in enumerate(spec_list(spec_value(data, "generators", spec), "generators", spec)):
+        at = f"generators[{i}]"
+        perm = spec_list(spec_value(g, "perm", spec, at), f"{at}.perm", spec)
+        perms.append(tuple(spec_int(x, f"{at}.perm[{k}]", spec) for k, x in enumerate(perm)))
         names.append(str(g.get("name", f"#{i}")))
-    return CosetSpace(
-        points=points,
-        generators=tuple(perms),
-        names=tuple(names),
-        group=str(data.get("group", "")),
-    )
+    group = str(data.get("group", ""))
+    return CosetSpace(points=points, generators=tuple(perms), names=tuple(names), group=group)
 
 
 def representation_from_dict(data: dict) -> GroupRepresentation:
-    try:
-        dim = int(data["dim"])
-        fld = data["field"]
-        gens = data["generators"]
-    except KeyError as e:
-        raise ValidationError(f"representation spec missing field {e}") from None
-    ctx = field_ctx(int(fld["p"]), int(fld.get("s", 1)))
-    mats = []
-    for M in gens:
-        mats.append(
-            linalg.freeze(
-                [[ctx.el(tuple(x) if isinstance(x, list) else int(x)) for x in row] for row in M]
-            )
+    spec = "representation spec"
+    dim = spec_field(data, "dim", spec)
+    fld = spec_value(data, "field", spec)
+    gens = spec_list(spec_value(data, "generators", spec), "generators", spec)
+    p = spec_field(fld, "p", spec, "field")
+    ctx = field_ctx(p, spec_field(fld, "s", spec, "field") if "s" in fld else 1)
+
+    def entry(x, field):
+        if isinstance(x, list):
+            return ctx.el(tuple(spec_int(c, field, spec) for c in x))
+        return ctx.el(spec_int(x, field, spec))
+
+    def matrix(M, at):
+        rows = [spec_list(row, f"{at}[{r}]", spec) for r, row in enumerate(spec_list(M, at, spec))]
+        return linalg.freeze(
+            [[entry(x, f"{at}[{r}][{c}]") for c, x in enumerate(row)] for r, row in enumerate(rows)]
         )
-    return GroupRepresentation(ctx=ctx, dim=dim, generators=tuple(mats))
+
+    mats = tuple(matrix(M, f"generators[{i}]") for i, M in enumerate(gens))
+    return GroupRepresentation(ctx=ctx, dim=dim, generators=mats)

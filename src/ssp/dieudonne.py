@@ -19,7 +19,13 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .errors import FormulaInconsistencyError, InsufficientPrecisionError, ValidationError
+from .errors import (
+    FormulaInconsistencyError,
+    InsufficientPrecisionError,
+    ValidationError,
+    spec_field,
+    spec_int,
+)
 from .gf import sqrt_nonresidue
 from .witt import INF, WittRing, hensel_sqrt, witt_ring
 
@@ -523,28 +529,9 @@ def module_to_dict(m: DieudonneModule) -> dict:
     return out
 
 
-def _spec_int(x, field: str) -> int:
-    """An integer in a JSON module spec: a JSON integer or a decimal string."""
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
-        try:
-            return int(x)
-        except ValueError:
-            pass
-    raise ValidationError(f"module spec field {field!r} must be an integer, got {x!r}")
-
-
-def _spec_field(data, key: str) -> int:
-    if not isinstance(data, dict):
-        raise ValidationError(f"module spec must be a JSON object, got {type(data).__name__}")
-    if key not in data:
-        raise ValidationError(f"module spec missing field {key!r}")
-    return _spec_int(data[key], key)
-
-
 def module_from_dict(data: dict, n_override: Optional[int] = None) -> DieudonneModule:
-    p, s, n, rank = (_spec_field(data, key) for key in ("p", "s", "n", "rank"))
-    if n_override is not None:
-        n = n_override
+    p, s, rank = (spec_field(data, key) for key in ("p", "s", "rank"))
+    n = spec_field(data, "n") if n_override is None else n_override
     ring = witt_ring(p, s, n)
 
     def dec(name):
@@ -561,8 +548,8 @@ def module_from_dict(data: dict, n_override: Optional[int] = None) -> DieudonneM
         def entry(x, i, j):
             field = f"{name}[{i}][{j}]"
             if isinstance(x, list):
-                return ring.el(tuple(_spec_int(c, field) for c in x))
-            return ring.el(_spec_int(x, field))
+                return ring.el(tuple(spec_int(c, field) for c in x))
+            return ring.el(spec_int(x, field))
 
         return linalg.freeze(
             [[entry(x, i, j) for j, x in enumerate(row)] for i, row in enumerate(M)]
@@ -571,7 +558,7 @@ def module_from_dict(data: dict, n_override: Optional[int] = None) -> DieudonneM
     F, V = dec("F"), dec("V")
     E = dec("E") if "E" in data else None
     J = dec("action") if "action" in data else None
-    alpha = _spec_field(data, "alpha") if "alpha" in data else None
+    alpha = spec_field(data, "alpha") if "alpha" in data else None
     return DieudonneModule(
         ring=ring, rank=rank, f_matrix=F, v_matrix=V,
         polarization=E, ok_action=J, alpha=alpha,
@@ -581,8 +568,8 @@ def module_from_dict(data: dict, n_override: Optional[int] = None) -> DieudonneM
 def newton_polygon_with_retry(data: dict) -> tuple[NewtonPolygon, int]:
     """Newton polygon of a JSON module spec, doubling the truncation on
     censored valuations (default start 2*height + 2, cap 64)."""
-    rank = _spec_field(data, "rank")
-    n = _spec_field(data, "n") if data.get("n") else 2 * rank + DEFAULT_TRUNCATION_SLACK
+    rank = spec_field(data, "rank")
+    n = spec_field(data, "n") if data.get("n") else 2 * rank + DEFAULT_TRUNCATION_SLACK
     while True:
         try:
             return newton_polygon(module_from_dict(data, n_override=n)), n

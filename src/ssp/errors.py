@@ -1,7 +1,9 @@
-"""Shared exception types and the enumeration budget.
+"""Shared exception types, their CLI exit codes, the parse helpers for
+JSON specs, and the enumeration budget.
 
-Exit-code mapping used by the CLI: ValidationError -> 2,
-InsufficientPrecisionError -> 3, BudgetExceededError -> 4.
+Exit-code mapping used by the CLI (`EXIT_CODES`): ValidationError and
+FileNotFoundError -> 2, InsufficientPrecisionError -> 3,
+BudgetExceededError -> 4, any other SspError -> 1.
 """
 
 from __future__ import annotations
@@ -34,6 +36,61 @@ class BudgetExceededError(SspError):
 
 class FormulaInconsistencyError(SspError):
     """Two formulas that must agree did not (internal double-entry check)."""
+
+
+# tried in order, so the catch-all SspError comes last
+EXIT_CODES = (
+    ((ValidationError, FileNotFoundError), 2),
+    ((InsufficientPrecisionError,), 3),
+    ((BudgetExceededError,), 4),
+    ((SspError,), 1),
+)
+
+
+def exit_code(exc: BaseException) -> Optional[int]:
+    """The CLI exit code for `exc`, or None for an error the CLI does not report."""
+    for types, code in EXIT_CODES:
+        if isinstance(exc, types):
+            return code
+    return None
+
+
+# ---------------------------------------------------------------------------
+# JSON specs: every malformed field is a ValidationError that names it
+
+
+def _path(at: str, key: str) -> str:
+    return f"{at}.{key}" if at else key
+
+
+def spec_value(data, key: str, spec: str = "module spec", at: str = ""):
+    """data[key], where `data` is the JSON object at the path `at` of a spec."""
+    if not isinstance(data, dict):
+        what = f"{spec} field {at!r}" if at else spec
+        raise ValidationError(f"{what} must be a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise ValidationError(f"{spec} missing field {_path(at, key)!r}")
+    return data[key]
+
+
+def spec_int(x, field: str, spec: str = "module spec") -> int:
+    """An integer in a JSON spec: a JSON integer or a decimal string."""
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise ValidationError(f"{spec} field {field!r} must be an integer, got {x!r}")
+
+
+def spec_field(data, key: str, spec: str = "module spec", at: str = "") -> int:
+    return spec_int(spec_value(data, key, spec, at), _path(at, key), spec)
+
+
+def spec_list(x, field: str, spec: str) -> list:
+    if not isinstance(x, list):
+        raise ValidationError(f"{spec} field {field!r} must be a list, got {type(x).__name__}")
+    return x
 
 
 def enum_budget(budget: Optional[int] = None) -> int:

@@ -1,11 +1,12 @@
 """Table-backed arithmetic for small fields and quaternion orders mod p.
 
 Exhaustive matrix-group enumerations spend almost all their time on
-field multiplications, so the oracles run on integer-coded elements
-with dense lookup tables.  Tables are derived directly from the object
-arithmetic in gf/groups, never written by hand, so the encodings stay
-consistent with the rest of the library: a field element with
-coefficients (c0, .., c_{s-1}) is the code sum(c_i p^i).
+ring multiplications, so the oracles run on integer-coded elements
+with dense lookup tables.  A field element with coefficients
+(c0, .., c_{s-1}) is the code sum(c_i p^i), and its tables are derived
+from the object arithmetic in gf, never written by hand.  The quaternion
+order mod p is coded on top of the F_{p^2} codes, so one coded-matrix
+core (`CodedRing`) serves both.
 
 `similitude_frames` is the one enumerator of {X : X* G X = c G} behind
 every unitary-group and automorphism-group oracle.
@@ -20,46 +21,13 @@ from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
 from .gf import FieldCtx, FqElem, field_ctx
 
 
-class FieldTable:
-    """Dense op tables for F_{p^s}; element codes are 0 .. q-1."""
+class CodedRing:
+    """Coded matrices (tuples of tuples of ints) over a ring given by
+    dense `add`, `mul` and `conj` tables, with 0 the zero and 1 the one."""
 
-    def __init__(self, ctx: FieldCtx):
-        self.ctx = ctx
-        p, s, q = ctx.p, ctx.s, ctx.q
-        self.p, self.s, self.q = p, s, q
-        els = [FqElem(ctx, c) for c in itertools.product(range(p), repeat=s)]
-        # code of coefficient tuple (c0, c1, ...) is c0 + c1 p + ...
-        self.elements = sorted(els, key=lambda e: self.encode(e))
-        self.add = [[self.encode(a + b) for b in self.elements] for a in self.elements]
-        self.mul = [[self.encode(a * b) for b in self.elements] for a in self.elements]
-        self.neg = [self.encode(-a) for a in self.elements]
-        self.conj = [self.encode(a.frobenius()) for a in self.elements]
-        self.fp_codes = [self.encode(ctx.el(c)) for c in range(p)]
-        self.fp_units = self.fp_codes[1:]
-
-    def encode(self, x: FqElem) -> int:
-        code = 0
-        for c in reversed(x.coeffs):
-            code = code * self.p + c
-        return code
-
-    def decode(self, code: int) -> FqElem:
-        coeffs = []
-        for _ in range(self.s):
-            coeffs.append(code % self.p)
-            code //= self.p
-        return FqElem(self.ctx, tuple(coeffs))
-
-    # -- coded matrices (tuples of tuples of ints) ---------------------------
-
-    def mat_encode(self, M):
-        return tuple(tuple(self.encode(x) for x in row) for row in M)
-
-    def mat_decode(self, M):
-        # elements[code] is the decoded value; sharing these immutable
-        # objects keeps large decoded element lists small
-        els = self.elements
-        return tuple(tuple(els[x] for x in row) for row in M)
+    add: list
+    mul: list
+    conj: list
 
     def mat_mul(self, A, B):
         mul, add = self.mul, self.add
@@ -83,6 +51,39 @@ class FieldTable:
 
     def identity(self, n):
         return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+class FieldTable(CodedRing):
+    """Dense op tables for F_{p^s}; element codes are 0 .. q-1."""
+
+    def __init__(self, ctx: FieldCtx):
+        self.ctx = ctx
+        p, s, q = ctx.p, ctx.s, ctx.q
+        self.p, self.s, self.q = p, s, q
+        els = [FqElem(ctx, c) for c in itertools.product(range(p), repeat=s)]
+        # code of coefficient tuple (c0, c1, ...) is c0 + c1 p + ...
+        self.elements = sorted(els, key=lambda e: self.encode(e))
+        self.add = [[self.encode(a + b) for b in self.elements] for a in self.elements]
+        self.mul = [[self.encode(a * b) for b in self.elements] for a in self.elements]
+        self.neg = [self.encode(-a) for a in self.elements]
+        self.conj = [self.encode(a.frobenius()) for a in self.elements]
+        self.fp_codes = [self.encode(ctx.el(c)) for c in range(p)]
+        self.fp_units = self.fp_codes[1:]
+
+    def encode(self, x: FqElem) -> int:
+        code = 0
+        for c in reversed(x.coeffs):
+            code = code * self.p + c
+        return code
+
+    def mat_encode(self, M):
+        return tuple(tuple(self.encode(x) for x in row) for row in M)
+
+    def mat_decode(self, M):
+        # elements[code] is the decoded value; sharing these immutable
+        # objects keeps large decoded element lists small
+        els = self.elements
+        return tuple(tuple(els[x] for x in row) for row in M)
 
     def scale(self, c, A):
         mul = self.mul
@@ -200,77 +201,33 @@ def block_similitudes(table: FieldTable, grams, budget: EnumBudget) -> list:
     return out
 
 
-class QuatTable:
-    """Dense tables for a quaternion order mod p (see groups.QuatModP).
+class QuatTable(CodedRing):
+    """Dense tables for the quaternion order mod p, the ring
+    F_{p^2} + F_{p^2} Pi with Pi^2 = 0 and Pi w = sigma(w) Pi, built from
+    the F_{p^2} tables of `field` (groups.QuatModP is the same ring in the
+    basis 1, u, Pi, u Pi).
 
-    Codes are 0 .. p^4 - 1 encoding (a, b, c, d) = a + b u + c Pi + d u Pi.
-    The F_{p^2} subalgebra F_p[u] has codes < p^2, matching FieldTable
-    codes for the same (p, s=2) context; multiplying a subfield code w
-    by Pi gives code w * p^2.
+    w0 + w1 Pi has code w0 + q w1, where w0, w1 are FieldTable codes and
+    q = p^2: the codes below q are the field's own, w * q is w Pi, and
+    code % q is the reduction mod Pi.  No table depends on a choice of
+    u = sqrt(alpha), so there is one table per p.
     """
 
-    def __init__(self, quat):
-        self.quat = quat
-        p = quat.p
-        self.p = p
-        self.size = p**4
-        els = list(itertools.product(range(p), repeat=4))
-        self.tuples = sorted(els, key=self._enc_tuple)
-        n = self.size
-        self.mul = [[0] * n for _ in range(n)]
-        self.add = [[0] * n for _ in range(n)]
-        for i, x in enumerate(self.tuples):
-            for j, y in enumerate(self.tuples):
-                self.mul[i][j] = self._enc_tuple(quat.mul(x, y))
-                self.add[i][j] = self._enc_tuple(quat.add(x, y))
-        self.conj = [self._enc_tuple(quat.conj(x)) for x in self.tuples]
+    def __init__(self, field: FieldTable):
+        q = field.q
+        fadd, fmul, fneg, sigma = field.add, field.mul, field.neg, field.conj
+        pairs = [(w0, w1) for w1 in range(q) for w0 in range(q)]  # in code order
+        codes = list(range(q * q))  # sharing the int objects keeps the tables small
+        self.add = [[codes[fadd[a0][b0] + q * fadd[a1][b1]] for b0, b1 in pairs] for a0, a1 in pairs]
+        # (a0 + a1 Pi)(b0 + b1 Pi) = a0 b0 + (a0 b1 + a1 sigma(b0)) Pi
+        self.mul = [
+            [codes[fmul[a0][b0] + q * fadd[fmul[a0][b1]][fmul[a1][sigma[b0]]]] for b0, b1 in pairs]
+            for a0, a1 in pairs
+        ]
+        # the main involution: conj(w0 + w1 Pi) = sigma(w0) - w1 Pi
+        self.conj = [sigma[w0] + q * fneg[w1] for w0, w1 in pairs]
 
-    def _enc_tuple(self, x) -> int:
-        a, b, c, d = x
-        p = self.p
-        return ((d * p + c) * p + b) * p + a
 
-    def decode(self, code: int):
-        p = self.p
-        a = code % p
-        code //= p
-        b = code % p
-        code //= p
-        c = code % p
-        return (a, b, c, code // p)
-
-    def subfield_code(self, field_code: int) -> int:
-        """F_{p^2} code (a + b p) -> quaternion code of a + b u."""
-        return field_code
-
-    def pi_multiple_code(self, field_code: int) -> int:
-        """F_{p^2} code w -> quaternion code of w * Pi."""
-        return field_code * self.p * self.p
-
-    def mod_pi(self, code: int) -> int:
-        """Reduction mod Pi, landing in the F_{p^2} codes."""
-        return code % (self.p * self.p)
-
-    def mat_mul(self, A, B):
-        mul, add = self.mul, self.add
-        n, k = len(A), len(B)
-        m = len(B[0])
-        out = []
-        for i in range(n):
-            Ai = A[i]
-            row = []
-            for j in range(m):
-                acc = 0
-                for t in range(k):
-                    acc = add[acc][mul[Ai[t]][B[t][j]]]
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
-
-    def conj_transpose(self, A):
-        conj = self.conj
-        n = len(A)
-        return tuple(tuple(conj[A[i][j]] for i in range(n)) for j in range(n))
-
-    def identity(self, n):
-        return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+@lru_cache(maxsize=None)
+def quat_table(p: int) -> QuatTable:
+    return QuatTable(field_table(p))

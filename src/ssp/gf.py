@@ -63,26 +63,12 @@ def _ppowmod(a, e, mod, p):
 
 def _pgcd(a, b, p):
     while b:
-        a, b = b, _poly_rem(a, b, p)
+        a, b = b, _poly_divmod(a, b, p)[1]
     if a:
         # normalize monic
         inv = pow(a[-1], p - 2, p)
         a = _trim([(c * inv) % p for c in a])
     return a
-
-
-def _poly_rem(a, b, p):
-    # b nonzero, not necessarily monic
-    a = list(a)
-    inv = pow(b[-1], p - 2, p)
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        c = (a[-1] * inv) % p
-        shift = len(a) - 1 - db
-        for j in range(db + 1):
-            a[shift + j] = (a[shift + j] - c * b[j]) % p
-        a = list(_trim(a))
-    return tuple(a)
 
 
 def is_irreducible(poly: tuple[int, ...], p: int) -> bool:

@@ -21,7 +21,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
-from .ftables import QuatTable, block_similitudes, field_table, similitude_frames
+from .ftables import block_similitudes, field_table, quat_table, similitude_frames
 from .gf import is_prime, sqrt_nonresidue
 
 # ---------------------------------------------------------------------------
@@ -183,14 +183,6 @@ def gl2_order_enumerated(N: int) -> int:
         if gcd((a * d - b * c) % N, N) == 1:
             count += 1
     return count
-
-
-def symplectic_gram(g: int):
-    J = [[0] * (2 * g) for _ in range(2 * g)]
-    for i in range(g):
-        J[i][g + i] = 1
-        J[g + i][i] = -1
-    return J
 
 
 def hyperbolic_pair_count(g: int, ell: int) -> int:
@@ -436,17 +428,13 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = N
     table = field_table(p)
     q = table.q
     EnumBudget("lemma_gp_check", budget).spend(q ** (g * g))
-    quat = QuatModP(p, alpha)
-    qt = QuatTable(quat)
+    # ftables.quat_table codes: the F_{p^2} code w is w, w * q is w Pi, and
+    # x % q reduces mod Pi, landing in the codes of gusplit_group_elements
+    qt = quat_table(p)
 
     u_code = table.encode(sqrt_nonresidue(table.ctx, alpha))
     phi = tuple(
-        tuple(
-            (qt.subfield_code(table.neg[u_code]) if i < r else qt.subfield_code(u_code))
-            if i == j
-            else 0
-            for j in range(g)
-        )
+        tuple((table.neg[u_code] if i < r else u_code) if i == j else 0 for j in range(g))
         for i in range(g)
     )
     ident = qt.identity(g)
@@ -456,12 +444,7 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = N
     members = []
     for entries in itertools.product(range(q), repeat=g * g):
         X = tuple(
-            tuple(
-                qt.subfield_code(entries[i * g + j])
-                if is_diag_pos[i][j]
-                else qt.pi_multiple_code(entries[i * g + j])
-                for j in range(g)
-            )
+            tuple(entries[i * g + j] if is_diag_pos[i][j] else entries[i * g + j] * q for j in range(g))
             for i in range(g)
         )
         if qt.mat_mul(X, phi) != qt.mat_mul(phi, X):
@@ -478,7 +461,7 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = N
     kernel_size = 0
     kernel_ok = True
     for X in members:
-        red = tuple(tuple(qt.mod_pi(x) for x in row) for row in X)
+        red = tuple(tuple(x % q for x in row) for row in X)
         if red not in gp_elements:
             raise FormulaInconsistencyError("reduction left the block-diagonal unitary group")
         image.add(red)
@@ -486,7 +469,7 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = N
             kernel_size += 1
             for i in range(g):
                 for j in range(g):
-                    if qt.mod_pi(X[i][j]) != (1 if i == j else 0):
+                    if X[i][j] % q != (1 if i == j else 0):
                         kernel_ok = False
 
     # probes: a unit (not Pi-divisible) off-diagonal entry must break X Phi = Phi X
@@ -495,7 +478,7 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = N
     if r > 0 and s > 0:
         for w in (1, u_code):  # 1 and u
             X = [list(row) for row in ident]
-            X[0][r] = qt.subfield_code(w)
+            X[0][r] = w
             X = tuple(tuple(row) for row in X)
             probes += 1
             if qt.mat_mul(X, phi) != qt.mat_mul(phi, X):

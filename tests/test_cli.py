@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from ssp import groups
+from ssp import cli, groups
 from ssp.cli import main
+from ssp.errors import FormulaInconsistencyError
 
 
 def run(capsys, *argv):
@@ -55,6 +56,17 @@ class TestBound:
         lines = out.strip().splitlines()
         assert lines[0] == "name,value,provenance"
         assert any(line.startswith("final_bound,11520,bound") for line in lines)
+
+
+    def test_internal_inconsistency_exits_1(self, capsys, monkeypatch):
+        def broken(args):
+            raise FormulaInconsistencyError("two routes disagree")
+
+        monkeypatch.setattr(cli, "_cmd_bound", broken)
+        code, out = run(capsys, "bound", "--p", "3", "--alpha", "-1", "--r", "1", "--s", "1", "--N", "3")
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["status"] == "error" and rep["results"]["error"] == "two routes disagree"
 
 
 class TestGroup:
@@ -121,6 +133,21 @@ class TestNewton:
         assert res["slopes"]["value"] == "1/2 x2"
         assert res["isoclinic"] is True and res["basic"] is True
         assert res["t_newton"]["value"] == "1" and res["endpoints_equal"] is True
+
+    def test_spec_without_n_uses_default_truncation(self, tmp_path, capsys):
+        spec = {
+            "p": 3,
+            "s": 2,
+            "rank": 2,
+            "F": [[0, 1], [-3, 0]],
+            "V": [[0, -1], [3, 0]],
+            "E": [[0, 1], [-1, 0]],
+        }
+        path = tmp_path / "a_half_no_n.json"
+        path.write_text(json.dumps(spec))
+        code, out = run(capsys, "newton", str(path))
+        assert code == 0
+        assert json.loads(out)["results"]["slopes"]["value"] == "1/2 x2"
 
     def test_insufficient_precision_exits_3(self, tmp_path, capsys):
         spec = {
@@ -214,6 +241,26 @@ class TestAmf:
         res = json.loads(out)["results"]
         assert res["dimension"]["value"] == "1"
         assert res["bound_check"] is True
+
+
+    @pytest.mark.parametrize(
+        "space, rep, field",
+        [
+            ([1], None, "coset-space spec must be a JSON object"),
+            ({"points": 2, "generators": [{"perm": [1, "x"]}]}, None, "'generators[0].perm[1]'"),
+            (None, {"dim": 1, "field": {"s": 2}, "generators": [[[1]]]}, "'field.p'"),
+        ],
+        ids=["space-not-object", "non-integer-perm-entry", "rep-missing-field-p"],
+    )
+    def test_malformed_fixture_exits_2_naming_field(self, tmp_path, capsys, space, rep, field):
+        sp, rp = self.fixture_files(tmp_path)
+        if space is not None:
+            (tmp_path / "space.json").write_text(json.dumps(space))
+        if rep is not None:
+            (tmp_path / "rep.json").write_text(json.dumps(rep))
+        code, out = run(capsys, "amf", sp, rp)
+        assert code == 2
+        assert field in json.loads(out)["results"]["error"]
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import gcd
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from ssp.dieudonne import build_a_half, build_superspecial_unitary
 from ssp.errors import BudgetExceededError, EnumBudget, FormulaInconsistencyError, ValidationError
-from ssp.ftables import field_table, similitude_frames
+from ssp.ftables import QuatTable, field_table, similitude_frames
+from ssp.gf import sqrt_nonresidue
 from ssp.groups import (
     GroupSpec,
     QuatModP,
@@ -335,6 +337,55 @@ class TestQuatModP:
     def test_rejects_residue_alpha(self):
         with pytest.raises(ValidationError):
             QuatModP(3, 1)
+
+
+class TestQuatTable:
+    """QuatTable codes w0 + w1 Pi as w0 + q w1 on the FieldTable codes;
+    QuatModP(p, alpha) is the same ring in the basis 1, u, Pi, u Pi."""
+
+    # two non-residues alpha for each p (at p = 3 both are 2 mod 3)
+    ALPHAS = {3: (-1, 2), 5: (-2, -3), 7: (-1, 3)}
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_against_quat_mod_p(self, p):
+        field = field_table(p)
+        q = field.q
+        qt = QuatTable(field)
+        fp, add, mul = field.fp_codes, field.add, field.mul
+        # the subfield codes are the field's own
+        for w in range(q):
+            assert qt.conj[w] == field.conj[w]
+            for v in range(q):
+                assert qt.mul[w][v] == mul[w][v] and qt.add[w][v] == add[w][v]
+        # Pi w = sigma(w) Pi, with Pi = code q
+        for w in range(q):
+            assert qt.mul[q][w] == qt.mul[field.conj[w]][q] == field.conj[w] * q
+        for alpha in self.ALPHAS[p]:
+            quat = QuatModP(p, alpha)
+            u = field.encode(sqrt_nonresidue(field.ctx, alpha))
+            assert qt.mul[u][u] == fp[alpha % p]
+
+            def code(x):
+                # a + b u + c Pi + d u Pi  ->  (a + b u) + q (c + d u)
+                a, b, c, d = x
+                return add[fp[a]][mul[fp[b]][u]] + q * add[fp[c]][mul[fp[d]][u]]
+
+            elements = list(itertools.product(range(p), repeat=4))
+            assert len({code(x) for x in elements}) == q * q
+            for x in elements:
+                assert code(quat.conj(x)) == qt.conj[code(x)]
+            if p == 3:
+                pairs = itertools.product(elements, repeat=2)
+            else:
+                rng = random.Random(p * 100 + alpha)
+                pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(2000)]
+            for x, y in pairs:
+                assert code(quat.mul(x, y)) == qt.mul[code(x)][code(y)]
+                assert code(quat.add(x, y)) == qt.add[code(x)][code(y)]
+
+    def test_residue_alpha_rejected(self):
+        with pytest.raises(ValidationError):
+            lemma_gp_check(3, 1, 1, 1)
 
 
 class TestLemmaGp:

@@ -147,9 +147,9 @@ def test_field_table_consistency():
     for a in ctx.elements():
         for b in ctx.elements():
             ca, cb = table.encode(a), table.encode(b)
-            assert table.decode(table.mul[ca][cb]) == a * b
-            assert table.decode(table.add[ca][cb]) == a + b
-        assert table.decode(table.conj[table.encode(a)]) == a.frobenius()
+            assert table.elements[table.mul[ca][cb]] == a * b
+            assert table.elements[table.add[ca][cb]] == a + b
+        assert table.elements[table.conj[table.encode(a)]] == a.frobenius()
 
 
 def test_field_table_det_matches_generic():
@@ -160,6 +160,6 @@ def test_field_table_det_matches_generic():
         A = linalg.freeze(
             [[ctx.el((rng.randrange(3), rng.randrange(3))) for _ in range(2)] for _ in range(2)]
         )
-        assert table.decode(table.det(table.mat_encode(A))) == linalg.det(
+        assert table.elements[table.det(table.mat_encode(A))] == linalg.det(
             A, ctx.one(), ctx.zero()
         )
