@@ -31,11 +31,30 @@ from .witt import witt_ring
 # report plumbing
 
 
+# int -> str raises past sys.get_int_max_str_digits() digits (4300 by
+# default, never below 640), so longer ints are written in chunks
+_CHUNK = 10**600
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    chunks, rest = [], abs(n)
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(f"{low:0600d}")
+    return ("-" if n < 0 else "") + str(rest) + "".join(reversed(chunks))
+
+
 def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, bool):
         return "true" if x else "false"
+    if isinstance(x, int):
+        return _decimal(x)
+    if isinstance(x, Fraction):
+        num = _decimal(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
     return str(x)
 
 

@@ -122,11 +122,7 @@ class DieudonneModule:
     def pairing(self, x, y):
         if self.polarization is None:
             raise ValidationError("polarization required")
-        w = linalg.mat_vec(self.polarization, y)
-        acc = x[0] * w[0]
-        for t in range(1, self.rank):
-            acc = acc + x[t] * w[t]
-        return acc
+        return linalg.dot(x, linalg.mat_vec(self.polarization, y))
 
     def basis_vector(self, i: int):
         return tuple(

@@ -107,11 +107,16 @@ def is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 
 
 def minimal_irreducible(p: int, s: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree s, low-degree-first lexicographic."""
-    for lower in itertools.product(range(p), repeat=s):
-        poly = tuple(lower) + (1,)
-        if is_irreducible(poly, p):
-            return poly
+    """Smallest monic irreducible of degree s, low-degree-first lexicographic.
+
+    The constant term varies slowest; for s > 1 every candidate with
+    constant term 0 is divisible by t, so the search starts at 1.
+    """
+    for c0 in range(0 if s == 1 else 1, p):
+        for upper in itertools.product(range(p), repeat=s - 1):
+            poly = (c0,) + upper + (1,)
+            if is_irreducible(poly, p):
+                return poly
     raise ValidationError(f"no irreducible polynomial of degree {s} over F_{p}")
 
 

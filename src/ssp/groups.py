@@ -16,6 +16,7 @@ independent of the closed forms so each route checks the other.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
@@ -414,16 +415,23 @@ class LemmaGpReport:
     scope_note = "verified at the level-p truncation of the p-adic automorphism group"
 
 
-def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = None) -> LemmaGpReport:
-    """Enumerate {X in GU_g(QuatModP) : X Phi = Phi X} and verify that
-    reduction mod Pi is a surjection onto block-diagonal G(p) whose
-    kernel is trivial mod Pi.
+def _phi_codes(table, alpha: int, r: int, g: int):
+    """The field code of u = sqrt(alpha) and Phi = diag(-u I_r, u I_s)."""
+    u_code = table.encode(sqrt_nonresidue(table.ctx, alpha))
+    phi = tuple(
+        tuple((table.neg[u_code] if i < r else u_code) if i == j else 0 for j in range(g))
+        for i in range(g)
+    )
+    return u_code, phi
+
+
+def _lemma_gp_members(p: int, alpha: int, r: int, s: int, budget: Optional[int] = None) -> list:
+    """{X in GU_g(QuatModP) : X Phi = Phi X} in `quat_table(p)` codes.
 
     Commutation with Phi forces diagonal (r, s)-blocks into F_{p^2} and
-    off-diagonal blocks into Pi F_{p^2} (checked by probes), so the
-    candidate space is those q^{g^2} shapes; each candidate is still
-    verified against both defining equations.
-    """
+    off-diagonal blocks into Pi F_{p^2} (lemma_gp_check probes this), so
+    the candidates are those q^{g^2} shapes; each is checked against both
+    defining equations."""
     g = r + s
     table = field_table(p)
     q = table.q
@@ -431,13 +439,7 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = N
     # ftables.quat_table codes: the F_{p^2} code w is w, w * q is w Pi, and
     # x % q reduces mod Pi, landing in the codes of gusplit_group_elements
     qt = quat_table(p)
-
-    u_code = table.encode(sqrt_nonresidue(table.ctx, alpha))
-    phi = tuple(
-        tuple((table.neg[u_code] if i < r else u_code) if i == j else 0 for j in range(g))
-        for i in range(g)
-    )
-    ident = qt.identity(g)
+    phi = _phi_codes(table, alpha, r, g)[1]
     fp_scalars = {c: tuple(tuple(c if i == j else 0 for j in range(g)) for i in range(g)) for c in table.fp_units}
 
     is_diag_pos = [[(i < r) == (j < r) for j in range(g)] for i in range(g)]
@@ -454,30 +456,39 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = N
         if c not in fp_scalars or M != fp_scalars[c]:
             continue
         members.append(X)
+    return members
+
+
+def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = None) -> LemmaGpReport:
+    """Enumerate {X in GU_g(QuatModP) : X Phi = Phi X} and verify that
+    reduction mod Pi is a surjection onto block-diagonal G(p) whose
+    fibres all have the size of its kernel.
+
+    `kernel_is_identity_mod_pi` reports that every fibre of the
+    reduction has exactly `kernel_size` members, as the fibres of a
+    homomorphism are cosets of its kernel; then
+    group_order = kernel_size x |image|.
+    """
+    g = r + s
+    table = field_table(p)
+    q = table.q
+    members = _lemma_gp_members(p, alpha, r, s, budget)
+    u_code, phi = _phi_codes(table, alpha, r, g)
+    qt = quat_table(p)
 
     gp_elements = set(gusplit_group_elements(r, s, p, budget))
-    gp_identity = table.identity(g)
-    image = set()
-    kernel_size = 0
-    kernel_ok = True
-    for X in members:
-        red = tuple(tuple(x % q for x in row) for row in X)
-        if red not in gp_elements:
-            raise FormulaInconsistencyError("reduction left the block-diagonal unitary group")
-        image.add(red)
-        if red == gp_identity:
-            kernel_size += 1
-            for i in range(g):
-                for j in range(g):
-                    if X[i][j] % q != (1 if i == j else 0):
-                        kernel_ok = False
+    fibres = Counter(tuple(tuple(x % q for x in row) for row in X) for X in members)
+    if not gp_elements.issuperset(fibres):
+        raise FormulaInconsistencyError("reduction left the block-diagonal unitary group")
+    kernel_size = fibres.get(table.identity(g), 0)
+    fibres_uniform = all(size == kernel_size for size in fibres.values())
 
     # probes: a unit (not Pi-divisible) off-diagonal entry must break X Phi = Phi X
     probes = 0
     rejected = 0
     if r > 0 and s > 0:
         for w in (1, u_code):  # 1 and u
-            X = [list(row) for row in ident]
+            X = [list(row) for row in qt.identity(g)]
             X[0][r] = w
             X = tuple(tuple(row) for row in X)
             probes += 1
@@ -491,10 +502,10 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = N
         s=s,
         group_order=len(members),
         gp_order=len(gp_elements),
-        image_size=len(image),
-        surjective=image == gp_elements,
+        image_size=len(fibres),
+        surjective=fibres.keys() == gp_elements,
         kernel_size=kernel_size,
-        kernel_is_identity_mod_pi=kernel_ok,
+        kernel_is_identity_mod_pi=fibres_uniform,
         offdiag_probes_rejected=rejected,
         offdiag_probes_total=probes,
     )

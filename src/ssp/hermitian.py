@@ -58,11 +58,7 @@ class HermitianQuotient:
                         raise ValidationError("Gram is not block diagonal for the grading")
 
     def pairing(self, x, y) -> FqElem:
-        w = linalg.mat_vec(self.gram, tuple(c.frobenius() for c in y))
-        acc = x[0] * w[0]
-        for t in range(1, self.dim):
-            acc = acc + x[t] * w[t]
-        return acc
+        return linalg.dot(x, linalg.mat_vec(self.gram, tuple(c.frobenius() for c in y)))
 
     def blocks(self):
         r, s = self.grading if self.grading is not None else (self.dim, 0)

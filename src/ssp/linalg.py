@@ -18,29 +18,36 @@ def freeze(rows) -> Matrix:
     return tuple(tuple(r) for r in rows)
 
 
+def dot(xs, ys):
+    """sum_t xs[t] * ys[t] over equal-length, non-empty sequences.
+
+    The one sum of products in the package.  An element type may supply
+    a fused kernel as a static method `dot(xs, ys)` (WittElem does: it
+    reduces once per sum instead of once per product); any other type is
+    folded with + and *.
+    """
+    fused = getattr(type(xs[0]), "dot", None)
+    if fused is not None:
+        return fused(xs, ys)
+    acc = xs[0] * ys[0]
+    for t in range(1, len(xs)):
+        acc = acc + xs[t] * ys[t]
+    return acc
+
+
+# Hot paths build tuples from list comprehensions: tuple(generator) does
+# not know its length, so it allocates a guessed size and resizes, which
+# shifts tuples between CPython's per-size free lists and raises the
+# peak memory of long runs.
+
+
 def mat_mul(A, B) -> Matrix:
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(m):
-            acc = Ai[0] * B[0][j]
-            for t in range(1, k):
-                acc = acc + Ai[t] * B[t][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    cols = tuple(zip(*B))
+    return tuple([tuple([dot(row, col) for col in cols]) for row in A])
 
 
 def mat_vec(A, v) -> tuple:
-    out = []
-    for row in A:
-        acc = row[0] * v[0]
-        for t in range(1, len(v)):
-            acc = acc + row[t] * v[t]
-        out.append(acc)
-    return tuple(out)
+    return tuple([dot(row, v) for row in A])
 
 
 def mat_add(A, B) -> Matrix:
@@ -64,7 +71,7 @@ def transpose(A) -> Matrix:
 
 
 def mat_map(f, A) -> Matrix:
-    return tuple(tuple(f(a) for a in row) for row in A)
+    return tuple([tuple([f(a) for a in row]) for row in A])
 
 
 def identity_matrix(n: int, one, zero) -> Matrix:
@@ -76,7 +83,9 @@ def scalar_matrix(n: int, c, zero) -> Matrix:
 
 
 def charpoly(A, one, zero) -> list:
-    """Coefficients of det(T*I - A), highest degree first (Berkowitz)."""
+    """Coefficients of det(T*I - A), highest degree first (Berkowitz).
+
+    `zero` is unused: every sum of products here is a non-empty `dot`."""
     n = len(A)
     coeffs = [one]
     for k in range(1, n + 1):
@@ -88,17 +97,15 @@ def charpoly(A, one, zero) -> list:
             M = [row[: k - 1] for row in A[: k - 1]]
             for m in range(2, k + 1):
                 if m > 2:
-                    w = list(mat_vec(M, w))
-                acc = R[0] * w[0]
-                for t in range(1, k - 1):
-                    acc = acc + R[t] * w[t]
-                ts.append(-acc)
+                    w = mat_vec(M, w)
+                ts.append(-dot(R, w))
+        # coefficient i of the product with the previous polynomial is
+        # sum_j ts[i - j] * coeffs[j]
+        rts = ts[::-1]
         new = []
         for i in range(k + 1):
-            acc = zero
-            for j in range(max(0, i - k), min(i, k - 1) + 1):
-                acc = acc + ts[i - j] * coeffs[j]
-            new.append(acc)
+            head = coeffs[: i + 1]
+            new.append(dot(rts[k - i : k - i + len(head)], head))
         coeffs = new
     return coeffs
 

@@ -33,7 +33,9 @@ class WittRing:
         self.n = n
         self.pn = p**n
         self.modulus = tuple(int(c) for c in self.gf_ctx.modulus)
-        self._sigma_pows = self._build_sigma()
+        self._zero_coeffs = (0,) * s
+        # column j holds coefficient j of sigma(x)^0, ..., sigma(x)^(s-1)
+        self._sigma_cols = tuple(zip(*(w.coeffs for w in self._build_sigma())))
         gen = self.gen()
         x = gen
         for _ in range(s):
@@ -133,18 +135,57 @@ class WittRing:
     # -- structure maps --------------------------------------------------------
 
     def sigma(self, x: "WittElem") -> "WittElem":
-        x = self.el(x)
-        acc = self.zero()
-        for i, c in enumerate(x.coeffs):
-            if c:
-                acc = acc + self._sigma_pows[i] * c
-        return acc
+        """sigma(sum c_i x^i) = sum c_i sigma(x)^i for the generator x: one
+        integer matrix-vector product over the coefficients of sigma(x)^i."""
+        c = x.coeffs if type(x) is WittElem and x.ring is self else self.el(x).coeffs
+        pn = self.pn
+        return WittElem(
+            self, tuple([sum([a * b for a, b in zip(c, col)]) % pn for col in self._sigma_cols])
+        )
 
     def sigma_inv(self, x: "WittElem") -> "WittElem":
         out = self.el(x)
         for _ in range(self.s - 1):
             out = self.sigma(out)
         return out
+
+    # -- the inner-product kernel ---------------------------------------------
+
+    def _raw(self, x) -> tuple[int, ...]:
+        """Coefficients of an operand: an int or an element of this ring."""
+        if isinstance(x, int):
+            return self.el(x).coeffs
+        if not isinstance(x, WittElem) or x.ring != self:
+            raise ValidationError("mixed-ring arithmetic")
+        return x.coeffs
+
+    def dot(self, xs, ys) -> "WittElem":
+        """sum_t xs[t] * ys[t], computed on the raw coefficient tuples.
+
+        Zero factors are skipped, the 2s - 1 coefficients of the product
+        polynomials are summed as plain (unbounded) ints, and the sum is
+        reduced by the modulus and mod p^n once, so the residues are those
+        of a fold that reduces after every product.
+        """
+        s, zero = self.s, self._zero_coeffs
+        acc = [0] * (2 * s - 1)
+        for x, y in zip(xs, ys):
+            a = x.coeffs if type(x) is WittElem and x.ring is self else self._raw(x)
+            b = y.coeffs if type(y) is WittElem and y.ring is self else self._raw(y)
+            if a == zero or b == zero:
+                continue
+            for i, ai in enumerate(a):
+                if ai:
+                    for k, bj in enumerate(b, i):
+                        acc[k] += ai * bj
+        mod = self.modulus
+        for i in range(2 * s - 2, s - 1, -1):
+            top = acc[i]
+            if top:
+                for j in range(s):
+                    acc[i - s + j] -= top * mod[j]
+        pn = self.pn
+        return WittElem(self, tuple([c % pn for c in acc[:s]]))
 
     def reduce(self, x: "WittElem") -> FqElem:
         """Reduction W_n -> W_1 = F_{p^s}."""
@@ -172,7 +213,9 @@ class WittElem:
         if isinstance(other, int):
             other = self.ring.el(other)
         return (
-            isinstance(other, WittElem) and self.ring == other.ring and self.coeffs == other.coeffs
+            isinstance(other, WittElem)
+            and (other.ring is self.ring or self.ring == other.ring)
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
@@ -181,12 +224,15 @@ class WittElem:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
+    @staticmethod
+    def dot(xs, ys) -> "WittElem":
+        """The fused kernel of linalg.dot: WittRing.dot of xs[0]'s ring."""
+        return xs[0].ring.dot(xs, ys)
+
     def _coerce(self, other) -> "WittElem":
-        if isinstance(other, int):
-            return self.ring.el(other)
-        if not isinstance(other, WittElem) or other.ring != self.ring:
-            raise ValidationError("mixed-ring arithmetic")
-        return other
+        if type(other) is WittElem and other.ring is self.ring:
+            return other
+        return WittElem(self.ring, self.ring._raw(other))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -206,14 +252,7 @@ class WittElem:
         return (-self) + self._coerce(other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        s, pn = self.ring.s, self.ring.pn
-        out = [0] * (2 * s - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % pn
-        return WittElem(self.ring, tuple(self.ring._reduce_poly(out)))
+        return self.ring.dot((self,), (other,))
 
     __rmul__ = __mul__
 

@@ -15,21 +15,29 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _python(*args, timeout=120):
+    """Run `python *args` on the package source in a fresh interpreter
+    with the default budget and 1 GiB of address space."""
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**{k: v for k, v in os.environ.items() if k != "SSP_MAX_ENUM"}, "PYTHONPATH": SRC},
+        preexec_fn=_cap_memory,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 @pytest.fixture
 def run_capped():
-    """Run `python -m ssp.cli *argv` in a fresh interpreter with the
-    default budget and 1 GiB of address space, so an enumeration that
-    allocates before its budget check dies with MemoryError instead of
-    exhausting the host."""
+    """Run `python -m ssp.cli *argv` through `_python`, so an enumeration
+    that allocates before its budget check dies with MemoryError instead
+    of exhausting the host."""
+    return lambda *argv: _python("-m", "ssp.cli", *argv)
 
-    def run(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "ssp.cli", *argv],
-            env={**{k: v for k, v in os.environ.items() if k != "SSP_MAX_ENUM"}, "PYTHONPATH": SRC},
-            preexec_fn=_cap_memory,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
 
-    return run
+@pytest.fixture
+def run_snippet():
+    """Run `python -c code` through `_python`; raises TimeoutExpired after
+    `timeout` seconds."""
+    return lambda code, timeout: _python("-c", code, timeout=timeout)

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from ssp import cli, groups
+from ssp import cli, count, groups
 from ssp.cli import main
 from ssp.errors import FormulaInconsistencyError
 
@@ -67,6 +68,42 @@ class TestBound:
         assert code == 1
         rep = json.loads(out)
         assert rep["status"] == "error" and rep["results"]["error"] == "two routes disagree"
+
+
+    def test_big_integers_serialize(self, capsys):
+        # values of 1500 to 13 000 digits, past the interpreter's 4300-digit
+        # int -> str limit; the digits must read back as the exact values
+        argv = ("--p", "3", "--alpha", "-1", "--r", "40", "--s", "40", "--N", "3")
+        code, out = run(capsys, "bound", *argv)
+        assert code == 0
+        res = json.loads(out)["results"]
+        rep = count.eigensystem_bound(count.SignatureParams(p=3, alpha=-1, r=40, s=40, N=3))
+        assert len(res["final_bound"]["value"]) > 4300
+        for key in ("c_g", "gsp_order", "mass_product", "final_bound", "dim_bound"):
+            assert _read_decimal(res[key]["value"]) == getattr(rep, key), key
+        assert _read_decimal(res["superspecial_bound"]["value"]) == rep.superspecial_bound_exact
+        code, csv_out = run(capsys, "bound", *argv, "--csv")
+        assert code == 0
+        assert f"final_bound,{res['final_bound']['value']},bound" in csv_out.splitlines()
+
+    def test_decimal_matches_str(self):
+        for n in (0, 7, -7, 10**599, 10**600 - 1, 10**600, -(10**600), 10**1200 + 5, -(3**5000)):
+            assert _read_decimal(cli._decimal(n)) == n
+        for n in (0, -1, 10**600 - 1, 3**1000, -(10**3000)):
+            assert cli._decimal(n) == str(n)
+
+
+def _read_decimal(text):
+    """int or Fraction from a decimal string of any length, 500 digits at a time."""
+    if "/" in text:
+        num, den = text.split("/")
+        return Fraction(_read_decimal(num), _read_decimal(den))
+    digits = text.lstrip("-")
+    value = 0
+    for i in range(0, len(digits), 500):
+        chunk = digits[i : i + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
 
 
 class TestGroup:

@@ -1,10 +1,21 @@
+import ast
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssp.errors import ValidationError
 from ssp import groups
-from ssp.gf import field_ctx, frobenius, is_irreducible, is_prime, norm, sqrt_nonresidue
+from ssp.gf import (
+    field_ctx,
+    frobenius,
+    is_irreducible,
+    is_prime,
+    minimal_irreducible,
+    norm,
+    sqrt_nonresidue,
+)
 
 
 def test_is_prime_matches_sieve():
@@ -25,6 +36,26 @@ def test_modulus_is_deterministic_and_minimal():
     # for p = 5 the first irreducible in low-degree-first order is t^2 + t + 1
     assert field_ctx(5, 2).modulus == (1, 1, 1)
     assert field_ctx(7, 2).modulus == (1, 0, 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_minimal_irreducible_matches_plain_search(p):
+    # the plain search tries every monic polynomial, constant term slowest
+    for s in range(1, 5):
+        plain = next(
+            lower + (1,)
+            for lower in itertools.product(range(p), repeat=s)
+            if is_irreducible(lower + (1,), p)
+        )
+        assert minimal_irreducible(p, s) == plain
+
+
+def test_large_degree_modulus_is_found_quickly(run_snippet):
+    # the plain search would first test all 3^29 multiples of t
+    run = run_snippet("from ssp.gf import field_ctx; print(field_ctx(3, 30).modulus)", timeout=20)
+    assert run.returncode == 0
+    modulus = ast.literal_eval(run.stdout)
+    assert len(modulus) == 31 and modulus[0] != 0 and is_irreducible(modulus, 3)
 
 
 @pytest.mark.parametrize("p, s", [(3, 1), (3, 2), (5, 2), (7, 2), (3, 3), (3, 4)])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssp import groups
 from ssp.dieudonne import build_a_half, build_superspecial_unitary
 from ssp.errors import BudgetExceededError, EnumBudget, FormulaInconsistencyError, ValidationError
 from ssp.ftables import QuatTable, field_table, similitude_frames
@@ -402,3 +403,17 @@ class TestLemmaGp:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             lemma_gp_check(3, -1, 1, 1, budget=10)
+
+    @pytest.mark.parametrize("drop", ["kernel", "other"])
+    def test_fibre_check_fails_when_a_member_is_dropped(self, monkeypatch, drop):
+        members = groups._lemma_gp_members(3, -1, 1, 1)
+        identity = field_table(3).identity(2)
+        in_kernel = [tuple(tuple(x % 9 for x in row) for row in X) == identity for X in members]
+        victim = in_kernel.index(drop == "kernel")
+        monkeypatch.setattr(
+            groups, "_lemma_gp_members", lambda *args: members[:victim] + members[victim + 1 :]
+        )
+        rep = lemma_gp_check(3, -1, 1, 1)
+        assert rep.surjective and rep.group_order == len(members) - 1
+        assert not rep.kernel_is_identity_mod_pi
+        assert not rep.ok

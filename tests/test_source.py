@@ -25,3 +25,54 @@ def test_groups_does_not_import_the_module_layer():
     tree = _modules()["groups"]
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not imported & {"hermitian", "dieudonne"}
+
+
+def _function(tree, qualname):
+    scope = tree
+    for name in qualname.split("."):
+        scope = next(
+            node
+            for node in ast.iter_child_nodes(scope)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+        )
+    return scope
+
+
+def _is_product(node):
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+
+def _own_fold(node):
+    """A sum with a product operand: `acc + x * y` or `acc += x * y`."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _is_product(node.left) or _is_product(node.right)
+    return isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add) and _is_product(node.value)
+
+
+def _calls_dot(fn):
+    """Calls `dot(...)` or `linalg.dot(...)`."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == "dot":
+                return True
+            if isinstance(f, ast.Attribute) and f.attr == "dot" and getattr(f.value, "id", None) == "linalg":
+                return True
+    return False
+
+
+def test_sums_of_products_go_through_linalg_dot():
+    modules = _modules()
+    offenders = []
+    for module, qualname in (
+        ("linalg", "mat_mul"),
+        ("linalg", "mat_vec"),
+        ("linalg", "charpoly"),
+        ("dieudonne", "DieudonneModule.pairing"),
+        ("hermitian", "HermitianQuotient.pairing"),
+    ):
+        fn = _function(modules[module], qualname)
+        folds = [node.lineno for node in ast.walk(fn) if _own_fold(node)]
+        if folds or not _calls_dot(fn):
+            offenders.append((f"{module}.{qualname}", folds))
+    assert offenders == []
