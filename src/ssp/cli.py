@@ -9,22 +9,25 @@ Exit codes: 0 ok, 1 verify mismatch, 2 parse/validation, 3 insufficient
 precision, 4 enumeration budget exceeded.  The SSP_MAX_ENUM environment
 variable caps the candidates one enumeration may examine (default 10^8):
 vectors scanned or filtered while unitary frames are built column by
-column, and candidate matrices in the level-p lemma check.  It stops an
-enumeration as soon as the count is sure to pass the cap.
+column, candidate matrices in the level-p lemma check, and the isqrt(hi)
+base primes a sweep sieves.  It stops an enumeration as soon as the
+count is sure to pass the cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
+import functools
 import json
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import count as count_mod
 from . import dieudonne, exact, groups, hermitian
-from .errors import SspError, ValidationError, exit_code
+from .errors import EnumBudget, SspError, ValidationError, exit_code
+from .gf import primes_between
 from .witt import witt_ring
 
 # ---------------------------------------------------------------------------
@@ -72,32 +75,33 @@ def _report(command: str, parameters: dict, results: dict, notes=(), status: str
     }
 
 
-def _flatten(prefix: str, obj, rows: list):
+def _flatten(prefix: str, obj, writer):
+    """Write the (name, value, provenance) rows of `obj`; lists and other
+    iterators, such as the rows a sweep yields, are enumerated."""
     if isinstance(obj, dict):
         if set(obj) == {"value", "provenance"}:
-            rows.append((prefix, obj["value"], obj["provenance"]))
+            writer.writerow((prefix, obj["value"], obj["provenance"]))
             return
         for k in sorted(obj):
-            _flatten(f"{prefix}.{k}" if prefix else k, obj[k], rows)
-    elif isinstance(obj, list):
+            _flatten(f"{prefix}.{k}" if prefix else k, obj[k], writer)
+    elif isinstance(obj, (list, Iterator)):
         for i, item in enumerate(obj):
-            _flatten(f"{prefix}[{i}]", item, rows)
+            _flatten(f"{prefix}[{i}]", item, writer)
     else:
-        rows.append((prefix, _fmt(obj), ""))
+        writer.writerow((prefix, _fmt(obj), ""))
 
 
 def _emit(report: dict, as_csv: bool, stream=None):
+    """Write `report`.  CSV rows go out as they are made; JSON is built in
+    full first (an iterator becomes a list), so it is written whole or
+    not at all."""
     stream = stream or sys.stdout
     if as_csv:
-        rows: list = []
-        _flatten("", report["results"], rows)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["name", "value", "provenance"])
-        writer.writerows(rows)
-        stream.write(buf.getvalue())
+        _flatten("", report["results"], writer)
     else:
-        stream.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        stream.write(json.dumps(report, indent=2, sort_keys=True, default=list) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -440,40 +444,45 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_sweep(args) -> tuple[dict, int]:
+    """The range is parsed and checked here; the rows are a generator,
+    evaluated as the report is written."""
     try:
         lo, hi = (int(x) for x in args.sweep.split(":"))
     except ValueError:
         raise ValidationError("--sweep takes a range like p=3:13 (pass 3:13)") from None
     if lo > hi:
         raise ValidationError(f"--sweep range {args.sweep} is empty: {lo} > {hi}")
-    rows = []
-    for p in range(lo, hi + 1):
-        if not groups.is_prime(p):
-            continue
-        row = {"p": p}
-        try:
-            params = count_mod.SignatureParams(p=p, alpha=args.alpha, r=args.r, s=args.s, N=args.N)
-            rep = count_mod.eigensystem_bound(params)
-        except ValidationError as e:
-            row["status"] = "skipped"
-            row["reason"] = str(e)
-        else:
-            row["status"] = "ok"
-            row["final_bound"] = _val(rep.final_bound, "bound")
-            row["superspecial_bound_ceiling"] = _val(rep.superspecial_bound_ceiling, "bound")
-            row["irr_sum_bound"] = _val(rep.irr_sum_bound, "bound")
-            row["asymptotic_exponent"] = _val(rep.asymptotic_exponent, "formula")
-        rows.append(row)
-    results = {"rows": rows}
+    primes = primes_between(lo, hi, EnumBudget("sweep"))
+
+    def rows():
+        for p in primes:
+            row = {"p": p}
+            try:
+                params = count_mod.SignatureParams(p=p, alpha=args.alpha, r=args.r, s=args.s, N=args.N)
+                rep = count_mod.eigensystem_bound(params)
+            except ValidationError as e:
+                row["status"] = "skipped"
+                row["reason"] = str(e)
+            else:
+                row["status"] = "ok"
+                row["final_bound"] = _val(rep.final_bound, "bound")
+                row["superspecial_bound_ceiling"] = _val(rep.superspecial_bound_ceiling, "bound")
+                row["irr_sum_bound"] = _val(rep.irr_sum_bound, "bound")
+                row["asymptotic_exponent"] = _val(rep.asymptotic_exponent, "formula")
+            yield row
+
     notes = [f"superspecial_bound: {count_mod.SUPERSPECIAL_BOUND_NOTE}"]
-    return _report("sweep", _echo(args, "alpha r s N") | {"sweep": args.sweep}, results, notes), 0
+    return _report("sweep", _echo(args, "alpha r s N") | {"sweep": args.sweep}, {"rows": rows()}, notes), 0
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use.  A subcommand's handler is stored
+    by name and looked up when it runs."""
     parser = argparse.ArgumentParser(
         prog="ssp",
         description="Exact superspecial unitary module computations and eigensystem-count bounds.",
@@ -487,59 +496,62 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag in ("--p", "--alpha", "--r", "--s", "--N"):
         p.add_argument(flag, type=int, required=True)
     add_fmt(p)
-    p.set_defaults(handler=_cmd_bound)
+    p.set_defaults(handler="_cmd_bound")
 
     p = sub.add_parser("group", help="exact order of a finite group family")
     p.add_argument("--family", required=True, help="su | u | gu | gusplit | gsp")
     p.add_argument("--params", required=True, help="comma-separated parameters")
     p.add_argument("--oracle", action="store_true", help="also run the enumeration oracle")
     add_fmt(p)
-    p.set_defaults(handler=_cmd_group)
+    p.set_defaults(handler="_cmd_group")
 
     p = sub.add_parser("newton", help="Newton polygon of a JSON module spec")
     p.add_argument("file")
     add_fmt(p)
-    p.set_defaults(handler=_cmd_newton)
+    p.set_defaults(handler="_cmd_newton")
 
     p = sub.add_parser("pairing", help="mod-p pairing and automorphism group of the model")
     for flag in ("--p", "--alpha", "--r", "--s"):
         p.add_argument(flag, type=int, required=True)
     p.add_argument("--n", type=int, default=None, help="truncation level (default 2)")
     add_fmt(p)
-    p.set_defaults(handler=_cmd_pairing)
+    p.set_defaults(handler="_cmd_pairing")
 
     p = sub.add_parser("amf", help="equivariant-function dimension on a coset fixture")
     p.add_argument("space_file")
     p.add_argument("rep_file")
     add_fmt(p)
-    p.set_defaults(handler=_cmd_amf)
+    p.set_defaults(handler="_cmd_amf")
 
     p = sub.add_parser("verify", help="run the formula-vs-oracle suite")
     p.add_argument("--level", default="quick", help="quick | full")
     add_fmt(p)
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler="_cmd_verify")
 
     p = sub.add_parser("sweep", help="bound pipeline over a range of primes")
     p.add_argument("--sweep", required=True, help="prime range, e.g. 3:13")
     for flag in ("--alpha", "--r", "--s", "--N"):
         p.add_argument(flag, type=int, required=True)
     add_fmt(p)
-    p.set_defaults(handler=_cmd_sweep)
+    p.set_defaults(handler="_cmd_sweep")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  An error that maps to an exit code is reported
+    as an error report, also when it is raised while a sweep's rows are
+    written: JSON then holds the error report alone, CSV the rows already
+    written followed by the error report."""
+    args = _build_parser().parse_args(argv)
     try:
-        report, code = args.handler(args)
+        report, code = globals()[args.handler](args)
+        _emit(report, args.csv)
     except Exception as e:
         code = exit_code(e)
         if code is None:
             raise
-        report = _report(args.command, {}, {"error": str(e)}, status="error")
-    _emit(report, args.csv)
+        _emit(_report(args.command, {}, {"error": str(e)}, status="error"), args.csv)
     return code
 
 

@@ -9,9 +9,11 @@ coefficient vectors low-degree first, so fixtures are reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
+from typing import Iterator
 
-from .errors import FormulaInconsistencyError, ValidationError
+from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
 
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over F_p (coefficients low-degree first)
@@ -123,19 +125,75 @@ def minimal_irreducible(p: int, s: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+# the first 13 primes; strong probable primes to all of them are prime
+# below PRIME_CERT_LIMIT (Sorenson and Webster, Math. Comp. 86 (2017)).
+# The first 12 are not enough: 318665857834031151167461 < PRIME_CERT_LIMIT
+# is composite and a strong probable prime to every base up to 37.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_CERT_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial division by 2 and the odd numbers up to sqrt(n), stopping
-    at the first divisor."""
+    """Trial division by the 13 bases 2..41, then deterministic
+    Miller-Rabin to those bases.  Raises ValidationError for an n
+    >= PRIME_CERT_LIMIT with no factor among the bases."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
+        return True
+    if n >= PRIME_CERT_LIMIT:
+        raise ValidationError(
+            f"n = {n} has no prime factor <= 41 and primality is certified only below {PRIME_CERT_LIMIT}"
+        )
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+_SEGMENT = 1 << 15
+
+
+def primes_between(lo: int, hi: int, budget: EnumBudget) -> Iterator[int]:
+    """The primes p with lo <= p <= hi, in increasing order, by a segmented
+    sieve: base primes up to isqrt(hi), then the range in segments of
+    _SEGMENT integers, so memory is O(sqrt(hi) + _SEGMENT).
+
+    `budget` is charged isqrt(hi) before the base sieve is allocated;
+    the charge is made here, not when the iterator is first advanced."""
+    root = math.isqrt(max(hi, 0))
+    budget.ensure(root)
+    return _sieve_segments(max(lo, 2), hi, root)
+
+
+def _sieve_segments(lo: int, hi: int, root: int) -> Iterator[int]:
+    base = bytearray([0, 0]) + bytearray([1]) * (root - 1)
+    for d in range(2, math.isqrt(root) + 1):
+        if base[d]:
+            base[d * d :: d] = bytes(len(range(d * d, root + 1, d)))
+    small = list(itertools.compress(range(root + 1), base))
+    for start in range(lo, hi + 1, _SEGMENT):
+        stop = min(start + _SEGMENT, hi + 1)
+        seg = bytearray([1]) * (stop - start)
+        for q in small:
+            if q * q >= stop:
+                break
+            first = max(q * q, -(-start // q) * q)
+            seg[first - start :: q] = bytes(len(range(first - start, stop - start, q)))
+        yield from itertools.compress(range(start, stop), seg)
 
 
 class FieldCtx:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from fractions import Fraction
 
@@ -5,7 +7,8 @@ import pytest
 
 from ssp import cli, count, groups
 from ssp.cli import main
-from ssp.errors import FormulaInconsistencyError
+from ssp.errors import FormulaInconsistencyError, ValidationError
+from ssp.gf import PRIME_CERT_LIMIT
 
 
 def run(capsys, *argv):
@@ -69,6 +72,12 @@ class TestBound:
         rep = json.loads(out)
         assert rep["status"] == "error" and rep["results"]["error"] == "two routes disagree"
 
+
+    def test_uncertified_p_exits_2_at_once(self, run_capped):
+        # 2^89 - 1 has no factor up to 41 and lies past the Miller-Rabin limit
+        proc = run_capped("bound", "--p", str(2**89 - 1), "--alpha", "-1", "--r", "1", "--s", "1", "--N", "3")
+        assert proc.returncode == 2, proc.stderr
+        assert str(PRIME_CERT_LIMIT) in json.loads(proc.stdout)["results"]["error"]
 
     def test_big_integers_serialize(self, capsys):
         # values of 1500 to 13 000 digits, past the interpreter's 4300-digit
@@ -350,3 +359,105 @@ class TestSweep:
         )
         assert code == 0
         assert out.splitlines()[0] == "name,value,provenance"
+
+    @pytest.mark.parametrize(
+        "window, alpha, r, s, N",
+        [
+            ("--sweep=-5:60", "-1", "1", "1", "3"),  # p < 2, p = 2, split p and evaluated rows
+            ("--sweep=2:40", "-3", "1", "1", "3"),  # p | alpha at p = 3
+            ("--sweep=3:40", "-4", "1", "1", "3"),  # alpha not squarefree
+            ("--sweep=3:40", "-1", "2", "1", "3"),  # odd g
+            ("--sweep=3:40", "-1", "1", "1", "0"),  # N < 1
+            ("--sweep=3:3000", "-1", "16", "16", "3"),
+        ],
+    )
+    @pytest.mark.parametrize("as_csv", [False, True])
+    def test_streamed_sweep_matches_reference(self, capsys, window, alpha, r, s, N, as_csv):
+        argv = ["sweep", window, "--alpha", alpha, "--r", r, "--s", s, "--N", N] + ["--csv"] * as_csv
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out == _reference_sweep(window.split("=")[1], int(alpha), int(r), int(s), int(N), as_csv)
+
+    @pytest.mark.parametrize("as_csv", [False, True])
+    def test_error_while_rows_stream(self, capsys, monkeypatch, as_csv):
+        # the rows for p = 3, 5 and 7, as an unbroken sweep writes them
+        lines = _reference_sweep("3:13", -1, 1, 1, 3, True).splitlines(keepends=True)
+        written = "".join(line for line in lines if line.startswith(("name,", "rows[0].", "rows[1].", "rows[2].")))
+        real = count.eigensystem_bound
+
+        def broken(params):
+            if params.p == 11:
+                raise FormulaInconsistencyError("two routes disagree at p = 11")
+            return real(params)
+
+        monkeypatch.setattr(count, "eigensystem_bound", broken)
+        argv = ["sweep", "--sweep", "3:13", "--alpha", "-1", "--r", "1", "--s", "1", "--N", "3"]
+        code = main(argv + ["--csv"] * as_csv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        error = {"command": "sweep", "parameters": {}, "results": {"error": "two routes disagree at p = 11"}}
+        error |= {"notes": [], "status": "error"}
+        if as_csv:
+            # the rows already written stay, then the error report follows
+            assert captured.out == written + "name,value,provenance\nerror,two routes disagree at p = 11,\n"
+        else:
+            assert captured.out == json.dumps(error, indent=2, sort_keys=True) + "\n"
+
+    def test_oversized_range_exits_4_at_once(self, run_capped):
+        # isqrt(10^30) = 10^15 base candidates pass the default budget of 10^8
+        proc = run_capped("sweep", "--sweep", f"3:{10**30}", "--alpha", "-1", "--r", "1", "--s", "1", "--N", "3")
+        assert proc.returncode == 4, proc.stderr
+        assert f"sweep would reach {10**15} candidates" in json.loads(proc.stdout)["results"]["error"]
+
+
+def _reference_sweep(window, alpha, r, s, N, as_csv):
+    """`sweep` stdout as the integer loop, the report dict and the
+    list-based flatten once produced it."""
+    lo, hi = (int(x) for x in window.split(":"))
+    rows = []
+    for p in range(lo, hi + 1):
+        if not groups.is_prime(p):
+            continue
+        row = {"p": p}
+        try:
+            rep = count.eigensystem_bound(count.SignatureParams(p=p, alpha=alpha, r=r, s=s, N=N))
+        except ValidationError as e:
+            row |= {"status": "skipped", "reason": str(e)}
+        else:
+            row["status"] = "ok"
+            row["final_bound"] = cli._val(rep.final_bound, "bound")
+            row["superspecial_bound_ceiling"] = cli._val(rep.superspecial_bound_ceiling, "bound")
+            row["irr_sum_bound"] = cli._val(rep.irr_sum_bound, "bound")
+            row["asymptotic_exponent"] = cli._val(rep.asymptotic_exponent, "formula")
+        rows.append(row)
+    report = {
+        "command": "sweep",
+        "parameters": {"alpha": alpha, "r": r, "s": s, "N": N, "sweep": window},
+        "results": {"rows": rows},
+        "notes": [f"superspecial_bound: {count.SUPERSPECIAL_BOUND_NOTE}"],
+        "status": "ok",
+    }
+    if not as_csv:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    flat = []
+
+    def flatten(prefix, obj):
+        if isinstance(obj, dict):
+            if set(obj) == {"value", "provenance"}:
+                flat.append((prefix, obj["value"], obj["provenance"]))
+                return
+            for k in sorted(obj):
+                flatten(f"{prefix}.{k}" if prefix else k, obj[k])
+        elif isinstance(obj, list):
+            for i, item in enumerate(obj):
+                flatten(f"{prefix}[{i}]", item)
+        else:
+            flat.append((prefix, cli._fmt(obj), ""))
+
+    flatten("", report["results"])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["name", "value", "provenance"])
+    writer.writerows(flat)
+    return buf.getvalue()

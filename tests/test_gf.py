@@ -1,32 +1,82 @@
 import ast
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssp.errors import ValidationError
+from ssp.errors import BudgetExceededError, EnumBudget, ValidationError
 from ssp import groups
 from ssp.gf import (
+    _SEGMENT,
+    PRIME_CERT_LIMIT,
     field_ctx,
     frobenius,
     is_irreducible,
     is_prime,
+    primes_between,
     minimal_irreducible,
     norm,
     sqrt_nonresidue,
 )
 
 
+def _sieve(n):
+    """is-prime flags for 0..n, by the plain sieve of Eratosthenes."""
+    flags = [False, False] + [True] * (n - 1)
+    for d in range(2, math.isqrt(n) + 1):
+        if flags[d]:
+            flags[d * d :: d] = [False] * len(flags[d * d :: d])
+    return flags
+
+
 def test_is_prime_matches_sieve():
-    n = 10**4
-    sieve = [False, False] + [True] * (n - 1)
-    for d in range(2, 101):
-        if sieve[d]:
-            sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
-    assert [is_prime(k) for k in range(n + 1)] == sieve
+    n = 2 * 10**5
+    assert [is_prime(k) for k in range(n + 1)] == _sieve(n)
     assert not is_prime(-7)
     assert groups.is_prime is is_prime
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,  # ... to every base up to 23
+        318665857834031151167461,  # ... to every base up to 37, below PRIME_CERT_LIMIT
+        561,  # Carmichael numbers
+        41041,
+        825265,
+        (2**19 - 1) * (2**61 - 1),  # two large prime factors, below the limit
+        2**89,  # at or above the limit, a factor up to 41 still decides
+        3 * (2**89 - 1),
+    ],
+)
+def test_is_prime_rejects_composites(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_certified_range():
+    assert is_prime(2**61 - 1)
+    # 2^89 - 1 is prime, but above the Sorenson-Webster limit for 13 bases
+    assert 2**89 - 1 >= PRIME_CERT_LIMIT
+    with pytest.raises(ValidationError, match=str(PRIME_CERT_LIMIT)):
+        is_prime(2**89 - 1)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(-5, 100), (0, 1), (2, 2), (4, 4), (_SEGMENT - 50, _SEGMENT + 50), (1, 3 * _SEGMENT + 7), (0, 41 * 41)],
+)
+def test_primes_between_matches_is_prime(lo, hi):
+    assert list(primes_between(lo, hi, EnumBudget("sieve"))) == [k for k in range(lo, hi + 1) if is_prime(k)]
+
+
+def test_primes_between_charges_budget_before_sieving():
+    # isqrt(121) = 11 base candidates: over a budget of 10 at the call, not at the first prime
+    with pytest.raises(BudgetExceededError, match="sweep would reach 11"):
+        primes_between(3, 121, EnumBudget("sweep", 10))
+    assert list(primes_between(3, 121, EnumBudget("sweep", 11)))[-1] == 113
 
 
 def test_modulus_is_deterministic_and_minimal():

@@ -76,3 +76,18 @@ def test_sums_of_products_go_through_linalg_dot():
         if folds or not _calls_dot(fn):
             offenders.append((f"{module}.{qualname}", folds))
     assert offenders == []
+
+
+def test_sweep_sieves_instead_of_testing_each_integer():
+    # the range is sieved once; only SignatureParams tests each prime again
+    fn = _function(_modules()["cli"], "_cmd_sweep")
+    called = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name):
+                called.add(f.id)
+            elif isinstance(f, ast.Attribute):
+                called.add(f"{getattr(f.value, 'id', '?')}.{f.attr}")
+    assert not called & {"is_prime", "groups.is_prime", "gf.is_prime"}
+    assert "primes_between" in called
