@@ -9,9 +9,10 @@ Exit codes: 0 ok, 1 verify mismatch, 2 parse/validation, 3 insufficient
 precision, 4 enumeration budget exceeded.  The SSP_MAX_ENUM environment
 variable caps the candidates one enumeration may examine (default 10^8):
 vectors scanned or filtered while unitary frames are built column by
-column, candidate matrices in the level-p lemma check, and the isqrt(hi)
-base primes a sweep sieves.  It stops an enumeration as soon as the
-count is sure to pass the cap.
+column, candidate matrices in the level-p lemma check, the isqrt(hi)
+base primes a sweep sieves, and the trial divisors past 4096 that
+factoring a composite alpha or N needs.  It stops an enumeration as soon
+as the count is sure to pass the cap.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from . import count as count_mod
-from . import dieudonne, exact, groups, hermitian
-from .errors import EnumBudget, SspError, ValidationError, exit_code
+from . import dieudonne, groups, hermitian, verify
+from .errors import EnumBudget, ValidationError, exit_code
 from .gf import primes_between
-from .witt import witt_ring
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -152,17 +152,7 @@ def _cmd_group(args) -> tuple[dict, int]:
     spec = groups.GroupSpec(family, params)
     results = {"order": _val(spec.order(), "formula")}
     if args.oracle:
-        if family == "su":
-            enum = len(groups.su_group_elements(*params))
-        elif family == "u":
-            enum = len(groups.unitary_group_elements(*params))
-        elif family == "gu":
-            enum = len(groups.gusplit_group_elements(params[0], 0, params[1]))
-        elif family == "gusplit":
-            enum = len(groups.gusplit_group_elements(*params))
-        else:
-            g, N = params
-            enum = groups.gl2_order_enumerated(N) if g == 1 else groups.gsp_order_enumerated(g, N)
+        enum = spec.enumerated_order()
         results["order_enumerated"] = _val(enum, "enumeration")
         results["match"] = enum == spec.order()
     return _report("group", {"family": args.family, "params": list(params)}, results), 0
@@ -238,205 +228,13 @@ def _echo(args, names: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# verify harness
-
-
-def _verify_checks(level: str):
-    """(name, thunk) pairs; each thunk returns (ok, detail)."""
-
-    def eq(lhs, rhs):
-        return lhs == rhs, f"{lhs} vs {rhs}"
-
-    def su_check(t, p):
-        return lambda: eq(len(groups.su_group_elements(t, p)), groups.order_su(t, p))
-
-    def u_check(t, p):
-        return lambda: eq(len(groups.unitary_group_elements(t, p)), groups.order_u(t, p))
-
-    def gusplit_check(r, s, p):
-        return lambda: eq(len(groups.gusplit_group_elements(r, s, p)), groups.order_gusplit(r, s, p))
-
-    def gsp_gl2_check():
-        return eq(groups.gl2_order_enumerated(3), groups.order_gsp_mod(1, 3))
-
-    def gsp_hyp_check():
-        return eq(groups.gsp_order_enumerated(2, 3), groups.order_gsp_mod(2, 3))
-
-    def pregular_check(r, s, p):
-        return lambda: eq(
-            groups.p_regular_class_count_enumerated(r, s, p), groups.p_regular_classes(r, s, p)
-        )
-
-    def sylow_check():
-        for r, s in ((1, 1), (2, 0)):
-            order = len(groups.gusplit_group_elements(r, s, 3))
-            want = 3 ** ((r * (r - 1) + s * (s - 1)) // 2)
-            if groups.sylow_p_order(order, 3) != want:
-                return False, f"(r,s)=({r},{s}): {groups.sylow_p_order(order, 3)} vs {want}"
-        return True, "p-Sylow orders match p^((r(r-1)+s(s-1))/2)"
-
-    def aut_check():
-        m = dieudonne.build_superspecial_unitary(3, 2, -1, 1, 1)
-        order, _ = hermitian.automorphism_group_bruteforce(hermitian.reduce_pairing(m))
-        return eq(order, groups.order_gusplit(1, 1, 3))
-
-    def newton_check():
-        from fractions import Fraction as F
-
-        m = dieudonne.build_a_half(witt_ring(3, 2, 6))
-        np_ = dieudonne.newton_polygon(m)
-        ok = np_.slopes == ((F(1, 2), 2),) and dieudonne.is_isoclinic(np_)
-        return ok, f"slopes {np_.slopes}"
-
-    def model_check(r, s):
-        def run():
-            m = dieudonne.build_superspecial_unitary(3, 2, -1, r, s)
-            rep = dieudonne.check_axioms(m)
-            if not rep.ok:
-                return False, f"axioms: {rep.failures()}"
-            if m.f_matrix != tuple(tuple(-x for x in row) for row in m.v_matrix):
-                return False, "F + V != 0"
-            dims = dieudonne.graded_quotient_dims(m)
-            return dims == (r, s), f"quotient dims {dims} vs ({r},{s})"
-
-        return run
-
-    def admissibility_check(r, s):
-        def run():
-            g = r + s
-            m = dieudonne.build_superspecial_unitary(3, 4 * g + 2, -1, r, s)
-            adm = dieudonne.endpoint_admissibility(
-                dieudonne.newton_polygon(m), dieudonne.hodge_polygon(m)
-            )
-            return (
-                adm.endpoints_equal and adm.t_newton == g,
-                f"t_N = {adm.t_newton}, t_H = {adm.t_hodge}",
-            )
-
-        return run
-
-    def pairing_check():
-        m = dieudonne.build_superspecial_unitary(3, 3, -1, 1, 1)
-        h = hermitian.reduce_pairing(m)
-        bad = hermitian.pairing_well_defined(m, h, trials=20, seed=0)
-        return bad == 0, f"{bad} disagreements in 20 trials"
-
-    def mass_check():
-        for g in range(1, 9):
-            if exact.mass_constant(g) != exact.mass_constant_bernoulli_abs(g):
-                return False, f"g = {g}: zeta and Bernoulli forms differ"
-            if exact.mass_constant(g) <= 0:
-                return False, f"g = {g}: not positive"
-        return True, "zeta form equals |Bernoulli| form, positive, g <= 8"
-
-    def pipeline_check():
-        rep = count_mod.eigensystem_bound(count_mod.SignatureParams(p=3, alpha=-1, r=1, s=1, N=3))
-        ok = (
-            rep.final_bound == 11520
-            and rep.superspecial_bound_ceiling == 360
-            and rep.irr_sum_bound == 32
-        )
-        return ok, f"{rep.superspecial_bound_ceiling} * {rep.irr_sum_bound} = {rep.final_bound}"
-
-    def detcond_check():
-        from .gf import field_ctx
-
-        ctx = field_ctx(3, 2)
-        good = dieudonne.canonical_lie_action(ctx, -1, 1, 1)
-        bad = dieudonne.canonical_lie_action(ctx, -1, 2, 0)
-        ok = dieudonne.determinant_condition(1, 1, -1, good) and not dieudonne.determinant_condition(
-            1, 1, -1, bad
-        )
-        return ok, "accepts diag(-u, u), rejects diag(-u, -u)"
-
-    def exponent_check():
-        for g in (2, 4, 6, 8):
-            for r in range(g + 1):
-                got = count_mod.asymptotic_exponent_symbolic(g, r, g - r)
-                if got != g * g + g + 1 - r * (g - r):
-                    return False, f"(g,r) = ({g},{r})"
-        return True, "factor degrees reproduce g^2+g+1-rs, g <= 8"
-
-    def lemma_check():
-        rep = groups.lemma_gp_check(3, -1, 1, 1)
-        return rep.ok, (
-            f"group {rep.group_order} = kernel {rep.kernel_size} x image {rep.image_size}; "
-            f"surjective = {rep.surjective}"
-        )
-
-    def equivariant_check():
-        from .ftables import field_table
-
-        table = field_table(3)
-        elements = sorted(groups.gusplit_group_elements(1, 1, 3))
-        index = {e: i for i, e in enumerate(elements)}
-        perms = tuple(tuple(index[table.mat_mul(x, g)] for x in elements) for g in elements)
-        space = count_mod.CosetSpace(points=len(elements), generators=perms)
-        rho = count_mod.GroupRepresentation(
-            ctx=table.ctx, dim=2, generators=tuple(table.mat_decode(g) for g in elements)
-        )
-        dim = count_mod.equivariant_dimension(space, rho)
-        return dim == 2, f"regular-space dimension {dim} vs rep dim 2"
-
-    checks = [
-        ("su-order-vs-enumeration(2,3)", su_check(2, 3)),
-        ("u-order-vs-enumeration(1,3)", u_check(1, 3)),
-        ("gusplit-order-vs-enumeration(1,1,3)", gusplit_check(1, 1, 3)),
-        ("gusplit-order-vs-enumeration(2,0,3)", gusplit_check(2, 0, 3)),
-        ("gsp-order-vs-enumeration(1,3)", gsp_gl2_check),
-        ("gsp-order-vs-hyperbolic-pairs(2,3)", gsp_hyp_check),
-        ("pregular-classes-vs-enumeration(1,1,3)", pregular_check(1, 1, 3)),
-        ("pregular-classes-vs-enumeration(2,0,3)", pregular_check(2, 0, 3)),
-        ("sylow-order-vs-formula(3)", sylow_check),
-        ("aut-bruteforce-vs-gusplit-order(3,1,1)", aut_check),
-        ("newton-polygon-a-half(3)", newton_check),
-        ("superspecial-model-core(3,1,1)", model_check(1, 1)),
-        ("pairing-well-definedness(3,1,1)", pairing_check),
-        ("mass-constant-zeta-vs-bernoulli(g<=8)", mass_check),
-        ("pipeline-decomposition(3,-1,1,1,3)", pipeline_check),
-        ("determinant-condition(3,-1,1,1)", detcond_check),
-        ("asymptotic-exponent-decomposition(g<=8)", exponent_check),
-    ]
-    if level == "full":
-        checks += [
-            ("su-order-vs-enumeration(2,5)", su_check(2, 5)),
-            ("gusplit-order-vs-enumeration(1,1,5)", gusplit_check(1, 1, 5)),
-            ("pregular-classes-vs-enumeration(1,1,5)", pregular_check(1, 1, 5)),
-            ("lemma-gp-check(3,-1,1,1)", lemma_check),
-            ("superspecial-model-core(3,2,2)", model_check(2, 2)),
-            ("endpoint-admissibility(3,2,2)", admissibility_check(2, 2)),
-            ("equivariant-dimension-regular(3,1,1)", equivariant_check),
-            ("u-order-vs-enumeration(3,3)", u_check(3, 3)),
-            ("gusplit-order-vs-enumeration(2,2,3)", gusplit_check(2, 2, 3)),
-            ("pregular-classes-vs-enumeration(2,2,3)", pregular_check(2, 2, 3)),
-        ]
-    return checks
+# verify
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    if args.level not in ("quick", "full"):
-        raise ValidationError("--level must be quick or full")
-    entries = []
-    first_failure = None
-    for name, thunk in _verify_checks(args.level):
-        try:
-            ok, detail = thunk()
-        except SspError as e:
-            ok, detail = False, f"error: {e}"
-        entries.append({"name": name, "ok": ok, "detail": detail})
-        if not ok and first_failure is None:
-            first_failure = name
-    results = {
-        "checks": entries,
-        "passed": sum(1 for e in entries if e["ok"]),
-        "failed": sum(1 for e in entries if not e["ok"]),
-        "first_failure": first_failure,
-    }
-    status = "ok" if first_failure is None else "fail"
-    return (
-        _report("verify", {"level": args.level}, results, status=status),
-        0 if first_failure is None else 1,
-    )
+    results = verify.run(args.level)
+    ok = results["first_failure"] is None
+    return _report("verify", {"level": args.level}, results, status="ok" if ok else "fail"), 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------

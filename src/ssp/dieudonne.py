@@ -544,6 +544,10 @@ def module_from_dict(data: dict, n_override: Optional[int] = None) -> DieudonneM
         def entry(x, i, j):
             field = f"{name}[{i}][{j}]"
             if isinstance(x, list):
+                if len(x) != s:
+                    raise ValidationError(
+                        f"module spec field {field!r} must have {s} coefficients, got {len(x)}"
+                    )
                 return ring.el(tuple(spec_int(c, field) for c in x))
             return ring.el(spec_int(x, field))
 

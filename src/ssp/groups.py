@@ -29,16 +29,40 @@ from .gf import is_prime, sqrt_nonresidue
 # integer utilities
 
 
+# trial divisors below _BLOCK go without a meter or a primality test;
+# past it they are charged to the budget _BLOCK at a time
+_BLOCK = 1 << 12
+
+
 def factorize(n: int) -> dict[int, int]:
+    """Prime factorization by trial division.
+
+    Once the divisors below _BLOCK are spent, trial division goes on
+    only while the cofactor is composite (gf.is_prime, which raises past
+    its certified range), and those divisors are charged to an
+    EnumBudget: a composite with no small factor stops with
+    BudgetExceededError instead of running without end."""
     if n < 1:
         raise ValidationError("can only factor positive integers")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < _BLOCK:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
+    if d * d <= n:
+        meter = EnumBudget("factorize")
+        # a composite cofactor has a prime factor no larger than its square root
+        while n > 1 and not is_prime(n):
+            meter.spend(_BLOCK)
+            for d in range(d, d + 2 * _BLOCK, 2):
+                if n % d == 0:
+                    break
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            d += 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -145,6 +169,22 @@ class GroupSpec:
             return order_gusplit(*pr)
         if fam == "gsp_mod":
             return order_gsp_mod(*pr)
+        raise ValidationError(f"unknown group family {self.family!r}")
+
+    def enumerated_order(self) -> int:
+        """The order by an enumeration oracle, independent of order()."""
+        fam, pr = self.family, self.params
+        if fam == "su":
+            return len(su_group_elements(*pr))
+        if fam == "u":
+            return len(unitary_group_elements(*pr))
+        if fam == "gu":
+            return len(gusplit_group_elements(pr[0], 0, pr[1]))
+        if fam == "gusplit":
+            return len(gusplit_group_elements(*pr))
+        if fam == "gsp_mod":
+            g, N = pr
+            return gl2_order_enumerated(N) if g == 1 else gsp_order_enumerated(g, N)
         raise ValidationError(f"unknown group family {self.family!r}")
 
 

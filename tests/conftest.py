@@ -33,7 +33,7 @@ def run_capped():
     """Run `python -m ssp.cli *argv` through `_python`, so an enumeration
     that allocates before its budget check dies with MemoryError instead
     of exhausting the host."""
-    return lambda *argv: _python("-m", "ssp.cli", *argv)
+    return lambda *argv, timeout=120: _python("-m", "ssp.cli", *argv, timeout=timeout)
 
 
 @pytest.fixture

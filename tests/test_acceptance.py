@@ -6,7 +6,9 @@ import math
 import time
 from fractions import Fraction
 
-from ssp import linalg
+import pytest
+
+from ssp import linalg, verify
 from ssp.count import SignatureParams, eigensystem_bound
 from ssp.dieudonne import (
     action_eigen_indices,
@@ -264,3 +266,11 @@ def test_criterion_13_equivariant_functions():
         rho = GroupRepresentation(ctx=ctx, dim=2, generators=(M,))
         ok = ok and dim_superspecial_bound_check(sp, rho)
     record(13, "equivariant dimensions (trivial/free/regular) and 20 randomized bound checks", ok)
+
+
+@pytest.mark.parametrize("name, check", verify.FULL, ids=[name for name, _ in verify.FULL])
+def test_verify_check(name, check):
+    # every check registered in ssp.verify is gated here
+    ok, detail = check()
+    print(f"{'PASS' if ok else 'FAIL'} verify {name}")
+    assert ok, f"verify {name}: {detail}"

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,28 @@ class TestBound:
         proc = run_capped("bound", "--p", str(2**89 - 1), "--alpha", "-1", "--r", "1", "--s", "1", "--N", "3")
         assert proc.returncode == 2, proc.stderr
         assert str(PRIME_CERT_LIMIT) in json.loads(proc.stdout)["results"]["error"]
+
+    @pytest.mark.parametrize(
+        "alpha, N",
+        [(-(2**61 - 1), 3), (-1, 2**61 - 1)],
+        ids=["prime-alpha", "prime-N"],
+    )
+    def test_large_prime_alpha_or_N_finishes(self, run_capped, alpha, N):
+        # a prime -alpha or N ends trial division at once; 2^61 - 1 is prime
+        argv = ("--p", "3", "--alpha", str(alpha), "--r", "1", "--s", "1", "--N", str(N))
+        proc = run_capped("bound", *argv, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        # ceil(C_2 #GSp_4(F_N) (p - 1)(p^2 + 1)) x 32 classes x dimension 1, N prime
+        gsp_order = N**4 * (N - 1) * (N**2 - 1) * (N**4 - 1)
+        want = math.ceil(Fraction(1, 5760) * gsp_order * (3 - 1) * (3**2 + 1)) * 32
+        assert json.loads(proc.stdout)["results"]["final_bound"]["value"] == str(want)
+
+    def test_composite_N_without_small_factor_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setenv("SSP_MAX_ENUM", "10000")
+        N = (2**31 - 1) ** 2
+        code, out = run(capsys, "bound", "--p", "3", "--alpha", "-1", "--r", "1", "--s", "1", "--N", str(N))
+        assert code == 4
+        assert "factorize" in json.loads(out)["results"]["error"]
 
     def test_big_integers_serialize(self, capsys):
         # values of 1500 to 13 000 digits, past the interpreter's 4300-digit
@@ -228,8 +251,12 @@ class TestNewton:
                 {"p": 3, "s": 2, "n": 2, "rank": 2, "F": [[0, "x"], [-3, 0]], "V": [[0, -1], [3, 0]]},
                 "'F[0][1]'",
             ),
+            (
+                {"p": 3, "s": 2, "n": 2, "rank": 2, "F": [[[0, 1, 5], 1], [-3, 0]], "V": [[0, -1], [3, 0]]},
+                "'F[0][0]'",
+            ),
         ],
-        ids=["top-level-list", "missing-rank", "non-integer-entry"],
+        ids=["top-level-list", "missing-rank", "non-integer-entry", "long-coefficient-vector"],
     )
     def test_malformed_spec_exits_2_naming_field(self, tmp_path, capsys, doc, field):
         path = tmp_path / "spec.json"

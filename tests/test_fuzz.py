@@ -1,0 +1,105 @@
+"""Fuzzing of the JSON inputs of `ssp newton` and `ssp amf`.
+
+Each example takes a valid document, replaces one field or nested entry
+with an arbitrary JSON value or drops it, and runs the CLI in-process.
+Every input must end in a documented exit code with a JSON report on
+stdout; an uncaught exception fails the test.  Examples are drawn
+deterministically, so the test is the same on every run.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ssp.cli import main
+
+NEWTON = {
+    "p": 3,
+    "s": 2,
+    "n": 2,
+    "rank": 2,
+    "F": [[0, 1], [-3, 0]],
+    "V": [[0, -1], [3, 0]],
+    "E": [[0, 1], [-1, 0]],
+}
+SPACE = {"points": 4, "generators": [{"name": "c", "perm": [1, 2, 3, 0]}], "group": "Z/4"}
+REP = {"dim": 1, "field": {"p": 3, "s": 2}, "generators": [[[1]]]}
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-10, 10)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=8,
+)
+
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _paths(doc, at=()):
+    """The path of every field and nested entry of `doc`."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield at + (key,)
+        yield from _paths(value, at + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """`doc` with one field or entry replaced by a JSON value, or dropped."""
+    doc = copy.deepcopy(doc)
+    *parents, key = draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+    parent = doc
+    for k in parents:
+        parent = parent[k]
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(JSON_VALUES)
+    return doc
+
+
+def _run(command, *docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, doc in enumerate(docs):
+            path = Path(tmp) / f"doc{i}.json"
+            path.write_text(json.dumps(doc))
+            paths.append(str(path))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, *paths])
+    json.loads(out.getvalue())
+    return code
+
+
+@FUZZ
+@given(mutated(NEWTON))
+def test_newton_spec(doc):
+    assert _run("newton", doc) in (0, 2, 3)
+
+
+@FUZZ
+@given(mutated(SPACE))
+def test_amf_space(doc):
+    assert _run("amf", doc, REP) in (0, 2, 3)
+
+
+@FUZZ
+@given(mutated(REP))
+def test_amf_representation(doc):
+    assert _run("amf", SPACE, doc) in (0, 2, 3)

@@ -37,6 +37,27 @@ from ssp.hermitian import reduce_pairing
 from ssp.witt import witt_ring
 
 
+def _trial_division(n):
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, 2, 12, 4096, 4099**2, 4099 * 4111, 2 * 3**4 * 4099**3 * 65537, 12289 * 40961, 8191 * (2**31 - 1)],
+)
+def test_factorize_matches_plain_trial_division(n):
+    # factors past the unmetered divisors are found by the metered blocks
+    assert groups.factorize(n) == _trial_division(n)
+
+
 class TestOrderFormulas:
     def test_frozen_values(self):
         assert order_su(2, 3) == 24

@@ -27,6 +27,27 @@ def test_groups_does_not_import_the_module_layer():
     assert not imported & {"hermitian", "dieudonne"}
 
 
+def _imported(tree) -> set:
+    """Every dotted-name part `tree` imports: modules, submodules and names,
+    so `from ssp.cli import main` and `from . import cli` both give "cli"."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            out |= set(node.module.split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out |= {part for alias in node.names for part in alias.name.split(".")}
+    return out
+
+
+def test_verify_registry_layering():
+    modules = _modules()
+    cli_functions = {node.name for node in ast.walk(modules["cli"]) if isinstance(node, ast.FunctionDef)}
+    assert "_verify_checks" not in cli_functions
+    assert "verify" in _imported(modules["cli"])
+    assert not _imported(modules["verify"]) & {"cli", "perfbench"}
+    assert "verify" not in _imported(modules["groups"])
+
+
 def _function(tree, qualname):
     scope = tree
     for name in qualname.split("."):
