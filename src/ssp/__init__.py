@@ -7,7 +7,6 @@ counting bound.
 
 from .count import CountReport, CosetSpace, GroupRepresentation, SignatureParams
 from .dieudonne import DieudonneModule, HodgePolygon, NewtonPolygon
-from .gf import FieldCtx, FqElem, field_ctx
 from .groups import GroupSpec, QuatModP
 from .hermitian import HermitianQuotient
 from .witt import WittElem, WittRing, witt_ring
@@ -18,8 +17,6 @@ __all__ = [
     "CountReport",
     "CosetSpace",
     "DieudonneModule",
-    "FieldCtx",
-    "FqElem",
     "GroupRepresentation",
     "GroupSpec",
     "HermitianQuotient",
@@ -29,7 +26,6 @@ __all__ = [
     "SignatureParams",
     "WittElem",
     "WittRing",
-    "field_ctx",
     "witt_ring",
     "__version__",
 ]

@@ -10,9 +10,14 @@ precision, 4 enumeration budget exceeded.  The SSP_MAX_ENUM environment
 variable caps the candidates one enumeration may examine (default 10^8):
 vectors scanned or filtered while unitary frames are built column by
 column, candidate matrices in the level-p lemma check, the isqrt(hi)
-base primes a sweep sieves, and the trial divisors past 4096 that
-factoring a composite alpha or N needs.  It stops an enumeration as soon
-as the count is sure to pass the cap.
+base primes a sweep sieves, the trial divisors past 4096 that factoring
+a composite alpha or N needs, and the q^2 entries of each dense F_{p^2}
+table a group oracle builds.  It stops an enumeration as soon as the
+count is sure to pass the cap.
+
+A reader that closes stdout early (`ssp sweep ... --csv | head`) ends
+the command: writing stops, stdout is pointed at os.devnull so that the
+interpreter's flush at exit stays quiet, and the exit code is 0.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
@@ -343,13 +349,20 @@ def main(argv=None) -> int:
     written followed by the error report."""
     args = _build_parser().parse_args(argv)
     try:
-        report, code = globals()[args.handler](args)
-        _emit(report, args.csv)
-    except Exception as e:
-        code = exit_code(e)
-        if code is None:
-            raise
-        _emit(_report(args.command, {}, {"error": str(e)}, status="error"), args.csv)
+        try:
+            report, code = globals()[args.handler](args)
+            _emit(report, args.csv)
+        except Exception as e:
+            code = exit_code(e)
+            if code is None:
+                raise
+            _emit(_report(args.command, {}, {"error": str(e)}, status="error"), args.csv)
+        # flushed here, so that a closed pipe is met by the handler below
+        # and not by the interpreter's flush at exit
+        sys.stdout.flush()
+    except BrokenPipeError:  # exit_code maps no OSError but FileNotFoundError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     return code
 
 

@@ -24,13 +24,14 @@ from . import linalg
 from .errors import (
     FormulaInconsistencyError,
     ValidationError,
+    spec_entry,
     spec_field,
     spec_int,
     spec_list,
     spec_value,
 )
 from .exact import mass_constant, mass_constant_bernoulli_abs
-from .gf import FieldCtx, FqElem, field_ctx, is_nonresidue
+from .gf import is_nonresidue
 from .groups import (
     factorize,
     irrep_dim_bound,
@@ -39,6 +40,7 @@ from .groups import (
     order_gsp_mod,
     p_regular_classes,
 )
+from .witt import WittElem, WittRing, witt_ring
 
 SUPERSPECIAL_BOUND_NOTE = "upper bound via Siegel embedding"
 
@@ -234,11 +236,12 @@ class CosetSpace:
 
 @dataclass(frozen=True)
 class GroupRepresentation:
-    """Matrix generators over F_{p^s}, parallel to a CosetSpace's."""
+    """Matrix generators over F_{p^s} = `ctx` = W_1(F_{p^s}), parallel to
+    a CosetSpace's."""
 
-    ctx: FieldCtx
+    ctx: WittRing
     dim: int
-    generators: tuple[tuple[tuple[FqElem, ...], ...], ...]
+    generators: tuple[tuple[tuple[WittElem, ...], ...], ...]
 
     def __post_init__(self):
         for i, M in enumerate(self.generators):
@@ -361,12 +364,10 @@ def representation_from_dict(data: dict) -> GroupRepresentation:
     fld = spec_value(data, "field", spec)
     gens = spec_list(spec_value(data, "generators", spec), "generators", spec)
     p = spec_field(fld, "p", spec, "field")
-    ctx = field_ctx(p, spec_field(fld, "s", spec, "field") if "s" in fld else 1)
+    ctx = witt_ring(p, spec_field(fld, "s", spec, "field") if "s" in fld else 1, 1)
 
     def entry(x, field):
-        if isinstance(x, list):
-            return ctx.el(tuple(spec_int(c, field, spec) for c in x))
-        return ctx.el(spec_int(x, field, spec))
+        return ctx.el(spec_entry(x, field, ctx.s, spec))
 
     def matrix(M, at):
         rows = [spec_list(row, f"{at}[{r}]", spec) for r, row in enumerate(spec_list(M, at, spec))]

@@ -23,10 +23,9 @@ from .errors import (
     FormulaInconsistencyError,
     InsufficientPrecisionError,
     ValidationError,
+    spec_entry,
     spec_field,
-    spec_int,
 )
-from .gf import sqrt_nonresidue
 from .witt import INF, WittRing, hensel_sqrt, witt_ring
 
 DEFAULT_TRUNCATION_SLACK = 2  # polygon default n = 2*height + 2
@@ -296,7 +295,7 @@ def build_superspecial_unitary(p: int, n: int, alpha: int, r: int, s: int) -> Di
         blocks = [((first, zero), (zero, second))] * r + [((second, zero), (zero, first))] * s
         return _block_diag(blocks, zero)
 
-    target = linalg.scalar_matrix(g, ubar, ubar.ctx.zero())
+    target = linalg.scalar_matrix(g, ubar, ubar.ring.zero())
     target = tuple(
         tuple((-x if i < r else x) if i == j else x for j, x in enumerate(row))
         for i, row in enumerate(target)
@@ -467,14 +466,14 @@ def determinant_condition(r: int, s: int, alpha: int, matrix) -> bool:
     """True iff det(X1*I + X2*L) = (X1 - u X2)^r (X1 + u X2)^s exactly,
     as fully expanded polynomials over F_{p^2}, with u = sqrt(alpha).
 
-    L must be square of size r + s with entries in one F_{p^2} context.
+    L must be square of size r + s with entries in one ring W_1(F_{p^2}).
     """
     g = r + s
     if len(matrix) != g or any(len(row) != g for row in matrix):
         raise ValidationError(f"matrix must be {g} x {g}")
-    ctx = matrix[0][0].ctx
-    u = sqrt_nonresidue(ctx, alpha)
-    one, zero = ctx.one(), ctx.zero()
+    ring = matrix[0][0].ring
+    u = hensel_sqrt(ring, alpha)
+    one, zero = ring.one(), ring.zero()
     # det(X1 I + X2 L) = sum_k E_k(L) X1^{g-k} X2^k with E_k read off the
     # characteristic polynomial (division-free), then compared fully.
     coeffs = linalg.charpoly(matrix, one, zero)  # c[k] = (-1)^k E_k
@@ -491,12 +490,12 @@ def determinant_condition(r: int, s: int, alpha: int, matrix) -> bool:
     return lhs == rhs
 
 
-def canonical_lie_action(ctx, alpha: int, r: int, s: int):
-    """diag(-sqrt(alpha) I_r, sqrt(alpha) I_s) over F_{p^2}."""
-    u = sqrt_nonresidue(ctx, alpha)
+def canonical_lie_action(ring: WittRing, alpha: int, r: int, s: int):
+    """diag(-sqrt(alpha) I_r, sqrt(alpha) I_s) over `ring` = W_1(F_{p^2})."""
+    u = hensel_sqrt(ring, alpha)
     g = r + s
     return linalg.freeze(
-        [[(-u if i < r else u) if i == j else ctx.zero() for j in range(g)] for i in range(g)]
+        [[(-u if i < r else u) if i == j else ring.zero() for j in range(g)] for i in range(g)]
     )
 
 
@@ -541,18 +540,9 @@ def module_from_dict(data: dict, n_override: Optional[int] = None) -> DieudonneM
         ):
             raise ValidationError(f"{name} must be {rank} x {rank}")
 
-        def entry(x, i, j):
-            field = f"{name}[{i}][{j}]"
-            if isinstance(x, list):
-                if len(x) != s:
-                    raise ValidationError(
-                        f"module spec field {field!r} must have {s} coefficients, got {len(x)}"
-                    )
-                return ring.el(tuple(spec_int(c, field) for c in x))
-            return ring.el(spec_int(x, field))
-
         return linalg.freeze(
-            [[entry(x, i, j) for j, x in enumerate(row)] for i, row in enumerate(M)]
+            [[ring.el(spec_entry(x, f"{name}[{i}][{j}]", s)) for j, x in enumerate(row)]
+             for i, row in enumerate(M)]
         )
 
     F, V = dec("F"), dec("V")

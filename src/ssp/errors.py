@@ -83,6 +83,16 @@ def spec_int(x, field: str, spec: str = "module spec") -> int:
     raise ValidationError(f"{spec} field {field!r} must be an integer, got {x!r}")
 
 
+def spec_entry(x, field: str, length: int, spec: str = "module spec"):
+    """A matrix entry in a JSON spec: an integer, or a list of exactly
+    `length` integers (a coefficient vector, low degree first)."""
+    if not isinstance(x, list):
+        return spec_int(x, field, spec)
+    if len(x) != length:
+        raise ValidationError(f"{spec} field {field!r} must have {length} coefficients, got {len(x)}")
+    return tuple(spec_int(c, field, spec) for c in x)
+
+
 def spec_field(data, key: str, spec: str = "module spec", at: str = "") -> int:
     return spec_int(spec_value(data, key, spec, at), _path(at, key), spec)
 

@@ -4,9 +4,9 @@ Exhaustive matrix-group enumerations spend almost all their time on
 ring multiplications, so the oracles run on integer-coded elements
 with dense lookup tables.  A field element with coefficients
 (c0, .., c_{s-1}) is the code sum(c_i p^i), and its tables are derived
-from the object arithmetic in gf, never written by hand.  The quaternion
-order mod p is coded on top of the F_{p^2} codes, so one coded-matrix
-core (`CodedRing`) serves both.
+from the element arithmetic of W_1(F_{p^s}) in witt, never written by
+hand.  The quaternion order mod p is coded on top of the F_{p^2} codes,
+so one coded-matrix core (`CodedRing`) serves both.
 
 `similitude_frames` is the one enumerator of {X : X* G X = c G} behind
 every unitary-group and automorphism-group oracle.
@@ -18,7 +18,7 @@ import itertools
 from functools import lru_cache
 
 from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
-from .gf import FieldCtx, FqElem, field_ctx
+from .witt import WittElem, WittRing, witt_ring
 
 
 class CodedRing:
@@ -54,23 +54,23 @@ class CodedRing:
 
 
 class FieldTable(CodedRing):
-    """Dense op tables for F_{p^s}; element codes are 0 .. q-1."""
+    """Dense op tables for F_{p^s} = W_1(F_{p^s}) (`ctx`); element codes
+    are 0 .. q-1."""
 
-    def __init__(self, ctx: FieldCtx):
+    def __init__(self, ctx: WittRing):
         self.ctx = ctx
         p, s, q = ctx.p, ctx.s, ctx.q
         self.p, self.s, self.q = p, s, q
-        els = [FqElem(ctx, c) for c in itertools.product(range(p), repeat=s)]
         # code of coefficient tuple (c0, c1, ...) is c0 + c1 p + ...
-        self.elements = sorted(els, key=lambda e: self.encode(e))
+        self.elements = sorted(ctx.elements(), key=self.encode)
         self.add = [[self.encode(a + b) for b in self.elements] for a in self.elements]
         self.mul = [[self.encode(a * b) for b in self.elements] for a in self.elements]
         self.neg = [self.encode(-a) for a in self.elements]
-        self.conj = [self.encode(a.frobenius()) for a in self.elements]
+        self.conj = [self.encode(ctx.sigma(a)) for a in self.elements]
         self.fp_codes = [self.encode(ctx.el(c)) for c in range(p)]
         self.fp_units = self.fp_codes[1:]
 
-    def encode(self, x: FqElem) -> int:
+    def encode(self, x: WittElem) -> int:
         code = 0
         for c in reversed(x.coeffs):
             code = code * self.p + c
@@ -109,7 +109,7 @@ class FieldTable(CodedRing):
 
 @lru_cache(maxsize=None)
 def field_table(p: int, s: int = 2) -> FieldTable:
-    return FieldTable(field_ctx(p, s))
+    return FieldTable(witt_ring(p, s, 1))
 
 
 def similitude_frames(table: FieldTable, gram, similitudes, budget: EnumBudget) -> dict:

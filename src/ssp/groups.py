@@ -23,7 +23,8 @@ from typing import Optional
 
 from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
 from .ftables import block_similitudes, field_table, quat_table, similitude_frames
-from .gf import is_prime, sqrt_nonresidue
+from .gf import is_prime
+from .witt import hensel_sqrt, witt_ring
 
 # ---------------------------------------------------------------------------
 # integer utilities
@@ -192,17 +193,25 @@ class GroupSpec:
 # exhaustive enumeration oracles (coded matrices over F_{p^2})
 
 
+def _metered_table(p: int, meter: EnumBudget):
+    """field_table(p), once the q^2 entries of each of its dense tables
+    fit the budget, so an oversized p stops before they are built."""
+    meter.ensure(witt_ring(p, 2, 1).q ** 2)
+    return field_table(p)
+
+
 def unitary_group_elements(t: int, p: int, budget: Optional[int] = None) -> list:
     """All X over F_{p^2} with X* X = I (identity Hermitian form), built
     column by column as orthonormal frames (ftables.similitude_frames)."""
-    table = field_table(p)
     meter = EnumBudget("unitary_group_elements", budget)
+    table = _metered_table(p, meter)
     return similitude_frames(table, table.identity(t), (1,), meter)[1]
 
 
 def su_group_elements(t: int, p: int, budget: Optional[int] = None) -> list:
-    table = field_table(p)
-    return [X for X in unitary_group_elements(t, p, budget) if table.det(X) == 1]
+    elements = unitary_group_elements(t, p, budget)
+    det = field_table(p).det
+    return [X for X in elements if det(X) == 1]
 
 
 def gusplit_group_elements(r: int, s: int, p: int, budget: Optional[int] = None) -> list:
@@ -212,8 +221,8 @@ def gusplit_group_elements(r: int, s: int, p: int, budget: Optional[int] = None)
     and paired up by c, so the work is that of the two blocks, not of
     their product.
     """
-    table = field_table(p)
     meter = EnumBudget("gusplit_group_elements", budget)
+    table = _metered_table(p, meter)
     return block_similitudes(table, (table.identity(r), table.identity(s)), meter)
 
 
@@ -457,7 +466,7 @@ class LemmaGpReport:
 
 def _phi_codes(table, alpha: int, r: int, g: int):
     """The field code of u = sqrt(alpha) and Phi = diag(-u I_r, u I_s)."""
-    u_code = table.encode(sqrt_nonresidue(table.ctx, alpha))
+    u_code = table.encode(hensel_sqrt(table.ctx, alpha))
     phi = tuple(
         tuple((table.neg[u_code] if i < r else u_code) if i == j else 0 for j in range(g))
         for i in range(g)

@@ -15,19 +15,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .dieudonne import DieudonneModule, _mod_p_matrix, _quotient_data, check_axioms
+from .dieudonne import DieudonneModule, _mod_p_matrix, _quotient_data, check_axioms, induced_quotient_action
 from .errors import EnumBudget, ValidationError
 from .ftables import block_similitudes, field_table
-from .gf import FieldCtx, FqElem
+from .witt import WittElem, WittRing, hensel_sqrt
 
 
-def _conj_mat(M):
-    return linalg.mat_map(lambda x: x.frobenius(), M)
+def _conj_mat(ctx: WittRing, M):
+    return linalg.mat_map(ctx.sigma, M)
 
 
 @dataclass(frozen=True)
 class HermitianQuotient:
-    """A sigma-alternating perfect pairing on F_{p^2}^dim.
+    """A sigma-alternating perfect pairing on F_{p^2}^dim, F_{p^2} = `ctx`
+    = W_1(F_{p^2}).
 
     gram[i][j] = <e_i, e_j>; the pairing of vectors is
     x^T . gram . sigma(y).  When the space is graded, the first
@@ -35,16 +36,16 @@ class HermitianQuotient:
     rest the +sqrt(alpha) eigenspace, and gram is block diagonal.
     """
 
-    ctx: FieldCtx
+    ctx: WittRing
     dim: int
-    gram: tuple[tuple[FqElem, ...], ...]
+    gram: tuple[tuple[WittElem, ...], ...]
     grading: Optional[tuple[int, int]] = None
-    sqrt_alpha: Optional[FqElem] = None
+    sqrt_alpha: Optional[WittElem] = None
 
     def __post_init__(self):
         if len(self.gram) != self.dim or any(len(r) != self.dim for r in self.gram):
             raise ValidationError("Gram matrix has wrong dimensions")
-        if self.gram != linalg.transpose(_conj_mat(self.gram)):
+        if self.gram != linalg.transpose(_conj_mat(self.ctx, self.gram)):
             raise ValidationError("pairing is not sigma-alternating")
         if not linalg.is_invertible(self.gram):
             raise ValidationError("degenerate pairing (polarization bug)")
@@ -57,8 +58,8 @@ class HermitianQuotient:
                     if not (self.gram[i][j].is_zero() and self.gram[j][i].is_zero()):
                         raise ValidationError("Gram is not block diagonal for the grading")
 
-    def pairing(self, x, y) -> FqElem:
-        return linalg.dot(x, linalg.mat_vec(self.gram, tuple(c.frobenius() for c in y)))
+    def pairing(self, x, y) -> WittElem:
+        return linalg.dot(x, linalg.mat_vec(self.gram, tuple(self.ctx.sigma(c) for c in y)))
 
     def blocks(self):
         r, s = self.grading if self.grading is not None else (self.dim, 0)
@@ -85,12 +86,12 @@ def reduce_pairing(m: DieudonneModule) -> HermitianQuotient:
     if m.f_matrix != linalg.mat_neg(m.v_matrix):
         raise ValidationError("F + V != 0 on this module")
 
-    ctx = m.ring.gf_ctx
+    ctx = m.ring.residue
     ech, quot = _quotient_data(m)
     pairing_full = _mod_p_matrix(m, linalg.mat_mul(m.polarization, m.f_matrix))
     gram = linalg.freeze([[pairing_full[i][j] for j in quot] for i in quot])
 
-    if gram != linalg.transpose(_conj_mat(gram)):
+    if gram != linalg.transpose(_conj_mat(ctx, gram)):
         raise ValidationError("induced pairing is not sigma-alternating")
     if not linalg.is_invertible(gram):
         raise ValidationError("degenerate pairing (polarization bug)")
@@ -98,16 +99,13 @@ def reduce_pairing(m: DieudonneModule) -> HermitianQuotient:
     grading = None
     sqrt_alpha = None
     if m.ok_action is not None:
-        from .dieudonne import induced_quotient_action
-        from .witt import hensel_sqrt
-
         if m.alpha is None:
             raise ValidationError("module with an action must record alpha")
         jq = induced_quotient_action(m)
         ubar = m.ring.reduce(hensel_sqrt(m.ring, m.alpha))
         # skew-Hermitian: <J x, y> = <x, -J y>, i.e. J^T G = -G sigma(J)
         lhs = linalg.mat_mul(linalg.transpose(jq), gram)
-        rhs = linalg.mat_neg(linalg.mat_mul(gram, _conj_mat(jq)))
+        rhs = linalg.mat_neg(linalg.mat_mul(gram, _conj_mat(ctx, jq)))
         if lhs != rhs:
             raise ValidationError("induced pairing is not skew-Hermitian for the action")
         g = len(quot)
@@ -121,7 +119,7 @@ def reduce_pairing(m: DieudonneModule) -> HermitianQuotient:
         if len(minus_basis) + len(plus_basis) != g:
             raise ValidationError("action on the quotient is not semisimple")
         C = linalg.transpose(tuple(minus_basis) + tuple(plus_basis))
-        gram = linalg.mat_mul(linalg.mat_mul(linalg.transpose(C), gram), _conj_mat(C))
+        gram = linalg.mat_mul(linalg.mat_mul(linalg.transpose(C), gram), _conj_mat(ctx, C))
         grading = (len(minus_basis), len(plus_basis))
         sqrt_alpha = ubar
 
@@ -169,7 +167,7 @@ def automorphism_group_bruteforce(
 
     Enumerates the frames of each grading block independently (the
     blocks only interact through c; see ftables.similitude_frames).
-    Returns (order, elements) with elements as FqElem matrices.
+    Returns (order, elements) with elements as matrices over h.ctx.
     """
     table = field_table(h.ctx.p, h.ctx.s)
     meter = EnumBudget("automorphism_group_bruteforce", budget)
@@ -178,10 +176,10 @@ def automorphism_group_bruteforce(
     return len(elements), elements
 
 
-def similitude_factor(h: HermitianQuotient, X) -> FqElem:
+def similitude_factor(h: HermitianQuotient, X) -> WittElem:
     """The c with X* gram X = c gram; raises if X is not an automorphism."""
     lhs = linalg.mat_mul(
-        linalg.mat_mul(linalg.transpose(_conj_mat(X)), h.gram), X
+        linalg.mat_mul(linalg.transpose(_conj_mat(h.ctx, X)), h.gram), X
     )
     anchor = next(
         (i, j)
@@ -204,7 +202,7 @@ def cotangent_dual(h: HermitianQuotient) -> HermitianQuotient:
     eigenvalue)."""
     one, zero = h.ctx.one(), h.ctx.zero()
     ginv = linalg.inverse(h.gram, one, zero)
-    dual_gram = linalg.transpose(_conj_mat(ginv))
+    dual_gram = linalg.transpose(_conj_mat(h.ctx, ginv))
     return HermitianQuotient(
         ctx=h.ctx,
         dim=h.dim,

@@ -1,10 +1,11 @@
 """Small exact linear algebra over field or truncated-ring elements.
 
 Matrices are tuples of tuples (rows).  Elements must support +, -, *,
-unary -, ==, .is_zero(), and .inv() where inversion is required.  The
-characteristic polynomial uses the division-free Berkowitz algorithm so
-it is valid over any commutative ring (in particular over W_n where
-dividing by integers sharing a factor with p is not allowed).
+unary -, ==, .is_zero(), and .val() and .inv() where Gauss elimination
+is required.  The characteristic polynomial uses the division-free
+Berkowitz algorithm so it is valid over any commutative ring (in
+particular over W_n where dividing by integers sharing a factor with p
+is not allowed).
 """
 
 from __future__ import annotations
@@ -120,11 +121,14 @@ def det(A, one, zero):
 
 
 # ---------------------------------------------------------------------------
-# Gauss over a field (elements with .inv())
+# Gauss over a field or a truncated Witt ring (elements with .val() and .inv())
 
 
 def _rref(rows):
-    """Row-reduce in place; returns (rref_rows, pivot_columns)."""
+    """Row-reduce in place; returns (rref_rows, pivot_columns).
+
+    Pivots are units (val() == 0): over a field the non-zero entries,
+    over W_n the entries that are non-zero mod p."""
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
@@ -134,7 +138,7 @@ def _rref(rows):
     for c in range(ncols):
         pivot = None
         for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
+            if rows[i][c].val() == 0:
                 pivot = i
                 break
         if pivot is None:
@@ -175,7 +179,7 @@ def nullspace(A, one, zero) -> list[tuple]:
 
 
 def inverse(A, one, zero) -> Matrix:
-    """Inverse over a field; raises ValidationError when singular."""
+    """Inverse over a field or W_n; raises ValidationError when singular."""
     n = len(A)
     aug = [list(A[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
     rref, pivots = _rref(aug)
@@ -186,32 +190,6 @@ def inverse(A, one, zero) -> Matrix:
 
 def is_invertible(A) -> bool:
     return rank(A) == len(A)
-
-
-# ---------------------------------------------------------------------------
-# Gauss over a truncated Witt ring (pivots must be units, val == 0)
-
-
-def inverse_witt(A, ring) -> Matrix:
-    n = len(A)
-    one, zero = ring.one(), ring.zero()
-    aug = [list(A[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if aug[i][c].val() == 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValidationError("matrix is not invertible over the truncated ring")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = aug[c][c].inv()
-        aug[c] = [inv * x for x in aug[c]]
-        for i in range(n):
-            if i != c and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(aug[i][n:]) for i in range(n))
 
 
 # ---------------------------------------------------------------------------

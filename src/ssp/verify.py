@@ -14,7 +14,6 @@ from functools import partial
 from . import count, dieudonne, exact, groups, hermitian
 from .errors import SspError, ValidationError
 from .ftables import field_table
-from .gf import field_ctx
 from .witt import witt_ring
 
 
@@ -92,9 +91,9 @@ def _pipeline():
 
 
 def _determinant_condition():
-    ctx = field_ctx(3, 2)
-    good = dieudonne.canonical_lie_action(ctx, -1, 1, 1)
-    bad = dieudonne.canonical_lie_action(ctx, -1, 2, 0)
+    ring = witt_ring(3, 2, 1)
+    good = dieudonne.canonical_lie_action(ring, -1, 1, 1)
+    bad = dieudonne.canonical_lie_action(ring, -1, 2, 0)
     ok = dieudonne.determinant_condition(1, 1, -1, good)
     ok = ok and not dieudonne.determinant_condition(1, 1, -1, bad)
     return ok, "accepts diag(-u, u), rejects diag(-u, -u)"

@@ -1,10 +1,11 @@
-"""Truncated Witt rings W_n(F_{p^s}) = Z_{p^s} / p^n.
+"""Truncated Witt rings W_n(F_{p^s}) = Z_{p^s} / p^n, and with them the
+finite fields: F_{p^s} is W_1(F_{p^s}) = witt_ring(p, s, 1).
 
 Realized as (Z/p^n)[x]/(M) for a lift M of the F_{p^s} modulus, so
 arithmetic is polynomial arithmetic rather than Witt-coordinate
 polynomials (the rings are identical for unramified extensions).  The
 Frobenius lift sigma sends the generator to the Hensel lift of its p-th
-power and fixes Z/p^n.
+power and fixes Z/p^n; at n = 1 it is the Frobenius x -> x^p.
 
 Valuations on a truncated ring are censored: an element that is zero at
 level n has valuation >= n, and val() returns math.inf to signal this.
@@ -12,11 +13,12 @@ level n has valuation >= n, and val() returns math.inf to signal this.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
 from .errors import FormulaInconsistencyError, InsufficientPrecisionError, ValidationError
-from .gf import FieldCtx, FqElem, field_ctx
+from .gf import is_nonresidue, is_prime, minimal_irreducible, poly_inverse, sqrt_mod_p
 
 INF = math.inf
 
@@ -27,12 +29,18 @@ class WittRing:
     def __init__(self, p: int, s: int, n: int):
         if n < 1:
             raise ValidationError("truncation level n must be >= 1")
-        self.gf_ctx: FieldCtx = field_ctx(p, s)
+        if not is_prime(p) or p == 2:
+            raise ValidationError(f"p = {p} must be an odd prime")
+        if s < 1:
+            raise ValidationError("s must be >= 1")
         self.p = p
         self.s = s
         self.n = n
+        self.q = p**s
         self.pn = p**n
-        self.modulus = tuple(int(c) for c in self.gf_ctx.modulus)
+        self.modulus = minimal_irreducible(p, s)
+        # the residue field W_1(F_{p^s}), where reduce() lands
+        self.residue = self if n == 1 else witt_ring(p, s, 1)
         self._zero_coeffs = (0,) * s
         # column j holds coefficient j of sigma(x)^0, ..., sigma(x)^(s-1)
         self._sigma_cols = tuple(zip(*(w.coeffs for w in self._build_sigma())))
@@ -126,11 +134,10 @@ class WittRing:
     def gen(self) -> "WittElem":
         return self.el((0, 1)) if self.s > 1 else self.el(1)
 
-    def from_gf(self, x: FqElem) -> "WittElem":
-        """The coefficient-wise lift of a residue-field element."""
-        if x.ctx != self.gf_ctx:
-            raise ValidationError("residue element from a different field")
-        return self.el(tuple(x.coeffs))
+    def elements(self):
+        """All p^(ns) elements, in lexicographic (low-degree-first) order."""
+        for coeffs in itertools.product(range(self.pn), repeat=self.s):
+            yield WittElem(self, coeffs)
 
     # -- structure maps --------------------------------------------------------
 
@@ -187,9 +194,10 @@ class WittRing:
         pn = self.pn
         return WittElem(self, tuple([c % pn for c in acc[:s]]))
 
-    def reduce(self, x: "WittElem") -> FqElem:
+    def reduce(self, x: "WittElem") -> "WittElem":
         """Reduction W_n -> W_1 = F_{p^s}."""
-        return self.gf_ctx.el(tuple(c % self.p for c in x.coeffs))
+        p = self.p
+        return WittElem(self.residue, tuple([c % p for c in x.coeffs]))
 
 
 @lru_cache(maxsize=None)
@@ -223,6 +231,10 @@ class WittElem:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+    def in_prime_subfield(self) -> bool:
+        """True when x lies in Z/p^n, the constants."""
+        return all(c == 0 for c in self.coeffs[1:])
 
     @staticmethod
     def dot(xs, ys) -> "WittElem":
@@ -269,11 +281,15 @@ class WittElem:
         return result
 
     def inv(self) -> "WittElem":
-        """Inverse of a unit, by lifting the residue-field inverse."""
+        """Inverse of a unit: the extended Euclid on the coefficients mod p,
+        which is the inverse at n = 1, then Newton's iteration."""
         if self.val() != 0:
             raise ValidationError("not a unit in the truncated Witt ring")
         ring = self.ring
-        z = ring.from_gf(ring.reduce(self).inv())
+        p = ring.p
+        z = ring.el(poly_inverse([c % p for c in self.coeffs], ring.modulus, p))
+        if ring.n == 1:
+            return z
         for _ in range(ring.n.bit_length() + 1):
             err = self * z
             if err == ring.one():
@@ -300,38 +316,38 @@ class WittElem:
         return best if best < n else INF
 
 
-def frobenius_lift(x: WittElem) -> WittElem:
-    """The ring automorphism lifting y -> y^p on the residue field."""
-    return x.ring.sigma(x)
-
-
-def val_p(x: WittElem):
-    """p-adic valuation; math.inf marks a truncation-censored value."""
-    return x.val()
-
-
 def hensel_sqrt(ring: WittRing, alpha: int) -> WittElem:
-    """Lift of sqrt(alpha) in W_n(F_{p^2}) for a non-residue alpha.
-
-    Reduces mod p to gf.sqrt_nonresidue(ctx, alpha); satisfies
+    """sqrt(alpha) in W_n(F_{p^2}) for a non-residue alpha mod p, with
     sigma(u) = -u.
-    """
-    from .gf import sqrt_nonresidue
 
+    Mod p, u = x + y t over F_p[t]/(t^2 + b t + c) solves u^2 = alpha
+    when y^2 = 4 alpha / (b^2 - 4c) and x = b y / 2; of the two roots
+    u and -u = sigma(u), the one with the lexicographically smaller
+    coefficient vector is taken, and Newton's iteration lifts it to W_n.
+    """
     if ring.s != 2:
         raise ValidationError("hensel_sqrt requires a W_n(F_{p^2}) ring")
-    u0 = sqrt_nonresidue(ring.gf_ctx, alpha)
+    p = ring.p
+    a = alpha % p
+    if a == 0:
+        raise ValidationError(f"alpha = {alpha} is divisible by p = {p}")
+    if not is_nonresidue(alpha, p):
+        raise ValidationError(f"alpha = {alpha} is a square mod {p}: p is not inert in Q(sqrt(alpha))")
+    c0, b = ring.modulus[0], ring.modulus[1]
+    y = sqrt_mod_p(4 * a * pow((b * b - 4 * c0) % p, p - 2, p) % p, p)
+    x = b * y * pow(2, p - 2, p) % p
+    u0 = min((x, y), ((-x) % p, (-y) % p))
     target = ring.el(alpha)
-    u = ring.from_gf(u0)
+    u = ring.el(u0)
     for _ in range(ring.n.bit_length() + 2):
         err = u * u - target
         if err.is_zero():
             break
         u = u - err * (ring.el(2) * u).inv()
     if u * u != target:
-        raise FormulaInconsistencyError("Hensel square-root iteration failed")
+        raise FormulaInconsistencyError(f"square root of {alpha} in W_{ring.n}(F_{p}^2) failed its check")
     if ring.sigma(u) != -u:
         raise FormulaInconsistencyError("Hensel square root is not negated by sigma")
-    if ring.reduce(u) != u0:
+    if ring.reduce(u).coeffs != u0:
         raise FormulaInconsistencyError("Hensel square root does not lift the residue root")
     return u

@@ -24,7 +24,7 @@ from ssp.dieudonne import (
 )
 from ssp.exact import mass_constant, mass_constant_bernoulli_abs
 from ssp.ftables import field_table
-from ssp.gf import field_ctx
+from ssp.witt import witt_ring
 from ssp.groups import (
     gl2_order_enumerated,
     gusplit_group_elements,
@@ -106,7 +106,7 @@ def test_criterion_05_pairing():
     for r, s in ((1, 1), (2, 2)):
         m = build_superspecial_unitary(3, 2, -1, r, s)
         h = reduce_pairing(m)  # raises unless perfect, alternating, skew-Hermitian
-        conj_t = linalg.transpose(linalg.mat_map(lambda x: x.frobenius(), h.gram))
+        conj_t = linalg.transpose(linalg.mat_map(h.ctx.sigma, h.gram))
         ok = ok and h.gram == conj_t
         ok = ok and pairing_well_defined(m, h, trials=20, seed=0) == 0
     record(5, "pairing perfect, sigma-alternating, well-defined over 20 coset draws", ok)
@@ -134,8 +134,6 @@ def test_criterion_07_level_p_exact_sequence():
 
 
 def test_criterion_08_newton_and_hodge():
-    from ssp.witt import witt_ring
-
     np_half = newton_polygon(build_a_half(witt_ring(3, 2, 6)))
     ok = np_half.slopes == ((Fraction(1, 2), 2),)
     for r, s in ((1, 1), (2, 2)):
@@ -191,7 +189,7 @@ def test_criterion_11_asymptotics():
 
 
 def test_criterion_12_determinant_condition():
-    ctx = field_ctx(3, 2)
+    ctx = witt_ring(3, 2, 1)
     ok = True
     for g in (2, 4):
         for r in range(g + 1):
@@ -224,7 +222,7 @@ def test_criterion_12_determinant_condition():
 
 
 def test_criterion_13_equivariant_functions():
-    ctx = field_ctx(3, 2)
+    ctx = witt_ring(3, 2, 1)
     ok = True
     # trivial representation counts orbits
     perm = (1, 2, 3, 0, 5, 4)  # two orbits

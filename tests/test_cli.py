@@ -182,6 +182,13 @@ class TestGroup:
         error = json.loads(proc.stdout)["results"]["error"]
         assert f"unitary_group_elements {reached}" in error
 
+    def test_oversized_field_tables_exit_4_at_once(self, run_capped):
+        # F_{101^2} has q = 10201: each dense table would hold q^2 > 10^8 entries
+        proc = run_capped("group", "--family", "u", "--params", "1,101", "--oracle", timeout=20)
+        assert proc.returncode == 4, proc.stderr
+        error = json.loads(proc.stdout)["results"]["error"]
+        assert f"unitary_group_elements would reach {10201**2} candidates" in error
+
 
 class TestNewton:
     def test_a_half_fixture(self, tmp_path, capsys):
@@ -322,8 +329,9 @@ class TestAmf:
             ([1], None, "coset-space spec must be a JSON object"),
             ({"points": 2, "generators": [{"perm": [1, "x"]}]}, None, "'generators[0].perm[1]'"),
             (None, {"dim": 1, "field": {"s": 2}, "generators": [[[1]]]}, "'field.p'"),
+            (None, {"dim": 1, "field": {"p": 3, "s": 2}, "generators": [[[[0, 1, 5]]]]}, "'generators[0][0][0]'"),
         ],
-        ids=["space-not-object", "non-integer-perm-entry", "rep-missing-field-p"],
+        ids=["space-not-object", "non-integer-perm-entry", "rep-missing-field-p", "long-coefficient-vector"],
     )
     def test_malformed_fixture_exits_2_naming_field(self, tmp_path, capsys, space, rep, field):
         sp, rp = self.fixture_files(tmp_path)
@@ -429,6 +437,16 @@ class TestSweep:
             assert captured.out == written + "name,value,provenance\nerror,two routes disagree at p = 11,\n"
         else:
             assert captured.out == json.dumps(error, indent=2, sort_keys=True) + "\n"
+
+    def test_closed_stdout_exits_0_quietly(self, popen_capped):
+        # `ssp sweep ... --csv | head -1`: about 115 kB of rows, far more
+        # than a pipe holds, and the reader closes after the first line
+        argv = ("sweep", "--sweep", "3:5000", "--alpha", "-1", "--r", "1", "--s", "1", "--N", "3", "--csv")
+        with popen_capped(*argv) as proc:
+            assert proc.stdout.readline() == b"name,value,provenance\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read() == b""
 
     def test_oversized_range_exits_4_at_once(self, run_capped):
         # isqrt(10^30) = 10^15 base candidates pass the default budget of 10^8

@@ -6,7 +6,7 @@ import pytest
 from ssp import linalg
 from ssp.errors import ValidationError
 from ssp.ftables import field_table
-from ssp.gf import field_ctx
+from ssp.witt import witt_ring
 from ssp.groups import gusplit_group_elements
 from ssp.count import (
     CosetSpace,
@@ -161,12 +161,12 @@ def cyclic_space(k, copies):
 
 class TestEquivariantDimension:
     def test_trivial_rep_counts_orbits(self):
-        ctx = field_ctx(3, 2)
+        ctx = witt_ring(3, 2, 1)
         space = cyclic_space(4, 3)  # 3 orbits
         assert equivariant_dimension(space, trivial_rep(ctx, 1)) == 3
 
     def test_free_action_gives_orbits_times_dim(self):
-        ctx = field_ctx(3, 2)
+        ctx = witt_ring(3, 2, 1)
         # order-4 scalar: a generator of the norm-one subgroup of F_9^x has order 4
         lam = next(x for x in ctx.elements() if not x.is_zero() and (x**4) == ctx.one() and (x**2) != ctx.one())
         M = ((lam, ctx.zero()), (ctx.zero(), lam.inv()))
@@ -193,7 +193,7 @@ class TestEquivariantDimension:
 
     def test_dense_oracle_agrees_on_random_fixtures(self):
         rng = random.Random(42)
-        ctx = field_ctx(3, 2)
+        ctx = witt_ring(3, 2, 1)
         for _ in range(20):
             n = rng.randrange(2, 9)
             k = rng.randrange(1, 3)
@@ -218,7 +218,7 @@ class TestEquivariantDimension:
 
     def test_relabeling_invariance(self):
         rng = random.Random(5)
-        ctx = field_ctx(3, 2)
+        ctx = witt_ring(3, 2, 1)
         space = cyclic_space(4, 2)
         lam = next(x for x in ctx.elements() if not x.is_zero() and (x**4) == ctx.one() and (x**2) != ctx.one())
         rho = GroupRepresentation(ctx=ctx, dim=1, generators=(((lam,),),))
@@ -238,7 +238,7 @@ class TestEquivariantDimension:
     def test_orbit_stabilizer_data_shape(self):
         from ssp.count import orbit_stabilizer_data
 
-        ctx = field_ctx(3, 2)
+        ctx = witt_ring(3, 2, 1)
         space = cyclic_space(4, 2)
         lam = next(x for x in ctx.elements() if not x.is_zero() and (x**4) == ctx.one() and (x**2) != ctx.one())
         rho = GroupRepresentation(ctx=ctx, dim=1, generators=(((lam,),),))
@@ -250,7 +250,7 @@ class TestEquivariantDimension:
             assert all(m == ((ctx.one(),),) for m in stab) or stab == []
 
     def test_inconsistent_data_rejected(self):
-        ctx = field_ctx(3, 2)
+        ctx = witt_ring(3, 2, 1)
         space = cyclic_space(2, 1)
         with pytest.raises(ValidationError, match="inconsistent action data"):
             equivariant_dimension(space, trivial_rep(ctx, 2))

@@ -8,18 +8,23 @@ from hypothesis import strategies as st
 
 from ssp.errors import BudgetExceededError, EnumBudget, ValidationError
 from ssp import groups
+from ssp.ftables import field_table
 from ssp.gf import (
     _SEGMENT,
     PRIME_CERT_LIMIT,
-    field_ctx,
-    frobenius,
+    _pmulmod,
+    _ppowmod,
     is_irreducible,
     is_prime,
     primes_between,
     minimal_irreducible,
-    norm,
-    sqrt_nonresidue,
 )
+from ssp.witt import hensel_sqrt, witt_ring
+
+
+def field(p, s=2):
+    """F_{p^s} as the Witt ring W_1(F_{p^s})."""
+    return witt_ring(p, s, 1)
 
 
 def _sieve(n):
@@ -80,12 +85,12 @@ def test_primes_between_charges_budget_before_sieving():
 
 
 def test_modulus_is_deterministic_and_minimal():
-    ctx = field_ctx(3, 2)
+    ctx = field(3)
     assert ctx.modulus == (1, 0, 1)  # t^2 + 1
-    assert field_ctx(3, 2).modulus == ctx.modulus
+    assert field(3).modulus == ctx.modulus
     # for p = 5 the first irreducible in low-degree-first order is t^2 + t + 1
-    assert field_ctx(5, 2).modulus == (1, 1, 1)
-    assert field_ctx(7, 2).modulus == (1, 0, 1)
+    assert field(5).modulus == (1, 1, 1)
+    assert field(7).modulus == (1, 0, 1)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -102,7 +107,7 @@ def test_minimal_irreducible_matches_plain_search(p):
 
 def test_large_degree_modulus_is_found_quickly(run_snippet):
     # the plain search would first test all 3^29 multiples of t
-    run = run_snippet("from ssp.gf import field_ctx; print(field_ctx(3, 30).modulus)", timeout=20)
+    run = run_snippet("from ssp.witt import witt_ring; print(witt_ring(3, 30, 1).modulus)", timeout=20)
     assert run.returncode == 0
     modulus = ast.literal_eval(run.stdout)
     assert len(modulus) == 31 and modulus[0] != 0 and is_irreducible(modulus, 3)
@@ -110,27 +115,28 @@ def test_large_degree_modulus_is_found_quickly(run_snippet):
 
 @pytest.mark.parametrize("p, s", [(3, 1), (3, 2), (5, 2), (7, 2), (3, 3), (3, 4)])
 def test_modulus_irreducible(p, s):
-    ctx = field_ctx(p, s)
+    ctx = field(p, s)
     assert is_irreducible(ctx.modulus, p)
 
 
 def test_frobenius_examples():
-    ctx = field_ctx(3, 2)
+    ctx = field(3)
     t = ctx.gen()
-    assert frobenius(ctx.one()) == ctx.one()
-    assert frobenius(t) == -t  # t^3 = -t over F_3[t]/(t^2+1)
+    assert ctx.sigma(ctx.one()) == ctx.one()
+    assert ctx.sigma(t) == -t  # t^3 = -t over F_3[t]/(t^2+1)
     for c in range(3):
-        assert frobenius(ctx.el(c)) == ctx.el(c)
+        assert ctx.sigma(ctx.el(c)) == ctx.el(c)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_frobenius_order_s(p):
-    ctx = field_ctx(p, 2)
+    ctx = field(p)
     for x in ctx.elements():
-        assert frobenius(frobenius(x)) == x
+        assert ctx.sigma(ctx.sigma(x)) == x
+        assert ctx.sigma(x) == x**p
 
 
-ctxs = st.sampled_from([field_ctx(3, 2), field_ctx(5, 2), field_ctx(7, 2)])
+ctxs = st.sampled_from([field(3), field(5), field(7)])
 
 
 @st.composite
@@ -145,8 +151,14 @@ def pair_same_ctx(draw):
 @given(pair_same_ctx())
 def test_frobenius_is_ring_automorphism(pair):
     a, b = pair
-    assert frobenius(a + b) == frobenius(a) + frobenius(b)
-    assert frobenius(a * b) == frobenius(a) * frobenius(b)
+    sigma = a.ring.sigma
+    assert sigma(a + b) == sigma(a) + sigma(b)
+    assert sigma(a * b) == sigma(a) * sigma(b)
+
+
+def norm(x):
+    """N(x) = x sigma(x), the norm from F_{p^2} to F_p."""
+    return x * x.ring.sigma(x)
 
 
 @settings(max_examples=100)
@@ -158,36 +170,59 @@ def test_norm_lands_in_prime_subfield(pair):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_norm_one_count_is_p_plus_one(p):
-    ctx = field_ctx(p, 2)
+    ctx = field(p)
     count = sum(1 for x in ctx.elements() if norm(x) == ctx.one())
     assert count == p + 1
 
 
 def test_sqrt_nonresidue_p3():
-    ctx = field_ctx(3, 2)
-    u = sqrt_nonresidue(ctx, -1)
+    ctx = field(3)
+    u = hensel_sqrt(ctx, -1)
     assert u == ctx.gen()  # t itself, the lexicographically smaller root
     assert u * u == ctx.el(-1)
 
 
 def test_sqrt_nonresidue_rejects_squares():
-    ctx = field_ctx(3, 2)
+    ctx = field(3)
     with pytest.raises(ValidationError):
-        sqrt_nonresidue(ctx, 1)
+        hensel_sqrt(ctx, 1)
     with pytest.raises(ValidationError):
-        sqrt_nonresidue(ctx, -3)  # divisible by p
+        hensel_sqrt(ctx, -3)  # divisible by p
 
 
 def test_sqrt_nonresidue_p7_exhaustive_oracle():
-    ctx = field_ctx(7, 2)
-    u = sqrt_nonresidue(ctx, -1)
+    ctx = field(7)
+    u = hensel_sqrt(ctx, -1)
     roots = [x for x in ctx.elements() if x * x == ctx.el(-1)]
     assert u in roots and len(roots) == 2
-    assert frobenius(u) == -u
+    assert u.coeffs == min(x.coeffs for x in roots)
+    assert ctx.sigma(u) == -u
 
 
 def test_inverse_and_division():
-    ctx = field_ctx(5, 2)
+    ctx = field(5)
     for x in ctx.elements():
         if not x.is_zero():
             assert x * x.inv() == ctx.one()
+    with pytest.raises(ValidationError):
+        ctx.zero().inv()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_field_table_matches_polynomial_arithmetic(p):
+    # the tables of F_{p^2} straight from the polynomial helpers, with
+    # code c = c0 + c1 p standing for c0 + c1 t mod the minimal modulus
+    mod = minimal_irreducible(p, 2)
+
+    def poly(code):
+        return (code % p, code // p)
+
+    def code(c):
+        c = tuple(c) + (0, 0)
+        return c[0] + p * c[1]
+
+    q = p * p
+    table = field_table(p)
+    assert table.add == [[code([(x + y) % p for x, y in zip(poly(a), poly(b))]) for b in range(q)] for a in range(q)]
+    assert table.mul == [[code(_pmulmod(poly(a), poly(b), mod, p)) for b in range(q)] for a in range(q)]
+    assert table.conj == [code(_ppowmod(poly(a), p, mod, p)) for a in range(q)]

@@ -10,7 +10,6 @@ from ssp import groups
 from ssp.dieudonne import build_a_half, build_superspecial_unitary
 from ssp.errors import BudgetExceededError, EnumBudget, FormulaInconsistencyError, ValidationError
 from ssp.ftables import QuatTable, field_table, similitude_frames
-from ssp.gf import sqrt_nonresidue
 from ssp.groups import (
     GroupSpec,
     QuatModP,
@@ -34,7 +33,7 @@ from ssp.groups import (
     unitary_group_elements,
 )
 from ssp.hermitian import reduce_pairing
-from ssp.witt import witt_ring
+from ssp.witt import hensel_sqrt, witt_ring
 
 
 def _trial_division(n):
@@ -195,7 +194,10 @@ class TestSimilitudeFrames:
             similitude_frames(table, table.identity(2), (1,), meter)
             assert meter.count == 81 + 24 * 24
         unitary_group_elements(2, 3, budget=81 + 24 * 24)
-        with pytest.raises(BudgetExceededError, match="unitary_group_elements reached 81 candidates"):
+        with pytest.raises(BudgetExceededError, match="test reached 81 candidates"):
+            similitude_frames(table, table.identity(2), (1,), EnumBudget("test", 80))
+        # the 9 x 9 field tables are charged first, before they are built
+        with pytest.raises(BudgetExceededError, match="unitary_group_elements would reach 81 candidates"):
             unitary_group_elements(2, 3, budget=80)
 
 
@@ -384,7 +386,7 @@ class TestQuatTable:
             assert qt.mul[q][w] == qt.mul[field.conj[w]][q] == field.conj[w] * q
         for alpha in self.ALPHAS[p]:
             quat = QuatModP(p, alpha)
-            u = field.encode(sqrt_nonresidue(field.ctx, alpha))
+            u = field.encode(hensel_sqrt(field.ctx, alpha))
             assert qt.mul[u][u] == fp[alpha % p]
 
             def code(x):

@@ -3,7 +3,6 @@ import pytest
 from ssp import linalg
 from ssp.dieudonne import DieudonneModule, build_a_half, build_superspecial_unitary
 from ssp.errors import BudgetExceededError, ValidationError
-from ssp.gf import field_ctx
 from ssp.hermitian import (
     HermitianQuotient,
     automorphism_group_bruteforce,
@@ -62,7 +61,7 @@ class TestReducePairing:
     def test_sigma_alternating_exactly(self):
         for r, s in [(1, 1), (2, 2)]:
             h = reduce_pairing(build_superspecial_unitary(3, 2, -1, r, s))
-            conj_t = linalg.transpose(linalg.mat_map(lambda x: x.frobenius(), h.gram))
+            conj_t = linalg.transpose(linalg.mat_map(h.ctx.sigma, h.gram))
             assert h.gram == conj_t
 
 
@@ -123,12 +122,12 @@ class TestCotangentDual:
 
 class TestQuotientType:
     def test_degenerate_gram_rejected(self):
-        ctx = field_ctx(3, 2)
+        ctx = witt_ring(3, 2, 1)
         with pytest.raises(ValidationError, match="degenerate|alternating"):
             HermitianQuotient(ctx=ctx, dim=1, gram=((ctx.zero(),),))
 
     def test_non_alternating_rejected(self):
-        ctx = field_ctx(3, 2)
+        ctx = witt_ring(3, 2, 1)
         t = ctx.gen()  # sigma(t) = -t, so gram [t] fails gram = sigma(gram)^T
         with pytest.raises(ValidationError, match="alternating"):
             HermitianQuotient(ctx=ctx, dim=1, gram=((t,),))

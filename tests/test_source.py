@@ -82,6 +82,14 @@ def _calls_dot(fn):
     return False
 
 
+def test_one_element_type():
+    # F_{p^s} is witt_ring(p, s, 1): gf keeps polynomials and primality,
+    # defines no element class and sits below witt
+    gf = _modules()["gf"]
+    assert [node.name for node in ast.walk(gf) if isinstance(node, ast.ClassDef)] == []
+    assert "witt" not in _imported(gf)
+
+
 def test_sums_of_products_go_through_linalg_dot():
     modules = _modules()
     offenders = []

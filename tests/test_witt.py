@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssp.errors import ValidationError
-from ssp.gf import sqrt_nonresidue
-from ssp.witt import frobenius_lift, hensel_sqrt, val_p, witt_ring
+from ssp.witt import hensel_sqrt, witt_ring
 
 
 def test_ring_construction_and_sigma_involution():
@@ -14,19 +13,22 @@ def test_ring_construction_and_sigma_involution():
     x = ring.gen()
     assert ring.sigma(ring.sigma(x)) == x
     # sigma reduces to Frobenius mod p
-    assert ring.reduce(ring.sigma(x)) == ring.reduce(x).frobenius()
+    assert ring.reduce(ring.sigma(x)) == ring.reduce(x) ** 3
 
 
 def test_prime_part_fixed_by_sigma():
     ring = witt_ring(3, 2, 3)
     for c in range(27):
-        assert frobenius_lift(ring.el(c)) == ring.el(c)
+        assert ring.sigma(ring.el(c)) == ring.el(c)
 
 
 def test_hensel_sqrt_level1_matches_gf():
+    # the lift reduces to the root at n = 1, which is t for t^2 + 1
     ring = witt_ring(3, 2, 1)
     u = hensel_sqrt(ring, -1)
-    assert ring.reduce(u) == sqrt_nonresidue(ring.gf_ctx, -1)
+    assert ring.reduce(u) == u == ring.gen()
+    for n in range(2, 6):
+        assert witt_ring(3, 2, n).reduce(hensel_sqrt(witt_ring(3, 2, n), -1)) == u
 
 
 @pytest.mark.parametrize("p, alpha", [(3, -1), (5, -2), (7, -1)])
@@ -46,10 +48,10 @@ def test_hensel_sqrt_rejects_residues():
 
 def test_val_p_examples():
     ring = witt_ring(3, 2, 3)
-    assert val_p(ring.el(3)) == 1
-    assert val_p(ring.el(2)) == 0
-    assert val_p(ring.zero()) == math.inf
-    assert val_p(ring.el(9)) == 2
+    assert ring.el(3).val() == 1
+    assert ring.el(2).val() == 0
+    assert ring.zero().val() == math.inf
+    assert ring.el(9).val() == 2
 
 
 rings = st.sampled_from([witt_ring(3, 2, 1), witt_ring(3, 2, 3), witt_ring(5, 2, 2), witt_ring(3, 2, 6)])
@@ -84,7 +86,7 @@ def test_reduction_is_sigma_equivariant_homomorphism(data):
     red = ring.reduce
     assert red(a + b) == red(a) + red(b)
     assert red(a * b) == red(a) * red(b)
-    assert red(ring.sigma(a)) == red(a).frobenius()
+    assert red(ring.sigma(a)) == red(a) ** ring.p
 
 
 @settings(max_examples=100)
