@@ -11,8 +11,10 @@ variable caps the candidates one enumeration may examine (default 10^8):
 vectors scanned or filtered while unitary frames are built column by
 column, candidate matrices in the level-p lemma check, the isqrt(hi)
 base primes a sweep sieves, the trial divisors past 4096 that factoring
-a composite alpha or N needs, and the q^2 entries of each dense F_{p^2}
-table a group oracle builds.  It stops an enumeration as soon as the
+a composite alpha or N needs, the N^4 quadruples of the GL_2 oracle, the
+N^(4k) vector pairs (k = 1..g) and N units of the GSp oracle, and the
+q^2 entries of each dense F_{p^2} table a group oracle or the `pairing`
+automorphism count builds.  It stops an enumeration as soon as the
 count is sure to pass the cap.
 
 A reader that closes stdout early (`ssp sweep ... --csv | head`) ends

@@ -178,7 +178,7 @@ def check_axioms(m: DieudonneModule) -> AxiomReport:
             ("polarization-alternating", alt, "" if alt else _first_mismatch(
                 linalg.transpose(E), linalg.mat_neg(E)))
         )
-        d = linalg.det(E, ring.one(), ring.zero())
+        d = linalg.det(E, ring.one())
         unimod = d.val() == 0
         checks.append(("polarization-unimodular", unimod, f"det valuation {d.val()}"))
         lhs = linalg.mat_mul(linalg.transpose(m.f_matrix), E)
@@ -248,10 +248,12 @@ def _mod_p_matrix(m: DieudonneModule, M):
 def _quotient_data(m: DieudonneModule):
     """Echelon data for M/VM over the residue field.
 
-    Returns (echelon {pivot_row: column}, quotient_rows sorted)."""
+    Returns ({pivot_row: column}, quotient_rows sorted): the columns of
+    V mod p in reduced echelon form, each with a 1 at its pivot row and
+    0 at every other pivot row."""
     vbar = _mod_p_matrix(m, m.v_matrix)
-    cols = list(zip(*vbar))
-    ech = linalg.column_echelon(cols)
+    cols, pivots = linalg.rref(linalg.transpose(vbar))
+    ech = dict(zip(pivots, cols))
     quot = [i for i in range(m.rank) if i not in ech]
     return ech, quot
 
@@ -264,9 +266,13 @@ def induced_quotient_action(m: DieudonneModule):
     jbar = _mod_p_matrix(m, m.ok_action)
     cols = []
     for i in quot:
-        col = tuple(jbar[r][i] for r in range(m.rank))
-        red = linalg.reduce_mod_columns(col, ech)
-        cols.append(tuple(red[r] for r in quot))
+        # reduce column i modulo the echelon columns of V mod p
+        v = [row[i] for row in jbar]
+        for r, col in ech.items():
+            f = v[r]
+            if not f.is_zero():
+                v = [x - f * y for x, y in zip(v, col)]
+        cols.append(tuple(v[r] for r in quot))
     return linalg.freeze(zip(*cols))
 
 
@@ -382,7 +388,7 @@ def newton_polygon(m: DieudonneModule) -> NewtonPolygon:
     """
     ring, h = m.ring, m.rank
     B = _linear_frobenius_matrix(m)
-    coeffs = linalg.charpoly(B, ring.one(), ring.zero())  # highest degree first
+    coeffs = linalg.charpoly(B, ring.one())  # highest degree first
     # point (i, v(c_i)) where c_i multiplies T^i
     vals = [c.val() for c in coeffs]
     by_degree = list(reversed(vals))  # index i = degree
@@ -473,10 +479,10 @@ def determinant_condition(r: int, s: int, alpha: int, matrix) -> bool:
         raise ValidationError(f"matrix must be {g} x {g}")
     ring = matrix[0][0].ring
     u = hensel_sqrt(ring, alpha)
-    one, zero = ring.one(), ring.zero()
+    one = ring.one()
     # det(X1 I + X2 L) = sum_k E_k(L) X1^{g-k} X2^k with E_k read off the
     # characteristic polynomial (division-free), then compared fully.
-    coeffs = linalg.charpoly(matrix, one, zero)  # c[k] = (-1)^k E_k
+    coeffs = linalg.charpoly(matrix, one)  # c[k] = (-1)^k E_k
     lhs = {}
     for k, c in enumerate(coeffs):
         ek = c if k % 2 == 0 else -c

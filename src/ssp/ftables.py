@@ -112,6 +112,13 @@ def field_table(p: int, s: int = 2) -> FieldTable:
     return FieldTable(witt_ring(p, s, 1))
 
 
+def metered_table(p: int, s: int, meter: EnumBudget) -> FieldTable:
+    """field_table(p, s), once the q^2 entries of each of its dense tables
+    fit the budget, so an oversized p stops before they are built."""
+    meter.ensure(witt_ring(p, s, 1).q ** 2)
+    return field_table(p, s)
+
+
 def similitude_frames(table: FieldTable, gram, similitudes, budget: EnumBudget) -> dict:
     """{c: sorted list of the t x t coded X with X* G X = c G} for c in
     `similitudes`, where G = `gram` is a coded Hermitian matrix.

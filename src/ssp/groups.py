@@ -22,9 +22,9 @@ from math import gcd
 from typing import Optional
 
 from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
-from .ftables import block_similitudes, field_table, quat_table, similitude_frames
+from .ftables import block_similitudes, field_table, metered_table, quat_table, similitude_frames
 from .gf import is_prime
-from .witt import hensel_sqrt, witt_ring
+from .witt import hensel_sqrt
 
 # ---------------------------------------------------------------------------
 # integer utilities
@@ -193,18 +193,11 @@ class GroupSpec:
 # exhaustive enumeration oracles (coded matrices over F_{p^2})
 
 
-def _metered_table(p: int, meter: EnumBudget):
-    """field_table(p), once the q^2 entries of each of its dense tables
-    fit the budget, so an oversized p stops before they are built."""
-    meter.ensure(witt_ring(p, 2, 1).q ** 2)
-    return field_table(p)
-
-
 def unitary_group_elements(t: int, p: int, budget: Optional[int] = None) -> list:
     """All X over F_{p^2} with X* X = I (identity Hermitian form), built
     column by column as orthonormal frames (ftables.similitude_frames)."""
     meter = EnumBudget("unitary_group_elements", budget)
-    table = _metered_table(p, meter)
+    table = metered_table(p, 2, meter)
     return similitude_frames(table, table.identity(t), (1,), meter)[1]
 
 
@@ -222,12 +215,14 @@ def gusplit_group_elements(r: int, s: int, p: int, budget: Optional[int] = None)
     their product.
     """
     meter = EnumBudget("gusplit_group_elements", budget)
-    table = _metered_table(p, meter)
+    table = metered_table(p, 2, meter)
     return block_similitudes(table, (table.identity(r), table.identity(s)), meter)
 
 
 def gl2_order_enumerated(N: int) -> int:
-    """#GL_2(Z/N) by direct enumeration (equals #GSp_2(Z/N))."""
+    """#GL_2(Z/N) by direct enumeration (equals #GSp_2(Z/N)); the N^4
+    quadruples are charged to the budget before the first is tried."""
+    EnumBudget("gl2_order_enumerated").spend(N**4)
     count = 0
     for a, b, c, d in itertools.product(range(N), repeat=4):
         if gcd((a * d - b * c) % N, N) == 1:
@@ -235,26 +230,34 @@ def gl2_order_enumerated(N: int) -> int:
     return count
 
 
-def hyperbolic_pair_count(g: int, ell: int) -> int:
-    """#{(u, v) in (F_l^{2g})^2 : <u, v> = 1} by direct enumeration."""
+def hyperbolic_pair_count(g: int, N: int, meter: Optional[EnumBudget] = None) -> int:
+    """#{(u, v) in ((Z/N)^{2g})^2 : <u, v> = 1} by direct enumeration; the
+    N^{4g} pairs are charged to `meter` before the first is tried."""
+    (meter or EnumBudget("hyperbolic_pair_count")).spend(N ** (4 * g))
     n = 2 * g
+    one = 1 % N  # 1 = 0 in Z/1
     count = 0
-    vectors = list(itertools.product(range(ell), repeat=n))
+    vectors = list(itertools.product(range(N), repeat=n))
     for u in vectors:
         for v in vectors:
-            val = sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g)) % ell
-            if val == 1:
+            val = sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g)) % N
+            if val == one:
                 count += 1
     return count
 
 
-def gsp_order_enumerated(g: int, ell: int) -> int:
-    """#GSp_{2g}(F_l) via enumerated hyperbolic-pair counts:
-    #Sp_{2g} = #pairs(g) * #Sp_{2g-2}, and #GSp = #Sp * (l - 1)."""
+def gsp_order_enumerated(g: int, N: int) -> int:
+    """#GSp_{2g}(Z/N) via enumerated hyperbolic-pair counts:
+    #Sp_{2g} = #pairs(g) * #Sp_{2g-2}, and #GSp = #Sp * #(Z/N)^x, with
+    the units counted by enumeration too.  The whole count is charged to
+    the budget before any enumeration starts."""
+    meter = EnumBudget("gsp_order_enumerated")
+    meter.ensure(N + sum(N ** (4 * k) for k in range(1, g + 1)))
     sp = 1
     for k in range(1, g + 1):
-        sp *= hyperbolic_pair_count(k, ell)
-    return sp * (ell - 1)
+        sp *= hyperbolic_pair_count(k, N, meter)
+    meter.spend(N)
+    return sp * sum(1 for a in range(N) if gcd(a, N) == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Optional
 from . import linalg
 from .dieudonne import DieudonneModule, _mod_p_matrix, _quotient_data, check_axioms, induced_quotient_action
 from .errors import EnumBudget, ValidationError
-from .ftables import block_similitudes, field_table
+from .ftables import block_similitudes, metered_table
 from .witt import WittElem, WittRing, hensel_sqrt
 
 
@@ -169,8 +169,8 @@ def automorphism_group_bruteforce(
     blocks only interact through c; see ftables.similitude_frames).
     Returns (order, elements) with elements as matrices over h.ctx.
     """
-    table = field_table(h.ctx.p, h.ctx.s)
     meter = EnumBudget("automorphism_group_bruteforce", budget)
+    table = metered_table(h.ctx.p, h.ctx.s, meter)
     coded = block_similitudes(table, [table.mat_encode(block) for block in h.blocks()], meter)
     elements = [table.mat_decode(X) for X in coded]
     return len(elements), elements

@@ -1,11 +1,12 @@
-"""Small exact linear algebra over field or truncated-ring elements.
+"""Small exact linear algebra over one truncated Witt ring W_n(F_{p^s}).
 
-Matrices are tuples of tuples (rows).  Elements must support +, -, *,
-unary -, ==, .is_zero(), and .val() and .inv() where Gauss elimination
-is required.  The characteristic polynomial uses the division-free
-Berkowitz algorithm so it is valid over any commutative ring (in
-particular over W_n where dividing by integers sharing a factor with p
-is not allowed).
+Matrices are tuples of tuples (rows) of `witt.WittElem`s of one ring;
+the field F_{p^s} is W_1(F_{p^s}).  Every sum of products is the ring's
+inner-product kernel `WittRing.dot`, and `rref` is the one Gauss
+elimination, with unit pivots (val() == 0).  The characteristic
+polynomial uses the division-free Berkowitz algorithm, so it is valid
+over W_n, where dividing by integers sharing a factor with p is not
+allowed.
 """
 
 from __future__ import annotations
@@ -20,20 +21,10 @@ def freeze(rows) -> Matrix:
 
 
 def dot(xs, ys):
-    """sum_t xs[t] * ys[t] over equal-length, non-empty sequences.
-
-    The one sum of products in the package.  An element type may supply
-    a fused kernel as a static method `dot(xs, ys)` (WittElem does: it
-    reduces once per sum instead of once per product); any other type is
-    folded with + and *.
-    """
-    fused = getattr(type(xs[0]), "dot", None)
-    if fused is not None:
-        return fused(xs, ys)
-    acc = xs[0] * ys[0]
-    for t in range(1, len(xs)):
-        acc = acc + xs[t] * ys[t]
-    return acc
+    """sum_t xs[t] * ys[t] over equal-length, non-empty sequences: the one
+    sum of products in the package, WittRing.dot of xs[0]'s ring, which
+    reduces once per sum instead of once per product."""
+    return xs[0].ring.dot(xs, ys)
 
 
 # Hot paths build tuples from list comprehensions: tuple(generator) does
@@ -83,10 +74,11 @@ def scalar_matrix(n: int, c, zero) -> Matrix:
     return tuple(tuple(c if i == j else zero for j in range(n)) for i in range(n))
 
 
-def charpoly(A, one, zero) -> list:
+def charpoly(A, one) -> list:
     """Coefficients of det(T*I - A), highest degree first (Berkowitz).
 
-    `zero` is unused: every sum of products here is a non-empty `dot`."""
+    `one` is the ring's one, needed for the 0 x 0 matrix; every sum of
+    products here is a non-empty `dot`."""
     n = len(A)
     coeffs = [one]
     for k in range(1, n + 1):
@@ -111,24 +103,26 @@ def charpoly(A, one, zero) -> list:
     return coeffs
 
 
-def det(A, one, zero):
+def det(A, one):
     """Determinant via the Berkowitz characteristic polynomial."""
     n = len(A)
     if n == 0:
         return one
-    c0 = charpoly(A, one, zero)[-1]
+    c0 = charpoly(A, one)[-1]
     return c0 if n % 2 == 0 else -c0
 
 
 # ---------------------------------------------------------------------------
-# Gauss over a field or a truncated Witt ring (elements with .val() and .inv())
+# Gauss elimination
 
 
-def _rref(rows):
-    """Row-reduce in place; returns (rref_rows, pivot_columns).
+def rref(rows):
+    """Reduced row echelon form: returns (rows, pivot_columns), where the
+    row i < len(pivot_columns) has a 1 at pivot_columns[i] and 0 at every
+    other pivot column, and the rows past them are zero mod p.
 
-    Pivots are units (val() == 0): over a field the non-zero entries,
-    over W_n the entries that are non-zero mod p."""
+    Pivots are units (val() == 0): over W_1 the non-zero entries, over
+    W_n the entries that are non-zero mod p."""
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
@@ -158,7 +152,7 @@ def _rref(rows):
 
 
 def rank(A) -> int:
-    return len(_rref(list(A))[1])
+    return len(rref(list(A))[1])
 
 
 def nullspace(A, one, zero) -> list[tuple]:
@@ -166,63 +160,27 @@ def nullspace(A, one, zero) -> list[tuple]:
     if not A:
         return []
     ncols = len(A[0])
-    rref, pivots = _rref(list(A))
+    rows, pivots = rref(list(A))
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [zero] * ncols
         v[fc] = one
         for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
+            v[pc] = -rows[r][fc]
         basis.append(tuple(v))
     return basis
 
 
 def inverse(A, one, zero) -> Matrix:
-    """Inverse over a field or W_n; raises ValidationError when singular."""
+    """Inverse over W_n; raises ValidationError when singular."""
     n = len(A)
     aug = [list(A[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
-    rref, pivots = _rref(aug)
+    rows, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValidationError("matrix is singular")
-    return tuple(tuple(rref[i][n:]) for i in range(n))
+    return tuple(tuple(rows[i][n:]) for i in range(n))
 
 
 def is_invertible(A) -> bool:
     return rank(A) == len(A)
-
-
-# ---------------------------------------------------------------------------
-# column echelon form, for quotients V = F^h / span(columns)
-
-
-def column_echelon(cols) -> dict[int, tuple]:
-    """Echelonize a list of column vectors over a field.
-
-    Returns {pivot_row: column}, where each column has a 1 at its pivot
-    row and 0 at every other pivot row.
-    """
-    ech: dict[int, tuple] = {}
-    for col in cols:
-        v = reduce_mod_columns(col, ech)
-        pivot = next((i for i, x in enumerate(v) if not x.is_zero()), None)
-        if pivot is None:
-            continue
-        inv = v[pivot].inv()
-        v = tuple(inv * x for x in v)
-        for r in list(ech):
-            c = ech[r]
-            if not c[pivot].is_zero():
-                f = c[pivot]
-                ech[r] = tuple(x - f * y for x, y in zip(c, v))
-        ech[pivot] = v
-    return ech
-
-
-def reduce_mod_columns(v, ech: dict[int, tuple]) -> tuple:
-    v = list(v)
-    for r, col in ech.items():
-        if not v[r].is_zero():
-            f = v[r]
-            v = [x - f * y for x, y in zip(v, col)]
-    return tuple(v)

@@ -7,6 +7,11 @@ polynomials (the rings are identical for unramified extensions).  The
 Frobenius lift sigma sends the generator to the Hensel lift of its p-th
 power and fixes Z/p^n; at n = 1 it is the Frobenius x -> x^p.
 
+WittElem is the one element type of the package.  Its products and
+linalg's sums of products are the ring's inner-product kernel
+`WittRing.dot`, which works on the raw coefficient tuples and reduces
+once per sum.
+
 Valuations on a truncated ring are censored: an element that is zero at
 level n has valuation >= n, and val() returns math.inf to signal this.
 """
@@ -235,11 +240,6 @@ class WittElem:
     def in_prime_subfield(self) -> bool:
         """True when x lies in Z/p^n, the constants."""
         return all(c == 0 for c in self.coeffs[1:])
-
-    @staticmethod
-    def dot(xs, ys) -> "WittElem":
-        """The fused kernel of linalg.dot: WittRing.dot of xs[0]'s ring."""
-        return xs[0].ring.dot(xs, ys)
 
     def _coerce(self, other) -> "WittElem":
         if type(other) is WittElem and other.ring is self.ring:

@@ -150,6 +150,14 @@ class TestGroup:
         assert res["order"]["value"] == res["order_enumerated"]["value"] == "24"
         assert res["match"] is True
 
+    @pytest.mark.parametrize("params", ["2,4", "2,1"])
+    def test_gsp_oracle_matches_at_composite_and_unit_level(self, capsys, params):
+        code, out = run(capsys, "group", "--family", "gsp", "--params", params, "--oracle")
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["order"]["value"] == res["order_enumerated"]["value"]
+        assert res["match"] is True
+
     def test_bad_family(self, capsys):
         code, _ = run(capsys, "group", "--family", "so", "--params", "2,3")
         assert code == 2
@@ -188,6 +196,20 @@ class TestGroup:
         assert proc.returncode == 4, proc.stderr
         error = json.loads(proc.stdout)["results"]["error"]
         assert f"unitary_group_elements would reach {10201**2} candidates" in error
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            # 101^4 + 101^8 hyperbolic pairs and 101 units, charged before any is tried
+            ("2,101", f"gsp_order_enumerated would reach {101 + 101**4 + 101**8} candidates"),
+            ("1,100000", f"gl2_order_enumerated reached {100000**4} candidates"),
+        ],
+        ids=["gsp", "gl2"],
+    )
+    def test_oversized_gsp_oracles_exit_4_at_once(self, run_capped, params, message):
+        proc = run_capped("group", "--family", "gsp", "--params", params, "--oracle", timeout=20)
+        assert proc.returncode == 4, proc.stderr
+        assert message in json.loads(proc.stdout)["results"]["error"]
 
 
 class TestNewton:
@@ -290,7 +312,15 @@ class TestPairing:
     def test_budget_error_names_routine_and_count(self, capsys, monkeypatch):
         monkeypatch.setenv("SSP_MAX_ENUM", "5")
         _, out = run(capsys, "pairing", "--p", "3", "--alpha", "-1", "--r", "1", "--s", "1")
-        assert "automorphism_group_bruteforce reached 9 candidates" in json.loads(out)["results"]["error"]
+        # the 81 entries of each dense F_9 table are charged before they are built
+        assert "automorphism_group_bruteforce would reach 81 candidates" in json.loads(out)["results"]["error"]
+
+    def test_oversized_field_tables_exit_4_at_once(self, run_capped):
+        # F_{101^2} has q = 10201: each dense table would hold q^2 > 10^8 entries
+        proc = run_capped("pairing", "--p", "101", "--alpha", "-2", "--r", "1", "--s", "1", timeout=20)
+        assert proc.returncode == 4, proc.stderr
+        error = json.loads(proc.stdout)["results"]["error"]
+        assert f"automorphism_group_bruteforce would reach {10201**2} candidates" in error
 
     @pytest.mark.parametrize("value", ["abc", "-1", "1e3"])
     def test_bad_budget_exits_2(self, capsys, monkeypatch, value):

@@ -110,6 +110,24 @@ class TestEnumerationOracles:
         assert gsp_order_enumerated(1, 3) == order_gsp_mod(1, 3)
         assert gsp_order_enumerated(2, 3) == order_gsp_mod(2, 3) == 103680
 
+    @pytest.mark.parametrize("g, N", [(2, 4), (2, 1), (3, 2), (1, 4), (1, 1)])
+    def test_gsp_oracle_at_composite_and_unit_level(self, g, N):
+        # #GSp = #Sp * #(Z/N)^x, not #Sp * (N - 1); in Z/1 the pairing value 1 is 0
+        assert GroupSpec("gsp_mod", (g, N)).enumerated_order() == order_gsp_mod(g, N)
+
+    def test_gsp_oracles_charge_their_full_count_first(self, monkeypatch):
+        monkeypatch.setenv("SSP_MAX_ENUM", "624")
+        with pytest.raises(BudgetExceededError, match="gl2_order_enumerated reached 625 "):
+            gl2_order_enumerated(5)
+        with pytest.raises(BudgetExceededError, match="hyperbolic_pair_count reached 81 "):
+            hyperbolic_pair_count(1, 3, EnumBudget("hyperbolic_pair_count", 80))
+        # 3 units + 3^4 + 3^8 pairs
+        monkeypatch.setenv("SSP_MAX_ENUM", "6644")
+        with pytest.raises(BudgetExceededError, match="gsp_order_enumerated would reach 6645 "):
+            gsp_order_enumerated(2, 3)
+        monkeypatch.setenv("SSP_MAX_ENUM", "6645")
+        assert gsp_order_enumerated(2, 3) == order_gsp_mod(2, 3)
+
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             unitary_group_elements(3, 5, budget=100)

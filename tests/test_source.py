@@ -90,6 +90,27 @@ def test_one_element_type():
     assert "witt" not in _imported(gf)
 
 
+def _inv_calls(tree) -> int:
+    return sum(
+        1
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "inv"
+    )
+
+
+def test_linalg_has_one_elimination_and_no_element_type_hook():
+    modules = _modules()
+    linalg = modules["linalg"]
+    # rref is the one Gauss elimination: no other code in linalg inverts
+    assert _inv_calls(linalg) == _inv_calls(_function(linalg, "rref")) > 0
+    # dot is WittRing.dot, with no per-type kernel looked up ...
+    names = {node.id for node in ast.walk(_function(linalg, "dot")) if isinstance(node, ast.Name)}
+    assert "getattr" not in names
+    # ... and no kernel on the element class to look up
+    witt_elem = _function(modules["witt"], "WittElem")
+    assert "dot" not in {node.name for node in witt_elem.body if isinstance(node, ast.FunctionDef)}
+
+
 def test_sums_of_products_go_through_linalg_dot():
     modules = _modules()
     offenders = []
