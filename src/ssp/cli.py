@@ -9,12 +9,14 @@ Exit codes: 0 ok, 1 verify mismatch, 2 parse/validation, 3 insufficient
 precision, 4 enumeration budget exceeded.  The SSP_MAX_ENUM environment
 variable caps the candidates one enumeration may examine (default 10^8):
 vectors scanned or filtered while unitary frames are built column by
-column, candidate matrices in the level-p lemma check, the isqrt(hi)
-base primes a sweep sieves, the trial divisors past 4096 that factoring
-a composite alpha or N needs, the N^4 quadruples of the GL_2 oracle, the
-N^(4k) vector pairs (k = 1..g) and N units of the GSp oracle, and the
-q^2 entries of each dense F_{p^2} table a group oracle or the `pairing`
-automorphism count builds.  It stops an enumeration as soon as the
+column, the |G(p)| x 4rs basis images of the level-p lemma check, the
+isqrt(hi) base primes a sweep sieves, the trial divisors past 4096 that
+factoring a composite alpha or N needs, the N^4 quadruples of the GL_2
+oracle, the N^(2k) (2 N^k + N) half-vector steps (k = 1..g) and N units
+of the GSp oracle, and the q^2 entries of each dense F_{p^2} table a
+group oracle, class count, lemma check or the `pairing` automorphism
+count builds, with the q^4 entries of each quaternion table of the
+lemma check.  It stops an enumeration as soon as the
 count is sure to pass the cap.
 
 A reader that closes stdout early (`ssp sweep ... --csv | head`) ends

@@ -16,7 +16,7 @@ independent of the closed forms so each route checks the other.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
@@ -24,7 +24,8 @@ from typing import Optional
 from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
 from .ftables import block_similitudes, field_table, metered_table, quat_table, similitude_frames
 from .gf import is_prime
-from .witt import hensel_sqrt
+from .linalg import rank
+from .witt import hensel_sqrt, witt_ring
 
 # ---------------------------------------------------------------------------
 # integer utilities
@@ -230,19 +231,36 @@ def gl2_order_enumerated(N: int) -> int:
     return count
 
 
+def _pair_count_steps(g: int, N: int) -> int:
+    """The steps hyperbolic_pair_count(g, N) takes: for each of the N^{2g}
+    vectors u, two tables over the N^g half-vectors and a sum over Z/N."""
+    return N ** (2 * g) * (2 * N**g + N)
+
+
+def _value_counts(a: tuple, halves: list, N: int) -> list:
+    """counts[t] = #{w in halves : a . w = t mod N}."""
+    counts = [0] * N
+    for w in halves:
+        counts[sum(map(operator.mul, a, w)) % N] += 1
+    return counts
+
+
 def hyperbolic_pair_count(g: int, N: int, meter: Optional[EnumBudget] = None) -> int:
-    """#{(u, v) in ((Z/N)^{2g})^2 : <u, v> = 1} by direct enumeration; the
-    N^{4g} pairs are charged to `meter` before the first is tried."""
-    (meter or EnumBudget("hyperbolic_pair_count")).spend(N ** (4 * g))
-    n = 2 * g
+    """#{(u, v) in ((Z/N)^{2g})^2 : <u, v> = 1} by enumeration of u.
+
+    With u = (a, b) and v = (x, y) split into halves, <u, v> = a.y - b.x.
+    For each u, the values of a.y and b.x are tabulated over the N^g
+    half-vectors, and the v with a.y = b.x + 1 are counted from the two
+    tables.  The _pair_count_steps(g, N) steps are charged to `meter`
+    before the first is taken."""
+    (meter or EnumBudget("hyperbolic_pair_count")).spend(_pair_count_steps(g, N))
     one = 1 % N  # 1 = 0 in Z/1
+    halves = list(itertools.product(range(N), repeat=g))
     count = 0
-    vectors = list(itertools.product(range(N), repeat=n))
-    for u in vectors:
-        for v in vectors:
-            val = sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g)) % N
-            if val == one:
-                count += 1
+    for a, b in itertools.product(halves, repeat=2):
+        ay = _value_counts(a, halves, N)
+        bx = _value_counts(b, halves, N)
+        count += sum(ay[t] * bx[(t - one) % N] for t in range(N))
     return count
 
 
@@ -252,7 +270,7 @@ def gsp_order_enumerated(g: int, N: int) -> int:
     the units counted by enumeration too.  The whole count is charged to
     the budget before any enumeration starts."""
     meter = EnumBudget("gsp_order_enumerated")
-    meter.ensure(N + sum(N ** (4 * k) for k in range(1, g + 1)))
+    meter.ensure(N + sum(_pair_count_steps(k, N) for k in range(1, g + 1)))
     sp = 1
     for k in range(1, g + 1):
         sp *= hyperbolic_pair_count(k, N, meter)
@@ -334,11 +352,13 @@ def conjugacy_class_data(elements: list, p: int):
     enumerated set, which proves that they generate it, so each orbit is
     a full conjugacy class.  The cost is about |G| * #generators
     conjugations plus |G| products for the closure.  Representatives are
-    the first element of each class in sorted order.
+    the first element of each class in sorted order.  The q^2 entries of
+    each dense F_{p^2} table are checked against the budget before the
+    table is built.
     """
     if not elements:
         raise ValidationError("conjugacy_class_data needs a non-empty element list")
-    table = field_table(p)
+    table = metered_table(p, 2, EnumBudget("conjugacy_class_data"))
     mul = table.mat_mul
     ident = table.identity(len(elements[0]))
     elems = set(elements)
@@ -461,6 +481,7 @@ class LemmaGpReport:
             self.surjective
             and self.kernel_is_identity_mod_pi
             and self.group_order == self.kernel_size * self.gp_order
+            and self.kernel_size == self.p ** (2 * self.r * self.s)
             and self.offdiag_probes_rejected == self.offdiag_probes_total
         )
 
@@ -477,44 +498,44 @@ def _phi_codes(table, alpha: int, r: int, g: int):
     return u_code, phi
 
 
-def _lemma_gp_members(p: int, alpha: int, r: int, s: int, budget: Optional[int] = None) -> list:
-    """{X in GU_g(QuatModP) : X Phi = Phi X} in `quat_table(p)` codes.
+def _fibre_size(p: int, qt, D, basis: list) -> int:
+    """#{N in the F_p-span of `basis` : D*N + N*D = 0}, as p^(dim - rank).
 
-    Commutation with Phi forces diagonal (r, s)-blocks into F_{p^2} and
-    off-diagonal blocks into Pi F_{p^2} (lemma_gp_check probes this), so
-    the candidates are those q^{g^2} shapes; each is checked against both
-    defining equations."""
-    g = r + s
-    table = field_table(p)
-    q = table.q
-    EnumBudget("lemma_gp_check", budget).spend(q ** (g * g))
-    # ftables.quat_table codes: the F_{p^2} code w is w, w * q is w Pi, and
-    # x % q reduces mod Pi, landing in the codes of gusplit_group_elements
-    qt = quat_table(p)
-    phi = _phi_codes(table, alpha, r, g)[1]
-    fp_scalars = {c: tuple(tuple(c if i == j else 0 for j in range(g)) for i in range(g)) for c in table.fp_units}
-
-    is_diag_pos = [[(i < r) == (j < r) for j in range(g)] for i in range(g)]
-    members = []
-    for entries in itertools.product(range(q), repeat=g * g):
-        X = tuple(
-            tuple(entries[i * g + j] if is_diag_pos[i][j] else entries[i * g + j] * q for j in range(g))
-            for i in range(g)
-        )
-        if qt.mat_mul(X, phi) != qt.mat_mul(phi, X):
-            continue
-        M = qt.mat_mul(qt.conj_transpose(X), X)
-        c = M[0][0]
-        if c not in fp_scalars or M != fp_scalars[c]:
-            continue
-        members.append(X)
-    return members
+    Each basis image D*N + N*D is computed in the coded quaternion ring
+    `qt` and written in F_p coordinates: a code x < q^2 is
+    sum(c_k p^k) over its four F_p digits, on which the ring's addition
+    acts digit by digit."""
+    fp = witt_ring(p, 1, 1)
+    add, mul, conj_transpose = qt.add, qt.mat_mul, qt.conj_transpose
+    Dh = conj_transpose(D)
+    rows = []
+    for N in basis:
+        image = [
+            add[x][y]
+            for left, right in zip(mul(Dh, N), mul(conj_transpose(N), D))
+            for x, y in zip(left, right)
+        ]
+        rows.append([x // p**k % p for x in image for k in range(4)])
+    # coordinates that are 0 in every image add nothing to the rank
+    live = [col for col in zip(*rows) if any(col)]
+    return p ** (len(basis) - rank([[fp.el(c) for c in row] for row in zip(*live)]))
 
 
 def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = None) -> LemmaGpReport:
-    """Enumerate {X in GU_g(QuatModP) : X Phi = Phi X} and verify that
-    reduction mod Pi is a surjection onto block-diagonal G(p) whose
-    fibres all have the size of its kernel.
+    """Count {X in GU_g(QuatModP) : X Phi = Phi X} fibre by fibre over its
+    reduction mod Pi, and verify that the reduction is a surjection onto
+    block-diagonal G(p) whose fibres all have the size of its kernel.
+
+    Commutation with Phi forces diagonal (r, s)-blocks into F_{p^2} and
+    off-diagonal blocks into Pi F_{p^2} (the probes below check this), so
+    a member is X = D + N with D its reduction and N off-diagonal.  As
+    Pi^2 = 0, N*N = 0 and X*X = cI splits into D*D = cI, so D lies in
+    G(U_r x U_s)(F_p), and D*N + N*D = 0, an F_p-linear condition on the
+    4rs coordinates of N.  So the fibre over D has p^(4rs - rank)
+    members (_fibre_size), and the group is counted without being
+    listed.  The q^2 field-table entries and q^4 quaternion-table
+    entries are checked against the budget before the tables are built,
+    and the |G(p)| x 4rs basis images are charged before the first.
 
     `kernel_is_identity_mod_pi` reports that every fibre of the
     reduction has exactly `kernel_size` members, as the fibres of a
@@ -522,16 +543,26 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = N
     group_order = kernel_size x |image|.
     """
     g = r + s
-    table = field_table(p)
+    meter = EnumBudget("lemma_gp_check", budget)
+    table = metered_table(p, 2, meter)
     q = table.q
-    members = _lemma_gp_members(p, alpha, r, s, budget)
     u_code, phi = _phi_codes(table, alpha, r, g)
+    meter.ensure(q**4)  # each dense quaternion table holds q^2 x q^2 entries
+    # ftables.quat_table codes: the F_{p^2} code w is w and w * q is w Pi,
+    # so the codes of D (from gusplit_group_elements) are those of D + 0 Pi
     qt = quat_table(p)
 
-    gp_elements = set(gusplit_group_elements(r, s, p, budget))
-    fibres = Counter(tuple(tuple(x % q for x in row) for row in X) for X in members)
-    if not gp_elements.issuperset(fibres):
-        raise FormulaInconsistencyError("reduction left the block-diagonal unitary group")
+    gp_elements = gusplit_group_elements(r, s, p, budget)
+    # w Pi at one off-diagonal entry, w in the F_p-basis 1, t of F_{p^2} (codes 1, p)
+    basis = [
+        tuple(tuple(w * q if (i, j) == pos else 0 for j in range(g)) for i in range(g))
+        for pos in itertools.product(range(g), repeat=2)
+        if (pos[0] < r) != (pos[1] < r)
+        for w in (1, p)
+    ]
+    meter.spend(len(gp_elements) * len(basis))
+    fibres = {D: _fibre_size(p, qt, D, basis) for D in gp_elements}
+    image_size = sum(1 for size in fibres.values() if size)
     kernel_size = fibres.get(table.identity(g), 0)
     fibres_uniform = all(size == kernel_size for size in fibres.values())
 
@@ -552,10 +583,10 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = N
         alpha=alpha,
         r=r,
         s=s,
-        group_order=len(members),
-        gp_order=len(gp_elements),
-        image_size=len(fibres),
-        surjective=fibres.keys() == gp_elements,
+        group_order=sum(fibres.values()),
+        gp_order=len(fibres),
+        image_size=image_size,
+        surjective=image_size == len(fibres),
         kernel_size=kernel_size,
         kernel_is_identity_mod_pi=fibres_uniform,
         offdiag_probes_rejected=rejected,

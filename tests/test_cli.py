@@ -200,8 +200,13 @@ class TestGroup:
     @pytest.mark.parametrize(
         "params, message",
         [
-            # 101^4 + 101^8 hyperbolic pairs and 101 units, charged before any is tried
-            ("2,101", f"gsp_order_enumerated would reach {101 + 101**4 + 101**8} candidates"),
+            # N^(2k) (2 N^k + N) hyperbolic-pair steps, k = 1, 2, and N units,
+            # charged before any is taken
+            (
+                "2,101",
+                "gsp_order_enumerated would reach "
+                f"{101 + 101**2 * (2 * 101 + 101) + 101**4 * (2 * 101**2 + 101)} candidates",
+            ),
             ("1,100000", f"gl2_order_enumerated reached {100000**4} candidates"),
         ],
         ids=["gsp", "gl2"],
@@ -210,6 +215,12 @@ class TestGroup:
         proc = run_capped("group", "--family", "gsp", "--params", params, "--oracle", timeout=20)
         assert proc.returncode == 4, proc.stderr
         assert message in json.loads(proc.stdout)["results"]["error"]
+
+    def test_gsp_oracle_at_7_finishes(self, run_capped):
+        # 7^8 vector pairs, but 7^4 (2 * 7^2 + 7) half-vector steps
+        proc = run_capped("group", "--family", "gsp", "--params", "2,7", "--oracle", timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert '"match": true' in proc.stdout
 
 
 class TestNewton:

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from ssp import groups
 from ssp.dieudonne import build_a_half, build_superspecial_unitary
 from ssp.errors import BudgetExceededError, EnumBudget, FormulaInconsistencyError, ValidationError
-from ssp.ftables import QuatTable, field_table, similitude_frames
+from ssp.ftables import QuatTable, field_table, quat_table, similitude_frames
 from ssp.groups import (
     GroupSpec,
     QuatModP,
@@ -55,6 +57,18 @@ def _trial_division(n):
 def test_factorize_matches_plain_trial_division(n):
     # factors past the unmetered divisors are found by the metered blocks
     assert groups.factorize(n) == _trial_division(n)
+
+
+def _hyperbolic_pairs_by_loop(g, N):
+    """The slow oracle: try all N^(4g) pairs (u, v) for <u, v> = 1."""
+    one = 1 % N  # 1 = 0 in Z/1
+    vectors = list(itertools.product(range(N), repeat=2 * g))
+    return sum(
+        1
+        for u in vectors
+        for v in vectors
+        if sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g)) % N == one
+    )
 
 
 class TestOrderFormulas:
@@ -119,14 +133,19 @@ class TestEnumerationOracles:
         monkeypatch.setenv("SSP_MAX_ENUM", "624")
         with pytest.raises(BudgetExceededError, match="gl2_order_enumerated reached 625 "):
             gl2_order_enumerated(5)
+        # 3^2 vectors u, each with two tables over 3 half-vectors and 3 sums
         with pytest.raises(BudgetExceededError, match="hyperbolic_pair_count reached 81 "):
             hyperbolic_pair_count(1, 3, EnumBudget("hyperbolic_pair_count", 80))
-        # 3 units + 3^4 + 3^8 pairs
-        monkeypatch.setenv("SSP_MAX_ENUM", "6644")
-        with pytest.raises(BudgetExceededError, match="gsp_order_enumerated would reach 6645 "):
+        # 3 units + 3^2 (2 * 3 + 3) + 3^4 (2 * 3^2 + 3) half-vector steps
+        monkeypatch.setenv("SSP_MAX_ENUM", "1784")
+        with pytest.raises(BudgetExceededError, match="gsp_order_enumerated would reach 1785 "):
             gsp_order_enumerated(2, 3)
-        monkeypatch.setenv("SSP_MAX_ENUM", "6645")
+        monkeypatch.setenv("SSP_MAX_ENUM", "1785")
         assert gsp_order_enumerated(2, 3) == order_gsp_mod(2, 3)
+
+    @pytest.mark.parametrize("g, N", [(1, 1), (1, 3), (1, 4), (1, 5), (2, 1), (2, 3), (2, 4), (3, 2)])
+    def test_hyperbolic_pairs_match_the_quadratic_loop(self, g, N):
+        assert hyperbolic_pair_count(g, N) == _hyperbolic_pairs_by_loop(g, N)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
@@ -430,6 +449,29 @@ class TestQuatTable:
             lemma_gp_check(3, 1, 1, 1)
 
 
+def _lemma_gp_members_by_filter(p, alpha, r, s):
+    """The slow oracle: filter all q^(g^2) Pi-shaped quaternion matrices
+    (F_{p^2} diagonal blocks, Pi F_{p^2} off them) for X Phi = Phi X and
+    X* X = cI with c in F_p^x, in quat_table(p) codes."""
+    g = r + s
+    table = field_table(p)
+    q = table.q
+    qt = quat_table(p)
+    phi = groups._phi_codes(table, alpha, r, g)[1]
+    fp_scalars = {c: tuple(tuple(c if i == j else 0 for j in range(g)) for i in range(g)) for c in table.fp_units}
+    members = []
+    for entries in itertools.product(range(q), repeat=g * g):
+        X = tuple(
+            tuple(entries[i * g + j] * (1 if (i < r) == (j < r) else q) for j in range(g)) for i in range(g)
+        )
+        if qt.mat_mul(X, phi) != qt.mat_mul(phi, X):
+            continue
+        M = qt.mat_mul(qt.conj_transpose(X), X)
+        if fp_scalars.get(M[0][0]) == M:
+            members.append(X)
+    return members
+
+
 class TestLemmaGp:
     def test_level_p_exact_sequence_at_3(self):
         rep = lemma_gp_check(3, -1, 1, 1)
@@ -447,14 +489,45 @@ class TestLemmaGp:
 
     @pytest.mark.parametrize("drop", ["kernel", "other"])
     def test_fibre_check_fails_when_a_member_is_dropped(self, monkeypatch, drop):
-        members = groups._lemma_gp_members(3, -1, 1, 1)
         identity = field_table(3).identity(2)
-        in_kernel = [tuple(tuple(x % 9 for x in row) for row in X) == identity for X in members]
-        victim = in_kernel.index(drop == "kernel")
+        victim = identity if drop == "kernel" else next(D for D in gusplit_group_elements(1, 1, 3) if D != identity)
+        fibre_size = groups._fibre_size
+        # the fibre over the victim comes out one member short
         monkeypatch.setattr(
-            groups, "_lemma_gp_members", lambda *args: members[:victim] + members[victim + 1 :]
+            groups, "_fibre_size", lambda p, qt, D, basis: fibre_size(p, qt, D, basis) - (D == victim)
         )
         rep = lemma_gp_check(3, -1, 1, 1)
-        assert rep.surjective and rep.group_order == len(members) - 1
+        assert rep.surjective and rep.group_order == 9 * 32 - 1
         assert not rep.kernel_is_identity_mod_pi
         assert not rep.ok
+
+    @pytest.mark.parametrize("alpha, r, s", [(-1, 1, 1), (-10, 1, 1), (-1, 2, 0), (-1, 0, 2)])
+    def test_fibres_match_the_filter(self, monkeypatch, alpha, r, s):
+        sizes = {}
+        fibre_size = groups._fibre_size
+
+        def record(p, qt, D, basis):
+            sizes[D] = fibre_size(p, qt, D, basis)
+            return sizes[D]
+
+        monkeypatch.setattr(groups, "_fibre_size", record)
+        rep = lemma_gp_check(3, alpha, r, s)
+        members = _lemma_gp_members_by_filter(3, alpha, r, s)
+        # reduction mod Pi is x % q on the quaternion codes
+        assert dict(Counter(tuple(tuple(x % 9 for x in row) for row in X) for X in members)) == sizes
+        assert rep.group_order == len(members)
+
+    @pytest.mark.parametrize(
+        "p, alpha, r, s, order",
+        [(5, -2, 1, 1, 3600), (5, -2, 2, 0, 2880), (7, -1, 1, 1, 18816)],
+    )
+    def test_kernel_closed_form(self, p, alpha, r, s, order):
+        rep = lemma_gp_check(p, alpha, r, s)
+        assert rep.kernel_size == p ** (2 * r * s)
+        assert rep.group_order == p ** (2 * r * s) * order_gusplit(r, s, p) == order
+        assert rep.ok
+
+    def test_ok_needs_the_kernel_closed_form(self):
+        rep = lemma_gp_check(3, -1, 1, 1)
+        # uniform fibres of 3 members each still fail kernel_size = p^(2rs) = 9
+        assert not dataclasses.replace(rep, kernel_size=3, group_order=3 * 32).ok

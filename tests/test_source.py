@@ -141,3 +141,42 @@ def test_sweep_sieves_instead_of_testing_each_integer():
                 called.add(f"{getattr(f.value, 'id', '?')}.{f.attr}")
     assert not called & {"is_prime", "groups.is_prime", "gf.is_prime"}
     assert "primes_between" in called
+
+
+def _callee(call):
+    """The name a call calls: `f(...)` and `mod.f(...)` both give "f"."""
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def _is_square(node):
+    """`g * g` or `g ** 2`."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Mult):
+        return isinstance(node.left, ast.Name) and isinstance(node.right, ast.Name) and node.left.id == node.right.id
+    return isinstance(node.op, ast.Pow) and isinstance(node.right, ast.Constant) and node.right.value == 2
+
+
+def test_lemma_gp_check_counts_fibres_instead_of_filtering():
+    groups = _modules()["groups"]
+    # no loop over all q^(g^2) candidate matrices anywhere in groups
+    squares = [
+        node.lineno
+        for node in ast.walk(groups)
+        if isinstance(node, ast.Call)
+        and _callee(node) == "product"
+        and any(kw.arg == "repeat" and _is_square(kw.value) for kw in node.keywords)
+    ]
+    assert squares == []
+    # the fibres are counted by rank, in lemma_gp_check or a groups helper it calls
+    defs = {node.name: node for node in groups.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["lemma_gp_check"]
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            name = isinstance(node, ast.Call) and _callee(node)
+            if name and name not in reached:
+                reached.add(name)
+                if name in defs:
+                    todo.append(name)
+    assert "rank" in reached
