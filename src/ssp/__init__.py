@@ -7,7 +7,7 @@ counting bound.
 
 from .count import CountReport, CosetSpace, GroupRepresentation, SignatureParams
 from .dieudonne import DieudonneModule, HodgePolygon, NewtonPolygon
-from .groups import GroupSpec, QuatModP
+from .groups import GroupSpec
 from .hermitian import HermitianQuotient
 from .witt import WittElem, WittRing, witt_ring
 
@@ -22,7 +22,6 @@ __all__ = [
     "HermitianQuotient",
     "HodgePolygon",
     "NewtonPolygon",
-    "QuatModP",
     "SignatureParams",
     "WittElem",
     "WittRing",

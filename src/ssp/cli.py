@@ -15,9 +15,8 @@ factoring a composite alpha or N needs, the N^4 quadruples of the GL_2
 oracle, the N^(2k) (2 N^k + N) half-vector steps (k = 1..g) and N units
 of the GSp oracle, and the q^2 entries of each dense F_{p^2} table a
 group oracle, class count, lemma check or the `pairing` automorphism
-count builds, with the q^4 entries of each quaternion table of the
-lemma check.  It stops an enumeration as soon as the
-count is sure to pass the cap.
+count builds.  It stops an enumeration as soon as the count is sure to
+pass the cap.
 
 A reader that closes stdout early (`ssp sweep ... --csv | head`) ends
 the command: writing stops, stdout is pointed at os.devnull so that the

@@ -1,12 +1,12 @@
-"""Table-backed arithmetic for small fields and quaternion orders mod p.
+"""Table-backed arithmetic for small fields.
 
 Exhaustive matrix-group enumerations spend almost all their time on
 ring multiplications, so the oracles run on integer-coded elements
 with dense lookup tables.  A field element with coefficients
 (c0, .., c_{s-1}) is the code sum(c_i p^i), and its tables are derived
 from the element arithmetic of W_1(F_{p^s}) in witt, never written by
-hand.  The quaternion order mod p is coded on top of the F_{p^2} codes,
-so one coded-matrix core (`CodedRing`) serves both.
+hand.  Coded matrices are tuples of tuples of codes, with 0 the zero
+and 1 the one.
 
 `similitude_frames` is the one enumerator of {X : X* G X = c G} behind
 every unitary-group and automorphism-group oracle.
@@ -21,13 +21,22 @@ from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
 from .witt import WittElem, WittRing, witt_ring
 
 
-class CodedRing:
-    """Coded matrices (tuples of tuples of ints) over a ring given by
-    dense `add`, `mul` and `conj` tables, with 0 the zero and 1 the one."""
+class FieldTable:
+    """Dense op tables for F_{p^s} = W_1(F_{p^s}) (`ctx`); element codes
+    are 0 .. q-1."""
 
-    add: list
-    mul: list
-    conj: list
+    def __init__(self, ctx: WittRing):
+        self.ctx = ctx
+        p, s, q = ctx.p, ctx.s, ctx.q
+        self.p, self.s, self.q = p, s, q
+        # code of coefficient tuple (c0, c1, ...) is c0 + c1 p + ...
+        self.elements = sorted(ctx.elements(), key=self.encode)
+        self.add = [[self.encode(a + b) for b in self.elements] for a in self.elements]
+        self.mul = [[self.encode(a * b) for b in self.elements] for a in self.elements]
+        self.neg = [self.encode(-a) for a in self.elements]
+        self.conj = [self.encode(ctx.sigma(a)) for a in self.elements]
+        self.fp_codes = [self.encode(ctx.el(c)) for c in range(p)]
+        self.fp_units = self.fp_codes[1:]
 
     def mat_mul(self, A, B):
         mul, add = self.mul, self.add
@@ -51,24 +60,6 @@ class CodedRing:
 
     def identity(self, n):
         return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-class FieldTable(CodedRing):
-    """Dense op tables for F_{p^s} = W_1(F_{p^s}) (`ctx`); element codes
-    are 0 .. q-1."""
-
-    def __init__(self, ctx: WittRing):
-        self.ctx = ctx
-        p, s, q = ctx.p, ctx.s, ctx.q
-        self.p, self.s, self.q = p, s, q
-        # code of coefficient tuple (c0, c1, ...) is c0 + c1 p + ...
-        self.elements = sorted(ctx.elements(), key=self.encode)
-        self.add = [[self.encode(a + b) for b in self.elements] for a in self.elements]
-        self.mul = [[self.encode(a * b) for b in self.elements] for a in self.elements]
-        self.neg = [self.encode(-a) for a in self.elements]
-        self.conj = [self.encode(ctx.sigma(a)) for a in self.elements]
-        self.fp_codes = [self.encode(ctx.el(c)) for c in range(p)]
-        self.fp_units = self.fp_codes[1:]
 
     def encode(self, x: WittElem) -> int:
         code = 0
@@ -207,34 +198,3 @@ def block_similitudes(table: FieldTable, grams, budget: EnumBudget) -> list:
             out.append(tuple(rows))
     return out
 
-
-class QuatTable(CodedRing):
-    """Dense tables for the quaternion order mod p, the ring
-    F_{p^2} + F_{p^2} Pi with Pi^2 = 0 and Pi w = sigma(w) Pi, built from
-    the F_{p^2} tables of `field` (groups.QuatModP is the same ring in the
-    basis 1, u, Pi, u Pi).
-
-    w0 + w1 Pi has code w0 + q w1, where w0, w1 are FieldTable codes and
-    q = p^2: the codes below q are the field's own, w * q is w Pi, and
-    code % q is the reduction mod Pi.  No table depends on a choice of
-    u = sqrt(alpha), so there is one table per p.
-    """
-
-    def __init__(self, field: FieldTable):
-        q = field.q
-        fadd, fmul, fneg, sigma = field.add, field.mul, field.neg, field.conj
-        pairs = [(w0, w1) for w1 in range(q) for w0 in range(q)]  # in code order
-        codes = list(range(q * q))  # sharing the int objects keeps the tables small
-        self.add = [[codes[fadd[a0][b0] + q * fadd[a1][b1]] for b0, b1 in pairs] for a0, a1 in pairs]
-        # (a0 + a1 Pi)(b0 + b1 Pi) = a0 b0 + (a0 b1 + a1 sigma(b0)) Pi
-        self.mul = [
-            [codes[fmul[a0][b0] + q * fadd[fmul[a0][b1]][fmul[a1][sigma[b0]]]] for b0, b1 in pairs]
-            for a0, a1 in pairs
-        ]
-        # the main involution: conj(w0 + w1 Pi) = sigma(w0) - w1 Pi
-        self.conj = [sigma[w0] + q * fneg[w1] for w0, w1 in pairs]
-
-
-@lru_cache(maxsize=None)
-def quat_table(p: int) -> QuatTable:
-    return QuatTable(field_table(p))

@@ -22,7 +22,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
-from .ftables import block_similitudes, field_table, metered_table, quat_table, similitude_frames
+from .ftables import block_similitudes, field_table, metered_table, similitude_frames
 from .gf import is_prime
 from .linalg import rank
 from .witt import hensel_sqrt, witt_ring
@@ -394,73 +394,17 @@ def p_regular_class_count_enumerated(r: int, s: int, p: int, budget: Optional[in
 
 
 # ---------------------------------------------------------------------------
-# the quaternion order mod p and the level-p exact sequence
-
-
-@dataclass(frozen=True)
-class QuatModP:
-    """The 4-dimensional F_p-algebra F_p[u, Pi]: u^2 = alpha, Pi^2 = 0,
-    Pi w = sigma(w) Pi for w in F_p[u] = F_{p^2} (so Pi u = -u Pi).
-
-    Elements are tuples (a, b, c, d) = a + b u + c Pi + d u Pi.  This is
-    the reduction mod p of the maximal order of the quaternion algebra
-    ramified at p and infinity, with Pi a uniformizer, Pi^2 = p.
-    """
-
-    p: int
-    alpha: int
-
-    def __post_init__(self):
-        from .gf import is_nonresidue
-
-        if not is_nonresidue(self.alpha, self.p):
-            raise ValidationError("alpha must be a non-residue mod p")
-
-    ONE = (1, 0, 0, 0)
-    U = (0, 1, 0, 0)
-    PI = (0, 0, 1, 0)
-    UPI = (0, 0, 0, 1)
-
-    def el(self, a=0, b=0, c=0, d=0):
-        p = self.p
-        return (a % p, b % p, c % p, d % p)
-
-    def add(self, x, y):
-        p = self.p
-        return tuple((xi + yi) % p for xi, yi in zip(x, y))
-
-    def neg(self, x):
-        p = self.p
-        return tuple((-xi) % p for xi in x)
-
-    def mul(self, x, y):
-        a1, b1, c1, d1 = x
-        a2, b2, c2, d2 = y
-        al, p = self.alpha, self.p
-        return (
-            (a1 * a2 + al * b1 * b2) % p,
-            (a1 * b2 + b1 * a2) % p,
-            (a1 * c2 + al * b1 * d2 + c1 * a2 - al * d1 * b2) % p,
-            (a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2) % p,
-        )
-
-    def conj(self, x):
-        """Main involution: fixes 1, negates u, Pi and u Pi."""
-        a, b, c, d = x
-        p = self.p
-        return (a, (-b) % p, (-c) % p, (-d) % p)
-
-    def basis(self):
-        return [self.ONE, self.U, self.PI, self.UPI]
+# the level-p exact sequence
 
 
 @dataclass(frozen=True)
 class LemmaGpReport:
     """Level-p verification of 1 -> U_p -> J(Z_p) -> G(p) -> 1.
 
-    Everything is computed in the finite truncation GU_g(QuatModP)
-    commuting with Phi = diag(-u I_r, u I_s); the infinite p-adic group
-    is out of reach and out of scope."""
+    Everything is computed in the finite truncation: the unitary
+    similitudes of g x g matrices over the quaternion order mod p that
+    commute with Phi = diag(-u I_r, u I_s); the infinite p-adic group is
+    out of reach and out of scope."""
 
     p: int
     alpha: int
@@ -498,44 +442,59 @@ def _phi_codes(table, alpha: int, r: int, g: int):
     return u_code, phi
 
 
-def _fibre_size(p: int, qt, D, basis: list) -> int:
-    """#{N in the F_p-span of `basis` : D*N + N*D = 0}, as p^(dim - rank).
+def _fibre_size(table, D, basis: list) -> int:
+    """#{N in the F_p-span of `basis` : D*N = N^T sigma(D)}, as p^(dim - rank).
 
-    Each basis image D*N + N*D is computed in the coded quaternion ring
-    `qt` and written in F_p coordinates: a code x < q^2 is
-    sum(c_k p^k) over its four F_p digits, on which the ring's addition
-    acts digit by digit."""
+    Each basis image D*N - N^T sigma(D) = D*N - sigma(N* D) is computed
+    on the F_{p^2} codes of `table` and written in F_p coordinates: a
+    code x < q is c0 + c1 p over its two F_p digits, on which the
+    field's addition acts digit by digit."""
+    p = table.p
     fp = witt_ring(p, 1, 1)
-    add, mul, conj_transpose = qt.add, qt.mat_mul, qt.conj_transpose
+    add, neg, conj = table.add, table.neg, table.conj
+    mul, conj_transpose = table.mat_mul, table.conj_transpose
     Dh = conj_transpose(D)
     rows = []
     for N in basis:
         image = [
-            add[x][y]
+            add[x][neg[conj[y]]]
             for left, right in zip(mul(Dh, N), mul(conj_transpose(N), D))
             for x, y in zip(left, right)
         ]
-        rows.append([x // p**k % p for x in image for k in range(4)])
+        rows.append([c for x in image for c in divmod(x, p)])
     # coordinates that are 0 in every image add nothing to the rank
     live = [col for col in zip(*rows) if any(col)]
     return p ** (len(basis) - rank([[fp.el(c) for c in row] for row in zip(*live)]))
 
 
 def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = None) -> LemmaGpReport:
-    """Count {X in GU_g(QuatModP) : X Phi = Phi X} fibre by fibre over its
-    reduction mod Pi, and verify that the reduction is a surjection onto
+    """Count the unitary similitudes X (X* X = cI, c in F_p^x) among the
+    g x g matrices over the quaternion order mod p that commute with
+    Phi = diag(-u I_r, u I_s), fibre by fibre over their reduction mod
+    Pi, and verify that the reduction is a surjection onto
     block-diagonal G(p) whose fibres all have the size of its kernel.
 
+    The quaternion order mod p is the reduction mod p of the maximal
+    order of the quaternion algebra ramified at p and infinity: the ring
+    F_{p^2} + F_{p^2} Pi with Pi^2 = 0 and Pi w = sigma(w) Pi, where
+    F_{p^2} = F_p(u), u^2 = alpha.  Its product and main involution are
+
+        (a0 + a1 Pi)(b0 + b1 Pi) = a0 b0 + (a0 b1 + a1 sigma(b0)) Pi,
+        conj(a0 + a1 Pi) = sigma(a0) - a1 Pi,
+
+    so everything below runs on the F_{p^2} field table.
+
     Commutation with Phi forces diagonal (r, s)-blocks into F_{p^2} and
-    off-diagonal blocks into Pi F_{p^2} (the probes below check this), so
-    a member is X = D + N with D its reduction and N off-diagonal.  As
-    Pi^2 = 0, N*N = 0 and X*X = cI splits into D*D = cI, so D lies in
-    G(U_r x U_s)(F_p), and D*N + N*D = 0, an F_p-linear condition on the
-    4rs coordinates of N.  So the fibre over D has p^(4rs - rank)
-    members (_fibre_size), and the group is counted without being
-    listed.  The q^2 field-table entries and q^4 quaternion-table
-    entries are checked against the budget before the tables are built,
-    and the |G(p)| x 4rs basis images are charged before the first.
+    off-diagonal blocks into F_{p^2} Pi (the probes below check this),
+    so a member is X = D + N Pi with D block-diagonal and N off-diagonal
+    over F_{p^2}.  By the rule above X* = D* - N^T Pi and
+    X* X = D* D + (D* N - N^T sigma(D)) Pi.  So X* X = cI splits into
+    D* D = cI, so D lies in G(U_r x U_s)(F_p), and D* N = N^T sigma(D),
+    an F_p-linear condition on the 4rs coordinates of N.  So the fibre
+    over D has p^(4rs - rank) members (_fibre_size), and the group is
+    counted without being listed.  The q^2 field-table entries are
+    checked against the budget before the table is built, and the
+    |G(p)| x 4rs basis images are charged before the first.
 
     `kernel_is_identity_mod_pi` reports that every fibre of the
     reduction has exactly `kernel_size` members, as the fibres of a
@@ -545,23 +504,18 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = N
     g = r + s
     meter = EnumBudget("lemma_gp_check", budget)
     table = metered_table(p, 2, meter)
-    q = table.q
     u_code, phi = _phi_codes(table, alpha, r, g)
-    meter.ensure(q**4)  # each dense quaternion table holds q^2 x q^2 entries
-    # ftables.quat_table codes: the F_{p^2} code w is w and w * q is w Pi,
-    # so the codes of D (from gusplit_group_elements) are those of D + 0 Pi
-    qt = quat_table(p)
 
     gp_elements = gusplit_group_elements(r, s, p, budget)
-    # w Pi at one off-diagonal entry, w in the F_p-basis 1, t of F_{p^2} (codes 1, p)
+    # N = w at one off-diagonal entry, w in the F_p-basis 1, t of F_{p^2} (codes 1, p)
     basis = [
-        tuple(tuple(w * q if (i, j) == pos else 0 for j in range(g)) for i in range(g))
+        tuple(tuple(w if (i, j) == pos else 0 for j in range(g)) for i in range(g))
         for pos in itertools.product(range(g), repeat=2)
         if (pos[0] < r) != (pos[1] < r)
         for w in (1, p)
     ]
     meter.spend(len(gp_elements) * len(basis))
-    fibres = {D: _fibre_size(p, qt, D, basis) for D in gp_elements}
+    fibres = {D: _fibre_size(table, D, basis) for D in gp_elements}
     image_size = sum(1 for size in fibres.values() if size)
     kernel_size = fibres.get(table.identity(g), 0)
     fibres_uniform = all(size == kernel_size for size in fibres.values())
@@ -571,11 +525,11 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = N
     rejected = 0
     if r > 0 and s > 0:
         for w in (1, u_code):  # 1 and u
-            X = [list(row) for row in qt.identity(g)]
+            X = [list(row) for row in table.identity(g)]
             X[0][r] = w
             X = tuple(tuple(row) for row in X)
             probes += 1
-            if qt.mat_mul(X, phi) != qt.mat_mul(phi, X):
+            if table.mat_mul(X, phi) != table.mat_mul(phi, X):
                 rejected += 1
 
     return LemmaGpReport(

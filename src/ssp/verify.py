@@ -107,8 +107,8 @@ def _exponent():
     return True, "factor degrees reproduce g^2+g+1-rs, g <= 8"
 
 
-def _lemma():
-    rep = groups.lemma_gp_check(3, -1, 1, 1)
+def _lemma(p: int, alpha: int):
+    rep = groups.lemma_gp_check(p, alpha, 1, 1)
     return rep.ok, (
         f"group {rep.group_order} = kernel {rep.kernel_size} x image {rep.image_size}; "
         f"surjective = {rep.surjective}"
@@ -152,13 +152,14 @@ FULL = QUICK + (
     ("su-order-vs-enumeration(2,5)", partial(_order, "su", 2, 5)),
     ("gusplit-order-vs-enumeration(1,1,5)", partial(_order, "gusplit", 1, 1, 5)),
     ("pregular-classes-vs-enumeration(1,1,5)", partial(_pregular, 1, 1, 5)),
-    ("lemma-gp-check(3,-1,1,1)", _lemma),
+    ("lemma-gp-check(3,-1,1,1)", partial(_lemma, 3, -1)),
     ("superspecial-model-core(3,2,2)", partial(_model, 2, 2)),
     ("endpoint-admissibility(3,2,2)", partial(_admissibility, 2, 2)),
     ("equivariant-dimension-regular(3,1,1)", _equivariant),
     ("u-order-vs-enumeration(3,3)", partial(_order, "u", 3, 3)),
     ("gusplit-order-vs-enumeration(2,2,3)", partial(_order, "gusplit", 2, 2, 3)),
     ("pregular-classes-vs-enumeration(2,2,3)", partial(_pregular, 2, 2, 3)),
+    ("lemma-gp-check(7,-1,1,1)", partial(_lemma, 7, -1)),
 )
 
 

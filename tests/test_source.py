@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ssp"
@@ -180,3 +181,18 @@ def test_lemma_gp_check_counts_fibres_instead_of_filtering():
                 if name in defs:
                     todo.append(name)
     assert "rank" in reached
+
+
+
+def test_one_coded_ring():
+    # the level-p lemma runs on F_{p^2} field tables alone: ftables has the
+    # one coded class, and no dense quaternion table or second ring is left
+    classes = [node.name for node in ast.walk(_modules()["ftables"]) if isinstance(node, ast.ClassDef)]
+    assert classes == ["FieldTable"]
+    gone = re.compile(r"\b(QuatTable|quat_table|CodedRing|QuatModP)\b")
+    offenders = [
+        f"{path.name}:{match.group()}"
+        for path in sorted(SRC.glob("*.py"))
+        for match in gone.finditer(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []

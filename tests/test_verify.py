@@ -33,6 +33,7 @@ FULL_NAMES = [
     "u-order-vs-enumeration(3,3)",
     "gusplit-order-vs-enumeration(2,2,3)",
     "pregular-classes-vs-enumeration(2,2,3)",
+    "lemma-gp-check(7,-1,1,1)",
 ]
 
 
