@@ -7,16 +7,16 @@ decimal strings, and every numeric result carries a provenance label
 
 Exit codes: 0 ok, 1 verify mismatch, 2 parse/validation, 3 insufficient
 precision, 4 enumeration budget exceeded.  The SSP_MAX_ENUM environment
-variable caps the candidates one enumeration may examine (default 10^8):
-vectors scanned or filtered while unitary frames are built column by
-column, the |G(p)| x 4rs basis images of the level-p lemma check, the
-isqrt(hi) base primes a sweep sieves, the trial divisors past 4096 that
-factoring a composite alpha or N needs, the N^4 quadruples of the GL_2
-oracle, the N^(2k) (2 N^k + N) half-vector steps (k = 1..g) and N units
-of the GSp oracle, and the q^2 entries of each dense F_{p^2} table a
-group oracle, class count, lemma check or the `pairing` automorphism
-count builds.  It stops an enumeration as soon as the count is sure to
-pass the cap.
+variable, and nothing else, caps the candidates one enumeration check
+may examine (default 10^8): vectors scanned or filtered while unitary
+frames are built column by column, the frames of G(p) together with the
+|G(p)| x 4rs basis images of the level-p lemma check, the isqrt(hi) base
+primes a sweep sieves, the trial divisors past 4096 that factoring a
+composite alpha or N needs, the N^4 quadruples of the GL_2 oracle, the
+N^(2k) (2 N^k + N) half-vector steps (k = 1..g) and N units of the GSp
+oracle, and the q^2 entries of each dense F_{p^2} table a group oracle,
+class count, lemma check or the `pairing` automorphism count builds.
+It stops an enumeration as soon as the count is sure to pass the cap.
 
 A reader that closes stdout early (`ssp sweep ... --csv | head`) ends
 the command: writing stops, stdout is pointed at os.devnull so that the
@@ -139,26 +139,13 @@ def _cmd_bound(args) -> tuple[dict, int]:
     return _report("bound", _echo(args, "p alpha r s N"), results, notes), 0
 
 
-_GROUP_FAMILIES = {
-    "su": ("su", 2),
-    "u": ("u", 2),
-    "gu": ("gu", 2),
-    "gusplit": ("gusplit", 3),
-    "gsp": ("gsp_mod", 2),
-}
-
-
 def _cmd_group(args) -> tuple[dict, int]:
-    if args.family not in _GROUP_FAMILIES:
-        raise ValidationError(f"unknown family {args.family!r} (su|u|gu|gusplit|gsp)")
-    family, arity = _GROUP_FAMILIES[args.family]
+    arity = groups.group_family(args.family).arity
     try:
         params = tuple(int(x) for x in args.params.split(","))
     except ValueError:
         raise ValidationError(f"--params must be {arity} comma-separated integers") from None
-    if len(params) != arity:
-        raise ValidationError(f"family {args.family} takes {arity} parameters, got {len(params)}")
-    spec = groups.GroupSpec(family, params)
+    spec = groups.GroupSpec(args.family, params)
     results = {"order": _val(spec.order(), "formula")}
     if args.oracle:
         enum = spec.enumerated_order()
@@ -306,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler="_cmd_bound")
 
     p = sub.add_parser("group", help="exact order of a finite group family")
-    p.add_argument("--family", required=True, help="su | u | gu | gusplit | gsp")
+    p.add_argument("--family", required=True, help=" | ".join(groups.FAMILIES))
     p.add_argument("--params", required=True, help="comma-separated parameters")
     p.add_argument("--oracle", action="store_true", help="also run the enumeration oracle")
     add_fmt(p)

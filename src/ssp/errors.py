@@ -1,5 +1,6 @@
 """Shared exception types, their CLI exit codes, the parse helpers for
-JSON specs, and the enumeration budget.
+JSON specs, and `EnumBudget`, the one meter of each enumeration check,
+whose limit the SSP_MAX_ENUM environment variable alone sets.
 
 Exit-code mapping used by the CLI (`EXIT_CODES`): ValidationError and
 FileNotFoundError -> 2, InsufficientPrecisionError -> 3,
@@ -10,8 +11,6 @@ from __future__ import annotations
 
 import os
 from typing import Optional
-
-DEFAULT_ENUM_BUDGET = 10**8
 
 
 class SspError(Exception):
@@ -103,25 +102,17 @@ def spec_list(x, field: str, spec: str) -> list:
     return x
 
 
-def enum_budget(budget: Optional[int] = None) -> int:
-    """The candidate limit: `budget` if given, else SSP_MAX_ENUM, else 10^8."""
-    if budget is not None:
-        return budget
-    env = os.environ.get("SSP_MAX_ENUM")
-    if not env:
-        return DEFAULT_ENUM_BUDGET
-    if not env.isdecimal():
-        raise ValidationError(f"SSP_MAX_ENUM must be a non-negative integer, got {env!r}")
-    return int(env)
-
-
 class EnumBudget:
     """Counts the candidates one enumeration examines and stops it once
-    the count passes the limit.  The count depends only on the inputs."""
+    the count passes the limit, SSP_MAX_ENUM (10^8 if unset or empty).
+    The count depends only on the inputs."""
 
-    def __init__(self, routine: str, budget: Optional[int] = None):
+    def __init__(self, routine: str):
+        env = os.environ.get("SSP_MAX_ENUM")
+        if env and not env.isdecimal():
+            raise ValidationError(f"SSP_MAX_ENUM must be a non-negative integer, got {env!r}")
         self.routine = routine
-        self.limit = enum_budget(budget)
+        self.limit = int(env) if env else 10**8
         self.count = 0
 
     def spend(self, candidates: int):

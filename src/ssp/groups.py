@@ -19,7 +19,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
 from .ftables import block_similitudes, field_table, metered_table, similitude_frames
@@ -150,72 +150,32 @@ def irrep_sum_bound(r: int, s: int, p: int) -> int:
     return p_regular_classes(r, s, p) * irrep_dim_bound(r, s, p)
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """A parameterized finite group with an exact order."""
-
-    family: str  # 'su' | 'u' | 'gu' | 'gusplit' | 'gsp_mod'
-    params: tuple[int, ...]
-
-    def order(self) -> int:
-        fam, pr = self.family, self.params
-        if fam in ("su", "u", "gu", "gusplit") and not is_prime(pr[-1]):
-            raise ValidationError(f"p = {pr[-1]} is not prime")
-        if fam == "su":
-            return order_su(*pr)
-        if fam == "u":
-            return order_u(*pr)
-        if fam == "gu":
-            return order_gu(*pr)
-        if fam == "gusplit":
-            return order_gusplit(*pr)
-        if fam == "gsp_mod":
-            return order_gsp_mod(*pr)
-        raise ValidationError(f"unknown group family {self.family!r}")
-
-    def enumerated_order(self) -> int:
-        """The order by an enumeration oracle, independent of order()."""
-        fam, pr = self.family, self.params
-        if fam == "su":
-            return len(su_group_elements(*pr))
-        if fam == "u":
-            return len(unitary_group_elements(*pr))
-        if fam == "gu":
-            return len(gusplit_group_elements(pr[0], 0, pr[1]))
-        if fam == "gusplit":
-            return len(gusplit_group_elements(*pr))
-        if fam == "gsp_mod":
-            g, N = pr
-            return gl2_order_enumerated(N) if g == 1 else gsp_order_enumerated(g, N)
-        raise ValidationError(f"unknown group family {self.family!r}")
-
-
 # ---------------------------------------------------------------------------
 # exhaustive enumeration oracles (coded matrices over F_{p^2})
 
 
-def unitary_group_elements(t: int, p: int, budget: Optional[int] = None) -> list:
+def unitary_group_elements(t: int, p: int) -> list:
     """All X over F_{p^2} with X* X = I (identity Hermitian form), built
     column by column as orthonormal frames (ftables.similitude_frames)."""
-    meter = EnumBudget("unitary_group_elements", budget)
+    meter = EnumBudget("unitary_group_elements")
     table = metered_table(p, 2, meter)
     return similitude_frames(table, table.identity(t), (1,), meter)[1]
 
 
-def su_group_elements(t: int, p: int, budget: Optional[int] = None) -> list:
-    elements = unitary_group_elements(t, p, budget)
+def su_group_elements(t: int, p: int) -> list:
+    elements = unitary_group_elements(t, p)
     det = field_table(p).det
     return [X for X in elements if det(X) == 1]
 
 
-def gusplit_group_elements(r: int, s: int, p: int, budget: Optional[int] = None) -> list:
+def gusplit_group_elements(r: int, s: int, p: int) -> list:
     """All block-diagonal (X, Y) with X*X = cI_r, Y*Y = cI_s, c in F_p^x.
 
     The frames of each block are enumerated once for every similitude c
     and paired up by c, so the work is that of the two blocks, not of
     their product.
     """
-    meter = EnumBudget("gusplit_group_elements", budget)
+    meter = EnumBudget("gusplit_group_elements")
     table = metered_table(p, 2, meter)
     return block_similitudes(table, (table.identity(r), table.identity(s)), meter)
 
@@ -276,6 +236,69 @@ def gsp_order_enumerated(g: int, N: int) -> int:
         sp *= hyperbolic_pair_count(k, N, meter)
     meter.spend(N)
     return sp * sum(1 for a in range(N) if gcd(a, N) == 1)
+
+
+# ---------------------------------------------------------------------------
+# the group families
+
+
+class Family(NamedTuple):
+    """A group family: its number of parameters, its closed form and its
+    oracle.  A unitary family (`prime_p`) takes the prime p last."""
+
+    arity: int
+    order: Callable[..., int]
+    oracle: Callable[..., int]
+    prime_p: bool = True
+
+
+# each closed form and oracle looks up its module function when it is
+# called, so the table follows a function that is patched or replaced
+FAMILIES = {
+    "su": Family(2, lambda t, p: order_su(t, p), lambda t, p: len(su_group_elements(t, p))),
+    "u": Family(2, lambda t, p: order_u(t, p), lambda t, p: len(unitary_group_elements(t, p))),
+    "gu": Family(2, lambda t, p: order_gu(t, p), lambda t, p: len(gusplit_group_elements(t, 0, p))),
+    "gusplit": Family(
+        3, lambda r, s, p: order_gusplit(r, s, p), lambda r, s, p: len(gusplit_group_elements(r, s, p))
+    ),
+    "gsp": Family(
+        2,
+        lambda g, N: order_gsp_mod(g, N),
+        # GSp_2 = GL_2
+        lambda g, N: gl2_order_enumerated(N) if g == 1 else gsp_order_enumerated(g, N),
+        prime_p=False,
+    ),
+}
+
+
+def group_family(name: str) -> Family:
+    if name not in FAMILIES:
+        raise ValidationError(f"unknown family {name!r} ({'|'.join(FAMILIES)})")
+    return FAMILIES[name]
+
+
+@dataclass(frozen=True)
+class GroupSpec:
+    """A group of one of the FAMILIES, checked once when it is made: a
+    known family, as many parameters as its arity and, in a unitary
+    family, a prime p.  order() is its closed form and
+    enumerated_order() its oracle."""
+
+    family: str
+    params: tuple[int, ...]
+
+    def __post_init__(self):
+        family, n = group_family(self.family), len(self.params)
+        if n != family.arity:
+            raise ValidationError(f"family {self.family} takes {family.arity} parameters, got {n}")
+        if family.prime_p and not is_prime(self.params[-1]):
+            raise ValidationError(f"p = {self.params[-1]} is not prime")
+
+    def order(self) -> int:
+        return FAMILIES[self.family].order(*self.params)
+
+    def enumerated_order(self) -> int:
+        return FAMILIES[self.family].oracle(*self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +411,8 @@ def conjugacy_class_data(elements: list, p: int):
     return reps, regular
 
 
-def p_regular_class_count_enumerated(r: int, s: int, p: int, budget: Optional[int] = None) -> int:
-    elements = gusplit_group_elements(r, s, p, budget)
+def p_regular_class_count_enumerated(r: int, s: int, p: int) -> int:
+    elements = gusplit_group_elements(r, s, p)
     return conjugacy_class_data(elements, p)[1]
 
 
@@ -429,8 +452,6 @@ class LemmaGpReport:
             and self.offdiag_probes_rejected == self.offdiag_probes_total
         )
 
-    scope_note = "verified at the level-p truncation of the p-adic automorphism group"
-
 
 def _phi_codes(table, alpha: int, r: int, g: int):
     """The field code of u = sqrt(alpha) and Phi = diag(-u I_r, u I_s)."""
@@ -467,7 +488,7 @@ def _fibre_size(table, D, basis: list) -> int:
     return p ** (len(basis) - rank([[fp.el(c) for c in row] for row in zip(*live)]))
 
 
-def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = None) -> LemmaGpReport:
+def lemma_gp_check(p: int, alpha: int, r: int, s: int) -> LemmaGpReport:
     """Count the unitary similitudes X (X* X = cI, c in F_p^x) among the
     g x g matrices over the quaternion order mod p that commute with
     Phi = diag(-u I_r, u I_s), fibre by fibre over their reduction mod
@@ -492,9 +513,9 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = N
     D* D = cI, so D lies in G(U_r x U_s)(F_p), and D* N = N^T sigma(D),
     an F_p-linear condition on the 4rs coordinates of N.  So the fibre
     over D has p^(4rs - rank) members (_fibre_size), and the group is
-    counted without being listed.  The q^2 field-table entries are
-    checked against the budget before the table is built, and the
-    |G(p)| x 4rs basis images are charged before the first.
+    counted without being listed.  One meter counts the q^2 field-table
+    entries before the table is built, the frames of G(p) as they are
+    found, and the |G(p)| x 4rs basis images before the first.
 
     `kernel_is_identity_mod_pi` reports that every fibre of the
     reduction has exactly `kernel_size` members, as the fibres of a
@@ -502,11 +523,11 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int, budget: Optional[int] = N
     group_order = kernel_size x |image|.
     """
     g = r + s
-    meter = EnumBudget("lemma_gp_check", budget)
+    meter = EnumBudget("lemma_gp_check")
     table = metered_table(p, 2, meter)
     u_code, phi = _phi_codes(table, alpha, r, g)
 
-    gp_elements = gusplit_group_elements(r, s, p, budget)
+    gp_elements = block_similitudes(table, (table.identity(r), table.identity(s)), meter)
     # N = w at one off-diagonal entry, w in the F_p-basis 1, t of F_{p^2} (codes 1, p)
     basis = [
         tuple(tuple(w if (i, j) == pos else 0 for j in range(g)) for i in range(g))

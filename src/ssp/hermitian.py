@@ -159,9 +159,7 @@ def pairing_well_defined(m: DieudonneModule, h: HermitianQuotient, trials: int =
 # automorphism groups by exhaustive enumeration
 
 
-def automorphism_group_bruteforce(
-    h: HermitianQuotient, budget: Optional[int] = None
-) -> tuple[int, list]:
+def automorphism_group_bruteforce(h: HermitianQuotient) -> tuple[int, list]:
     """All automorphisms of the Hermitian space: block-diagonal matrices
     with X* gram X = c gram for a common similitude c in F_p^x.
 
@@ -169,7 +167,7 @@ def automorphism_group_bruteforce(
     blocks only interact through c; see ftables.similitude_frames).
     Returns (order, elements) with elements as matrices over h.ctx.
     """
-    meter = EnumBudget("automorphism_group_bruteforce", budget)
+    meter = EnumBudget("automorphism_group_bruteforce")
     table = metered_table(h.ctx.p, h.ctx.s, meter)
     coded = block_similitudes(table, [table.mat_encode(block) for block in h.blocks()], meter)
     elements = [table.mat_decode(X) for X in coded]

@@ -133,8 +133,8 @@ QUICK = (
     ("u-order-vs-enumeration(1,3)", partial(_order, "u", 1, 3)),
     ("gusplit-order-vs-enumeration(1,1,3)", partial(_order, "gusplit", 1, 1, 3)),
     ("gusplit-order-vs-enumeration(2,0,3)", partial(_order, "gusplit", 2, 0, 3)),
-    ("gsp-order-vs-enumeration(1,3)", partial(_order, "gsp_mod", 1, 3)),
-    ("gsp-order-vs-hyperbolic-pairs(2,3)", partial(_order, "gsp_mod", 2, 3)),
+    ("gsp-order-vs-enumeration(1,3)", partial(_order, "gsp", 1, 3)),
+    ("gsp-order-vs-hyperbolic-pairs(2,3)", partial(_order, "gsp", 2, 3)),
     ("pregular-classes-vs-enumeration(1,1,3)", partial(_pregular, 1, 1, 3)),
     ("pregular-classes-vs-enumeration(2,0,3)", partial(_pregular, 2, 0, 3)),
     ("sylow-order-vs-formula(3)", _sylow),

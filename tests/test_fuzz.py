@@ -1,9 +1,11 @@
-"""Fuzzing of the JSON inputs of `ssp newton` and `ssp amf`.
+"""Fuzzing of the JSON inputs of `ssp newton` and `ssp amf`, and of the
+argv of `ssp group`.
 
-Each example takes a valid document, replaces one field or nested entry
-with an arbitrary JSON value or drops it, and runs the CLI in-process.
-Every input must end in a documented exit code with a JSON report on
-stdout; an uncaught exception fails the test.  Examples are drawn
+Each JSON example takes a valid document, replaces one field or nested
+entry with an arbitrary JSON value or drops it, and runs the CLI
+in-process.  Each `group` example draws a family name and a parameter
+list.  Every input must end in a documented exit code with a JSON report
+on stdout; an uncaught exception fails the test.  Examples are drawn
 deterministically, so the test is the same on every run.
 """
 
@@ -11,8 +13,10 @@ import contextlib
 import copy
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -73,6 +77,15 @@ def mutated(draw, doc):
     return doc
 
 
+def _main(argv):
+    """The exit code of the CLI on `argv`, once its stdout is read as one JSON report."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    json.loads(out.getvalue())
+    return code
+
+
 def _run(command, *docs):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
@@ -80,11 +93,7 @@ def _run(command, *docs):
             path = Path(tmp) / f"doc{i}.json"
             path.write_text(json.dumps(doc))
             paths.append(str(path))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main([command, *paths])
-    json.loads(out.getvalue())
-    return code
+        return _main([command, *paths])
 
 
 @FUZZ
@@ -103,3 +112,37 @@ def test_amf_space(doc):
 @given(mutated(REP))
 def test_amf_representation(doc):
     assert _run("amf", SPACE, doc) in (0, 2, 3)
+
+
+# small integers only: the closed form of su has p^(t(t-1)/2) digits and
+# no size check, so a large t would run for minutes
+SMALL_INTS = st.integers(-12, 12)
+PRIMES = st.sampled_from([2, 3, 5, 7, 11])
+JUNK_TOKENS = st.sampled_from(["", "a", "1.5", "0x3", "-", "1e2", "3 "])
+GROUP_FAMILIES = ["su", "u", "gu", "gusplit", "gsp"]
+
+
+@st.composite
+def group_argv(draw):
+    """`ssp group` argv, with or without --oracle.  Half the examples are
+    well-formed: one of the five families, as many parameters as it
+    takes, and a prime last.  The other half draw a junk family name at
+    times, a parameter list of any length up to 4, and a junk token in
+    place of an integer at times."""
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(GROUP_FAMILIES))
+        arity = 3 if family == "gusplit" else 2
+        params = [draw(SMALL_INTS) for _ in range(arity - 1)] + [draw(PRIMES)]
+    else:
+        family = draw(st.sampled_from(GROUP_FAMILIES + ["so", "", "gsp_mod", "SU", "su "]))
+        tokens = SMALL_INTS | PRIMES | JUNK_TOKENS
+        params = draw(st.lists(tokens, max_size=4))
+    oracle = ["--oracle"] if draw(st.booleans()) else []
+    return ["group", f"--family={family}", "--params=" + ",".join(map(str, params))] + oracle
+
+
+@settings(FUZZ, max_examples=400)
+@given(group_argv())
+def test_group_argv(argv):
+    with mock.patch.dict(os.environ, {"SSP_MAX_ENUM": str(10**5)}):
+        assert _main(argv) in (0, 2, 3, 4)

@@ -77,11 +77,13 @@ def test_primes_between_matches_is_prime(lo, hi):
     assert list(primes_between(lo, hi, EnumBudget("sieve"))) == [k for k in range(lo, hi + 1) if is_prime(k)]
 
 
-def test_primes_between_charges_budget_before_sieving():
+def test_primes_between_charges_budget_before_sieving(monkeypatch):
     # isqrt(121) = 11 base candidates: over a budget of 10 at the call, not at the first prime
+    monkeypatch.setenv("SSP_MAX_ENUM", "10")
     with pytest.raises(BudgetExceededError, match="sweep would reach 11"):
-        primes_between(3, 121, EnumBudget("sweep", 10))
-    assert list(primes_between(3, 121, EnumBudget("sweep", 11)))[-1] == 113
+        primes_between(3, 121, EnumBudget("sweep"))
+    monkeypatch.setenv("SSP_MAX_ENUM", "11")
+    assert list(primes_between(3, 121, EnumBudget("sweep")))[-1] == 113
 
 
 def test_modulus_is_deterministic_and_minimal():

@@ -1,7 +1,7 @@
 import dataclasses
 import itertools
+import operator
 import random
-from collections import Counter
 from math import gcd
 
 import pytest
@@ -97,7 +97,7 @@ class TestOrderFormulas:
     def test_group_spec_dispatch(self):
         assert GroupSpec("gusplit", (1, 1, 3)).order() == 32
         assert GroupSpec("su", (2, 3)).order() == 24
-        assert GroupSpec("gsp_mod", (2, 3)).order() == 103680
+        assert GroupSpec("gsp", (2, 3)).order() == 103680
         with pytest.raises(ValidationError):
             GroupSpec("nope", (1,)).order()
 
@@ -127,15 +127,16 @@ class TestEnumerationOracles:
     @pytest.mark.parametrize("g, N", [(2, 4), (2, 1), (3, 2), (1, 4), (1, 1)])
     def test_gsp_oracle_at_composite_and_unit_level(self, g, N):
         # #GSp = #Sp * #(Z/N)^x, not #Sp * (N - 1); in Z/1 the pairing value 1 is 0
-        assert GroupSpec("gsp_mod", (g, N)).enumerated_order() == order_gsp_mod(g, N)
+        assert GroupSpec("gsp", (g, N)).enumerated_order() == order_gsp_mod(g, N)
 
     def test_gsp_oracles_charge_their_full_count_first(self, monkeypatch):
         monkeypatch.setenv("SSP_MAX_ENUM", "624")
         with pytest.raises(BudgetExceededError, match="gl2_order_enumerated reached 625 "):
             gl2_order_enumerated(5)
         # 3^2 vectors u, each with two tables over 3 half-vectors and 3 sums
+        monkeypatch.setenv("SSP_MAX_ENUM", "80")
         with pytest.raises(BudgetExceededError, match="hyperbolic_pair_count reached 81 "):
-            hyperbolic_pair_count(1, 3, EnumBudget("hyperbolic_pair_count", 80))
+            hyperbolic_pair_count(1, 3, EnumBudget("hyperbolic_pair_count"))
         # 3 units + 3^2 (2 * 3 + 3) + 3^4 (2 * 3^2 + 3) half-vector steps
         monkeypatch.setenv("SSP_MAX_ENUM", "1784")
         with pytest.raises(BudgetExceededError, match="gsp_order_enumerated would reach 1785 "):
@@ -147,9 +148,10 @@ class TestEnumerationOracles:
     def test_hyperbolic_pairs_match_the_quadratic_loop(self, g, N):
         assert hyperbolic_pair_count(g, N) == _hyperbolic_pairs_by_loop(g, N)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setenv("SSP_MAX_ENUM", "100")
         with pytest.raises(BudgetExceededError):
-            unitary_group_elements(3, 5, budget=100)
+            unitary_group_elements(3, 5)
 
     def test_non_prime_p_rejected(self):
         for p in (4, -3, 1):
@@ -222,7 +224,7 @@ class TestSimilitudeFrames:
         with pytest.raises(ValidationError, match="Hermitian"):
             _frames(table, ((0, 1), (2, 0)), table.fp_units)
 
-    def test_budget_counts_candidates_deterministically(self):
+    def test_budget_counts_candidates_deterministically(self, monkeypatch):
         # U_2(F_9): 81 vectors scanned, then each of the 24 unit vectors
         # filters the 24 unit vectors for the second column
         table = field_table(3)
@@ -230,12 +232,14 @@ class TestSimilitudeFrames:
             meter = EnumBudget("test")
             similitude_frames(table, table.identity(2), (1,), meter)
             assert meter.count == 81 + 24 * 24
-        unitary_group_elements(2, 3, budget=81 + 24 * 24)
+        monkeypatch.setenv("SSP_MAX_ENUM", str(81 + 24 * 24))
+        unitary_group_elements(2, 3)
+        monkeypatch.setenv("SSP_MAX_ENUM", "80")
         with pytest.raises(BudgetExceededError, match="test reached 81 candidates"):
-            similitude_frames(table, table.identity(2), (1,), EnumBudget("test", 80))
+            similitude_frames(table, table.identity(2), (1,), EnumBudget("test"))
         # the 9 x 9 field tables are charged first, before they are built
         with pytest.raises(BudgetExceededError, match="unitary_group_elements would reach 81 candidates"):
-            unitary_group_elements(2, 3, budget=80)
+            unitary_group_elements(2, 3)
 
 
 class TestMultiplicativity:
@@ -502,11 +506,12 @@ def _quat_mat_mul(quat, A, B):
     return tuple(tuple(tuple(sum(c) % p for c in zip(*map(quat.mul, row, col))) for col in zip(*B)) for row in A)
 
 
-def _lemma_gp_reductions_by_filter(p, alpha, r, s):
+def _lemma_gp_members_by_filter(p, alpha, r, s):
     """The slow oracle: filter all q^(g^2) Pi-shaped g x g matrices over
     QuatModP(p, alpha) (a + b u in the diagonal blocks, (c + d u) Pi off
-    them) for X Phi = Phi X and X* X = cI with c in F_p^x.  Returns the
-    reduction mod Pi of each member, in FieldTable codes."""
+    them) for X Phi = Phi X and X* X = cI with c in F_p^x.  Returns each
+    member X = D + N Pi as the pair (D, N) in FieldTable codes: D is its
+    reduction mod Pi and N holds the c + d u of its Pi part."""
     g = r + s
     quat = QuatModP(p, alpha)
     code = _field_coder(field_table(p), alpha)
@@ -519,15 +524,31 @@ def _lemma_gp_reductions_by_filter(p, alpha, r, s):
     field_part = [quat.el(a, b) for a, b in itertools.product(range(p), repeat=2)]
     pi_part = [quat.el(c=c, d=d) for c, d in itertools.product(range(p), repeat=2)]
     pools = [field_part if (i < r) == (j < r) else pi_part for i in range(g) for j in range(g)]
-    reductions = []
+    members = []
     for entries in itertools.product(*pools):
         X = tuple(entries[i * g : (i + 1) * g] for i in range(g))
         if _quat_mat_mul(quat, X, phi) != _quat_mat_mul(quat, phi, X):
             continue
         X_star = tuple(tuple(quat.conj(x) for x in col) for col in zip(*X))
         if _quat_mat_mul(quat, X_star, X) in scalars:
-            reductions.append(tuple(tuple(code(x) for x in row) for row in X))
-    return reductions
+            D = tuple(tuple(code(x) for x in row) for row in X)
+            N = tuple(tuple(code(x[2:]) for x in row) for row in X)
+            members.append((D, N))
+    return members
+
+
+def _kernel(images, basis, g, p):
+    """Every g x g coded N = sum n_k basis_k with sum n_k images_k = 0 mod p,
+    over all p^len(basis) coefficient vectors n; images_k is the image
+    of basis_k, a row over F_p = witt_ring(p, 1, 1).  A basis entry is
+    the code 1 or p of one F_p digit, so N's codes are sums of codes."""
+    columns = list(zip(*[[x.coeffs[0] for x in row] for row in images]))
+    kernel = set()
+    for n in itertools.product(range(p), repeat=len(basis)):
+        if all(sum(map(operator.mul, n, col)) % p == 0 for col in columns):
+            N = tuple(tuple(sum(nk * B[i][j] for nk, B in zip(n, basis)) for j in range(g)) for i in range(g))
+            kernel.add(N)
+    return kernel
 
 
 class TestLemmaGp:
@@ -541,9 +562,22 @@ class TestLemmaGp:
         assert rep.offdiag_probes_rejected == rep.offdiag_probes_total == 2
         assert rep.ok
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setenv("SSP_MAX_ENUM", "10")
         with pytest.raises(BudgetExceededError):
-            lemma_gp_check(3, -1, 1, 1, budget=10)
+            lemma_gp_check(3, -1, 1, 1)
+
+    def test_one_meter_counts_the_whole_check(self, monkeypatch):
+        # the 2 x 9 frames of G(p) = G(U_1 x U_1)(F_9), then its 32 x 4
+        # basis images: 146 candidates, all on the meter of lemma_gp_check
+        monkeypatch.setenv("SSP_MAX_ENUM", "145")
+        with pytest.raises(BudgetExceededError, match="lemma_gp_check reached 146 candidates"):
+            lemma_gp_check(3, -1, 1, 1)
+        monkeypatch.setenv("SSP_MAX_ENUM", "146")
+        assert lemma_gp_check(3, -1, 1, 1).ok
+        # at s = 0 there are no basis images, and the frames of G(p) alone pass the limit
+        with pytest.raises(BudgetExceededError, match="^lemma_gp_check "):
+            lemma_gp_check(3, -1, 2, 0)
 
     @pytest.mark.parametrize("drop", ["kernel", "other"])
     def test_fibre_check_fails_when_a_member_is_dropped(self, monkeypatch, drop):
@@ -561,18 +595,30 @@ class TestLemmaGp:
 
     @pytest.mark.parametrize("alpha, r, s", [(-1, 1, 1), (-10, 1, 1), (-1, 2, 0), (-1, 0, 2)])
     def test_fibres_match_the_filter(self, monkeypatch, alpha, r, s):
-        sizes = {}
-        fibre_size = groups._fibre_size
+        # the fibre over D is the kernel of the matrix whose rank _fibre_size
+        # counts: compare the N in it, not only their number
+        sizes, kernels, matrices = {}, {}, []
+        fibre_size, rank = groups._fibre_size, groups.rank
+
+        def record_rank(matrix):
+            matrices.append(matrix)
+            return rank(matrix)
 
         def record(table, D, basis):
             sizes[D] = fibre_size(table, D, basis)
+            kernels[D] = _kernel(matrices.pop(), basis, len(D), table.p)
             return sizes[D]
 
+        monkeypatch.setattr(groups, "rank", record_rank)
         monkeypatch.setattr(groups, "_fibre_size", record)
         rep = lemma_gp_check(3, alpha, r, s)
-        reductions = _lemma_gp_reductions_by_filter(3, alpha, r, s)
-        assert dict(Counter(reductions)) == sizes
-        assert rep.group_order == len(reductions)
+        members = _lemma_gp_members_by_filter(3, alpha, r, s)
+        fibres = {}
+        for D, N in members:
+            fibres.setdefault(D, set()).add(N)
+        assert fibres == kernels
+        assert {D: len(kernel) for D, kernel in kernels.items()} == sizes
+        assert rep.group_order == len(members)
 
     @pytest.mark.parametrize(
         "p, alpha, r, s, order",

@@ -97,10 +97,11 @@ class TestAutomorphisms:
             c = similitude_factor(h, X)
             assert c.in_prime_subfield() and not c.is_zero()
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         h = reduce_pairing(build_superspecial_unitary(3, 2, -1, 1, 1))
+        monkeypatch.setenv("SSP_MAX_ENUM", "10")
         with pytest.raises(BudgetExceededError):
-            automorphism_group_bruteforce(h, budget=10)
+            automorphism_group_bruteforce(h)
 
 
 class TestCotangentDual:

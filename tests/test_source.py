@@ -4,6 +4,8 @@ import ast
 import re
 from pathlib import Path
 
+from ssp import groups
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "ssp"
 
 
@@ -196,3 +198,53 @@ def test_one_coded_ring():
         for match in gone.finditer(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def _functions(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _defaulted(fn) -> list:
+    """The names of the parameters of `fn` that have a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    with_default = positional[len(positional) - len(args.defaults) :]
+    with_default += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return [a.arg for a in with_default]
+
+
+def test_one_enumeration_limit():
+    # SSP_MAX_ENUM, read by EnumBudget alone, is the one way to set the limit:
+    # no function takes a `budget` with a default, and EnumBudget only a name
+    modules = _modules()
+    offenders = [
+        f"{name}.{fn.name}"
+        for name, tree in modules.items()
+        for fn in _functions(tree)
+        if "budget" in _defaulted(fn)
+    ]
+    assert offenders == []
+    init = _function(modules["errors"], "EnumBudget.__init__")
+    assert [a.arg for a in init.args.args] == ["self", "routine"]
+    assert not (init.args.kwonlyargs or init.args.vararg or init.args.kwarg)
+    readers = {
+        name
+        for name, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+    }
+    assert readers == {"errors"}
+
+
+def test_group_families_live_in_groups():
+    # the family table is groups.FAMILIES; cli names no family and maps none
+    modules = _modules()
+    names = set(groups.FAMILIES) | {"gsp_mod"}
+    strings = {node.value for node in ast.walk(modules["cli"]) if isinstance(node, ast.Constant)}
+    assert not {s for s in strings if s in names or "gusplit" in str(s)}
+    targets = [t for node in ast.walk(modules["cli"]) if isinstance(node, ast.Assign) for t in node.targets]
+    assert not [t.id for t in targets if isinstance(t, ast.Name) and "FAMIL" in t.id.upper()]
+    # groups writes each family name once, as a key of the table, so no if
+    # chain over the names is left in GroupSpec
+    named = [node.value for node in ast.walk(modules["groups"]) if isinstance(node, ast.Constant) and node.value in names]
+    assert sorted(named) == sorted(groups.FAMILIES)
