@@ -60,6 +60,8 @@ def _decimal(n: int) -> str:
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
@@ -86,13 +88,17 @@ def _report(command: str, parameters: dict, results: dict, notes=(), status: str
 
 def _flatten(prefix: str, obj, writer):
     """Write the (name, value, provenance) rows of `obj`; lists and other
-    iterators, such as the rows a sweep yields, are enumerated."""
+    iterators, such as the rows a sweep yields, are enumerated.  Leaves
+    are tested before the Iterator ABC, whose check is slow: they are
+    most of what a sweep writes."""
     if isinstance(obj, dict):
-        if set(obj) == {"value", "provenance"}:
+        if len(obj) == 2 and "value" in obj and "provenance" in obj:
             writer.writerow((prefix, obj["value"], obj["provenance"]))
             return
         for k in sorted(obj):
             _flatten(f"{prefix}.{k}" if prefix else k, obj[k], writer)
+    elif isinstance(obj, (str, int, Fraction)):
+        writer.writerow((prefix, _fmt(obj), ""))
     elif isinstance(obj, (list, Iterator)):
         for i, item in enumerate(obj):
             _flatten(f"{prefix}[{i}]", item, writer)

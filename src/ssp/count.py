@@ -16,6 +16,7 @@ from global arithmetic: honest class-set enumeration is out of scope.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,6 +44,13 @@ from .groups import (
 from .witt import WittElem, WittRing, witt_ring
 
 SUPERSPECIAL_BOUND_NOTE = "upper bound via Siegel embedding"
+
+
+@functools.cache
+def _squarefree(n: int) -> bool:
+    """No prime divides n twice.  Cached, so a sweep factors its alpha
+    once and not once per prime."""
+    return all(e == 1 for e in factorize(n).values())
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,7 @@ class SignatureParams:
             raise ValidationError("alpha must be negative (imaginary quadratic)")
         if alpha % p == 0:
             raise ValidationError(f"p = {p} divides alpha = {alpha}")
-        if any(e > 1 for e in factorize(-alpha).values()):
+        if not _squarefree(-alpha):
             raise ValidationError(f"alpha = {alpha} must be squarefree")
         if not is_nonresidue(alpha, p):
             raise ValidationError(f"alpha is a QR mod p: p splits or ramifies in Q(sqrt({alpha}))")
@@ -168,7 +176,9 @@ def eigensystem_bound(params: SignatureParams) -> CountReport:
         raise FormulaInconsistencyError("zeta and Bernoulli forms of C_g disagree")
     gsp = order_gsp_mod(g, params.N)
     mass = mass_factor_product(params.p, g)
-    ss_exact = c_g * gsp * mass
+    # integers first, so one Fraction product; superspecial_bound, which
+    # must reassemble to it below, multiplies from the left
+    ss_exact = c_g * (gsp * mass)
     ss_ceiling = math.ceil(ss_exact)
     classes = p_regular_classes(params.r, params.s, params.p)
     dim_b = irrep_dim_bound(params.r, params.s, params.p)

@@ -10,6 +10,7 @@ low-degree first, so fixtures are reproducible.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from typing import Iterator
@@ -171,11 +172,32 @@ def minimal_irreducible(p: int, s: int) -> tuple[int, ...]:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_CERT_LIMIT = 3317044064679887385961981
 
+# _PSI[k - 1] is psi_k, the least odd composite that is a strong probable
+# prime to each of the first k bases (Jaeschke, Math. Comp. 61 (1993);
+# OEIS A014233), so the first k bases prove every n < psi_k.  Equal
+# entries are equal psi: psi_7 = psi_8 and psi_9 = psi_10 = psi_11.
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    PRIME_CERT_LIMIT,
+)
+
 
 def is_prime(n: int) -> bool:
     """Trial division by the 13 bases 2..41, then deterministic
-    Miller-Rabin to those bases.  Raises ValidationError for an n
-    >= PRIME_CERT_LIMIT with no factor among the bases."""
+    Miller-Rabin to the first k of them, k the least with n < psi_k.
+    Raises ValidationError for an n >= PRIME_CERT_LIMIT with no factor
+    among the bases."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -190,7 +212,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for b in _MR_BASES:
+    for b in _MR_BASES[: bisect.bisect_right(_PSI, n) + 1]:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -15,6 +15,7 @@ independent of the closed forms so each route checks the other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -119,8 +120,10 @@ def order_gsp_fp(g: int, ell: int) -> int:
     return out
 
 
+@functools.cache
 def order_gsp_mod(g: int, N: int) -> int:
-    """#GSp_{2g}(Z/N): prime-power lifting and CRT multiplicativity."""
+    """#GSp_{2g}(Z/N): prime-power lifting and CRT multiplicativity.
+    Cached per (g, N), so a sweep factors N once."""
     if g < 1 or N < 1:
         raise ValidationError("need g >= 1 and N >= 1")
     out = 1
@@ -281,7 +284,7 @@ def group_family(name: str) -> Family:
 class GroupSpec:
     """A group of one of the FAMILIES, checked once when it is made: a
     known family, as many parameters as its arity and, in a unitary
-    family, a prime p.  order() is its closed form and
+    family, an odd prime p.  order() is its closed form and
     enumerated_order() its oracle."""
 
     family: str
@@ -291,8 +294,12 @@ class GroupSpec:
         family, n = group_family(self.family), len(self.params)
         if n != family.arity:
             raise ValidationError(f"family {self.family} takes {family.arity} parameters, got {n}")
-        if family.prime_p and not is_prime(self.params[-1]):
-            raise ValidationError(f"p = {self.params[-1]} is not prime")
+        if family.prime_p:
+            p = self.params[-1]
+            if not is_prime(p):
+                raise ValidationError(f"p = {p} is not prime")
+            if p == 2:
+                raise ValidationError(f"p = {p} must be an odd prime")
 
     def order(self) -> int:
         return FAMILIES[self.family].order(*self.params)

@@ -166,6 +166,14 @@ class TestGroup:
         code, _ = run(capsys, "group", "--family", "su", "--params", "1,1,3")
         assert code == 2
 
+    @pytest.mark.parametrize("family, params", [("su", "2,2"), ("u", "1,2"), ("gu", "1,2"), ("gusplit", "1,1,2")])
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    def test_p_2_exits_2_with_or_without_oracle(self, capsys, family, params, oracle):
+        # the closed form and the oracle refuse p = 2 alike
+        code, out = run(capsys, "group", "--family", family, "--params", params, *oracle)
+        assert code == 2
+        assert json.loads(out)["results"]["error"] == "p = 2 must be an odd prime"
+
     @pytest.mark.parametrize(
         "family, params",
         [("su", "2,4"), ("su", "2,-3"), ("u", "2,4"), ("gu", "2,-3"), ("gusplit", "1,1,4")],
@@ -445,6 +453,8 @@ class TestSweep:
             ("--sweep=3:40", "-1", "2", "1", "3"),  # odd g
             ("--sweep=3:40", "-1", "1", "1", "0"),  # N < 1
             ("--sweep=3:3000", "-1", "16", "16", "3"),
+            ("--sweep=3:400", "-1000003", "1", "1", "3"),  # large prime alpha, factored once
+            ("--sweep=3:400", "-4000012", "1", "1", "3"),  # large alpha, not squarefree
         ],
     )
     @pytest.mark.parametrize("as_csv", [False, True])

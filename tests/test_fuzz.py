@@ -1,11 +1,12 @@
 """Fuzzing of the JSON inputs of `ssp newton` and `ssp amf`, and of the
-argv of `ssp group`.
+argv of `ssp group` and `ssp pairing`.
 
 Each JSON example takes a valid document, replaces one field or nested
 entry with an arbitrary JSON value or drops it, and runs the CLI
 in-process.  Each `group` example draws a family name and a parameter
-list.  Every input must end in a documented exit code with a JSON report
-on stdout; an uncaught exception fails the test.  Examples are drawn
+list, each `pairing` example its five integers.  Every input must end in
+a documented exit code with a JSON report on stdout and nothing on
+stderr; an uncaught exception fails the test.  Examples are drawn
 deterministically, so the test is the same on every run.
 """
 
@@ -78,11 +79,13 @@ def mutated(draw, doc):
 
 
 def _main(argv):
-    """The exit code of the CLI on `argv`, once its stdout is read as one JSON report."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """The exit code of the CLI on `argv`, once its stdout is read as one
+    JSON report and its stderr is found empty."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     json.loads(out.getvalue())
+    assert err.getvalue() == ""
     return code
 
 
@@ -144,5 +147,37 @@ def group_argv(draw):
 @settings(FUZZ, max_examples=400)
 @given(group_argv())
 def test_group_argv(argv):
+    with mock.patch.dict(os.environ, {"SSP_MAX_ENUM": str(10**5)}):
+        assert _main(argv) in (0, 2, 3, 4)
+
+
+@st.composite
+def pairing_argv(draw):
+    """`ssp pairing` argv.  Half the examples are well-formed: an odd prime
+    p up to 13, a negative alpha that is a non-residue mod p (Euler's
+    criterion), r + s even and at least 2, and --n left out or positive.
+    The other half draw each integer from a small range.  p <= 13 keeps
+    each field table, q^2 <= 28561 entries, within the budget."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+        r = draw(st.integers(0, 4))
+        ints = {
+            "--p": p,
+            "--alpha": draw(st.integers(-12, -1).filter(lambda a: pow(a, (p - 1) // 2, p) == p - 1)),
+            "--r": r,
+            "--s": draw(st.sampled_from([s for s in range(5) if (r + s) % 2 == 0 and r + s >= 2])),
+        }
+        n = draw(st.none() | st.integers(1, 6))
+    else:
+        ints = {flag: draw(st.integers(-3, 13)) for flag in ("--p", "--alpha", "--r", "--s")}
+        n = draw(st.none() | st.integers(-2, 12))
+    if n is not None:
+        ints["--n"] = n
+    return ["pairing"] + [f"{flag}={value}" for flag, value in ints.items()]
+
+
+@settings(FUZZ, max_examples=120)
+@given(pairing_argv())
+def test_pairing_argv(argv):
     with mock.patch.dict(os.environ, {"SSP_MAX_ENUM": str(10**5)}):
         assert _main(argv) in (0, 2, 3, 4)

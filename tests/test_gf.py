@@ -61,6 +61,65 @@ def test_is_prime_rejects_composites(n):
     assert not is_prime(n)
 
 
+# psi_k for k = 1..12, each distinct value once, with the largest k it is
+# psi_k for: the least odd composite that is a strong probable prime to
+# each of the first k primes (Jaeschke 1993; OEIS A014233)
+PSI = {
+    2047: 1,
+    1373653: 2,
+    25326001: 3,
+    3215031751: 4,
+    2152302898747: 5,
+    3474749660383: 6,
+    341550071728321: 8,  # = psi_7
+    3825123056546413051: 11,  # = psi_9 = psi_10
+    318665857834031151167461: 12,
+}
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, b):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(b, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _full_miller_rabin(n):
+    """Trial division by the 13 bases 2..41, then Miller-Rabin to all of them."""
+    if n < 2:
+        return False
+    for b in BASES:
+        if n % b == 0:
+            return n == b
+    return all(_strong_probable_prime(n, b) for b in BASES)
+
+
+@pytest.mark.parametrize("psi, k", sorted(PSI.items()))
+def test_is_prime_rejects_every_psi(psi, k):
+    # psi passes the first k bases, so only base k + 1 can reject it
+    assert all(_strong_probable_prime(psi, b) for b in BASES[:k])
+    assert not _strong_probable_prime(psi, BASES[k])
+    assert not is_prime(psi)
+
+
+_ODD_BELOW_LIMIT = st.integers(1, (PRIME_CERT_LIMIT - 3) // 2).map(lambda k: 2 * k + 1)
+_NEAR_PSI = st.builds(lambda psi, d: (psi + d) | 1, st.sampled_from(sorted(PSI)), st.integers(-1000, 1000))
+
+
+@settings(max_examples=600, derandomize=True, database=None)
+@given(_ODD_BELOW_LIMIT | _NEAR_PSI | st.integers(1, 10**7).map(lambda k: 2 * k + 1))
+def test_is_prime_matches_full_base_reference(n):
+    assert is_prime(n) == _full_miller_rabin(n)
+
+
 def test_is_prime_certified_range():
     assert is_prime(2**61 - 1)
     # 2^89 - 1 is prime, but above the Sorenson-Webster limit for 13 bases

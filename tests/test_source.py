@@ -132,7 +132,8 @@ def test_sums_of_products_go_through_linalg_dot():
 
 
 def test_sweep_sieves_instead_of_testing_each_integer():
-    # the range is sieved once; only SignatureParams tests each prime again
+    # the range is sieved once; only SignatureParams tests each prime again,
+    # with the two bases that prove it below 1 373 653 (gf._PSI)
     fn = _function(_modules()["cli"], "_cmd_sweep")
     called = set()
     for node in ast.walk(fn):
@@ -150,6 +151,33 @@ def _callee(call):
     """The name a call calls: `f(...)` and `mod.f(...)` both give "f"."""
     f = call.func
     return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def _modular_power_loops(tree):
+    """The loops and comprehensions whose body calls three-argument pow,
+    as Miller-Rabin does."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, loops)
+        and any(isinstance(c, ast.Call) and _callee(c) == "pow" and len(c.args) == 3 for c in ast.walk(node))
+    ]
+
+
+def test_one_miller_rabin_loop_on_the_fixed_bases():
+    # gf.is_prime is the one primality routine: one loop of modular powers
+    # in gf, over _MR_BASES or a prefix of it, with the loop's base in pow
+    gf = _modules()["gf"]
+    loops = _modular_power_loops(gf)
+    assert len(loops) == 1
+    (loop,) = loops
+    assert loop in list(ast.walk(_function(gf, "is_prime")))
+    assert isinstance(loop, ast.For) and isinstance(loop.target, ast.Name)
+    bases = loop.iter.value if isinstance(loop.iter, ast.Subscript) else loop.iter
+    assert isinstance(bases, ast.Name) and bases.id == "_MR_BASES"
+    powers = [c for c in ast.walk(loop) if isinstance(c, ast.Call) and _callee(c) == "pow"]
+    assert all(isinstance(c.args[0], ast.Name) and c.args[0].id == loop.target.id for c in powers)
 
 
 def _is_square(node):
