@@ -220,7 +220,7 @@ def _cmd_amf(args) -> tuple[dict, int]:
         "dimension": _val(dim, "enumeration"),
         "points": _val(space.points, "formula"),
         "rep_dim": _val(rho.dim, "formula"),
-        "bound_check": count_mod.dim_superspecial_bound_check(space, rho),
+        "bound_check": dim <= space.points * rho.dim,
     }
     return _report("amf", {"space_file": args.space_file, "rep_file": args.rep_file}, results), 0
 

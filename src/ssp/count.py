@@ -142,11 +142,13 @@ def superspecial_bound(params: SignatureParams) -> Fraction:
     )
 
 
+@functools.cache
 def asymptotic_exponent_symbolic(g: int, r: int, s: int) -> int:
     """Degree in p of the bound, as the sum of per-factor degrees.
 
     The sum must reproduce g^2 + g + 1 - rs (and g^2 + g + 1 on the
-    rs = 0 branch); a mismatch is a formula regression and raises."""
+    rs = 0 branch); a mismatch is a formula regression and raises.
+    Cached per (g, r, s), so a sweep checks the sum once."""
     if r + s != g or r < 0 or s < 0:
         raise ValidationError("need r + s = g with r, s >= 0")
     deg_mass = g * (g + 1) // 2
@@ -164,6 +166,16 @@ def asymptotic_exponent_symbolic(g: int, r: int, s: int) -> int:
     return total
 
 
+@functools.cache
+def _mass_constant_checked(g: int) -> Fraction:
+    """C_g, once its zeta and Bernoulli forms agree.  Cached, so a sweep
+    compares them once per g and not once per prime."""
+    c_g = mass_constant(g)
+    if c_g != mass_constant_bernoulli_abs(g):
+        raise FormulaInconsistencyError("zeta and Bernoulli forms of C_g disagree")
+    return c_g
+
+
 def eigensystem_bound(params: SignatureParams) -> CountReport:
     """Assemble the full bound with a term-by-term double entry.
 
@@ -171,9 +183,7 @@ def eigensystem_bound(params: SignatureParams) -> CountReport:
     the absolute Bernoulli product; the final number must factor as
     ceil(superspecial bound) * (class count * dimension bound)."""
     g = params.g
-    c_g = mass_constant(g)
-    if c_g != mass_constant_bernoulli_abs(g):
-        raise FormulaInconsistencyError("zeta and Bernoulli forms of C_g disagree")
+    c_g = _mass_constant_checked(g)
     gsp = order_gsp_mod(g, params.N)
     mass = mass_factor_product(params.p, g)
     # integers first, so one Fraction product; superspecial_bound, which
@@ -254,6 +264,8 @@ class GroupRepresentation:
     generators: tuple[tuple[tuple[WittElem, ...], ...], ...]
 
     def __post_init__(self):
+        if self.dim < 0:
+            raise ValidationError(f"representation field 'dim' must be >= 0, got {self.dim}")
         for i, M in enumerate(self.generators):
             if len(M) != self.dim or any(len(row) != self.dim for row in M):
                 raise ValidationError(f"representation matrix #{i} is not {self.dim} x {self.dim}")
@@ -269,60 +281,40 @@ def _validate_action_pair(space: CosetSpace, rho: GroupRepresentation):
         )
 
 
-def orbit_stabilizer_data(space: CosetSpace, rho: GroupRepresentation):
-    """Per orbit: (representative, rho-images of its stabilizer generators).
-
-    A spanning tree of the orbit graph gives a transversal t_y with
-    rep . t_y = y; each non-tree edge (y --g--> z) closes the loop
-    t_y g t_z^{-1} fixing the representative (Schreier generators)."""
-    _validate_action_pair(space, rho)
-    one, zero = rho.ctx.one(), rho.ctx.zero()
-    ident = linalg.identity_matrix(rho.dim, one, zero)
-
-    seen = [False] * space.points
-    out = []
-    for start in range(space.points):
-        if seen[start]:
-            continue
-        transversal = {start: ident}
-        seen[start] = True
-        queue = [start]
-        stabilizer = []
-        while queue:
-            y = queue.pop()
-            for gi, perm in enumerate(space.generators):
-                z = perm[y]
-                word = linalg.mat_mul(transversal[y], rho.generators[gi])
-                if z not in transversal:
-                    transversal[z] = word
-                    seen[z] = True
-                    queue.append(z)
-                else:
-                    loop = linalg.mat_mul(word, linalg.inverse(transversal[z], one, zero))
-                    if loop != ident:
-                        stabilizer.append(loop)
-        out.append((start, stabilizer))
-    return out
-
-
 def equivariant_dimension(space: CosetSpace, rho: GroupRepresentation) -> int:
     """dim { f : space -> F^d with f(x . g) = rho(g)^{-1} f(x) }.
 
-    Per orbit, f is determined by its value at the representative,
-    which must lie in the common fixed space of the stabilizer images,
-    so the total is the sum of those fixed-space dimensions."""
+    One walk per orbit: f(y) = S_y f(rep), with S_rep = I and
+    S_z = rho(g)^{-1} S_y along the spanning-tree edge y --g--> z.
+    Every other edge asks (S_z - rho(g)^{-1} S_y) f(rep) = 0, so the
+    orbit adds d minus the rank of those rows.  Each generator is
+    inverted once, up front."""
+    _validate_action_pair(space, rho)
     one, zero = rho.ctx.one(), rho.ctx.zero()
     d = rho.dim
-    ident = linalg.identity_matrix(d, one, zero)
+    inv = [linalg.inverse(M, one, zero) for M in rho.generators]
+    S = {}
     total = 0
-    for _rep, stabilizer in orbit_stabilizer_data(space, rho):
-        if stabilizer:
-            constraints = []
-            for loop in stabilizer:
-                constraints.extend(linalg.mat_sub(loop, ident))
-            total += d - linalg.rank(constraints)
-        else:
-            total += d
+    for start in range(space.points):
+        if start in S:
+            continue
+        S[start] = linalg.identity_matrix(d, one, zero)
+        queue = [start]
+        constraints = []
+        while queue:
+            y = queue.pop()
+            for perm, g_inv in zip(space.generators, inv):
+                z = perm[y]
+                image = linalg.mat_mul(g_inv, S[y])
+                if z not in S:
+                    S[z] = image
+                    queue.append(z)
+                else:
+                    constraints.extend(
+                        row for row in linalg.mat_sub(S[z], image)
+                        if any(not x.is_zero() for x in row)
+                    )
+        total += d - linalg.rank(constraints)
     return total
 
 
@@ -344,11 +336,6 @@ def equivariant_dimension_dense(space: CosetSpace, rho: GroupRepresentation) -> 
                 row[z * d + row_idx] = row[z * d + row_idx] + one
                 rows.append(tuple(row))
     return n * d - linalg.rank(rows)
-
-
-def dim_superspecial_bound_check(space: CosetSpace, rho: GroupRepresentation) -> bool:
-    """The dimension never exceeds (#points) x (dim rho)."""
-    return equivariant_dimension(space, rho) <= space.points * rho.dim
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,14 @@ class TestAmf:
         assert res["dimension"]["value"] == "1"
         assert res["bound_check"] is True
 
+    def test_zero_representation_is_allowed(self, tmp_path, capsys):
+        sp, rp = self.fixture_files(tmp_path)
+        (tmp_path / "space.json").write_text(json.dumps({"points": 2, "generators": []}))
+        (tmp_path / "rep.json").write_text(json.dumps({"dim": 0, "field": {"p": 3}, "generators": []}))
+        code, out = run(capsys, "amf", sp, rp)
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["dimension"]["value"] == "0" and res["bound_check"] is True
 
     @pytest.mark.parametrize(
         "space, rep, field",
@@ -379,8 +387,15 @@ class TestAmf:
             ({"points": 2, "generators": [{"perm": [1, "x"]}]}, None, "'generators[0].perm[1]'"),
             (None, {"dim": 1, "field": {"s": 2}, "generators": [[[1]]]}, "'field.p'"),
             (None, {"dim": 1, "field": {"p": 3, "s": 2}, "generators": [[[[0, 1, 5]]]]}, "'generators[0][0][0]'"),
+            ({"points": 2, "generators": []}, {"dim": -1, "field": {"p": 3}, "generators": []}, "'dim'"),
         ],
-        ids=["space-not-object", "non-integer-perm-entry", "rep-missing-field-p", "long-coefficient-vector"],
+        ids=[
+            "space-not-object",
+            "non-integer-perm-entry",
+            "rep-missing-field-p",
+            "long-coefficient-vector",
+            "negative-rep-dim",
+        ],
     )
     def test_malformed_fixture_exits_2_naming_field(self, tmp_path, capsys, space, rep, field):
         sp, rp = self.fixture_files(tmp_path)

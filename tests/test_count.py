@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ssp import linalg
-from ssp.errors import ValidationError
+from ssp.errors import FormulaInconsistencyError, ValidationError
 from ssp.ftables import field_table
 from ssp.witt import witt_ring
 from ssp.groups import gusplit_group_elements
@@ -14,7 +14,6 @@ from ssp.count import (
     SignatureParams,
     asymptotic_exponent_symbolic,
     coset_space_from_dict,
-    dim_superspecial_bound_check,
     eigensystem_bound,
     equivariant_dimension,
     equivariant_dimension_dense,
@@ -101,6 +100,26 @@ class TestEigensystemBound:
             assert report.final_bound == report.superspecial_bound_ceiling * report.irr_sum_bound
             assert report.irr_sum_bound == report.class_count * report.dim_bound
 
+    def test_checks_independent_of_p_run_once_per_g(self, monkeypatch):
+        from ssp import count
+
+        calls = []
+
+        def bernoulli_form(g):
+            calls.append(g)
+            return count.mass_constant(g)
+
+        monkeypatch.setattr(count, "mass_constant_bernoulli_abs", bernoulli_form)
+        count._mass_constant_checked.cache_clear()
+        for p in (3, 7, 11):
+            eigensystem_bound(SignatureParams(p=p, alpha=-1, r=1, s=1, N=3))
+        assert calls == [2]
+        # the cached check still compares the two forms
+        monkeypatch.setattr(count, "mass_constant_bernoulli_abs", lambda g: Fraction(1))
+        count._mass_constant_checked.cache_clear()
+        with pytest.raises(FormulaInconsistencyError, match="zeta and Bernoulli forms of C_g disagree"):
+            eigensystem_bound(SignatureParams(p=3, alpha=-1, r=1, s=1, N=3))
+
 
 class TestAsymptotics:
     def test_examples(self):
@@ -149,6 +168,26 @@ def trivial_rep(ctx, k):
     return GroupRepresentation(ctx=ctx, dim=1, generators=tuple(ident for _ in range(k)))
 
 
+def order_four_scalar(ctx):
+    """lam with lam^4 = 1 != lam^2: a generator of the norm-one subgroup of F_9^x."""
+    return next(x for x in ctx.elements() if not x.is_zero() and (x**4) == ctx.one() and (x**2) != ctx.one())
+
+
+def regular_fixture():
+    """The split unitary similitude group G(U_1 x U_1)(F_9) acting on itself
+    by right translation, one generator per element, with its natural
+    2-dimensional matrix representation."""
+    table = field_table(3)
+    elements = sorted(gusplit_group_elements(1, 1, 3))
+    index = {e: i for i, e in enumerate(elements)}
+    perms = tuple(
+        tuple(index[table.mat_mul(x, g)] for x in elements) for g in elements
+    )
+    space = CosetSpace(points=len(elements), generators=perms, group="GUsplit(1,1,3)")
+    rho = GroupRepresentation(ctx=table.ctx, dim=2, generators=tuple(table.mat_decode(g) for g in elements))
+    return space, rho
+
+
 def cyclic_space(k, copies):
     """Z/k acting freely on copies*k points by disjoint k-cycles."""
     n = copies * k
@@ -167,36 +206,55 @@ class TestEquivariantDimension:
 
     def test_free_action_gives_orbits_times_dim(self):
         ctx = witt_ring(3, 2, 1)
-        # order-4 scalar: a generator of the norm-one subgroup of F_9^x has order 4
-        lam = next(x for x in ctx.elements() if not x.is_zero() and (x**4) == ctx.one() and (x**2) != ctx.one())
+        lam = order_four_scalar(ctx)
         M = ((lam, ctx.zero()), (ctx.zero(), lam.inv()))
         rho = GroupRepresentation(ctx=ctx, dim=2, generators=(M,))
-        space = cyclic_space(4, 3)
-        assert equivariant_dimension(space, rho) == 3 * 2
+        assert equivariant_dimension(cyclic_space(4, 3), rho) == 3 * 2
+        rho1 = GroupRepresentation(ctx=ctx, dim=1, generators=(((lam,),),))
+        assert equivariant_dimension(cyclic_space(4, 2), rho1) == 2 * 1
+
+    def test_stabilizer_images_cut_the_fixed_space(self):
+        ctx = witt_ring(3, 2, 1)
+        one, zero = ctx.one(), ctx.zero()
+        # c swaps two points, so c^2 fixes each and acts by lam^2 = -1:
+        # no non-zero value at a point is fixed
+        rho = GroupRepresentation(ctx=ctx, dim=1, generators=(((order_four_scalar(ctx),),),))
+        space = cyclic_space(2, 1)
+        assert equivariant_dimension(space, rho) == equivariant_dimension_dense(space, rho) == 0
+        # a fixes both points and b swaps them, so a and b a b^-1 fix a point;
+        # they act by the swap and by minus the swap, which fix (1, 1) and
+        # (1, -1) only: a word multiplied in the wrong order finds a line
+        swap = ((zero, one), (one, zero))
+        rho = GroupRepresentation(ctx=ctx, dim=2, generators=(swap, ((one, zero), (zero, -one))))
+        space = CosetSpace(points=2, generators=((0, 1), (1, 0)))
+        assert equivariant_dimension(space, rho) == equivariant_dimension_dense(space, rho) == 0
 
     def test_regular_space_gives_dim_rho(self):
-        # the split unitary similitude group acting on itself by right translation,
-        # with its natural 2-dimensional matrix representation
-        p = 3
-        table = field_table(p)
-        elements = sorted(gusplit_group_elements(1, 1, p))
-        index = {e: i for i, e in enumerate(elements)}
-        perms = tuple(
-            tuple(index[table.mat_mul(x, g)] for x in elements) for g in elements
-        )
-        space = CosetSpace(points=len(elements), generators=perms, group="GUsplit(1,1,3)")
-        ctx = table.ctx
-        mats = tuple(table.mat_decode(g) for g in elements)
-        rho = GroupRepresentation(ctx=ctx, dim=2, generators=mats)
+        space, rho = regular_fixture()
         assert equivariant_dimension(space, rho) == 2
-        assert equivariant_dimension(space, trivial_rep(ctx, len(elements))) == 1
+        assert equivariant_dimension(space, trivial_rep(rho.ctx, space.points)) == 1
+
+    def test_inverts_each_generator_once(self, monkeypatch):
+        space, rho = regular_fixture()
+        calls = []
+        real = linalg.inverse
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "inverse", counted)
+        assert equivariant_dimension(space, rho) == 2
+        assert len(calls) == len(rho.generators)
 
     def test_dense_oracle_agrees_on_random_fixtures(self):
         rng = random.Random(42)
-        ctx = witt_ring(3, 2, 1)
-        for _ in range(20):
+        for _ in range(40):
+            p = rng.choice([3, 5])  # F_9 or F_25
+            ctx = witt_ring(p, 2, 1)
             n = rng.randrange(2, 9)
-            k = rng.randrange(1, 3)
+            k = rng.randrange(1, 4)
+            d = rng.randrange(1, 4)
             perms = []
             for _ in range(k):
                 perm = list(range(n))
@@ -206,21 +264,22 @@ class TestEquivariantDimension:
             for _ in range(k):
                 while True:
                     M = linalg.freeze(
-                        [[ctx.el((rng.randrange(3), rng.randrange(3))) for _ in range(2)] for _ in range(2)]
+                        [[ctx.el((rng.randrange(p), rng.randrange(p))) for _ in range(d)] for _ in range(d)]
                     )
                     if linalg.is_invertible(M):
                         break
                 mats.append(M)
             space = CosetSpace(points=n, generators=tuple(perms))
-            rho = GroupRepresentation(ctx=ctx, dim=2, generators=tuple(mats))
-            assert equivariant_dimension(space, rho) == equivariant_dimension_dense(space, rho)
-            assert dim_superspecial_bound_check(space, rho)
+            rho = GroupRepresentation(ctx=ctx, dim=d, generators=tuple(mats))
+            dim = equivariant_dimension(space, rho)
+            assert dim == equivariant_dimension_dense(space, rho)
+            assert dim <= space.points * rho.dim
 
     def test_relabeling_invariance(self):
         rng = random.Random(5)
         ctx = witt_ring(3, 2, 1)
         space = cyclic_space(4, 2)
-        lam = next(x for x in ctx.elements() if not x.is_zero() and (x**4) == ctx.one() and (x**2) != ctx.one())
+        lam = order_four_scalar(ctx)
         rho = GroupRepresentation(ctx=ctx, dim=1, generators=(((lam,),),))
         base = equivariant_dimension(space, rho)
         for _ in range(5):
@@ -234,20 +293,6 @@ class TestEquivariantDimension:
                 for perm in space.generators
             )
             assert equivariant_dimension(CosetSpace(space.points, perms), rho) == base
-
-    def test_orbit_stabilizer_data_shape(self):
-        from ssp.count import orbit_stabilizer_data
-
-        ctx = witt_ring(3, 2, 1)
-        space = cyclic_space(4, 2)
-        lam = next(x for x in ctx.elements() if not x.is_zero() and (x**4) == ctx.one() and (x**2) != ctx.one())
-        rho = GroupRepresentation(ctx=ctx, dim=1, generators=(((lam,),),))
-        data = orbit_stabilizer_data(space, rho)
-        reps = [rep for rep, _ in data]
-        assert reps == [0, 4]  # one representative per orbit
-        # free action: every stabilizer image is trivial
-        for _, stab in data:
-            assert all(m == ((ctx.one(),),) for m in stab) or stab == []
 
     def test_inconsistent_data_rejected(self):
         ctx = witt_ring(3, 2, 1)

@@ -79,14 +79,14 @@ def mutated(draw, doc):
 
 
 def _main(argv):
-    """The exit code of the CLI on `argv`, once its stdout is read as one
-    JSON report and its stderr is found empty."""
+    """The exit code of the CLI on `argv` and its stdout read as one JSON
+    report, once its stderr is found empty."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    json.loads(out.getvalue())
+    report = json.loads(out.getvalue())
     assert err.getvalue() == ""
-    return code
+    return code, report
 
 
 def _run(command, *docs):
@@ -102,19 +102,30 @@ def _run(command, *docs):
 @FUZZ
 @given(mutated(NEWTON))
 def test_newton_spec(doc):
-    assert _run("newton", doc) in (0, 2, 3)
+    assert _run("newton", doc)[0] in (0, 2, 3)
+
+
+def _check_amf(space, rep):
+    """An accepted fixture pair reports 0 <= dimension <= points * rep_dim."""
+    code, report = _run("amf", space, rep)
+    assert code in (0, 2, 3)
+    if code == 0:
+        res = report["results"]
+        dim, points, rep_dim = (int(res[k]["value"]) for k in ("dimension", "points", "rep_dim"))
+        assert 0 <= dim <= points * rep_dim
+        assert res["bound_check"] is True
 
 
 @FUZZ
 @given(mutated(SPACE))
 def test_amf_space(doc):
-    assert _run("amf", doc, REP) in (0, 2, 3)
+    _check_amf(doc, REP)
 
 
 @FUZZ
 @given(mutated(REP))
 def test_amf_representation(doc):
-    assert _run("amf", SPACE, doc) in (0, 2, 3)
+    _check_amf(SPACE, doc)
 
 
 # small integers only: the closed form of su has p^(t(t-1)/2) digits and
@@ -148,7 +159,7 @@ def group_argv(draw):
 @given(group_argv())
 def test_group_argv(argv):
     with mock.patch.dict(os.environ, {"SSP_MAX_ENUM": str(10**5)}):
-        assert _main(argv) in (0, 2, 3, 4)
+        assert _main(argv)[0] in (0, 2, 3, 4)
 
 
 @st.composite
@@ -180,4 +191,4 @@ def pairing_argv(draw):
 @given(pairing_argv())
 def test_pairing_argv(argv):
     with mock.patch.dict(os.environ, {"SSP_MAX_ENUM": str(10**5)}):
-        assert _main(argv) in (0, 2, 3, 4)
+        assert _main(argv)[0] in (0, 2, 3, 4)
