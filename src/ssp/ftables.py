@@ -76,6 +76,20 @@ class FieldTable:
         els = self.elements
         return tuple(tuple(els[x] for x in row) for row in M)
 
+    def mats_decode(self, Ms) -> list:
+        """[mat_decode(M) for M in Ms], with each distinct row decoded once:
+        matrices that share a row share its decoded tuple."""
+        els = self.elements
+        decoded: dict[tuple, tuple] = {}
+
+        def row(r):
+            d = decoded.get(r)
+            if d is None:
+                d = decoded[r] = tuple(map(els.__getitem__, r))
+            return d
+
+        return [tuple(map(row, M)) for M in Ms]
+
     def scale(self, c, A):
         mul = self.mul
         return tuple(tuple(mul[c][x] for x in row) for row in A)
@@ -184,17 +198,22 @@ def similitude_frames(table: FieldTable, gram, similitudes, budget: EnumBudget) 
 
 def block_similitudes(table: FieldTable, grams, budget: EnumBudget) -> list:
     """All block-diagonal coded diag(X_1, .., X_k) with X_i* G_i X_i = c G_i
-    for one c in F_p^x, ordered by c and then block by block."""
+    for one c in F_p^x, ordered by c and then block by block.
+
+    Each frame X_i is padded to its full rows once per c, so an element
+    is the concatenation of one padded frame per block and shares its
+    row tuples with every other element that uses the same frame."""
     sizes = [len(G) for G in grams]
     n = sum(sizes)
     frames = [similitude_frames(table, G, table.fp_units, budget) for G in grams]
     out = []
     for c in table.fp_units:
-        for blocks in itertools.product(*(f[c] for f in frames)):
-            rows, offset = [], 0
-            for X, size in zip(blocks, sizes):
-                rows += [(0,) * offset + row + (0,) * (n - offset - size) for row in X]
-                offset += size
-            out.append(tuple(rows))
+        elements, offset = [()], 0
+        for f, size in zip(frames, sizes):
+            left, right = (0,) * offset, (0,) * (n - offset - size)
+            padded = [tuple(left + row + right for row in X) for X in f[c]]
+            elements = [E + X for E in elements for X in padded]
+            offset += size
+        out += elements
     return out
 

@@ -170,7 +170,7 @@ def automorphism_group_bruteforce(h: HermitianQuotient) -> tuple[int, list]:
     meter = EnumBudget("automorphism_group_bruteforce")
     table = metered_table(h.ctx.p, h.ctx.s, meter)
     coded = block_similitudes(table, [table.mat_encode(block) for block in h.blocks()], meter)
-    elements = [table.mat_decode(X) for X in coded]
+    elements = table.mats_decode(coded)
     return len(elements), elements
 
 

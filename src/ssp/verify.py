@@ -39,10 +39,10 @@ def _sylow():
     return True, "p-Sylow orders match p^((r(r-1)+s(s-1))/2)"
 
 
-def _aut():
-    m = dieudonne.build_superspecial_unitary(3, 2, -1, 1, 1)
+def _aut(r: int, s: int):
+    m = dieudonne.build_superspecial_unitary(3, 2, -1, r, s)
     order, _ = hermitian.automorphism_group_bruteforce(hermitian.reduce_pairing(m))
-    return _eq(order, groups.order_gusplit(1, 1, 3))
+    return _eq(order, groups.order_gusplit(r, s, 3))
 
 
 def _newton():
@@ -138,7 +138,7 @@ QUICK = (
     ("pregular-classes-vs-enumeration(1,1,3)", partial(_pregular, 1, 1, 3)),
     ("pregular-classes-vs-enumeration(2,0,3)", partial(_pregular, 2, 0, 3)),
     ("sylow-order-vs-formula(3)", _sylow),
-    ("aut-bruteforce-vs-gusplit-order(3,1,1)", _aut),
+    ("aut-bruteforce-vs-gusplit-order(3,1,1)", partial(_aut, 1, 1)),
     ("newton-polygon-a-half(3)", _newton),
     ("superspecial-model-core(3,1,1)", partial(_model, 1, 1)),
     ("pairing-well-definedness(3,1,1)", _pairing),
@@ -160,6 +160,7 @@ FULL = QUICK + (
     ("gusplit-order-vs-enumeration(2,2,3)", partial(_order, "gusplit", 2, 2, 3)),
     ("pregular-classes-vs-enumeration(2,2,3)", partial(_pregular, 2, 2, 3)),
     ("lemma-gp-check(7,-1,1,1)", partial(_lemma, 7, -1)),
+    ("aut-bruteforce-vs-gusplit-order(3,2,2)", partial(_aut, 2, 2)),
 )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -198,6 +199,51 @@ def cyclic_space(k, copies):
     return CosetSpace(points=n, generators=(tuple(perm),), names=("c",))
 
 
+def random_fixture(rng, ctx):
+    """Up to 3 random permutations of up to 8 points, each with a random
+    invertible matrix of size up to 3 over ctx; such matrices rarely fix
+    anything, so the dimension is mostly 0."""
+    n = rng.randrange(2, 9)
+    k = rng.randrange(1, 4)
+    d = rng.randrange(1, 4)
+    perms = []
+    for _ in range(k):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        perms.append(tuple(perm))
+    mats = []
+    for _ in range(k):
+        while True:
+            M = linalg.freeze(
+                [[ctx.el(tuple(rng.randrange(ctx.p) for _ in range(ctx.s))) for _ in range(d)] for _ in range(d)]
+            )
+            if linalg.is_invertible(M):
+                break
+        mats.append(M)
+    return CosetSpace(points=n, generators=tuple(perms)), GroupRepresentation(ctx=ctx, dim=d, generators=tuple(mats))
+
+
+def linear_fixture(rng, ctx):
+    """Up to 3 random invertible 2 x 2 matrices M over ctx acting on the
+    non-zero column vectors by x . M = M^-1 x, with rho(M) = M.  The
+    action is genuine and f(x) = x is equivariant on every orbit, so the
+    dimension is at least the number of orbits; as the matrices rarely
+    commute, a word multiplied in the wrong order finds less."""
+    one, zero = ctx.one(), ctx.zero()
+    points = [tuple(map(ctx.el, v)) for v in itertools.product(range(ctx.p), repeat=2) if any(v)]
+    index = {x: i for i, x in enumerate(points)}
+    perms, mats = [], []
+    for _ in range(rng.randrange(1, 4)):
+        while True:
+            M = linalg.freeze([[ctx.el(rng.randrange(ctx.p)) for _ in range(2)] for _ in range(2)])
+            if linalg.is_invertible(M):
+                break
+        M_inv = linalg.inverse(M, one, zero)
+        perms.append(tuple(index[linalg.mat_vec(M_inv, x)] for x in points))
+        mats.append(M)
+    return CosetSpace(points=len(points), generators=tuple(perms)), GroupRepresentation(ctx=ctx, dim=2, generators=tuple(mats))
+
+
 class TestEquivariantDimension:
     def test_trivial_rep_counts_orbits(self):
         ctx = witt_ring(3, 2, 1)
@@ -249,31 +295,21 @@ class TestEquivariantDimension:
 
     def test_dense_oracle_agrees_on_random_fixtures(self):
         rng = random.Random(42)
-        for _ in range(40):
-            p = rng.choice([3, 5])  # F_9 or F_25
-            ctx = witt_ring(p, 2, 1)
-            n = rng.randrange(2, 9)
-            k = rng.randrange(1, 4)
-            d = rng.randrange(1, 4)
-            perms = []
-            for _ in range(k):
-                perm = list(range(n))
-                rng.shuffle(perm)
-                perms.append(tuple(perm))
-            mats = []
-            for _ in range(k):
-                while True:
-                    M = linalg.freeze(
-                        [[ctx.el((rng.randrange(p), rng.randrange(p))) for _ in range(d)] for _ in range(d)]
-                    )
-                    if linalg.is_invertible(M):
-                        break
-                mats.append(M)
-            space = CosetSpace(points=n, generators=tuple(perms))
-            rho = GroupRepresentation(ctx=ctx, dim=d, generators=tuple(mats))
+        fixtures = [random_fixture(rng, witt_ring(rng.choice([3, 5]), 2, 1)) for _ in range(40)]  # F_9 or F_25
+        # over F_3 and F_5, every other fixture is a genuine linear action
+        prime = [
+            (linear_fixture if i % 2 else random_fixture)(rng, witt_ring(rng.choice([3, 5]), 1, 1))
+            for i in range(24)
+        ]
+        dims = []
+        for space, rho in fixtures + prime:
             dim = equivariant_dimension(space, rho)
             assert dim == equivariant_dimension_dense(space, rho)
             assert dim <= space.points * rho.dim
+            dims.append(dim)
+        # a walk that multiplies its words in the wrong order still finds 0
+        # wherever nothing is fixed, so half the prime-field fixtures fix something
+        assert sum(1 for dim in dims[40:] if dim) >= 12
 
     def test_relabeling_invariance(self):
         rng = random.Random(5)

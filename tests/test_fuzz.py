@@ -1,10 +1,12 @@
 """Fuzzing of the JSON inputs of `ssp newton` and `ssp amf`, and of the
-argv of `ssp group` and `ssp pairing`.
+argv of `ssp group`, `ssp pairing` and `ssp bound`.
 
 Each JSON example takes a valid document, replaces one field or nested
 entry with an arbitrary JSON value or drops it, and runs the CLI
-in-process.  Each `group` example draws a family name and a parameter
-list, each `pairing` example its five integers.  Every input must end in
+in-process; half the `amf` representations are drawn well-formed
+instead.  Each `group` example draws a family name and a parameter
+list, each `pairing` example its five integers and each `bound`
+example its five.  Every input must end in
 a documented exit code with a JSON report on stdout and nothing on
 stderr; an uncaught exception fails the test.  Examples are drawn
 deterministically, so the test is the same on every run.
@@ -13,6 +15,7 @@ deterministically, so the test is the same on every run.
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -122,18 +125,48 @@ def test_amf_space(doc):
     _check_amf(doc, REP)
 
 
-@FUZZ
-@given(mutated(REP))
-def test_amf_representation(doc):
-    _check_amf(SPACE, doc)
-
-
 # small integers only: the closed form of su has p^(t(t-1)/2) digits and
 # no size check, so a large t would run for minutes
 SMALL_INTS = st.integers(-12, 12)
 PRIMES = st.sampled_from([2, 3, 5, 7, 11])
 JUNK_TOKENS = st.sampled_from(["", "a", "1.5", "0x3", "-", "1e2", "3 "])
 GROUP_FAMILIES = ["su", "u", "gu", "gusplit", "gsp"]
+
+
+def _det(M):
+    """The integer determinant of a square matrix, by the Leibniz sum."""
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= M[i][perm[i]]
+        total += term
+    return total
+
+
+@st.composite
+def representation(draw):
+    """A representation document for SPACE.  Half the examples are
+    well-formed, the way `pairing_argv` draws them: a dim d from 1 to 3,
+    a prime field p, with or without "s": 1, and one d x d integer
+    generator per permutation of SPACE whose determinant is prime to p.
+    The other half replace or drop one field or entry of REP."""
+    if not draw(st.booleans()):
+        return draw(mutated(REP))
+    p = draw(PRIMES)
+    d = draw(st.integers(1, 3))
+    field = {"p": p, "s": 1} if draw(st.booleans()) else {"p": p}
+    matrix = st.lists(st.lists(st.integers(-p, 2 * p), min_size=d, max_size=d), min_size=d, max_size=d)
+    generators = [draw(matrix.filter(lambda M: _det(M) % p)) for _ in SPACE["generators"]]
+    return {"dim": d, "field": field, "generators": generators}
+
+
+@FUZZ
+@given(representation())
+def test_amf_representation(doc):
+    _check_amf(SPACE, doc)
 
 
 @st.composite
@@ -190,5 +223,46 @@ def pairing_argv(draw):
 @settings(FUZZ, max_examples=120)
 @given(pairing_argv())
 def test_pairing_argv(argv):
+    with mock.patch.dict(os.environ, {"SSP_MAX_ENUM": str(10**5)}):
+        assert _main(argv)[0] in (0, 2, 3, 4)
+
+
+# integers the closed forms of `bound` must reject or survive: zero, units,
+# squares, composites, a Mersenne prime p and sizes past the factoring budget
+JUNK_INTS = st.sampled_from([0, 1, -1, 2, 4, 9, -4, 10**6, 2**61 - 1, -(10**13)])
+
+
+def _squarefree_nonresidue(alpha, p):
+    """alpha is squarefree and a non-residue mod p (Euler's criterion)."""
+    return all(alpha % (k * k) for k in range(2, abs(alpha) + 1)) and pow(alpha, (p - 1) // 2, p) == p - 1
+
+
+@st.composite
+def bound_argv(draw):
+    """`ssp bound` argv.  Half the examples are well-formed: an odd prime
+    p up to 23, a negative squarefree alpha down to -30 that is a
+    non-residue mod p, r + s even and at least 2, and N from 1 to 12.  The
+    other half draw each integer from a small range or the junk values;
+    r and s stay small, as C_g takes a Bernoulli number per genus."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]))
+        r = draw(st.integers(0, 4))
+        ints = {
+            "--p": p,
+            "--alpha": draw(st.sampled_from([a for a in range(-30, 0) if _squarefree_nonresidue(a, p)])),
+            "--r": r,
+            "--s": draw(st.sampled_from([s for s in range(5) if (r + s) % 2 == 0 and r + s >= 2])),
+            "--N": draw(st.integers(1, 12)),
+        }
+    else:
+        small = st.integers(-3, 13)
+        ints = {flag: draw(small | JUNK_INTS) for flag in ("--p", "--alpha", "--N")}
+        ints |= {flag: draw(small) for flag in ("--r", "--s")}
+    return ["bound"] + [f"{flag}={value}" for flag, value in ints.items()]
+
+
+@settings(FUZZ, max_examples=200)
+@given(bound_argv())
+def test_bound_argv(argv):
     with mock.patch.dict(os.environ, {"SSP_MAX_ENUM": str(10**5)}):
         assert _main(argv)[0] in (0, 2, 3, 4)

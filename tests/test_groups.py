@@ -34,7 +34,7 @@ from ssp.groups import (
     sylow_p_order,
     unitary_group_elements,
 )
-from ssp.hermitian import reduce_pairing
+from ssp.hermitian import automorphism_group_bruteforce, reduce_pairing
 from ssp.witt import hensel_sqrt, witt_ring
 
 
@@ -240,6 +240,58 @@ class TestSimilitudeFrames:
         # the 9 x 9 field tables are charged first, before they are built
         with pytest.raises(BudgetExceededError, match="unitary_group_elements would reach 81 candidates"):
             unitary_group_elements(2, 3)
+
+
+def _block_similitudes_per_product(table, grams):
+    """The slow construction of ftables.block_similitudes: every row of
+    every product element is padded again."""
+    sizes = [len(G) for G in grams]
+    n = sum(sizes)
+    frames = [_frames(table, G, table.fp_units) for G in grams]
+    out = []
+    for c in table.fp_units:
+        for blocks in itertools.product(*(f[c] for f in frames)):
+            rows, offset = [], 0
+            for X, size in zip(blocks, sizes):
+                rows += [(0,) * offset + row + (0,) * (n - offset - size) for row in X]
+                offset += size
+            out.append(tuple(rows))
+    return out
+
+
+class TestBlockSimilitudes:
+    """Frames padded once and rows decoded once give the same lists, in
+    the same order, as padding every product and decoding every element."""
+
+    @pytest.mark.parametrize("r, s, p", [(1, 1, 3), (2, 0, 3), (2, 2, 3), (0, 2, 5)])
+    def test_gusplit_matches_per_product_padding(self, r, s, p):
+        table = field_table(p)
+        grams = (table.identity(r), table.identity(s))
+        assert gusplit_group_elements(r, s, p) == _block_similitudes_per_product(table, grams)
+
+    def test_automorphisms_match_per_element_decoding(self):
+        h = reduce_pairing(build_superspecial_unitary(3, 2, -1, 2, 2))
+        table = field_table(3)
+        coded = _block_similitudes_per_product(table, [table.mat_encode(block) for block in h.blocks()])
+        assert automorphism_group_bruteforce(h) == (len(coded), [table.mat_decode(X) for X in coded])
+
+    def test_mats_decode_matches_mat_decode(self):
+        table = field_table(3)
+        Ms = gusplit_group_elements(1, 1, 3) + [(), table.identity(3), ((0, 1, 8),)]
+        assert table.mats_decode(Ms) == [table.mat_decode(M) for M in Ms]
+
+    def test_rows_are_shared_per_frame(self):
+        # at (2,2,3) each c has 96 frames per 2 x 2 block: 384 frames in all
+        h = reduce_pairing(build_superspecial_unitary(3, 2, -1, 2, 2))
+        table = field_table(3)
+        frames = [_frames(table, table.mat_encode(block), table.fp_units) for block in h.blocks()]
+        n_frames = sum(len(f[c]) for f in frames for c in table.fp_units)
+        assert n_frames == 384
+        _, elements = automorphism_group_bruteforce(h)
+        assert len({id(row) for X in elements for row in X}) <= n_frames
+        # the coded rows of a padded frame are shared by every element that uses it
+        coded = gusplit_group_elements(2, 2, 3)
+        assert len({id(row) for X in coded for row in X}) <= 2 * n_frames
 
 
 class TestMultiplicativity:

@@ -79,7 +79,7 @@ class TestAutomorphisms:
     def test_order_formula_across_feasible_parameters(self):
         from ssp.groups import order_gusplit
 
-        for p, alpha, r, s in [(3, -1, 1, 1), (3, -1, 0, 2), (5, -2, 1, 1), (7, -1, 1, 1)]:
+        for p, alpha, r, s in [(3, -1, 1, 1), (3, -1, 0, 2), (3, -1, 2, 2), (5, -2, 1, 1), (7, -1, 1, 1)]:
             h = reduce_pairing(build_superspecial_unitary(p, 2, alpha, r, s))
             assert automorphism_group_bruteforce(h)[0] == order_gusplit(r, s, p)
 

@@ -34,6 +34,7 @@ FULL_NAMES = [
     "gusplit-order-vs-enumeration(2,2,3)",
     "pregular-classes-vs-enumeration(2,2,3)",
     "lemma-gp-check(7,-1,1,1)",
+    "aut-bruteforce-vs-gusplit-order(3,2,2)",
 ]
 
 
