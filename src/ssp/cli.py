@@ -191,7 +191,7 @@ def _cmd_pairing(args) -> tuple[dict, int]:
     m = dieudonne.build_superspecial_unitary(args.p, n, args.alpha, args.r, args.s)
     h = hermitian.reduce_pairing(m)
     order_formula = groups.order_gusplit(args.r, args.s, args.p)
-    order_enum, _ = hermitian.automorphism_group_bruteforce(h)
+    order_enum = len(hermitian.automorphism_group_coded(h))
     disagreements = hermitian.pairing_well_defined(m, h, trials=20, seed=0)
     results = {
         "quotient_dim": _val(h.dim, "formula"),

@@ -149,6 +149,12 @@ def _first_mismatch(A, B) -> str:
     return ""
 
 
+def _equal(name: str, A, B) -> tuple[str, bool, str]:
+    """The check A == B; where they first differ is found only on failure."""
+    ok = A == B
+    return name, ok, "" if ok else _first_mismatch(A, B)
+
+
 def check_axioms(m: DieudonneModule) -> AxiomReport:
     """Verify the semilinear module axioms at the truncation level."""
     ring, h = m.ring, m.rank
@@ -167,45 +173,41 @@ def check_axioms(m: DieudonneModule) -> AxiomReport:
     checks = []
     p_id = linalg.scalar_matrix(h, ring.el(ring.p), ring.zero())
     fv = linalg.mat_mul(m.f_matrix, m.sigma_mat(m.v_matrix))
-    checks.append(("fv-equals-p", fv == p_id, _first_mismatch(fv, p_id)))
+    checks.append(_equal("fv-equals-p", fv, p_id))
     vf = linalg.mat_mul(m.v_matrix, m.sigma_inv_mat(m.f_matrix))
-    checks.append(("vf-equals-p", vf == p_id, _first_mismatch(vf, p_id)))
+    checks.append(_equal("vf-equals-p", vf, p_id))
 
     if m.polarization is not None:
         E = m.polarization
-        alt = linalg.transpose(E) == linalg.mat_neg(E)
-        checks.append(
-            ("polarization-alternating", alt, "" if alt else _first_mismatch(
-                linalg.transpose(E), linalg.mat_neg(E)))
-        )
+        checks.append(_equal("polarization-alternating", linalg.transpose(E), linalg.mat_neg(E)))
         d = linalg.det(E, ring.one())
         unimod = d.val() == 0
         checks.append(("polarization-unimodular", unimod, f"det valuation {d.val()}"))
         lhs = linalg.mat_mul(linalg.transpose(m.f_matrix), E)
         rhs = m.sigma_mat(linalg.mat_mul(E, m.v_matrix))
-        checks.append(("polarization-compatible", lhs == rhs, _first_mismatch(lhs, rhs)))
+        checks.append(_equal("polarization-compatible", lhs, rhs))
 
     if m.ok_action is not None:
         J = m.ok_action
         jj = linalg.mat_mul(J, J)
         if m.alpha is not None:
             target = linalg.scalar_matrix(h, ring.el(m.alpha), ring.zero())
-            checks.append(("action-squares-to-alpha", jj == target, _first_mismatch(jj, target)))
+            checks.append(_equal("action-squares-to-alpha", jj, target))
         else:
             scalar = jj[0][0]
             target = linalg.scalar_matrix(h, scalar, ring.zero())
-            ok = jj == target and ring.sigma(scalar) == scalar
-            checks.append(("action-squares-to-scalar", ok, _first_mismatch(jj, target)))
+            name, ok, detail = _equal("action-squares-to-scalar", jj, target)
+            checks.append((name, ok and ring.sigma(scalar) == scalar, detail))
         lhs = linalg.mat_mul(J, m.f_matrix)
         rhs = linalg.mat_mul(m.f_matrix, m.sigma_mat(J))
-        checks.append(("action-commutes-with-f", lhs == rhs, _first_mismatch(lhs, rhs)))
+        checks.append(_equal("action-commutes-with-f", lhs, rhs))
         lhs = linalg.mat_mul(J, m.v_matrix)
         rhs = linalg.mat_mul(m.v_matrix, m.sigma_inv_mat(J))
-        checks.append(("action-commutes-with-v", lhs == rhs, _first_mismatch(lhs, rhs)))
+        checks.append(_equal("action-commutes-with-v", lhs, rhs))
         if m.polarization is not None:
             lhs = linalg.mat_mul(linalg.transpose(J), m.polarization)
             rhs = linalg.mat_neg(linalg.mat_mul(m.polarization, J))
-            checks.append(("action-skew-adjoint", lhs == rhs, _first_mismatch(lhs, rhs)))
+            checks.append(_equal("action-skew-adjoint", lhs, rhs))
 
     return AxiomReport(tuple(checks))
 

@@ -17,7 +17,7 @@ from typing import Optional
 from . import linalg
 from .dieudonne import DieudonneModule, _mod_p_matrix, _quotient_data, check_axioms, induced_quotient_action
 from .errors import EnumBudget, ValidationError
-from .ftables import block_similitudes, metered_table
+from .ftables import block_similitudes, field_table, metered_table
 from .witt import WittElem, WittRing, hensel_sqrt
 
 
@@ -159,18 +159,24 @@ def pairing_well_defined(m: DieudonneModule, h: HermitianQuotient, trials: int =
 # automorphism groups by exhaustive enumeration
 
 
-def automorphism_group_bruteforce(h: HermitianQuotient) -> tuple[int, list]:
+def automorphism_group_coded(h: HermitianQuotient) -> list:
     """All automorphisms of the Hermitian space: block-diagonal matrices
-    with X* gram X = c gram for a common similitude c in F_p^x.
+    with X* gram X = c gram for a common similitude c in F_p^x, coded
+    over field_table(p, s) of h.ctx.  The order is their number.
 
     Enumerates the frames of each grading block independently (the
     blocks only interact through c; see ftables.similitude_frames).
-    Returns (order, elements) with elements as matrices over h.ctx.
     """
     meter = EnumBudget("automorphism_group_bruteforce")
     table = metered_table(h.ctx.p, h.ctx.s, meter)
-    coded = block_similitudes(table, [table.mat_encode(block) for block in h.blocks()], meter)
-    elements = table.mats_decode(coded)
+    return block_similitudes(table, [table.mat_encode(block) for block in h.blocks()], meter)
+
+
+def automorphism_group_bruteforce(h: HermitianQuotient) -> tuple[int, list]:
+    """(order, elements) of automorphism_group_coded(h), with the
+    elements decoded to matrices over h.ctx."""
+    coded = automorphism_group_coded(h)
+    elements = field_table(h.ctx.p, h.ctx.s).mats_decode(coded)
     return len(elements), elements
 
 

@@ -7,6 +7,12 @@ elimination, with unit pivots (val() == 0).  The characteristic
 polynomial uses the division-free Berkowitz algorithm, so it is valid
 over W_n, where dividing by integers sharing a factor with p is not
 allowed.
+
+The models built in `dieudonne` are block diagonal, so most of their
+entries are zero.  Products and the elimination find each row's
+non-zero positions (`WittRing.support`, which checks every entry's ring
+as `dot` does) and work on those alone, and `mat_map` maps each
+distinct value once; the values are those of the dense formulas.
 """
 
 from __future__ import annotations
@@ -34,12 +40,45 @@ def dot(xs, ys):
 
 
 def mat_mul(A, B) -> Matrix:
-    cols = tuple(zip(*B))
-    return tuple([tuple([dot(row, col) for col in cols]) for row in A])
+    """A B, row by row: entry (i, j) is a `dot` over the k with A[i][k]
+    and B[k][j] both non-zero, and the ring's zero when there is no such
+    k.  Each k in the support of A's row i sends its products to the
+    support of B's row k, so only those pairs are visited."""
+    if not A:
+        return ()
+    ring = A[0][0].ring
+    zero = ring.zero()
+    supports = [ring.support(row) for row in B]
+    width = len(B[0]) if B else 0
+    out = []
+    for row in A:
+        terms = [None] * width  # per column j, the factors of its dot
+        for k in ring.support(row):
+            a, Bk = row[k], B[k]
+            for j in supports[k]:
+                t = terms[j]
+                if t is None:
+                    terms[j] = ([a], [Bk[j]])
+                else:
+                    t[0].append(a)
+                    t[1].append(Bk[j])
+        out.append(tuple([zero if t is None else dot(*t) for t in terms]))
+    return tuple(out)
 
 
 def mat_vec(A, v) -> tuple:
-    return tuple([dot(row, v) for row in A])
+    """A v, each entry a `dot` over the positions where both the row and
+    v are non-zero, as in mat_mul."""
+    if not A:
+        return ()
+    ring = A[0][0].ring
+    zero = ring.zero()
+    live = set(ring.support(v))
+    out = []
+    for row in A:
+        both = [k for k in ring.support(row) if k in live]
+        out.append(dot([row[k] for k in both], [v[k] for k in both]) if both else zero)
+    return tuple(out)
 
 
 def mat_add(A, B) -> Matrix:
@@ -63,7 +102,18 @@ def transpose(A) -> Matrix:
 
 
 def mat_map(f, A) -> Matrix:
-    return tuple([tuple([f(a) for a in row]) for row in A])
+    """f applied entrywise, once per distinct entry value."""
+    memo = {}
+    out = []
+    for row in A:
+        new = []
+        for a in row:
+            b = memo.get(a, memo)
+            if b is memo:
+                b = memo[a] = f(a)
+            new.append(b)
+        out.append(tuple(new))
+    return tuple(out)
 
 
 def identity_matrix(n: int, one, zero) -> Matrix:
@@ -78,20 +128,33 @@ def charpoly(A, one) -> list:
     """Coefficients of det(T*I - A), highest degree first (Berkowitz).
 
     `one` is the ring's one, needed for the 0 x 0 matrix; every sum of
-    products here is a non-empty `dot`."""
+    products here is a non-empty `dot`.  The steps w -> R w and w -> M w
+    run over the positions where both factors are non-zero, as in
+    mat_vec, with the non-zero positions of A's rows found once."""
     n = len(A)
+    ring = one.ring
+    zero = ring.zero()
+    supports = [ring.support(row) for row in A]
     coeffs = [one]
     for k in range(1, n + 1):
         a = A[k - 1][k - 1]
         ts = [one, -a]
         if k >= 2:
-            R = A[k - 1][: k - 1]
+            # the rows of A stand in for those of the leading block M and
+            # of R = A[k - 1][: k - 1]: w has k - 1 entries, so only the
+            # positions below k - 1 of their supports meet its own
+            R = A[k - 1]
             w = [A[i][k - 1] for i in range(k - 1)]
-            M = [row[: k - 1] for row in A[: k - 1]]
             for m in range(2, k + 1):
-                if m > 2:
-                    w = mat_vec(M, w)
-                ts.append(-dot(R, w))
+                live = set(ring.support(w))
+                both = [j for j in supports[k - 1] if j in live]
+                ts.append(-dot([R[j] for j in both], [w[j] for j in both]) if both else zero)
+                if m < k:
+                    Mw = []
+                    for row, ks in zip(A, supports[: k - 1]):
+                        both = [j for j in ks if j in live]
+                        Mw.append(dot([row[j] for j in both], [w[j] for j in both]) if both else zero)
+                    w = Mw
         # coefficient i of the product with the previous polynomial is
         # sum_j ts[i - j] * coeffs[j]
         rts = ts[::-1]
@@ -138,12 +201,18 @@ def rref(rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [inv * x for x in rows[r]]
+        top = rows[r]
+        # the row operations leave an entry alone where the pivot row is zero
+        ks = top[c].ring.support(top)
+        inv = top[c].inv()
+        for k in ks:
+            top[k] = inv * top[k]
         for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            if i != r and not row[c].is_zero():
+                f = -row[c]
+                for k in ks:
+                    row[k] = row[k] + f * top[k]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -41,7 +41,7 @@ def _sylow():
 
 def _aut(r: int, s: int):
     m = dieudonne.build_superspecial_unitary(3, 2, -1, r, s)
-    order, _ = hermitian.automorphism_group_bruteforce(hermitian.reduce_pairing(m))
+    order = len(hermitian.automorphism_group_coded(hermitian.reduce_pairing(m)))
     return _eq(order, groups.order_gusplit(r, s, 3))
 
 

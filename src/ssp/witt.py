@@ -47,6 +47,7 @@ class WittRing:
         # the residue field W_1(F_{p^s}), where reduce() lands
         self.residue = self if n == 1 else witt_ring(p, s, 1)
         self._zero_coeffs = (0,) * s
+        self._zero = WittElem(self, self._zero_coeffs)
         # column j holds coefficient j of sigma(x)^0, ..., sigma(x)^(s-1)
         self._sigma_cols = tuple(zip(*(w.coeffs for w in self._build_sigma())))
         gen = self.gen()
@@ -131,7 +132,7 @@ class WittRing:
         return c[:d]
 
     def zero(self) -> "WittElem":
-        return self.el(0)
+        return self._zero
 
     def one(self) -> "WittElem":
         return self.el(1)
@@ -199,6 +200,17 @@ class WittRing:
         pn = self.pn
         return WittElem(self, tuple([c % pn for c in acc[:s]]))
 
+    def support(self, xs) -> list[int]:
+        """The positions of the non-zero entries of xs, each entry checked
+        as `dot` checks a factor: an int or an element of this ring.  The
+        shared zero() is recognised by identity alone."""
+        z, zero = self._zero, self._zero_coeffs
+        return [
+            k
+            for k, x in enumerate(xs)
+            if x is not z and (x.coeffs if type(x) is WittElem and x.ring is self else self._raw(x)) != zero
+        ]
+
     def reduce(self, x: "WittElem") -> "WittElem":
         """Reduction W_n -> W_1 = F_{p^s}."""
         p = self.p
@@ -235,7 +247,7 @@ class WittElem:
         return hash((self.ring.p, self.ring.s, self.ring.n, self.coeffs))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def in_prime_subfield(self) -> bool:
         """True when x lies in Z/p^n, the constants."""

@@ -53,6 +53,25 @@ class TestAxioms:
         assert not rep.ok
         assert any(name == "fv-equals-p" for name, _ in rep.failures())
 
+    def test_failure_text_names_the_first_violation(self):
+        ring = witt_ring(3, 1, 3)
+        rep = check_axioms(toy_module(ring, [1, 1], [3, 1]))
+        assert rep.failures() == [
+            ("fv-equals-p", "first violation at coordinate (1,1)"),
+            ("vf-equals-p", "first violation at coordinate (1,1)"),
+        ]
+
+    def test_mismatch_is_located_only_for_failing_checks(self, monkeypatch):
+        from ssp import dieudonne
+
+        located = []
+        real = dieudonne._first_mismatch
+        monkeypatch.setattr(dieudonne, "_first_mismatch", lambda A, B: located.append(1) or real(A, B))
+        assert check_axioms(build_superspecial_unitary(3, 2, -1, 2, 2)).ok
+        assert located == []
+        assert not check_axioms(toy_module(witt_ring(3, 1, 3), [1, 1], [3, 1])).ok
+        assert len(located) == 2
+
     def test_dimension_mismatch_is_an_error(self):
         ring = witt_ring(3, 2, 2)
         good = build_a_half(ring)

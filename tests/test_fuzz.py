@@ -1,12 +1,13 @@
 """Fuzzing of the JSON inputs of `ssp newton` and `ssp amf`, and of the
-argv of `ssp group`, `ssp pairing` and `ssp bound`.
+argv of `ssp group`, `ssp pairing`, `ssp bound` and `ssp sweep`.
 
 Each JSON example takes a valid document, replaces one field or nested
 entry with an arbitrary JSON value or drops it, and runs the CLI
 in-process; half the `amf` representations are drawn well-formed
 instead.  Each `group` example draws a family name and a parameter
-list, each `pairing` example its five integers and each `bound`
-example its five.  Every input must end in
+list, each `pairing` example its five integers, each `bound`
+example its five and each `sweep` example a range and four
+integers.  Every input must end in
 a documented exit code with a JSON report on stdout and nothing on
 stderr; an uncaught exception fails the test.  Examples are drawn
 deterministically, so the test is the same on every run.
@@ -264,5 +265,47 @@ def bound_argv(draw):
 @settings(FUZZ, max_examples=200)
 @given(bound_argv())
 def test_bound_argv(argv):
+    with mock.patch.dict(os.environ, {"SSP_MAX_ENUM": str(10**5)}):
+        assert _main(argv)[0] in (0, 2, 3, 4)
+
+
+# range starts below 2, among small primes, and past 10^12, where the
+# sqrt(hi) base sieve passes the budget
+SWEEP_STARTS = st.sampled_from([-7, 0, 1, 2, 3, 24, 1000, 10**9, 10**12, 2**61 - 1, 10**30])
+JUNK_RANGES = st.sampled_from(["", ":", "3:", ":13", "3:13:17", "a:b", "3-13", "1e3:2e3", "0x3:0x13", " 3 : 13 "])
+
+
+@st.composite
+def sweep_argv(draw):
+    """`ssp sweep` argv.  Most ranges start at one of SWEEP_STARTS and end
+    at most 60 past or 20 before it, so a range may be reversed, hold no
+    prime or lie past the base-sieve budget while each example stays
+    fast; the rest are junk ranges.  Half the examples draw the other
+    integers well-formed, as in bound_argv, with the range's primes
+    deciding which rows are evaluated; the other half from a small range
+    or the junk values."""
+    if draw(st.integers(0, 4)):
+        lo = draw(SWEEP_STARTS)
+        sweep = f"{lo}:{lo + draw(st.integers(-20, 60))}"
+    else:
+        sweep = draw(JUNK_RANGES)
+    if draw(st.booleans()):
+        r = draw(st.integers(0, 4))
+        ints = {
+            "--alpha": draw(st.sampled_from([-1, -2, -3, -5, -7, -11, -30])),
+            "--r": r,
+            "--s": draw(st.sampled_from([s for s in range(5) if (r + s) % 2 == 0 and r + s >= 2])),
+            "--N": draw(st.integers(1, 12)),
+        }
+    else:
+        small = st.integers(-3, 13)
+        ints = {flag: draw(small | JUNK_INTS) for flag in ("--alpha", "--N")}
+        ints |= {flag: draw(small) for flag in ("--r", "--s")}
+    return ["sweep", f"--sweep={sweep}"] + [f"{flag}={value}" for flag, value in ints.items()]
+
+
+@settings(FUZZ, max_examples=200)
+@given(sweep_argv())
+def test_sweep_argv(argv):
     with mock.patch.dict(os.environ, {"SSP_MAX_ENUM": str(10**5)}):
         assert _main(argv)[0] in (0, 2, 3, 4)

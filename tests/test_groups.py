@@ -34,7 +34,7 @@ from ssp.groups import (
     sylow_p_order,
     unitary_group_elements,
 )
-from ssp.hermitian import automorphism_group_bruteforce, reduce_pairing
+from ssp.hermitian import automorphism_group_bruteforce, automorphism_group_coded, reduce_pairing
 from ssp.witt import hensel_sqrt, witt_ring
 
 
@@ -273,6 +273,7 @@ class TestBlockSimilitudes:
         h = reduce_pairing(build_superspecial_unitary(3, 2, -1, 2, 2))
         table = field_table(3)
         coded = _block_similitudes_per_product(table, [table.mat_encode(block) for block in h.blocks()])
+        assert automorphism_group_coded(h) == coded
         assert automorphism_group_bruteforce(h) == (len(coded), [table.mat_decode(X) for X in coded])
 
     def test_mats_decode_matches_mat_decode(self):

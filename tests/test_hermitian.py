@@ -6,6 +6,7 @@ from ssp.errors import BudgetExceededError, ValidationError
 from ssp.hermitian import (
     HermitianQuotient,
     automorphism_group_bruteforce,
+    automorphism_group_coded,
     cotangent_dual,
     pairing_well_defined,
     reduce_pairing,
@@ -96,6 +97,24 @@ class TestAutomorphisms:
         for X in elements:
             c = similitude_factor(h, X)
             assert c.in_prime_subfield() and not c.is_zero()
+
+    def test_order_needs_no_decoding(self, monkeypatch, capsys):
+        # `pairing` and `verify` read the order alone, from the coded list
+        import json
+
+        from ssp import verify
+        from ssp.cli import main
+        from ssp.ftables import FieldTable
+
+        def refuse(self, Ms):
+            raise AssertionError("decoded an automorphism list")
+
+        monkeypatch.setattr(FieldTable, "mats_decode", refuse)
+        h = reduce_pairing(build_superspecial_unitary(3, 2, -1, 2, 2))
+        assert len(automorphism_group_coded(h)) == 18432
+        assert verify._aut(2, 2)[0]
+        assert main(["pairing", "--p", "3", "--alpha", "-1", "--r", "2", "--s", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["aut_order_enumerated"]["value"] == "18432"
 
     def test_budget_guard(self, monkeypatch):
         h = reduce_pairing(build_superspecial_unitary(3, 2, -1, 1, 1))

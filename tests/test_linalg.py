@@ -184,13 +184,64 @@ def _slow_sigma(ring, x):
     return acc
 
 
-def _random_witt_matrix(ring, rng, rows, cols):
+def _random_witt_matrix(ring, rng, rows, cols, zeros=1 / 3):
+    """Entries zero with probability `zeros`, else random (zero at times)."""
+
     def entry():
-        if rng.randrange(3) == 0:
-            return ring.zero()
+        if rng.random() < zeros:
+            # a zero that is not the ring's shared zero() object
+            return ring.el(0) if rng.randrange(2) else ring.zero()
         return ring.el(tuple(rng.randrange(ring.pn) for _ in range(ring.s)))
 
     return linalg.freeze([[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def _monomial(ring, rng, size):
+    """A random permutation matrix with random non-zero entries."""
+    perm = rng.sample(range(size), size)
+    unit = _random_witt_matrix(ring, rng, 1, size, zeros=0)[0]
+    return linalg.freeze(
+        [[(unit[i] if not unit[i].is_zero() else ring.one()) if j == perm[i] else ring.zero() for j in range(size)]
+         for i in range(size)]
+    )
+
+
+def _block_diagonal(ring, rng, size):
+    """Random dense diagonal blocks of sizes 1 and 2."""
+    out = [[ring.zero()] * size for _ in range(size)]
+    i = 0
+    while i < size:
+        k = min(size - i, rng.choice((1, 2)))
+        block = _random_witt_matrix(ring, rng, k, k, zeros=0)
+        for a in range(k):
+            out[i + a][i : i + k] = block[a]
+        i += k
+    return linalg.freeze(out)
+
+
+def _with_zero_lines(ring, rng, A):
+    """A with one row and one column set to zero."""
+    i, j = rng.randrange(len(A)), rng.randrange(len(A[0]))
+    return linalg.freeze(
+        [[ring.zero() if a == i or b == j else x for b, x in enumerate(row)] for a, row in enumerate(A)]
+    )
+
+
+def _kernel_cases(ring, rng, size):
+    """(A, B) pairs with A square of the given size: random, monomial,
+    block-diagonal, with zero lines, all-zero, and the 1 x k and k x 1
+    shapes of an inner and an outer product."""
+    cols = rng.randrange(1, 7)
+    zero = ((ring.zero(),) * size,) * size
+    yield _random_witt_matrix(ring, rng, size, size), _random_witt_matrix(ring, rng, size, cols)
+    yield _monomial(ring, rng, size), _monomial(ring, rng, size)
+    yield _monomial(ring, rng, size), _random_witt_matrix(ring, rng, size, cols, zeros=0)
+    yield _block_diagonal(ring, rng, size), _block_diagonal(ring, rng, size)
+    yield _with_zero_lines(ring, rng, _random_witt_matrix(ring, rng, size, size)), _block_diagonal(ring, rng, size)
+    yield zero, _random_witt_matrix(ring, rng, size, cols)
+    yield _random_witt_matrix(ring, rng, size, size), zero
+    yield _random_witt_matrix(ring, rng, 1, size), _random_witt_matrix(ring, rng, size, 1)
+    yield _random_witt_matrix(ring, rng, size, 1), _random_witt_matrix(ring, rng, 1, cols)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -201,18 +252,18 @@ def test_witt_kernel_matches_elementwise_fold(s, n):
         ring = witt_ring(p, s, n)
         one, zero = ring.one(), ring.zero()
         for size in range(1, 7):
-            A = _random_witt_matrix(ring, rng, size, size)
-            B = _random_witt_matrix(ring, rng, size, rng.randrange(1, 7))
-            v = _random_witt_matrix(ring, rng, 1, size)[0]
-            cols = list(zip(*B))
-            assert linalg.mat_mul(A, B) == tuple(
-                tuple(_slow_dot(row, col) for col in cols) for row in A
-            )
-            assert linalg.mat_vec(A, v) == tuple(_slow_dot(row, v) for row in A)
-            assert linalg.charpoly(A, one) == _slow_charpoly(A, one, zero)
-            for row in A:
-                for x in row:
-                    assert ring.sigma(x) == _slow_sigma(ring, x)
+            for A, B in _kernel_cases(ring, rng, size):
+                cols = list(zip(*B))
+                assert linalg.mat_mul(A, B) == tuple(
+                    tuple(_slow_dot(row, col) for col in cols) for row in A
+                )
+                for v in cols:
+                    assert linalg.mat_vec(A, v) == tuple(_slow_dot(row, v) for row in A)
+                if len(A) == len(A[0]):
+                    assert linalg.charpoly(A, one) == _slow_charpoly(A, one, zero)
+                for row in A:
+                    for x in row:
+                        assert ring.sigma(x) == _slow_sigma(ring, x)
 
 
 def test_witt_dot_over_two_rings_raises():
@@ -225,6 +276,115 @@ def test_witt_dot_over_two_rings_raises():
     ):
         with pytest.raises(ValidationError):
             linalg.dot(xs, ys)
+
+
+def test_witt_products_over_two_rings_raise_also_on_zeros():
+    # the non-zero positions are found with each entry's ring checked, so a
+    # zero from another ring raises as it does in dot, even where the
+    # other factor is zero too
+    a, b = witt_ring(3, 2, 3), witt_ring(5, 2, 3)
+    one, zero = a.one(), a.zero()
+    for foreign in (b.zero(), witt_ring(3, 2, 1).zero()):
+        for A, B in (
+            (((one, one),), ((one,), (foreign,))),
+            (((one, zero),), ((one,), (foreign,))),
+            (((one, foreign),), ((one,), (one,))),
+            (((zero, foreign),), ((zero,), (zero,))),
+        ):
+            with pytest.raises(ValidationError):
+                linalg.mat_mul(A, B)
+            with pytest.raises(ValidationError):
+                linalg.mat_vec(A, [row[0] for row in B])
+        with pytest.raises(ValidationError):
+            linalg.charpoly(((one, foreign), (zero, one)), one)
+
+
+def test_mat_map_applies_f_once_per_distinct_value():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 2 * x
+
+    assert linalg.mat_map(f, [[1, 0, 1], [0, 3, 1]]) == ((2, 0, 2), (0, 6, 2))
+    assert sorted(calls) == [0, 1, 3]
+    ring, twin = witt_ring(3, 2, 2), WittRing(3, 2, 2)
+    calls.clear()
+    M = ((ring.el((1, 2)), ring.zero()), (ring.el(0), twin.el((1, 2))))
+    assert linalg.mat_map(ring.sigma, M) == tuple(tuple(_slow_sigma(ring, x) for x in row) for row in M)
+    assert linalg.mat_map(f, M) == tuple(tuple(x + x for x in row) for row in M)
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# rref, which leaves an entry alone where the pivot row is zero, against an
+# elimination that updates every entry
+
+
+def _dense_rref(rows):
+    """Gauss elimination as linalg.rref, scaling and updating every entry
+    of every row, zero or not, with one product and one difference each."""
+    rows = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c].val() == 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [_slow_mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [x - _slow_mul(f, y) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _sparse_square(ring, rng, size):
+    """Monomial, block-diagonal or random sparse square matrices."""
+    return rng.choice((_monomial, _block_diagonal, lambda *a: _random_witt_matrix(*a, size, zeros=0.7)))(
+        ring, rng, size
+    )
+
+
+@pytest.mark.parametrize("p, s, n", [(3, 2, 1), (5, 1, 1), (3, 2, 3), (5, 1, 2), (7, 2, 2)])
+def test_elimination_matches_dense_fold_on_sparse_matrices(p, s, n):
+    ring = witt_ring(p, s, n)
+    one, zero = ring.one(), ring.zero()
+    rng = random.Random(100 * p + 10 * s + n)
+    for _ in range(40):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 8)
+        A = _random_witt_matrix(ring, rng, rows, cols, zeros=rng.choice((0.5, 0.7, 0.9)))
+        want_rows, want_pivots = _dense_rref(A)
+        assert linalg.rref(A) == (want_rows, want_pivots)
+        assert linalg.rank(A) == len(want_pivots)
+        basis = linalg.nullspace(A, one, zero)
+        assert len(basis) == cols - len(want_pivots)
+        for v, fc in zip(basis, [c for c in range(cols) if c not in want_pivots]):
+            want = [one if c == fc else zero for c in range(cols)]
+            for r, pc in enumerate(want_pivots):
+                want[pc] = -want_rows[r][fc]
+            assert v == tuple(want)
+            if n == 1:
+                assert all(_slow_dot(row, v).is_zero() for row in A)
+    for size in range(1, 7):
+        for _ in range(4):
+            A = _sparse_square(ring, rng, size)
+            aug = [list(row) + [one if j == i else zero for j in range(size)] for i, row in enumerate(A)]
+            want_rows, want_pivots = _dense_rref(aug)
+            if want_pivots[:size] != list(range(size)):
+                with pytest.raises(ValidationError, match="singular"):
+                    linalg.inverse(A, one, zero)
+                continue
+            inv = linalg.inverse(A, one, zero)
+            assert inv == tuple(tuple(row[size:]) for row in want_rows[:size])
+            assert tuple(tuple(_slow_dot(row, col) for col in zip(*inv)) for row in A) == linalg.identity_matrix(
+                size, one, zero
+            )
 
 
 def test_witt_dot_accepts_ints_and_equal_rings():
