@@ -6,17 +6,20 @@ decimal strings, and every numeric result carries a provenance label
 ("formula", "enumeration" or "bound").
 
 Exit codes: 0 ok, 1 verify mismatch, 2 parse/validation, 3 insufficient
-precision, 4 enumeration budget exceeded.  The SSP_MAX_ENUM environment
-variable, and nothing else, caps the candidates one enumeration check
-may examine (default 10^8): vectors scanned or filtered while unitary
-frames are built column by column, the frames of G(p) together with the
-|G(p)| x 4rs basis images of the level-p lemma check, the isqrt(hi) base
-primes a sweep sieves, the trial divisors past 4096 that factoring a
-composite alpha or N needs, the N^4 quadruples of the GL_2 oracle, the
-N^(2k) (2 N^k + N) half-vector steps (k = 1..g) and N units of the GSp
-oracle, and the q^2 entries of each dense F_{p^2} table a group oracle,
-class count, lemma check or the `pairing` automorphism count builds.
-It stops an enumeration as soon as the count is sure to pass the cap.
+precision, 4 enumeration budget exceeded.  A truncation level n given
+from outside, a module file's "n" or `pairing --n`, must lie in 1..64
+(64 is the cap of the newton retry); any other n exits 2.  The
+SSP_MAX_ENUM environment variable, and nothing else, caps the candidates
+one enumeration check may examine (default 10^8): vectors scanned or
+filtered while unitary frames are built column by column, the frames of
+G(p) together with the |G(p)| x 4rs basis images of the level-p lemma
+check, the isqrt(hi) base primes a sweep sieves, the trial divisors past
+4096 that factoring a composite alpha or N needs, the N^4 quadruples of
+the GL_2 oracle, the N^(2k) (2 N^k + N) half-vector steps (k = 1..g) and
+N units of the GSp oracle, and the q^2 entries of each dense F_{p^2}
+table a group oracle, class count, lemma check or the `pairing`
+automorphism count builds.  It stops an enumeration as soon as the count
+is sure to pass the cap.
 
 A reader that closes stdout early (`ssp sweep ... --csv | head`) ends
 the command: writing stops, stdout is pointed at os.devnull so that the
@@ -187,7 +190,7 @@ def _cmd_newton(args) -> tuple[dict, int]:
 
 
 def _cmd_pairing(args) -> tuple[dict, int]:
-    n = args.n if args.n is not None else 2
+    n = dieudonne.truncation_level(args.n) if args.n is not None else 2
     m = dieudonne.build_superspecial_unitary(args.p, n, args.alpha, args.r, args.s)
     h = hermitian.reduce_pairing(m)
     order_formula = groups.order_gusplit(args.r, args.s, args.p)

@@ -287,8 +287,9 @@ def equivariant_dimension(space: CosetSpace, rho: GroupRepresentation) -> int:
     One walk per orbit: f(y) = S_y f(rep), with S_rep = I and
     S_z = rho(g)^{-1} S_y along the spanning-tree edge y --g--> z.
     Every other edge asks (S_z - rho(g)^{-1} S_y) f(rep) = 0, so the
-    orbit adds d minus the rank of those rows.  Each generator is
-    inverted once, up front."""
+    orbit adds d minus the rank of those rows; an edge whose two
+    matrices are equal asks nothing.  Each generator is inverted once,
+    up front."""
     _validate_action_pair(space, rho)
     one, zero = rho.ctx.one(), rho.ctx.zero()
     d = rho.dim
@@ -309,7 +310,7 @@ def equivariant_dimension(space: CosetSpace, rho: GroupRepresentation) -> int:
                 if z not in S:
                     S[z] = image
                     queue.append(z)
-                else:
+                elif S[z] != image:
                     constraints.extend(
                         row for row in linalg.mat_sub(S[z], image)
                         if any(not x.is_zero() for x in row)

@@ -243,48 +243,45 @@ def _block_diag(blocks, zero):
     return linalg.freeze(out)
 
 
-def _mod_p_matrix(m: DieudonneModule, M):
-    return linalg.mat_map(m.ring.reduce, M)
+def quotient_projection(m: DieudonneModule):
+    """M/VM over the residue field: (quot, P).
 
-
-def _quotient_data(m: DieudonneModule):
-    """Echelon data for M/VM over the residue field.
-
-    Returns ({pivot_row: column}, quotient_rows sorted): the columns of
-    V mod p in reduced echelon form, each with a 1 at its pivot row and
-    0 at every other pivot row."""
-    vbar = _mod_p_matrix(m, m.v_matrix)
+    quot lists, in order, the basis vectors of M that span M/VM: the
+    rows that are not pivots of the reduced echelon columns of V mod p.
+    Row a of P sends a vector of M mod p to its coordinate a in that
+    basis: e_a on the quot indices, and minus the echelon columns on
+    the pivots, since each column is 1 at its own pivot and 0 at every
+    other pivot."""
+    vbar = linalg.mat_map(m.ring.reduce, m.v_matrix)
     cols, pivots = linalg.rref(linalg.transpose(vbar))
-    ech = dict(zip(pivots, cols))
-    quot = [i for i in range(m.rank) if i not in ech]
-    return ech, quot
+    quot = [i for i in range(m.rank) if i not in pivots]
+    ctx = m.ring.residue
+    P = [[ctx.zero()] * m.rank for _ in quot]
+    for row, i in zip(P, quot):
+        row[i] = ctx.one()
+        for r, col in zip(pivots, cols):
+            if not col[i].is_zero():
+                row[r] = -col[i]
+    return quot, linalg.freeze(P)
 
 
 def induced_quotient_action(m: DieudonneModule):
-    """Matrix of the ok_action on M/VM, in the echelon quotient basis."""
+    """Matrix of the ok_action on M/VM, in the basis of quotient_projection."""
     if m.ok_action is None:
         raise ValidationError("module carries no imaginary-quadratic action")
-    ech, quot = _quotient_data(m)
-    jbar = _mod_p_matrix(m, m.ok_action)
-    cols = []
-    for i in quot:
-        # reduce column i modulo the echelon columns of V mod p
-        v = [row[i] for row in jbar]
-        for r, col in ech.items():
-            f = v[r]
-            if not f.is_zero():
-                v = [x - f * y for x, y in zip(v, col)]
-        cols.append(tuple(v[r] for r in quot))
-    return linalg.freeze(zip(*cols))
+    quot, P = quotient_projection(m)
+    jbar = linalg.mat_map(m.ring.reduce, m.ok_action)
+    return linalg.mat_mul(P, linalg.freeze([[row[i] for i in quot] for row in jbar]))
 
 
 def build_superspecial_unitary(p: int, n: int, alpha: int, r: int, s: int) -> DieudonneModule:
     """g = r + s copies of the slope-1/2 module with product polarization
-    and sqrt(alpha) acting blockwise by diag(u, sigma u) / diag(sigma u, u).
+    and sqrt(alpha) = u acting by diag(u, sigma u) on the first r blocks
+    and by diag(sigma u, u) on the last s.
 
-    The block orientation is not hard-coded: both assignments are tried
-    and the one whose induced action on M/VM is diag(-sqrt(alpha) I_r,
-    +sqrt(alpha) I_s) mod p is kept.
+    M/VM is spanned by the second basis vector of each block, and
+    sigma(u) = -u (hensel_sqrt checks it), so the induced action on M/VM
+    is diag(-sqrt(alpha) I_r, +sqrt(alpha) I_s) mod p; that is checked.
     """
     g = r + s
     if r < 0 or s < 0 or g < 2 or g % 2 != 0:
@@ -297,27 +294,20 @@ def build_superspecial_unitary(p: int, n: int, alpha: int, r: int, s: int) -> Di
     E = _block_diag([base.polarization] * g, zero)
     u = hensel_sqrt(ring, alpha)
     su = ring.sigma(u)
+    J = _block_diag([((u, zero), (zero, su))] * r + [((su, zero), (zero, u))] * s, zero)
+    m = DieudonneModule(
+        ring=ring, rank=2 * g, f_matrix=F, v_matrix=V,
+        polarization=E, ok_action=J, alpha=alpha,
+    )
     ubar = ring.reduce(u)
-
-    def assemble(first, second):
-        blocks = [((first, zero), (zero, second))] * r + [((second, zero), (zero, first))] * s
-        return _block_diag(blocks, zero)
-
-    target = linalg.scalar_matrix(g, ubar, ubar.ring.zero())
-    target = tuple(
-        tuple((-x if i < r else x) if i == j else x for j, x in enumerate(row))
-        for i, row in enumerate(target)
+    target = linalg.freeze(
+        [[(-ubar if i < r else ubar) if i == j else ubar.ring.zero() for j in range(g)] for i in range(g)]
     )
-    for J in (assemble(u, su), assemble(su, u)):
-        m = DieudonneModule(
-            ring=ring, rank=2 * g, f_matrix=F, v_matrix=V,
-            polarization=E, ok_action=J, alpha=alpha,
+    if induced_quotient_action(m) != target:
+        raise FormulaInconsistencyError(
+            "the model does not induce diag(-sqrt(a) I_r, sqrt(a) I_s) on M/VM"
         )
-        if induced_quotient_action(m) == target:
-            return m
-    raise FormulaInconsistencyError(
-        "neither block orientation induces diag(-sqrt(a) I_r, sqrt(a) I_s) on M/VM"
-    )
+    return m
 
 
 def action_eigen_indices(m: DieudonneModule) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -343,7 +333,7 @@ def action_eigen_indices(m: DieudonneModule) -> tuple[tuple[int, ...], tuple[int
 def graded_quotient_dims(m: DieudonneModule) -> tuple[int, int]:
     """(dim M_-/V M_+, dim M_+/V M_-) over the residue field."""
     minus, plus = action_eigen_indices(m)
-    vbar = _mod_p_matrix(m, m.v_matrix)
+    vbar = linalg.mat_map(m.ring.reduce, m.v_matrix)
 
     def qdim(rows, cols):
         sub = [[vbar[i][j] for j in cols] for i in rows]
@@ -413,7 +403,7 @@ def newton_polygon(m: DieudonneModule) -> NewtonPolygon:
 
 def hodge_polygon(m: DieudonneModule) -> HodgePolygon:
     """Weights 0 and 1 with multiplicities (h - d, d), d = dim M/FM."""
-    fbar = _mod_p_matrix(m, m.f_matrix)
+    fbar = linalg.mat_map(m.ring.reduce, m.f_matrix)
     d = m.rank - linalg.rank(fbar)
     weights = []
     if m.rank - d > 0:
@@ -460,42 +450,26 @@ def endpoint_admissibility(np: NewtonPolygon, hp: HodgePolygon) -> EndpointRepor
 # determinant condition
 
 
-def _bivar_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            key = (i1 + i2, j1 + j2)
-            v = out.get(key)
-            out[key] = c1 * c2 if v is None else v + c1 * c2
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
 def determinant_condition(r: int, s: int, alpha: int, matrix) -> bool:
     """True iff det(X1*I + X2*L) = (X1 - u X2)^r (X1 + u X2)^s exactly,
     as fully expanded polynomials over F_{p^2}, with u = sqrt(alpha).
 
     L must be square of size r + s with entries in one ring W_1(F_{p^2}).
+    Both sides are homogeneous of degree r + s, so they agree iff they
+    agree at X1 = T, X2 = -1: iff the characteristic polynomial
+    det(T*I - L) is (T + u)^r (T - u)^s, coefficient by coefficient.
     """
     g = r + s
     if len(matrix) != g or any(len(row) != g for row in matrix):
         raise ValidationError(f"matrix must be {g} x {g}")
     ring = matrix[0][0].ring
     u = hensel_sqrt(ring, alpha)
-    one = ring.one()
-    # det(X1 I + X2 L) = sum_k E_k(L) X1^{g-k} X2^k with E_k read off the
-    # characteristic polynomial (division-free), then compared fully.
-    coeffs = linalg.charpoly(matrix, one)  # c[k] = (-1)^k E_k
-    lhs = {}
-    for k, c in enumerate(coeffs):
-        ek = c if k % 2 == 0 else -c
-        if not ek.is_zero():
-            lhs[(g - k, k)] = ek
-    rhs = {(0, 0): one}
-    for _ in range(r):
-        rhs = _bivar_mul(rhs, {(1, 0): one, (0, 1): -u})
-    for _ in range(s):
-        rhs = _bivar_mul(rhs, {(1, 0): one, (0, 1): u})
-    return lhs == rhs
+    zero = ring.zero()
+    rhs = [ring.one()]  # highest degree first, as charpoly
+    for root in [-u] * r + [u] * s:
+        # times (T - root)
+        rhs = [a - root * b for a, b in zip(rhs + [zero], [zero] + rhs)]
+    return linalg.charpoly(matrix, ring.one()) == rhs
 
 
 def canonical_lie_action(ring: WittRing, alpha: int, r: int, s: int):
@@ -532,9 +506,18 @@ def module_to_dict(m: DieudonneModule) -> dict:
     return out
 
 
+def truncation_level(n: int) -> int:
+    """n, once checked against MAX_TRUNCATION: a level given from outside
+    (a module file's "n", `pairing --n`) costs time that grows with n.
+    A level below 1 is left to witt_ring to refuse."""
+    if n > MAX_TRUNCATION:
+        raise ValidationError(f"truncation level n must be <= {MAX_TRUNCATION}, got {n}")
+    return n
+
+
 def module_from_dict(data: dict, n_override: Optional[int] = None) -> DieudonneModule:
     p, s, rank = (spec_field(data, key) for key in ("p", "s", "rank"))
-    n = spec_field(data, "n") if n_override is None else n_override
+    n = truncation_level(spec_field(data, "n")) if n_override is None else n_override
     ring = witt_ring(p, s, n)
 
     def dec(name):
@@ -565,9 +548,10 @@ def module_from_dict(data: dict, n_override: Optional[int] = None) -> DieudonneM
 
 def newton_polygon_with_retry(data: dict) -> tuple[NewtonPolygon, int]:
     """Newton polygon of a JSON module spec, doubling the truncation on
-    censored valuations (default start 2*height + 2, cap 64)."""
+    censored valuations (default start 2*height + 2, cap 64).  A spec's
+    own "n" is checked like any other field, and refused above the cap."""
     rank = spec_field(data, "rank")
-    n = spec_field(data, "n") if data.get("n") else 2 * rank + DEFAULT_TRUNCATION_SLACK
+    n = truncation_level(spec_field(data, "n")) if "n" in data else 2 * rank + DEFAULT_TRUNCATION_SLACK
     while True:
         try:
             return newton_polygon(module_from_dict(data, n_override=n)), n

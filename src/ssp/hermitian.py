@@ -15,14 +15,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .dieudonne import DieudonneModule, _mod_p_matrix, _quotient_data, check_axioms, induced_quotient_action
+from .dieudonne import DieudonneModule, check_axioms, induced_quotient_action, quotient_projection
 from .errors import EnumBudget, ValidationError
 from .ftables import block_similitudes, field_table, metered_table
 from .witt import WittElem, WittRing, hensel_sqrt
-
-
-def _conj_mat(ctx: WittRing, M):
-    return linalg.mat_map(ctx.sigma, M)
 
 
 @dataclass(frozen=True)
@@ -40,12 +36,11 @@ class HermitianQuotient:
     dim: int
     gram: tuple[tuple[WittElem, ...], ...]
     grading: Optional[tuple[int, int]] = None
-    sqrt_alpha: Optional[WittElem] = None
 
     def __post_init__(self):
         if len(self.gram) != self.dim or any(len(r) != self.dim for r in self.gram):
             raise ValidationError("Gram matrix has wrong dimensions")
-        if self.gram != linalg.transpose(_conj_mat(self.ctx, self.gram)):
+        if self.gram != linalg.transpose(linalg.mat_map(self.ctx.sigma, self.gram)):
             raise ValidationError("pairing is not sigma-alternating")
         if not linalg.is_invertible(self.gram):
             raise ValidationError("degenerate pairing (polarization bug)")
@@ -87,17 +82,16 @@ def reduce_pairing(m: DieudonneModule) -> HermitianQuotient:
         raise ValidationError("F + V != 0 on this module")
 
     ctx = m.ring.residue
-    ech, quot = _quotient_data(m)
-    pairing_full = _mod_p_matrix(m, linalg.mat_mul(m.polarization, m.f_matrix))
+    quot, _ = quotient_projection(m)
+    pairing_full = linalg.mat_map(m.ring.reduce, linalg.mat_mul(m.polarization, m.f_matrix))
     gram = linalg.freeze([[pairing_full[i][j] for j in quot] for i in quot])
 
-    if gram != linalg.transpose(_conj_mat(ctx, gram)):
+    if gram != linalg.transpose(linalg.mat_map(ctx.sigma, gram)):
         raise ValidationError("induced pairing is not sigma-alternating")
     if not linalg.is_invertible(gram):
         raise ValidationError("degenerate pairing (polarization bug)")
 
     grading = None
-    sqrt_alpha = None
     if m.ok_action is not None:
         if m.alpha is None:
             raise ValidationError("module with an action must record alpha")
@@ -105,7 +99,7 @@ def reduce_pairing(m: DieudonneModule) -> HermitianQuotient:
         ubar = m.ring.reduce(hensel_sqrt(m.ring, m.alpha))
         # skew-Hermitian: <J x, y> = <x, -J y>, i.e. J^T G = -G sigma(J)
         lhs = linalg.mat_mul(linalg.transpose(jq), gram)
-        rhs = linalg.mat_neg(linalg.mat_mul(gram, _conj_mat(ctx, jq)))
+        rhs = linalg.mat_neg(linalg.mat_mul(gram, linalg.mat_map(ctx.sigma, jq)))
         if lhs != rhs:
             raise ValidationError("induced pairing is not skew-Hermitian for the action")
         g = len(quot)
@@ -119,13 +113,10 @@ def reduce_pairing(m: DieudonneModule) -> HermitianQuotient:
         if len(minus_basis) + len(plus_basis) != g:
             raise ValidationError("action on the quotient is not semisimple")
         C = linalg.transpose(tuple(minus_basis) + tuple(plus_basis))
-        gram = linalg.mat_mul(linalg.mat_mul(linalg.transpose(C), gram), _conj_mat(ctx, C))
+        gram = linalg.mat_mul(linalg.mat_mul(linalg.transpose(C), gram), linalg.mat_map(ctx.sigma, C))
         grading = (len(minus_basis), len(plus_basis))
-        sqrt_alpha = ubar
 
-    return HermitianQuotient(
-        ctx=ctx, dim=len(quot), gram=linalg.freeze(gram), grading=grading, sqrt_alpha=sqrt_alpha
-    )
+    return HermitianQuotient(ctx=ctx, dim=len(quot), gram=linalg.freeze(gram), grading=grading)
 
 
 def pairing_well_defined(m: DieudonneModule, h: HermitianQuotient, trials: int = 20, seed: int = 0) -> int:
@@ -138,8 +129,8 @@ def pairing_well_defined(m: DieudonneModule, h: HermitianQuotient, trials: int =
 
     rng = random.Random(seed)
     ring = m.ring
-    ech, quot = _quotient_data(m)
-    pairing_full = _mod_p_matrix(m, linalg.mat_mul(m.polarization, m.f_matrix))
+    quot, _ = quotient_projection(m)
+    pairing_full = linalg.mat_map(m.ring.reduce, linalg.mat_mul(m.polarization, m.f_matrix))
     disagreements = 0
     for _ in range(trials):
         i = quot[rng.randrange(len(quot))]
@@ -183,7 +174,7 @@ def automorphism_group_bruteforce(h: HermitianQuotient) -> tuple[int, list]:
 def similitude_factor(h: HermitianQuotient, X) -> WittElem:
     """The c with X* gram X = c gram; raises if X is not an automorphism."""
     lhs = linalg.mat_mul(
-        linalg.mat_mul(linalg.transpose(_conj_mat(h.ctx, X)), h.gram), X
+        linalg.mat_mul(linalg.transpose(linalg.mat_map(h.ctx.sigma, X)), h.gram), X
     )
     anchor = next(
         (i, j)
@@ -201,16 +192,9 @@ def cotangent_dual(h: HermitianQuotient) -> HermitianQuotient:
     """The dual space with the pairing transported through v -> <., v>.
 
     On coded bases the transported Gram is sigma(G^{-1})^T; the grading
-    and sqrt(alpha) are unchanged (the functionals supported on an
-    eigenspace form the eigenspace of the dual action for the same
-    eigenvalue)."""
+    is unchanged (the functionals supported on an eigenspace form the
+    eigenspace of the dual action for the same eigenvalue)."""
     one, zero = h.ctx.one(), h.ctx.zero()
     ginv = linalg.inverse(h.gram, one, zero)
-    dual_gram = linalg.transpose(_conj_mat(h.ctx, ginv))
-    return HermitianQuotient(
-        ctx=h.ctx,
-        dim=h.dim,
-        gram=linalg.freeze(dual_gram),
-        grading=h.grading,
-        sqrt_alpha=h.sqrt_alpha,
-    )
+    dual_gram = linalg.transpose(linalg.mat_map(h.ctx.sigma, ginv))
+    return HermitianQuotient(ctx=h.ctx, dim=h.dim, gram=linalg.freeze(dual_gram), grading=h.grading)

@@ -109,7 +109,7 @@ def _exponent():
 
 def _lemma(p: int, alpha: int):
     rep = groups.lemma_gp_check(p, alpha, 1, 1)
-    return rep.ok, (
+    return rep.ok and rep.gp_order == groups.order_gusplit(1, 1, p), (
         f"group {rep.group_order} = kernel {rep.kernel_size} x image {rep.image_size}; "
         f"surjective = {rep.surjective}"
     )

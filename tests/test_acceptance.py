@@ -27,7 +27,6 @@ from ssp.witt import witt_ring
 from ssp.groups import (
     gl2_order_enumerated,
     gusplit_group_elements,
-    lemma_gp_check,
     order_gsp_mod,
     order_gusplit,
     order_su,
@@ -35,7 +34,6 @@ from ssp.groups import (
     p_regular_class_count_enumerated,
     p_regular_classes,
     su_group_elements,
-    sylow_p_order,
     unitary_group_elements,
 )
 from ssp.hermitian import automorphism_group_bruteforce, pairing_well_defined, reduce_pairing
@@ -74,12 +72,7 @@ def test_criterion_02_p_regular_class_counts():
     record(2, f"p-regular class counts match enumeration ({elapsed:.1f}s < 120s)", ok and elapsed < 120)
 
 
-def test_criterion_03_sylow_orders():
-    ok = True
-    for r, s in ((1, 1), (2, 0)):
-        order = len(gusplit_group_elements(r, s, 3))
-        ok = ok and sylow_p_order(order, 3) == 3 ** ((r * (r - 1) + s * (s - 1)) // 2)
-    record(3, "enumerated p-Sylow order equals p^((r(r-1)+s(s-1))/2)", ok)
+# criterion 3 (the enumerated p-Sylow orders) is verify's sylow-order-vs-formula(3)
 
 
 def test_criterion_04_superspecial_model_core():
@@ -119,16 +112,8 @@ def test_criterion_06_automorphism_group_order():
     record(6, f"brute-force automorphism order 32 ({elapsed:.1f}s < 600s)", ok)
 
 
-def test_criterion_07_level_p_exact_sequence():
-    rep = lemma_gp_check(3, -1, 1, 1)
-    ok = (
-        rep.surjective
-        and rep.image_size == 32
-        and rep.kernel_is_identity_mod_pi
-        and rep.offdiag_probes_rejected == rep.offdiag_probes_total
-        and rep.group_order == rep.kernel_size * rep.gp_order
-    )
-    record(7, "level-p sequence: surjective onto all 32, off-diagonal blocks vanish mod Pi", ok)
+# criterion 7 (the level-p exact sequence onto all 32 elements of G(p)) is
+# verify's lemma-gp-check(3,-1,1,1), which also pins |G(p)| = order_gusplit(1,1,3)
 
 
 def test_criterion_08_newton_and_hodge():

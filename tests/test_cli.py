@@ -313,6 +313,26 @@ class TestNewton:
         assert code == 2
         assert field in json.loads(out)["results"]["error"]
 
+    @pytest.mark.parametrize(
+        "n, error", [(0, ">= 1"), (None, "'n'"), (65, "<= 64"), (10**9, "<= 64")], ids=["0", "null", "65", "1e9"]
+    )
+    def test_truncation_outside_1_to_64_exits_2(self, tmp_path, capsys, n, error):
+        # a present "n" is checked like any other field: 0 is not read as absent
+        spec = {"p": 3, "s": 2, "n": n, "rank": 2, "F": [[0, 1], [-3, 0]], "V": [[0, -1], [3, 0]]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out = run(capsys, "newton", str(path))
+        assert code == 2
+        assert error in json.loads(out)["results"]["error"]
+
+    def test_truncation_at_the_cap_is_used(self, tmp_path, capsys):
+        spec = {"p": 3, "s": 2, "n": 64, "rank": 2, "F": [[0, 1], [-3, 0]], "V": [[0, -1], [3, 0]]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out = run(capsys, "newton", str(path))
+        assert code == 0
+        assert json.loads(out)["results"]["truncation_used"]["value"] == "64"
+
 
 class TestPairing:
     def test_orders_match(self, capsys):
@@ -340,6 +360,16 @@ class TestPairing:
         assert proc.returncode == 4, proc.stderr
         error = json.loads(proc.stdout)["results"]["error"]
         assert f"automorphism_group_bruteforce would reach {10201**2} candidates" in error
+
+    @pytest.mark.parametrize(
+        "n, error",
+        [("0", "must be >= 1"), ("65", "must be <= 64, got 65"), ("1000000000", "must be <= 64, got 1000000000")],
+        ids=["0", "65", "1e9"],
+    )
+    def test_truncation_outside_1_to_64_exits_2(self, capsys, n, error):
+        code, out = run(capsys, "pairing", "--p", "3", "--alpha", "-1", "--r", "1", "--s", "1", "--n", n)
+        assert code == 2
+        assert json.loads(out)["results"]["error"] == f"truncation level n {error}"
 
     @pytest.mark.parametrize("value", ["abc", "-1", "1e3"])
     def test_bad_budget_exits_2(self, capsys, monkeypatch, value):

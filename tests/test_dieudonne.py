@@ -23,9 +23,10 @@ from ssp.dieudonne import (
     module_to_dict,
     newton_polygon,
     newton_polygon_with_retry,
+    quotient_projection,
 )
-from ssp.errors import InsufficientPrecisionError, ValidationError
-from ssp.witt import witt_ring
+from ssp.errors import FormulaInconsistencyError, InsufficientPrecisionError, ValidationError
+from ssp.witt import hensel_sqrt, witt_ring
 
 
 def toy_module(ring, f_diag, v_diag):
@@ -156,6 +157,15 @@ class TestSuperspecialUnitary:
                     for j, c in enumerate(vec):
                         if j not in dst:
                             assert c == zero
+
+    def test_orientation_is_checked(self, monkeypatch):
+        # the model is built in one orientation; a wrong induced action is an error
+        from ssp import dieudonne
+
+        ctx = witt_ring(3, 2, 1)
+        monkeypatch.setattr(dieudonne, "induced_quotient_action", lambda m: canonical_lie_action(ctx, -1, 0, 2))
+        with pytest.raises(FormulaInconsistencyError):
+            build_superspecial_unitary(3, 2, -1, 1, 1)
 
     def test_rejects_odd_g(self):
         with pytest.raises(ValidationError):
@@ -310,6 +320,19 @@ class TestJsonRoundTrip:
         assert np_.slopes == ((Fraction(1, 2), 2),)
         assert n_used > 1
 
+    @pytest.mark.parametrize("n", [65, 10**6, 10**9])
+    def test_truncation_above_the_cap_is_refused(self, n):
+        d = module_to_dict(build_a_half(witt_ring(3, 2, 2))) | {"n": n}
+        for read in (newton_polygon_with_retry, module_from_dict):
+            with pytest.raises(ValidationError, match="<= 64"):
+                read(d)
+
+    @pytest.mark.parametrize("n", [0, -1, None])
+    def test_present_truncation_is_validated(self, n):
+        # a present "n" of 0 is not read as absent
+        with pytest.raises(ValidationError):
+            newton_polygon_with_retry(module_to_dict(build_a_half(witt_ring(3, 2, 2))) | {"n": n})
+
     def test_retry_gives_up_on_genuinely_censored_input(self):
         ring = witt_ring(3, 1, 2)
         zero, one = ring.zero(), ring.one()
@@ -321,3 +344,130 @@ class TestJsonRoundTrip:
         )
         with pytest.raises(InsufficientPrecisionError):
             newton_polygon_with_retry(module_to_dict(m))
+
+
+# ---------------------------------------------------------------------------
+# the earlier paths, kept as references for the rewritten ones
+
+
+def _bivar_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            v = out.get(key)
+            out[key] = c1 * c2 if v is None else v + c1 * c2
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def determinant_condition_bivariate(r, s, alpha, matrix):
+    """det(X1 I + X2 L) and (X1 - u X2)^r (X1 + u X2)^s, both expanded as
+    dicts {(deg X1, deg X2): coefficient} and compared."""
+    g = r + s
+    ring = matrix[0][0].ring
+    u = hensel_sqrt(ring, alpha)
+    one = ring.one()
+    lhs = {}
+    for k, c in enumerate(linalg.charpoly(matrix, one)):  # c[k] = (-1)^k E_k
+        ek = c if k % 2 == 0 else -c
+        if not ek.is_zero():
+            lhs[(g - k, k)] = ek
+    rhs = {(0, 0): one}
+    for _ in range(r):
+        rhs = _bivar_mul(rhs, {(1, 0): one, (0, 1): -u})
+    for _ in range(s):
+        rhs = _bivar_mul(rhs, {(1, 0): one, (0, 1): u})
+    return lhs == rhs
+
+
+def induced_quotient_action_by_columns(m):
+    """The action on M/VM, each quotient column of J mod p reduced in turn
+    by the echelon columns of V mod p."""
+    vbar = linalg.mat_map(m.ring.reduce, m.v_matrix)
+    cols, pivots = linalg.rref(linalg.transpose(vbar))
+    ech = dict(zip(pivots, cols))
+    quot = [i for i in range(m.rank) if i not in ech]
+    jbar = linalg.mat_map(m.ring.reduce, m.ok_action)
+    out = []
+    for i in quot:
+        v = [row[i] for row in jbar]
+        for r, col in ech.items():
+            f = v[r]
+            if not f.is_zero():
+                v = [x - f * y for x, y in zip(v, col)]
+        out.append(tuple(v[r] for r in quot))
+    return linalg.freeze(zip(*out))
+
+
+def _random_matrix(rng, ring, rows, cols):
+    return linalg.freeze(
+        [[ring.el(tuple(rng.randrange(ring.pn) for _ in range(ring.s))) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def _random_invertible(rng, ring, g):
+    while True:
+        P = _random_matrix(rng, ring, g, g)
+        if linalg.is_invertible(P):
+            return P
+
+
+class TestAgainstEarlierPaths:
+    @pytest.mark.parametrize("g", [2, 4])
+    def test_determinant_condition_matches_bivariate_expansion(self, g):
+        # random matrices, and conjugates of triangular ones with +-u on the
+        # diagonal and random entries above it, which are mostly not
+        # diagonalisable and satisfy the condition for their own (r, s)
+        rng = random.Random(100 + g)
+        ctx = witt_ring(3, 2, 1)
+        u = hensel_sqrt(ctx, -1)
+        accepted = set()
+        for trial in range(40):
+            if trial % 2:
+                L = _random_matrix(rng, ctx, g, g)
+            else:
+                T = _random_matrix(rng, ctx, g, g)
+                diag = [rng.choice((u, -u)) for _ in range(g)]
+                T = linalg.freeze(
+                    [[diag[i] if i == j else T[i][j] if j > i else ctx.zero() for j in range(g)] for i in range(g)]
+                )
+                P = _random_invertible(rng, ctx, g)
+                L = linalg.mat_mul(linalg.mat_mul(linalg.inverse(P, ctx.one(), ctx.zero()), T), P)
+            for r in range(g + 1):
+                got = determinant_condition(r, g - r, -1, L)
+                assert got == determinant_condition_bivariate(r, g - r, -1, L)
+                if got:
+                    accepted.add(r)
+        assert accepted == set(range(g + 1))
+
+    def test_non_diagonalisable_jordan_block(self):
+        ctx = witt_ring(3, 2, 1)
+        u = hensel_sqrt(ctx, -1)
+        J = ((-u, ctx.one()), (ctx.zero(), -u))
+        for r in range(3):
+            assert determinant_condition(r, 2 - r, -1, J) == determinant_condition_bivariate(r, 2 - r, -1, J) == (r == 2)
+
+    @pytest.mark.parametrize("p, s, n", [(3, 2, 2), (3, 1, 3), (5, 2, 1)])
+    def test_quotient_action_matches_column_reduction(self, p, s, n):
+        # random V = X Y + p Z, so V mod p has rank at most k, and random J;
+        # the constructor checks no axioms
+        rng = random.Random(p * 100 + s * 10 + n)
+        ring = witt_ring(p, s, n)
+        for _ in range(12):
+            h = rng.randrange(1, 7)
+            k = rng.randrange(h + 1)
+            X, Y = _random_matrix(rng, ring, h, k), _random_matrix(rng, ring, k, h)
+            Z = _random_matrix(rng, ring, h, h)
+            V = linalg.freeze(
+                [[sum((X[i][t] * Y[t][j] for t in range(k)), ring.el(p) * Z[i][j]) for j in range(h)] for i in range(h)]
+            )
+            m = DieudonneModule(ring=ring, rank=h, f_matrix=V, v_matrix=V, ok_action=_random_matrix(rng, ring, h, h))
+            assert induced_quotient_action(m) == induced_quotient_action_by_columns(m)
+            quot, P = quotient_projection(m)
+            ctx = ring.residue
+            # P is the identity on the quotient basis and kills V M mod p
+            assert [[row[i] for i in quot] for row in P] == [
+                [ctx.one() if a == b else ctx.zero() for b in range(len(quot))] for a in range(len(quot))
+            ]
+            vbar = linalg.mat_map(ring.reduce, V)
+            assert all(x.is_zero() for row in linalg.mat_mul(P, vbar) for x in row)

@@ -4,12 +4,14 @@ argv of `ssp group`, `ssp pairing`, `ssp bound` and `ssp sweep`.
 Each JSON example takes a valid document, replaces one field or nested
 entry with an arbitrary JSON value or drops it, and runs the CLI
 in-process; half the `amf` representations are drawn well-formed
-instead.  Each `group` example draws a family name and a parameter
-list, each `pairing` example its five integers, each `bound`
+instead, and some `newton` documents only get a truncation level at or
+past the ends of 1..64.  Each `group` example draws a family name and a
+parameter list, each `pairing` example its five integers, each `bound`
 example its five and each `sweep` example a range and four
 integers.  Every input must end in
 a documented exit code with a JSON report on stdout and nothing on
-stderr; an uncaught exception fails the test.  Examples are drawn
+stderr; an uncaught exception fails the test.  A truncation level
+outside 1..64 must exit 2.  Examples are drawn
 deterministically, so the test is the same on every run.
 """
 
@@ -27,6 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ssp.cli import main
+from ssp.dieudonne import MAX_TRUNCATION
 
 NEWTON = {
     "p": 3,
@@ -103,10 +106,24 @@ def _run(command, *docs):
         return _main([command, *paths])
 
 
+# truncation levels at and past the ends of 1..MAX_TRUNCATION, and far past
+# them, where an unchecked level ran for seconds (10^6) or far longer
+TRUNCATIONS = st.sampled_from([0, 64, 65, 10**6, 10**9])
+
+
+def _truncation_in_range(n) -> bool:
+    return n is None or type(n) is not int or 1 <= n <= MAX_TRUNCATION
+
+
 @FUZZ
-@given(mutated(NEWTON))
+@given(mutated(NEWTON) | TRUNCATIONS.map(lambda n: NEWTON | {"n": n}))
 def test_newton_spec(doc):
-    assert _run("newton", doc)[0] in (0, 2, 3)
+    code = _run("newton", doc)[0]
+    assert code in (0, 2, 3)
+    if not _truncation_in_range(doc.get("n")):
+        assert code == 2
+    if doc == NEWTON | {"n": MAX_TRUNCATION}:
+        assert code == 0
 
 
 def _check_amf(space, rep):
@@ -201,8 +218,9 @@ def pairing_argv(draw):
     """`ssp pairing` argv.  Half the examples are well-formed: an odd prime
     p up to 13, a negative alpha that is a non-residue mod p (Euler's
     criterion), r + s even and at least 2, and --n left out or positive.
-    The other half draw each integer from a small range.  p <= 13 keeps
-    each field table, q^2 <= 28561 entries, within the budget."""
+    The other half draw each integer from a small range.  Either half may
+    draw --n from TRUNCATIONS.  p <= 13 keeps each field table,
+    q^2 <= 28561 entries, within the budget."""
     if draw(st.booleans()):
         p = draw(st.sampled_from([3, 5, 7, 11, 13]))
         r = draw(st.integers(0, 4))
@@ -212,10 +230,10 @@ def pairing_argv(draw):
             "--r": r,
             "--s": draw(st.sampled_from([s for s in range(5) if (r + s) % 2 == 0 and r + s >= 2])),
         }
-        n = draw(st.none() | st.integers(1, 6))
+        n = draw(st.none() | st.integers(1, 6) | TRUNCATIONS)
     else:
         ints = {flag: draw(st.integers(-3, 13)) for flag in ("--p", "--alpha", "--r", "--s")}
-        n = draw(st.none() | st.integers(-2, 12))
+        n = draw(st.none() | st.integers(-2, 12) | TRUNCATIONS)
     if n is not None:
         ints["--n"] = n
     return ["pairing"] + [f"{flag}={value}" for flag, value in ints.items()]
@@ -225,7 +243,11 @@ def pairing_argv(draw):
 @given(pairing_argv())
 def test_pairing_argv(argv):
     with mock.patch.dict(os.environ, {"SSP_MAX_ENUM": str(10**5)}):
-        assert _main(argv)[0] in (0, 2, 3, 4)
+        code = _main(argv)[0]
+    assert code in (0, 2, 3, 4)
+    n = next((int(a.removeprefix("--n=")) for a in argv if a.startswith("--n=")), None)
+    if not _truncation_in_range(n):
+        assert code == 2
 
 
 # integers the closed forms of `bound` must reject or survive: zero, units,

@@ -30,6 +30,28 @@ def test_groups_does_not_import_the_module_layer():
     assert not imported & {"hermitian", "dieudonne"}
 
 
+def test_no_private_names_cross_package_modules():
+    # a module's _-prefixed names are its own: no package module imports one
+    # from another, or reads one off a package module it imported
+    offenders = []
+    for name, tree in _modules().items():
+        package_modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "ssp"):
+                offenders += [f"{name}.py:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+                if not node.module:
+                    package_modules |= {a.asname or a.name for a in node.names}
+        offenders += [
+            f"{name}.py:{node.lineno} {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name)
+            and node.value.id in package_modules
+        ]
+    assert offenders == []
+
+
 def _imported(tree) -> set:
     """Every dotted-name part `tree` imports: modules, submodules and names,
     so `from ssp.cli import main` and `from . import cli` both give "cli"."""

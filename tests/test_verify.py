@@ -61,3 +61,11 @@ def test_a_raising_check_fails_only_itself(monkeypatch):
     assert [e["ok"] for e in results["checks"]] == [True, False, True]
     assert results["checks"][1]["detail"] == "error: no oracle"
     assert (results["passed"], results["failed"], results["first_failure"]) == (2, 1, "broken")
+
+
+def test_lemma_check_pins_the_order_of_g_p(monkeypatch):
+    # lemma-gp-check also requires |G(p)| = order_gusplit(1, 1, p), so with
+    # surjectivity its image has all 32 elements at p = 3
+    assert verify._lemma(3, -1)[0]
+    monkeypatch.setattr(verify.groups, "order_gusplit", lambda r, s, p: 31)
+    assert not verify._lemma(3, -1)[0]
