@@ -548,10 +548,14 @@ def module_from_dict(data: dict, n_override: Optional[int] = None) -> DieudonneM
 
 def newton_polygon_with_retry(data: dict) -> tuple[NewtonPolygon, int]:
     """Newton polygon of a JSON module spec, doubling the truncation on
-    censored valuations (default start 2*height + 2, cap 64).  A spec's
-    own "n" is checked like any other field, and refused above the cap."""
+    censored valuations (default start 2*height + 2, cap 64, so a spec
+    of rank 32 or more without "n" starts at the cap).  A spec's own "n"
+    is checked like any other field, and refused above the cap."""
     rank = spec_field(data, "rank")
-    n = truncation_level(spec_field(data, "n")) if "n" in data else 2 * rank + DEFAULT_TRUNCATION_SLACK
+    if "n" in data:
+        n = truncation_level(spec_field(data, "n"))
+    else:
+        n = min(2 * rank + DEFAULT_TRUNCATION_SLACK, MAX_TRUNCATION)
     while True:
         try:
             return newton_polygon(module_from_dict(data, n_override=n)), n

@@ -54,6 +54,32 @@ class FieldTable:
             out.append(tuple(row))
         return tuple(out)
 
+    def right_mul(self, M):
+        """The map X -> mat_mul(X, M).  Each distinct row r of its
+        arguments is multiplied by M once; the products r.M are kept only
+        as long as the map, so a walk that applies one M to many matrices
+        with shared rows pays a dict lookup per row."""
+        mul, add = self.mul, self.add
+        cols = tuple(zip(*M))
+        products: dict[tuple, tuple] = {}
+
+        def times_m(X):
+            try:
+                return tuple(map(products.__getitem__, X))
+            except KeyError:
+                for r in X:
+                    if r not in products:
+                        out = []
+                        for col in cols:
+                            acc = 0
+                            for a, b in zip(r, col):
+                                acc = add[acc][mul[a][b]]
+                            out.append(acc)
+                        products[r] = tuple(out)
+                return tuple(map(products.__getitem__, X))
+
+        return times_m
+
     def conj_transpose(self, A):
         conj = self.conj
         return tuple(tuple(conj[A[i][j]] for i in range(len(A))) for j in range(len(A[0]) if A else 0))

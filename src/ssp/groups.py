@@ -312,24 +312,41 @@ class GroupSpec:
 # conjugacy classes of enumerated groups
 
 
-def _powers(x, mat_mul, ident, bound: int) -> list:
-    """[x, x^2, ..., x^k = ident]; an element of a group of order `bound`
-    has order at most `bound`, so a longer run is an inconsistency."""
+def _powers(x, times_x, ident, bound: int) -> list:
+    """[x, x^2, ..., x^k = ident], with times_x the map y -> y x; an
+    element of a group of order `bound` has order at most `bound`, so a
+    longer run is an inconsistency."""
     out = [x]
     while out[-1] != ident:
         if len(out) >= bound:
             raise FormulaInconsistencyError("element order exceeds the group order")
-        out.append(mat_mul(out[-1], x))
+        out.append(times_x(out[-1]))
     return out
 
 
-def _generating_set(elements: list, elems: set, mat_mul, ident) -> list:
+def _power(x, m: int, mat_mul, ident):
+    """x^m by square-and-multiply: at most 2 m.bit_length() products."""
+    out = ident
+    while m:
+        if m & 1:
+            out = mat_mul(out, x)
+        m >>= 1
+        if m:
+            x = mat_mul(x, x)
+    return out
+
+
+def _generating_set(elements: list, elems: set, right_mul, ident) -> list:
     """Greedy generators of `elements`, with the closure grown by right
     multiplication as a union of right cosets (Dimino's algorithm).
+    `right_mul(M)` is the map X -> X M; every coset and every step by a
+    generator goes through one such map, so a product costs a lookup
+    per row once its rows have been seen.
 
     Every product must lie in `elems` and the closure must end up equal
     to it; that proves the generators generate the enumerated set."""
     gens: list = []
+    steps: list = []  # right_mul(g) for each generator g
     closure = [ident]
     reached = {ident}
     # candidates are taken at a stride near n / golden ratio, coprime to n:
@@ -341,8 +358,9 @@ def _generating_set(elements: list, elems: set, mat_mul, ident) -> list:
         step += 1
 
     def add_coset(sub, rep):
+        times_rep = right_mul(rep)
         for h in sub:
-            y = mat_mul(h, rep)
+            y = times_rep(h)
             if y not in elems:
                 raise FormulaInconsistencyError("a product left the enumerated group")
             closure.append(y)
@@ -355,14 +373,15 @@ def _generating_set(elements: list, elems: set, mat_mul, ident) -> list:
         if x in reached:
             continue
         gens.append(x)
+        steps.append(right_mul(x))
         # H = <previous generators> starts with the identity, so each new
         # right coset H*rep is a block of len(H) that starts with rep
         sub = closure[:]
         pos = len(closure)
         add_coset(sub, x)
         while pos < len(closure):
-            for g in gens:
-                rep = mat_mul(closure[pos], g)
+            for times_g in steps:
+                rep = times_g(closure[pos])
                 if rep not in reached:
                     add_coset(sub, rep)
             pos += len(sub)
@@ -381,23 +400,33 @@ def conjugacy_class_data(elements: list, p: int):
     greedily and their closure is built Dimino-style; it must equal the
     enumerated set, which proves that they generate it, so each orbit is
     a full conjugacy class.  The cost is about |G| * #generators
-    conjugations plus |G| products for the closure.  Representatives are
-    the first element of each class in sorted order.  The q^2 entries of
-    each dense F_{p^2} table are checked against the budget before the
-    table is built.
+    conjugations plus |G| products for the closure, and each of these
+    products is a lookup per row (FieldTable.right_mul): a conjugation
+    is ((y g)^T (g^-1)^T)^T.  Representatives are the first element of
+    each class in sorted order.
+
+    Once the closure and the generator inverses prove that the list is a
+    group, the order of x divides |G|, so x is p-regular iff x^m = I for
+    m = |G| with every factor p removed: one power per class, and none
+    at all when p does not divide |G|.  The q^2 entries of each dense
+    F_{p^2} table are checked against the budget before the table is
+    built.
     """
     if not elements:
         raise ValidationError("conjugacy_class_data needs a non-empty element list")
     table = metered_table(p, 2, EnumBudget("conjugacy_class_data"))
-    mul = table.mat_mul
+    right_mul = table.right_mul
     ident = table.identity(len(elements[0]))
     elems = set(elements)
-    gens = _generating_set(elements, elems, mul, ident)
+    gens = _generating_set(elements, elems, right_mul, ident)
     # no generator is the identity, so its inverse is the power before it
-    pairs = [(_powers(g, mul, ident, len(elems))[-2], g) for g in gens]
+    conjugations = []
+    for g in gens:
+        times_g = right_mul(g)
+        g_inv = _powers(g, times_g, ident, len(elems))[-2]
+        conjugations.append((times_g, right_mul(tuple(zip(*g_inv)))))
     seen = set()
     reps = []
-    regular = 0
     for x in sorted(elems):
         if x in seen:
             continue
@@ -405,17 +434,18 @@ def conjugacy_class_data(elements: list, p: int):
         todo = [x]
         while todo:
             y = todo.pop()
-            for g_inv, g in pairs:
-                z = mul(mul(g_inv, y), g)
+            for times_g, times_g_inv_t in conjugations:
+                z = tuple(zip(*times_g_inv_t(tuple(zip(*times_g(y))))))
                 if z not in seen:
                     if z not in elems:
                         raise FormulaInconsistencyError("conjugation left the enumerated group")
                     seen.add(z)
                     todo.append(z)
         reps.append(x)
-        if gcd(len(_powers(x, mul, ident, len(elems))), p) == 1:
-            regular += 1
-    return reps, regular
+    m = len(elems) // sylow_p_order(len(elems), p)
+    if m == len(elems):
+        return reps, len(reps)
+    return reps, sum(1 for x in reps if _power(x, m, table.mat_mul, ident) == ident)
 
 
 def p_regular_class_count_enumerated(r: int, s: int, p: int) -> int:

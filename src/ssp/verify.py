@@ -161,6 +161,7 @@ FULL = QUICK + (
     ("pregular-classes-vs-enumeration(2,2,3)", partial(_pregular, 2, 2, 3)),
     ("lemma-gp-check(7,-1,1,1)", partial(_lemma, 7, -1)),
     ("aut-bruteforce-vs-gusplit-order(3,2,2)", partial(_aut, 2, 2)),
+    ("pregular-classes-vs-enumeration(2,0,5)", partial(_pregular, 2, 0, 5)),
 )
 
 

@@ -320,6 +320,15 @@ class TestJsonRoundTrip:
         assert np_.slopes == ((Fraction(1, 2), 2),)
         assert n_used > 1
 
+    @pytest.mark.parametrize("rank", [31, 32, 40])
+    def test_default_truncation_starts_at_most_at_the_cap(self, rank):
+        # without "n" the start is 2*rank + 2, which passes the cap of 64 from rank 32 on
+        ident = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        d = {"p": 3, "s": 2, "rank": rank, "F": ident, "V": [[3 * x for x in row] for row in ident]}
+        np_, n_used = newton_polygon_with_retry(d)
+        assert n_used == 64
+        assert np_.slopes == ((Fraction(0), rank),)
+
     @pytest.mark.parametrize("n", [65, 10**6, 10**9])
     def test_truncation_above_the_cap_is_refused(self, n):
         d = module_to_dict(build_a_half(witt_ring(3, 2, 2))) | {"n": n}

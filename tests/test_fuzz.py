@@ -11,7 +11,8 @@ example its five and each `sweep` example a range and four
 integers.  Every input must end in
 a documented exit code with a JSON report on stdout and nothing on
 stderr; an uncaught exception fails the test.  A truncation level
-outside 1..64 must exit 2.  Examples are drawn
+outside 1..64 must exit 2, and a well-formed `pairing` argv is also run
+at each of those levels and at 64, where it must exit 0.  Examples are drawn
 deterministically, so the test is the same on every run.
 """
 
@@ -25,7 +26,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ssp.cli import main
@@ -239,8 +240,18 @@ def pairing_argv(draw):
     return ["pairing"] + [f"{flag}={value}" for flag, value in ints.items()]
 
 
+# a well-formed pairing argv; the examples below give it each level of
+# TRUNCATIONS, which the strategy alone draws unevenly
+PAIRING = ["pairing", "--p=3", "--alpha=-1", "--r=1", "--s=1"]
+
+
 @settings(FUZZ, max_examples=120)
 @given(pairing_argv())
+@example(PAIRING + ["--n=0"])
+@example(PAIRING + [f"--n={MAX_TRUNCATION}"])
+@example(PAIRING + ["--n=65"])
+@example(PAIRING + [f"--n={10**6}"])
+@example(PAIRING + [f"--n={10**9}"])
 def test_pairing_argv(argv):
     with mock.patch.dict(os.environ, {"SSP_MAX_ENUM": str(10**5)}):
         code = _main(argv)[0]
@@ -248,6 +259,8 @@ def test_pairing_argv(argv):
     n = next((int(a.removeprefix("--n=")) for a in argv if a.startswith("--n=")), None)
     if not _truncation_in_range(n):
         assert code == 2
+    if argv == PAIRING + [f"--n={MAX_TRUNCATION}"]:
+        assert code == 0
 
 
 # integers the closed forms of `bound` must reject or survive: zero, units,

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import operator
 import random
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from ssp import groups
 from ssp.dieudonne import build_a_half, build_superspecial_unitary
 from ssp.errors import BudgetExceededError, EnumBudget, FormulaInconsistencyError, ValidationError
-from ssp.ftables import field_table, similitude_frames
+from ssp.ftables import FieldTable, field_table, similitude_frames
 from ssp.gf import is_nonresidue
 from ssp.groups import (
     GroupSpec,
@@ -336,18 +337,20 @@ class TestClassCounts:
         assert len(center) == 2 * 16
 
 
+def _order_by_products(table, x):
+    ident = table.identity(len(x))
+    k, y = 1, x
+    while y != ident:
+        y, k = table.mat_mul(y, x), k + 1
+    return k
+
+
 def _conjugacy_class_data_slow(elements, p):
     """The slow oracle: conjugate every element by every element of the
     group, O(|G|^2) products, with inverses found by powering."""
     table = field_table(p)
     ident = table.identity(len(elements[0]))
-
-    def order(x):
-        k, y = 1, x
-        while y != ident:
-            y, k = table.mat_mul(y, x), k + 1
-        return k
-
+    order = functools.partial(_order_by_products, table)
     inverses = {}
     for x in elements:
         y = ident
@@ -413,6 +416,121 @@ class TestClassOrbits:
 
     def test_trivial_group(self):
         assert conjugacy_class_data([field_table(3).identity(2)], 3) == ([((1, 0), (0, 1))], 1)
+
+
+def _rows_with_repeats(rng, q, n, width):
+    """n coded rows of `width` entries drawn from a pool of n // 2 + 1,
+    so that most rows repeat."""
+    pool = [tuple(rng.randrange(q) for _ in range(width)) for _ in range(n // 2 + 1)]
+    return tuple(rng.choice(pool) for _ in range(n))
+
+
+class _CountingRows(list):
+    """A list of table rows that records each row it hands out."""
+
+    def __init__(self, rows, log):
+        super().__init__(rows)
+        self.log = log
+
+    def __getitem__(self, i):
+        self.log.append(i)
+        return super().__getitem__(i)
+
+
+class TestRightMul:
+    """FieldTable.right_mul(M) is X -> mat_mul(X, M), with each distinct
+    row multiplied once per map."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_mat_mul_on_square_and_rectangular_shapes(self, p):
+        table = field_table(p)
+        rng = random.Random(p)
+        shapes = [(n, n, n) for n in range(1, 5)] + [(3, 2, 4), (5, 4, 1), (1, 3, 2), (6, 1, 3)]
+        for rows, inner, cols in shapes:
+            M = _rows_with_repeats(rng, table.q, inner, cols)
+            times_m = table.right_mul(M)
+            for _ in range(6):
+                # the same map is applied again, so its stored row products are read back
+                X = _rows_with_repeats(rng, table.q, rows, inner)
+                assert times_m(X) == table.mat_mul(X, M)
+
+    def test_each_distinct_row_is_multiplied_once(self, monkeypatch):
+        table = field_table(3)
+        M = ((1, 2), (3, 4))
+        r, s = (1, 0), (5, 7)
+        X, Y = (r, s, r), (s, s)
+        want = [table.mat_mul(X, M), table.mat_mul(Y, M)]
+        products = []
+        real_add = table.add
+        # every entry of a new row product reads `add` once per inner index
+        monkeypatch.setattr(table, "add", _CountingRows(real_add, products))
+        times_m = table.right_mul(M)
+        assert [times_m(X), times_m(Y)] == want
+        assert len(products) == 2 * 2 * 2  # two distinct rows, 2 entries, 2 terms each
+
+    def test_maps_do_not_share_products(self):
+        table = field_table(5)
+        X = ((1, 2), (2, 1))
+        A, B = ((1, 0), (0, 1)), ((0, 1), (1, 0))
+        times_a, times_b = table.right_mul(A), table.right_mul(B)
+        assert times_a(X) == X
+        assert times_b(X) == ((2, 1), (1, 2))
+        assert times_a(X) == X
+
+
+class TestPRegularByOnePower:
+    """In a group of order n = p^a m with p not dividing m, ord(x) | n, so
+    x^m = I exactly when ord(x) is prime to p."""
+
+    @pytest.mark.parametrize("name", ["u(2,3)", "su(2,5)"])
+    def test_power_criterion_matches_the_element_order(self, name):
+        elements, p = _CLASS_GROUPS[name]()
+        table = field_table(p)
+        ident = table.identity(2)
+        m = len(elements) // sylow_p_order(len(elements), p)
+        assert m < len(elements)  # p divides |G|, so the criterion is exercised
+        regular = [groups._power(x, m, table.mat_mul, ident) == ident for x in elements]
+        assert regular == [gcd(_order_by_products(table, x), p) == 1 for x in elements]
+        assert 0 < sum(regular) < len(elements)
+
+    def test_power_by_squaring(self):
+        table = field_table(3)
+        x = ((1, 1), (0, 1))
+        ident = table.identity(2)
+        y = ident
+        for m in range(12):
+            assert groups._power(x, m, table.mat_mul, ident) == y
+            y = table.mat_mul(y, x)
+
+
+class TestClassWalkProducts:
+    """The class walk multiplies through FieldTable.right_mul; generic
+    products are left for one power per class representative."""
+
+    def _count_mat_mul(self, monkeypatch):
+        calls = []
+        real = FieldTable.mat_mul
+
+        def counting(table, A, B):
+            calls.append(1)
+            return real(table, A, B)
+
+        monkeypatch.setattr(FieldTable, "mat_mul", counting)
+        return calls
+
+    def test_no_generic_product_when_p_does_not_divide_the_order(self, monkeypatch):
+        elements, p = _CLASS_GROUPS["gusplit(1,1,5)"]()
+        calls = self._count_mat_mul(monkeypatch)
+        assert conjugacy_class_data(elements, p)[1] == 144
+        assert calls == []
+
+    def test_one_power_per_class_when_p_divides_the_order(self, monkeypatch):
+        elements, p = _CLASS_GROUPS["gusplit(2,0,3)"]()
+        m = len(elements) // sylow_p_order(len(elements), p)
+        calls = self._count_mat_mul(monkeypatch)
+        reps, regular = conjugacy_class_data(elements, p)
+        assert (len(reps), regular) == (32, 24)
+        assert 0 < len(calls) <= 2 * m.bit_length() * len(reps)
 
 
 class TestSylowAndDimBounds:

@@ -35,6 +35,7 @@ FULL_NAMES = [
     "pregular-classes-vs-enumeration(2,2,3)",
     "lemma-gp-check(7,-1,1,1)",
     "aut-bruteforce-vs-gusplit-order(3,2,2)",
+    "pregular-classes-vs-enumeration(2,0,5)",
 ]
 
 
