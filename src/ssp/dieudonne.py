@@ -251,18 +251,25 @@ def quotient_projection(m: DieudonneModule):
     Row a of P sends a vector of M mod p to its coordinate a in that
     basis: e_a on the quot indices, and minus the echelon columns on
     the pivots, since each column is 1 at its own pivot and 0 at every
-    other pivot."""
-    vbar = linalg.mat_map(m.ring.reduce, m.v_matrix)
-    cols, pivots = linalg.rref(linalg.transpose(vbar))
-    quot = [i for i in range(m.rank) if i not in pivots]
-    ctx = m.ring.residue
-    P = [[ctx.zero()] * m.rank for _ in quot]
-    for row, i in zip(P, quot):
-        row[i] = ctx.one()
-        for r, col in zip(pivots, cols):
-            if not col[i].is_zero():
-                row[r] = -col[i]
-    return quot, linalg.freeze(P)
+    other pivot.
+
+    The module is frozen, so V never changes: the result is computed on
+    the first call and kept on m (in its __dict__, as
+    functools.cached_property keeps a value), and it lives as long as m."""
+    memo = m.__dict__
+    if "quotient_projection" not in memo:
+        vbar = linalg.mat_map(m.ring.reduce, m.v_matrix)
+        cols, pivots = linalg.rref(linalg.transpose(vbar))
+        quot = tuple(i for i in range(m.rank) if i not in pivots)
+        ctx = m.ring.residue
+        P = [[ctx.zero()] * m.rank for _ in quot]
+        for row, i in zip(P, quot):
+            row[i] = ctx.one()
+            for r, col in zip(pivots, cols):
+                if not col[i].is_zero():
+                    row[r] = -col[i]
+        memo["quotient_projection"] = quot, linalg.freeze(P)
+    return memo["quotient_projection"]
 
 
 def induced_quotient_action(m: DieudonneModule):

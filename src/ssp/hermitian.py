@@ -123,25 +123,45 @@ def pairing_well_defined(m: DieudonneModule, h: HermitianQuotient, trials: int =
     """Oracle: recompute <e_i, e_j> from random coset representatives
     x + Fa, y + Vb and count disagreements (0 for a correct pairing).
 
-    Representatives are compared on the raw quotient coordinates, so
-    this is independent of the grading change of basis."""
+    Each trial draws i and j (indices of the quotient basis), then the
+    entries of a and of b, in that order; all trials are drawn first.
+    The representatives are then three products over the trials stacked
+    as columns: X = e_i + F sigma(a), Y = e_j + V sigma^{-1}(b) and
+    (E F) sigma(Y), since e(x, F y) = x^T (E F) sigma(y); each trial's
+    value is a `dot` of two columns, reduced mod p.  Representatives are
+    compared on the raw quotient coordinates, so this is independent of
+    the grading change of basis."""
     import random
 
+    if m.polarization is None:
+        raise ValidationError("polarization required")
+    if trials < 1:
+        return 0
     rng = random.Random(seed)
     ring = m.ring
+    one = ring.one()
     quot, _ = quotient_projection(m)
-    pairing_full = linalg.mat_map(m.ring.reduce, linalg.mat_mul(m.polarization, m.f_matrix))
-    disagreements = 0
+    x_index, y_index, a, b = [], [], [], []
     for _ in range(trials):
-        i = quot[rng.randrange(len(quot))]
-        j = quot[rng.randrange(len(quot))]
-        base = pairing_full[i][j]
-        a = tuple(ring.el(rng.randrange(ring.pn)) for _ in range(m.rank))
-        b = tuple(ring.el(rng.randrange(ring.pn)) for _ in range(m.rank))
-        x = tuple(u + v for u, v in zip(m.basis_vector(i), m.apply_f(a)))
-        y = tuple(u + v for u, v in zip(m.basis_vector(j), m.apply_v(b)))
-        value = ring.reduce(m.pairing(x, m.apply_f(y)))
-        if value != base:
+        x_index.append(quot[rng.randrange(len(quot))])
+        y_index.append(quot[rng.randrange(len(quot))])
+        a.append(tuple(ring.el(rng.randrange(ring.pn)) for _ in range(m.rank)))
+        b.append(tuple(ring.el(rng.randrange(ring.pn)) for _ in range(m.rank)))
+
+    def representatives(M, twist, vectors, basis):
+        """The columns e_k + M twist(v), one per trial's (v, k), as lists."""
+        cols = [list(c) for c in zip(*linalg.mat_mul(M, linalg.mat_map(twist, linalg.transpose(vectors))))]
+        for col, k in zip(cols, basis):
+            col[k] = col[k] + one
+        return cols
+
+    xs = representatives(m.f_matrix, ring.sigma, a, x_index)
+    ys = representatives(m.v_matrix, ring.sigma_inv, b, y_index)
+    ef = linalg.mat_mul(m.polarization, m.f_matrix)
+    zs = zip(*linalg.mat_mul(ef, linalg.mat_map(ring.sigma, linalg.transpose(ys))))
+    disagreements = 0
+    for x, z, i, j in zip(xs, zs, x_index, y_index):
+        if ring.reduce(linalg.dot(x, z)) != ring.reduce(ef[i][j]):
             disagreements += 1
     return disagreements
 

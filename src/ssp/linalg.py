@@ -11,11 +11,14 @@ allowed.
 The models built in `dieudonne` are block diagonal, so most of their
 entries are zero.  Products and the elimination find each row's
 non-zero positions (`WittRing.support`, which checks every entry's ring
-as `dot` does) and work on those alone, and `mat_map` maps each
-distinct value once; the values are those of the dense formulas.
+as `dot` does) and work on those alone, `charpoly` runs Berkowitz on
+each component of the support graph, and `mat_map` maps each distinct
+value once; the values are those of the dense formulas.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import ValidationError
 
@@ -90,7 +93,8 @@ def mat_sub(A, B) -> Matrix:
 
 
 def mat_neg(A) -> Matrix:
-    return tuple(tuple(-a for a in row) for row in A)
+    """-A, each distinct value negated once, as in mat_map."""
+    return mat_map(operator.neg, A)
 
 
 def mat_scale(c, A) -> Matrix:
@@ -128,42 +132,76 @@ def charpoly(A, one) -> list:
     """Coefficients of det(T*I - A), highest degree first (Berkowitz).
 
     `one` is the ring's one, needed for the 0 x 0 matrix; every sum of
-    products here is a non-empty `dot`.  The steps w -> R w and w -> M w
-    run over the positions where both factors are non-zero, as in
-    mat_vec, with the non-zero positions of A's rows found once."""
-    n = len(A)
+    products here is a non-empty `dot`.  The indices split into the
+    components of the relation i ~ j where A[i][j] != 0; a simultaneous
+    permutation of rows and columns makes A block diagonal with one block
+    per component, so the characteristic polynomial is, exactly, the
+    product of the blocks' Berkowitz polynomials.  Within a block the
+    steps w -> R w and w -> M w run over the positions where both factors
+    are non-zero, as in mat_vec, with the non-zero positions of the
+    block's rows found once."""
     ring = one.ring
     zero = ring.zero()
     supports = [ring.support(row) for row in A]
-    coeffs = [one]
-    for k in range(1, n + 1):
-        a = A[k - 1][k - 1]
-        ts = [one, -a]
-        if k >= 2:
-            # the rows of A stand in for those of the leading block M and
-            # of R = A[k - 1][: k - 1]: w has k - 1 entries, so only the
-            # positions below k - 1 of their supports meet its own
-            R = A[k - 1]
-            w = [A[i][k - 1] for i in range(k - 1)]
-            for m in range(2, k + 1):
-                live = set(ring.support(w))
-                both = [j for j in supports[k - 1] if j in live]
-                ts.append(-dot([R[j] for j in both], [w[j] for j in both]) if both else zero)
-                if m < k:
-                    Mw = []
-                    for row, ks in zip(A, supports[: k - 1]):
-                        both = [j for j in ks if j in live]
-                        Mw.append(dot([row[j] for j in both], [w[j] for j in both]) if both else zero)
-                    w = Mw
-        # coefficient i of the product with the previous polynomial is
-        # sum_j ts[i - j] * coeffs[j]
-        rts = ts[::-1]
-        new = []
-        for i in range(k + 1):
-            head = coeffs[: i + 1]
-            new.append(dot(rts[k - i : k - i + len(head)], head))
-        coeffs = new
-    return coeffs
+    # union-find on the support graph; each root is its component's least index
+    root = list(range(len(A)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, ks in enumerate(supports):
+        for j in ks:
+            a, b = find(i), find(j)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    components = {}
+    for i in range(len(A)):
+        components.setdefault(find(i), []).append(i)
+
+    total = [one]
+    for idx in components.values():
+        B = [[A[i][j] for j in idx] for i in idx]
+        bsupports = [ring.support(row) for row in B]
+        coeffs = [one]
+        for k in range(1, len(B) + 1):
+            ts = [one, -B[k - 1][k - 1]]
+            if k >= 2:
+                # the rows of B stand in for those of the leading block M
+                # and of R = B[k - 1][: k - 1]: w has k - 1 entries, so only
+                # the positions below k - 1 of their supports meet its own
+                R = B[k - 1]
+                w = [B[i][k - 1] for i in range(k - 1)]
+                for m in range(2, k + 1):
+                    live = set(ring.support(w))
+                    both = [j for j in bsupports[k - 1] if j in live]
+                    ts.append(-dot([R[j] for j in both], [w[j] for j in both]) if both else zero)
+                    if m < k:
+                        Mw = []
+                        for row, ks in zip(B, bsupports[: k - 1]):
+                            both = [j for j in ks if j in live]
+                            Mw.append(dot([row[j] for j in both], [w[j] for j in both]) if both else zero)
+                        w = Mw
+            # the Berkowitz step keeps the first k + 1 coefficients of ts * coeffs
+            coeffs = _poly_mul(ts, coeffs, k + 1)
+        total = _poly_mul(total, coeffs, len(total) + len(coeffs) - 1)
+    return total
+
+
+def _poly_mul(xs, ys, length) -> list:
+    """The first `length` coefficients, highest degree first, of the
+    product of the polynomials xs and ys (also highest degree first):
+    coefficient i is the `dot` of xs[i - j] and ys[j] over the j where
+    both exist."""
+    rxs = xs[::-1]
+    last = len(xs) - 1
+    out = []
+    for i in range(length):
+        lo, hi = max(0, i - last), min(i, len(ys) - 1) + 1
+        out.append(dot(rxs[last - i + lo : last - i + hi], ys[lo:hi]))
+    return out
 
 
 def det(A, one):

@@ -328,9 +328,11 @@ class WittElem:
         return best if best < n else INF
 
 
+@lru_cache(maxsize=None)
 def hensel_sqrt(ring: WittRing, alpha: int) -> WittElem:
     """sqrt(alpha) in W_n(F_{p^2}) for a non-residue alpha mod p, with
-    sigma(u) = -u.
+    sigma(u) = -u.  Cached per (ring, alpha), as the rings are; an error
+    is not cached, so a bad alpha raises on every call.
 
     Mod p, u = x + y t over F_p[t]/(t^2 + b t + c) solves u^2 = alpha
     when y^2 = 4 alpha / (b^2 - 4c) and x = b y / 2; of the two roots

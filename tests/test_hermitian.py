@@ -1,7 +1,15 @@
+import random
+
 import pytest
 
 from ssp import linalg
-from ssp.dieudonne import DieudonneModule, build_a_half, build_superspecial_unitary
+from ssp.dieudonne import (
+    DieudonneModule,
+    build_a_half,
+    build_superspecial_unitary,
+    check_axioms,
+    quotient_projection,
+)
 from ssp.errors import BudgetExceededError, ValidationError
 from ssp.hermitian import (
     HermitianQuotient,
@@ -13,6 +21,80 @@ from ssp.hermitian import (
     similitude_factor,
 )
 from ssp.witt import witt_ring
+
+
+def _per_trial_oracle(m, trials, seed):
+    """pairing_well_defined as one loop over the trials: each draws i, j,
+    a and b, builds x = e_i + F sigma(a) and y = e_j + V sigma^{-1}(b)
+    entry by entry, and compares e(x, F y) mod p with <e_i, e_j>."""
+    rng = random.Random(seed)
+    ring = m.ring
+    quot, _ = quotient_projection(m)
+    pairing_full = linalg.mat_map(ring.reduce, linalg.mat_mul(m.polarization, m.f_matrix))
+    disagreements = 0
+    for _ in range(trials):
+        i = quot[rng.randrange(len(quot))]
+        j = quot[rng.randrange(len(quot))]
+        base = pairing_full[i][j]
+        a = tuple(ring.el(rng.randrange(ring.pn)) for _ in range(m.rank))
+        b = tuple(ring.el(rng.randrange(ring.pn)) for _ in range(m.rank))
+        x = tuple(u + v for u, v in zip(m.basis_vector(i), m.apply_f(a)))
+        y = tuple(u + v for u, v in zip(m.basis_vector(j), m.apply_v(b)))
+        if ring.reduce(m.pairing(x, m.apply_f(y))) != base:
+            disagreements += 1
+    return disagreements
+
+
+def _random_module(rng, p, s, n, rank):
+    """F, V and E with random entries (none of the axioms hold), so the
+    representatives are not constants and sigma moves them."""
+    ring = witt_ring(p, s, n)
+
+    def matrix():
+        return linalg.freeze(
+            [[ring.el(tuple(rng.randrange(ring.pn) for _ in range(s))) for _ in range(rank)] for _ in range(rank)]
+        )
+
+    V = matrix()
+    # V mod p of rank below `rank`, so M/VM is not zero
+    V = linalg.freeze([[ring.el(p) * x for x in row] if i == 0 else row for i, row in enumerate(V)])
+    return DieudonneModule(ring=ring, rank=rank, f_matrix=matrix(), v_matrix=V, polarization=matrix())
+
+
+def _conjugated(rng, m):
+    """m in the basis of the columns of a random unitriangular C with
+    non-constant entries: F' = C^-1 F sigma(C), V' = C^-1 V sigma^-1(C),
+    E' = C^T E C.  A polarized module again, on which sigma moves the
+    representatives, so the oracle counts 0 only if it twists each
+    product as e(x, F y) requires."""
+    ring, h = m.ring, m.rank
+    one, zero = ring.one(), ring.zero()
+    C = linalg.freeze(
+        [[one if i == j else ring.el(tuple(rng.randrange(ring.pn) for _ in range(ring.s))) if i < j else zero
+          for j in range(h)] for i in range(h)]
+    )
+    Ci = linalg.inverse(C, one, zero)
+    return DieudonneModule(
+        ring=ring, rank=h,
+        f_matrix=linalg.mat_mul(linalg.mat_mul(Ci, m.f_matrix), m.sigma_mat(C)),
+        v_matrix=linalg.mat_mul(linalg.mat_mul(Ci, m.v_matrix), m.sigma_inv_mat(C)),
+        polarization=linalg.mat_mul(linalg.mat_mul(linalg.transpose(C), m.polarization), C),
+    )
+
+
+def _a_half_squared(p, s, n):
+    """Two copies of the slope-1/2 module of build_a_half, over
+    W_n(F_{p^s}) for any s."""
+    ring = witt_ring(p, s, n)
+    one, zero, q = ring.one(), ring.zero(), ring.el(p)
+
+    def blocks(a, b):
+        return ((zero, a, zero, zero), (b, zero, zero, zero), (zero, zero, zero, a), (zero, zero, b, zero))
+
+    return DieudonneModule(
+        ring=ring, rank=4, f_matrix=blocks(one, -q), v_matrix=blocks(-one, q),
+        polarization=blocks(one, -one),
+    )
 
 
 class TestReducePairing:
@@ -58,6 +140,64 @@ class TestReducePairing:
         m = build_superspecial_unitary(3, 3, -1, r, s)
         h = reduce_pairing(m)
         assert pairing_well_defined(m, h, trials=20, seed=1) == 0
+
+    def test_oracle_without_polarization_is_a_validation_error(self):
+        m = build_superspecial_unitary(3, 2, -1, 1, 1)
+        h = reduce_pairing(m)
+        bare = DieudonneModule(ring=m.ring, rank=m.rank, f_matrix=m.f_matrix, v_matrix=m.v_matrix)
+        for trials in (0, 20):
+            with pytest.raises(ValidationError, match="polarization required"):
+                pairing_well_defined(bare, h, trials=trials, seed=1)
+
+    def test_oracle_with_no_trials_counts_nothing(self):
+        m = build_superspecial_unitary(3, 2, -1, 1, 1)
+        assert pairing_well_defined(m, reduce_pairing(m), trials=0, seed=1) == 0
+
+    def test_oracle_matches_per_trial_loop(self):
+        # the three stacked products count what one loop over the trials
+        # counts, draw for draw: on polarized modules, some in a basis where
+        # sigma moves the representatives (0), and on a model with an
+        # incompatible polarization and random modules (both non-zero)
+        m = build_superspecial_unitary(5, 3, -2, 2, 2)
+        h = reduce_pairing(m)
+        ring = m.ring
+        E = linalg.freeze(
+            [[ring.el((i * j + 1, i + 2 * j)) if i < j else ring.zero() for j in range(m.rank)] for i in range(m.rank)]
+        )
+        skew = linalg.mat_sub(E, linalg.transpose(E))
+        twisted = DieudonneModule(
+            ring=ring, rank=m.rank, f_matrix=m.f_matrix, v_matrix=m.v_matrix, polarization=skew
+        )
+        rng = random.Random(5)
+        models = [m] + [_conjugated(rng, model) for model in (m, _a_half_squared(3, 3, 3), _a_half_squared(5, 1, 2))]
+        assert all(check_axioms(model).ok for model in models)
+        broken = [twisted] + [
+            _random_module(rng, p, s, n, rank) for p, s, n, rank in ((3, 2, 3, 4), (5, 3, 2, 3), (7, 1, 2, 5))
+        ]
+        counts = []
+        for fixture in models + broken:
+            row = [pairing_well_defined(fixture, h, trials=12, seed=seed) for seed in range(4)]
+            assert row == [_per_trial_oracle(fixture, 12, seed) for seed in range(4)]
+            counts.append(row)
+        assert counts[: len(models)] == [[0] * 4] * len(models)
+        assert all(any(row) for row in counts[len(models) :])
+
+    def test_one_echelon_of_v_mod_p_per_pairing_op(self, monkeypatch):
+        # the build, reduce_pairing and the oracle share the (quot, P) kept
+        # on the module, so V mod p is put into echelon form once
+        calls = []
+        rref = linalg.rref
+
+        def counting(rows):
+            calls.append(linalg.freeze(rows))
+            return rref(rows)
+
+        monkeypatch.setattr(linalg, "rref", counting)
+        m = build_superspecial_unitary(7, 3, -1, 4, 4)
+        h = reduce_pairing(m)
+        assert pairing_well_defined(m, h, trials=20, seed=0) == 0
+        vbar = linalg.transpose(linalg.mat_map(m.ring.reduce, m.v_matrix))
+        assert sum(rows == vbar for rows in calls) == 1
 
     def test_sigma_alternating_exactly(self):
         for r, s in [(1, 1), (2, 2)]:

@@ -266,6 +266,52 @@ def test_witt_kernel_matches_elementwise_fold(s, n):
                         assert ring.sigma(x) == _slow_sigma(ring, x)
 
 
+def _permuted_blocks(ring, rng, size):
+    """A block-diagonal matrix of dense blocks (sizes 1 to 3) conjugated by
+    a random permutation, so each block's indices are scattered: its
+    support components are not contiguous ranges."""
+    B = [[ring.zero()] * size for _ in range(size)]
+    i = 0
+    while i < size:
+        k = min(size - i, rng.choice((1, 2, 3)))
+        block = _random_witt_matrix(ring, rng, k, k, zeros=0)
+        for a in range(k):
+            B[i + a][i : i + k] = block[a]
+        i += k
+    perm = rng.sample(range(size), size)
+    return linalg.freeze([[B[perm[a]][perm[b]] for b in range(size)] for a in range(size)])
+
+
+def _slow_det(A, one, zero):
+    c0 = _slow_charpoly(A, one, zero)[-1]
+    return c0 if len(A) % 2 == 0 else -c0
+
+
+@pytest.mark.parametrize("n", [1, 3, 34])
+def test_charpoly_splits_by_support_components(n):
+    # charpoly multiplies the Berkowitz polynomials of the support
+    # components; on scattered, single, empty and 1 x 1 components it
+    # agrees with one Berkowitz run over the whole matrix
+    rng = random.Random(7 * n)
+    for p, s in ((3, 2), (5, 1), (3, 3)):
+        ring = witt_ring(p, s, n)
+        one, zero = ring.one(), ring.zero()
+        cases = [(), ((ring.el(2),),), ((zero,),)]
+        for size in range(2, 9):
+            cases.append(_permuted_blocks(ring, rng, size))
+            # a dense matrix is one component; a diagonal one has one per index
+            cases.append(_random_witt_matrix(ring, rng, size, size, zeros=0))
+            diagonal = _random_witt_matrix(ring, rng, 1, size)[0]
+            cases.append(tuple(tuple(diagonal[i] if i == j else zero for j in range(size)) for i in range(size)))
+            # two scattered blocks joined by one entry off both of them
+            A = [list(row) for row in _permuted_blocks(ring, rng, size)]
+            A[rng.randrange(size)][rng.randrange(size)] = ring.el(1 + rng.randrange(p - 1))
+            cases.append(linalg.freeze(A))
+        for A in cases:
+            assert linalg.charpoly(A, one) == _slow_charpoly(A, one, zero)
+            assert linalg.det(A, one) == (one if not A else _slow_det(A, one, zero))
+
+
 def test_witt_dot_over_two_rings_raises():
     a, b = witt_ring(3, 2, 3), witt_ring(5, 2, 3)
     for xs, ys in (

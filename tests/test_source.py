@@ -143,6 +143,7 @@ def test_sums_of_products_go_through_linalg_dot():
         ("linalg", "mat_mul"),
         ("linalg", "mat_vec"),
         ("linalg", "charpoly"),
+        ("linalg", "_poly_mul"),
         ("dieudonne", "DieudonneModule.pairing"),
         ("hermitian", "HermitianQuotient.pairing"),
     ):

@@ -46,6 +46,17 @@ def test_hensel_sqrt_rejects_residues():
         hensel_sqrt(ring, 1)
 
 
+def test_cached_hensel_sqrt_raises_on_every_call():
+    # hensel_sqrt is cached per (ring, alpha), but an error is not cached
+    ring = witt_ring(3, 2, 2)
+    for _ in range(3):
+        with pytest.raises(ValidationError, match="square mod 3"):
+            hensel_sqrt(ring, 1)
+        with pytest.raises(ValidationError, match="divisible"):
+            hensel_sqrt(ring, 6)
+    assert hensel_sqrt(ring, -1) is hensel_sqrt(ring, -1)
+
+
 def test_val_p_examples():
     ring = witt_ring(3, 2, 3)
     assert ring.el(3).val() == 1
