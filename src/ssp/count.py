@@ -299,7 +299,7 @@ def equivariant_dimension(space: CosetSpace, rho: GroupRepresentation) -> int:
     for start in range(space.points):
         if start in S:
             continue
-        S[start] = linalg.identity_matrix(d, one, zero)
+        S[start] = linalg.scalar_matrix(d, one, zero)
         queue = [start]
         constraints = []
         while queue:

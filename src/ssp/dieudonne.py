@@ -273,12 +273,17 @@ def quotient_projection(m: DieudonneModule):
 
 
 def induced_quotient_action(m: DieudonneModule):
-    """Matrix of the ok_action on M/VM, in the basis of quotient_projection."""
+    """Matrix of the ok_action on M/VM, in the basis of quotient_projection.
+    Computed once and kept on m, as quotient_projection is."""
     if m.ok_action is None:
         raise ValidationError("module carries no imaginary-quadratic action")
-    quot, P = quotient_projection(m)
-    jbar = linalg.mat_map(m.ring.reduce, m.ok_action)
-    return linalg.mat_mul(P, linalg.freeze([[row[i] for i in quot] for row in jbar]))
+    memo = m.__dict__
+    if "induced_quotient_action" not in memo:
+        quot, P = quotient_projection(m)
+        jbar = linalg.mat_map(m.ring.reduce, m.ok_action)
+        columns = linalg.freeze([[row[i] for i in quot] for row in jbar])
+        memo["induced_quotient_action"] = linalg.mat_mul(P, columns)
+    return memo["induced_quotient_action"]
 
 
 def build_superspecial_unitary(p: int, n: int, alpha: int, r: int, s: int) -> DieudonneModule:
@@ -288,7 +293,9 @@ def build_superspecial_unitary(p: int, n: int, alpha: int, r: int, s: int) -> Di
 
     M/VM is spanned by the second basis vector of each block, and
     sigma(u) = -u (hensel_sqrt checks it), so the induced action on M/VM
-    is diag(-sqrt(alpha) I_r, +sqrt(alpha) I_s) mod p; that is checked.
+    is canonical_lie_action(alpha, r, s) = diag(-sqrt(alpha) I_r,
+    +sqrt(alpha) I_s) mod p; that is checked.  The quotient basis is
+    thus the graded basis, minus block first, which reduce_pairing reads.
     """
     g = r + s
     if r < 0 or s < 0 or g < 2 or g % 2 != 0:
@@ -306,11 +313,7 @@ def build_superspecial_unitary(p: int, n: int, alpha: int, r: int, s: int) -> Di
         ring=ring, rank=2 * g, f_matrix=F, v_matrix=V,
         polarization=E, ok_action=J, alpha=alpha,
     )
-    ubar = ring.reduce(u)
-    target = linalg.freeze(
-        [[(-ubar if i < r else ubar) if i == j else ubar.ring.zero() for j in range(g)] for i in range(g)]
-    )
-    if induced_quotient_action(m) != target:
+    if induced_quotient_action(m) != canonical_lie_action(ring.residue, alpha, r, s):
         raise FormulaInconsistencyError(
             "the model does not induce diag(-sqrt(a) I_r, sqrt(a) I_s) on M/VM"
         )

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .dieudonne import DieudonneModule, check_axioms, induced_quotient_action, quotient_projection
+from .dieudonne import (
+    DieudonneModule,
+    canonical_lie_action,
+    check_axioms,
+    induced_quotient_action,
+    quotient_projection,
+)
 from .errors import EnumBudget, ValidationError
 from .ftables import block_similitudes, field_table, metered_table
 from .witt import WittElem, WittRing, hensel_sqrt
@@ -64,12 +70,16 @@ class HermitianQuotient:
 
 
 def reduce_pairing(m: DieudonneModule) -> HermitianQuotient:
-    """The induced pairing on M/VM for a module with F = -V.
+    """The induced pairing on M/VM for a module with F = -V: the Gram is
+    reduce(E F) restricted to the basis of quotient_projection, in its
+    order (the basis is not reordered).
 
-    Verifies perfectness, the sigma-alternating symmetry, and (when an
-    imaginary quadratic action is present) skew-Hermitian compatibility
-    before returning; the quotient basis is reordered so the grading is
-    (minus block, plus block).
+    When an imaginary quadratic action is present, that basis must be
+    the graded one: the induced action must be canonical_lie_action(alpha,
+    r, g - r), r being its number of leading -sqrt(alpha) entries, or a
+    ValidationError is raised (the superspecial models are built so).
+    The pairing must also be skew-Hermitian for the action, and
+    HermitianQuotient checks that it is sigma-alternating and perfect.
     """
     if m.polarization is None:
         raise ValidationError("polarization required")
@@ -86,82 +96,72 @@ def reduce_pairing(m: DieudonneModule) -> HermitianQuotient:
     pairing_full = linalg.mat_map(m.ring.reduce, linalg.mat_mul(m.polarization, m.f_matrix))
     gram = linalg.freeze([[pairing_full[i][j] for j in quot] for i in quot])
 
-    if gram != linalg.transpose(linalg.mat_map(ctx.sigma, gram)):
-        raise ValidationError("induced pairing is not sigma-alternating")
-    if not linalg.is_invertible(gram):
-        raise ValidationError("degenerate pairing (polarization bug)")
-
     grading = None
     if m.ok_action is not None:
         if m.alpha is None:
             raise ValidationError("module with an action must record alpha")
         jq = induced_quotient_action(m)
-        ubar = m.ring.reduce(hensel_sqrt(m.ring, m.alpha))
+        g = len(quot)
+        minus_ubar = -hensel_sqrt(ctx, m.alpha)
+        r = next((i for i in range(g) if jq[i][i] != minus_ubar), g)
+        if jq != canonical_lie_action(ctx, m.alpha, r, g - r):
+            raise ValidationError("the action on the quotient basis is not diag(-sqrt(alpha) I_r, sqrt(alpha) I_s)")
         # skew-Hermitian: <J x, y> = <x, -J y>, i.e. J^T G = -G sigma(J)
         lhs = linalg.mat_mul(linalg.transpose(jq), gram)
         rhs = linalg.mat_neg(linalg.mat_mul(gram, linalg.mat_map(ctx.sigma, jq)))
         if lhs != rhs:
             raise ValidationError("induced pairing is not skew-Hermitian for the action")
-        g = len(quot)
-        one, zero = ctx.one(), ctx.zero()
-        minus_basis = linalg.nullspace(
-            linalg.mat_add(jq, linalg.scalar_matrix(g, ubar, zero)), one, zero
-        )
-        plus_basis = linalg.nullspace(
-            linalg.mat_sub(jq, linalg.scalar_matrix(g, ubar, zero)), one, zero
-        )
-        if len(minus_basis) + len(plus_basis) != g:
-            raise ValidationError("action on the quotient is not semisimple")
-        C = linalg.transpose(tuple(minus_basis) + tuple(plus_basis))
-        gram = linalg.mat_mul(linalg.mat_mul(linalg.transpose(C), gram), linalg.mat_map(ctx.sigma, C))
-        grading = (len(minus_basis), len(plus_basis))
+        grading = (r, g - r)
 
-    return HermitianQuotient(ctx=ctx, dim=len(quot), gram=linalg.freeze(gram), grading=grading)
+    return HermitianQuotient(ctx=ctx, dim=len(quot), gram=gram, grading=grading)
 
 
 def pairing_well_defined(m: DieudonneModule, h: HermitianQuotient, trials: int = 20, seed: int = 0) -> int:
-    """Oracle: recompute <e_i, e_j> from random coset representatives
-    x + Fa, y + Vb and count disagreements (0 for a correct pairing).
+    """Oracle: recompute the pairing of h from random coset representatives
+    x + Fa, y + Vb and count disagreements with h.gram (0 for a correct
+    pairing).  h must live on M/VM in the basis of quotient_projection;
+    an h of another dimension is refused.
 
-    Each trial draws i and j (indices of the quotient basis), then the
-    entries of a and of b, in that order; all trials are drawn first.
-    The representatives are then three products over the trials stacked
-    as columns: X = e_i + F sigma(a), Y = e_j + V sigma^{-1}(b) and
-    (E F) sigma(Y), since e(x, F y) = x^T (E F) sigma(y); each trial's
-    value is a `dot` of two columns, reduced mod p.  Representatives are
-    compared on the raw quotient coordinates, so this is independent of
-    the grading change of basis."""
+    Each trial draws positions i and j in that basis, then the entries of
+    a and of b, in that order; all trials are drawn first.  The
+    representatives are then three products over the trials stacked as
+    columns: X = e_quot[i] + F sigma(a), Y = e_quot[j] + V sigma^{-1}(b)
+    and (E F) sigma(Y), since e(x, F y) = x^T (E F) sigma(y); each
+    trial's value is a `dot` of two columns, reduced mod p, and is
+    compared with h.gram[i][j]."""
     import random
 
     if m.polarization is None:
         raise ValidationError("polarization required")
+    quot, _ = quotient_projection(m)
+    if h.dim != len(quot):
+        raise ValidationError(f"pairing of dimension {h.dim} on a quotient of dimension {len(quot)}")
     if trials < 1:
         return 0
     rng = random.Random(seed)
     ring = m.ring
     one = ring.one()
-    quot, _ = quotient_projection(m)
-    x_index, y_index, a, b = [], [], [], []
+    x_pos, y_pos, a, b = [], [], [], []
     for _ in range(trials):
-        x_index.append(quot[rng.randrange(len(quot))])
-        y_index.append(quot[rng.randrange(len(quot))])
+        x_pos.append(rng.randrange(len(quot)))
+        y_pos.append(rng.randrange(len(quot)))
         a.append(tuple(ring.el(rng.randrange(ring.pn)) for _ in range(m.rank)))
         b.append(tuple(ring.el(rng.randrange(ring.pn)) for _ in range(m.rank)))
 
-    def representatives(M, twist, vectors, basis):
-        """The columns e_k + M twist(v), one per trial's (v, k), as lists."""
+    def representatives(M, twist, vectors, positions):
+        """The columns e_quot[k] + M twist(v), one per trial's (v, k), as lists."""
         cols = [list(c) for c in zip(*linalg.mat_mul(M, linalg.mat_map(twist, linalg.transpose(vectors))))]
-        for col, k in zip(cols, basis):
-            col[k] = col[k] + one
+        for col, k in zip(cols, positions):
+            col[quot[k]] = col[quot[k]] + one
         return cols
 
-    xs = representatives(m.f_matrix, ring.sigma, a, x_index)
-    ys = representatives(m.v_matrix, ring.sigma_inv, b, y_index)
+    xs = representatives(m.f_matrix, ring.sigma, a, x_pos)
+    ys = representatives(m.v_matrix, ring.sigma_inv, b, y_pos)
     ef = linalg.mat_mul(m.polarization, m.f_matrix)
     zs = zip(*linalg.mat_mul(ef, linalg.mat_map(ring.sigma, linalg.transpose(ys))))
     disagreements = 0
-    for x, z, i, j in zip(xs, zs, x_index, y_index):
-        if ring.reduce(linalg.dot(x, z)) != ring.reduce(ef[i][j]):
+    for x, z, i, j in zip(xs, zs, x_pos, y_pos):
+        if ring.reduce(linalg.dot(x, z)) != h.gram[i][j]:
             disagreements += 1
     return disagreements
 

@@ -3,7 +3,9 @@
 Matrices are tuples of tuples (rows) of `witt.WittElem`s of one ring;
 the field F_{p^s} is W_1(F_{p^s}).  Every sum of products is the ring's
 inner-product kernel `WittRing.dot`, and `rref` is the one Gauss
-elimination, with unit pivots (val() == 0).  The characteristic
+elimination, with unit pivots (val() == 0), behind `rank`, `inverse`
+and the echelon basis of M/VM in `dieudonne`.  The identity is
+`scalar_matrix(n, one, zero)`.  The characteristic
 polynomial uses the division-free Berkowitz algorithm, so it is valid
 over W_n, where dividing by integers sharing a factor with p is not
 allowed.
@@ -84,10 +86,6 @@ def mat_vec(A, v) -> tuple:
     return tuple(out)
 
 
-def mat_add(A, B) -> Matrix:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def mat_sub(A, B) -> Matrix:
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
@@ -118,10 +116,6 @@ def mat_map(f, A) -> Matrix:
             new.append(b)
         out.append(tuple(new))
     return tuple(out)
-
-
-def identity_matrix(n: int, one, zero) -> Matrix:
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def scalar_matrix(n: int, c, zero) -> Matrix:
@@ -260,23 +254,6 @@ def rref(rows):
 
 def rank(A) -> int:
     return len(rref(list(A))[1])
-
-
-def nullspace(A, one, zero) -> list[tuple]:
-    """Basis of the right kernel, one vector per free column, in column order."""
-    if not A:
-        return []
-    ncols = len(A[0])
-    rows, pivots = rref(list(A))
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 def inverse(A, one, zero) -> Matrix:

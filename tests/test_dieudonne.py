@@ -135,6 +135,10 @@ class TestSuperspecialUnitary:
         got = induced_quotient_action(m)
         assert got == canonical_lie_action(ctx, -1, r, s)
 
+    def test_quotient_action_is_kept_on_the_module(self):
+        m = build_superspecial_unitary(3, 2, -1, 1, 1)
+        assert induced_quotient_action(m) is induced_quotient_action(m)
+
     @pytest.mark.parametrize("r, s", [(1, 1), (2, 2), (2, 0), (1, 3)])
     def test_graded_quotient_dims(self, r, s):
         m = build_superspecial_unitary(3, 2, -1, r, s)

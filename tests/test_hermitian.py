@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,26 +25,38 @@ from ssp.hermitian import (
 from ssp.witt import witt_ring
 
 
-def _per_trial_oracle(m, trials, seed):
-    """pairing_well_defined as one loop over the trials: each draws i, j,
-    a and b, builds x = e_i + F sigma(a) and y = e_j + V sigma^{-1}(b)
-    entry by entry, and compares e(x, F y) mod p with <e_i, e_j>."""
+def _per_trial_oracle(m, h, trials, seed):
+    """pairing_well_defined as one loop over the trials: each draws
+    positions i, j in the quotient basis and vectors a and b, builds
+    x = e_quot[i] + F sigma(a) and y = e_quot[j] + V sigma^{-1}(b) entry
+    by entry, and compares e(x, F y) mod p with h.gram[i][j]."""
     rng = random.Random(seed)
     ring = m.ring
     quot, _ = quotient_projection(m)
-    pairing_full = linalg.mat_map(ring.reduce, linalg.mat_mul(m.polarization, m.f_matrix))
     disagreements = 0
     for _ in range(trials):
-        i = quot[rng.randrange(len(quot))]
-        j = quot[rng.randrange(len(quot))]
-        base = pairing_full[i][j]
+        i = rng.randrange(len(quot))
+        j = rng.randrange(len(quot))
         a = tuple(ring.el(rng.randrange(ring.pn)) for _ in range(m.rank))
         b = tuple(ring.el(rng.randrange(ring.pn)) for _ in range(m.rank))
-        x = tuple(u + v for u, v in zip(m.basis_vector(i), m.apply_f(a)))
-        y = tuple(u + v for u, v in zip(m.basis_vector(j), m.apply_v(b)))
-        if ring.reduce(m.pairing(x, m.apply_f(y))) != base:
+        x = tuple(u + v for u, v in zip(m.basis_vector(quot[i]), m.apply_f(a)))
+        y = tuple(u + v for u, v in zip(m.basis_vector(quot[j]), m.apply_v(b)))
+        if ring.reduce(m.pairing(x, m.apply_f(y))) != h.gram[i][j]:
             disagreements += 1
     return disagreements
+
+
+def _restricted_quotient(m):
+    """reduce(E F) restricted to the basis of quotient_projection, as a
+    HermitianQuotient where it is a valid pairing and otherwise as a
+    stand-in carrying only dim and gram."""
+    quot, _ = quotient_projection(m)
+    full = linalg.mat_map(m.ring.reduce, linalg.mat_mul(m.polarization, m.f_matrix))
+    gram = linalg.freeze([[full[i][j] for j in quot] for i in quot])
+    try:
+        return HermitianQuotient(ctx=m.ring.residue, dim=len(quot), gram=gram)
+    except ValidationError:
+        return SimpleNamespace(dim=len(quot), gram=gram)
 
 
 def _random_module(rng, p, s, n, rank):
@@ -157,9 +171,9 @@ class TestReducePairing:
         # the three stacked products count what one loop over the trials
         # counts, draw for draw: on polarized modules, some in a basis where
         # sigma moves the representatives (0), and on a model with an
-        # incompatible polarization and random modules (both non-zero)
+        # incompatible polarization and random modules (both non-zero).
+        # Each fixture is checked against its own restricted Gram
         m = build_superspecial_unitary(5, 3, -2, 2, 2)
-        h = reduce_pairing(m)
         ring = m.ring
         E = linalg.freeze(
             [[ring.el((i * j + 1, i + 2 * j)) if i < j else ring.zero() for j in range(m.rank)] for i in range(m.rank)]
@@ -176,28 +190,115 @@ class TestReducePairing:
         ]
         counts = []
         for fixture in models + broken:
+            h = _restricted_quotient(fixture)
             row = [pairing_well_defined(fixture, h, trials=12, seed=seed) for seed in range(4)]
-            assert row == [_per_trial_oracle(fixture, 12, seed) for seed in range(4)]
+            assert row == [_per_trial_oracle(fixture, h, 12, seed) for seed in range(4)]
             counts.append(row)
         assert counts[: len(models)] == [[0] * 4] * len(models)
         assert all(any(row) for row in counts[len(models) :])
 
     def test_one_echelon_of_v_mod_p_per_pairing_op(self, monkeypatch):
         # the build, reduce_pairing and the oracle share the (quot, P) kept
-        # on the module, so V mod p is put into echelon form once
-        calls = []
-        rref = linalg.rref
+        # on the module, so V mod p is put into echelon form once; the only
+        # other elimination is the rank of the Gram in HermitianQuotient,
+        # since the quotient basis is already graded.  The induced action,
+        # kept on the module too, reduces J mod p once
+        calls, maps = [], []
+        rref, mat_map = linalg.rref, linalg.mat_map
 
         def counting(rows):
             calls.append(linalg.freeze(rows))
             return rref(rows)
 
+        def recording(f, A):
+            maps.append((f, A))
+            return mat_map(f, A)
+
         monkeypatch.setattr(linalg, "rref", counting)
+        monkeypatch.setattr(linalg, "mat_map", recording)
         m = build_superspecial_unitary(7, 3, -1, 4, 4)
         h = reduce_pairing(m)
         assert pairing_well_defined(m, h, trials=20, seed=0) == 0
-        vbar = linalg.transpose(linalg.mat_map(m.ring.reduce, m.v_matrix))
-        assert sum(rows == vbar for rows in calls) == 1
+        vbar = linalg.transpose(mat_map(m.ring.reduce, m.v_matrix))
+        assert calls == [vbar, h.gram]
+        assert maps.count((m.ring.reduce, m.ok_action)) == 1
+
+    def test_oracle_reads_the_gram_it_is_given(self):
+        # a valid pairing that is not the one of the module: twice its Gram
+        for p, alpha, r, s in [(3, -1, 1, 1), (5, -2, 2, 2)]:
+            m = build_superspecial_unitary(p, 3, alpha, r, s)
+            h = reduce_pairing(m)
+            doubled = HermitianQuotient(
+                ctx=h.ctx, dim=h.dim, gram=linalg.mat_scale(h.ctx.el(2), h.gram), grading=h.grading
+            )
+            assert pairing_well_defined(m, h, trials=20, seed=0) == 0
+            assert pairing_well_defined(m, doubled, trials=20, seed=0) > 0
+
+    def test_oracle_refuses_a_pairing_of_another_dimension(self):
+        m = build_superspecial_unitary(3, 2, -1, 1, 1)
+        other = reduce_pairing(build_superspecial_unitary(3, 2, -1, 2, 2))
+        for trials in (0, 20):
+            with pytest.raises(ValidationError, match="dimension"):
+                pairing_well_defined(m, other, trials=trials, seed=0)
+
+    def test_refuses_a_quotient_basis_not_ordered_minus_then_plus(self):
+        # the (1, 1) model with its two 2 x 2 blocks swapped: a valid module
+        # whose induced action is diag(+u, -u), which is not re-based
+        m = build_superspecial_unitary(3, 3, -1, 1, 1)
+        order = (2, 3, 0, 1)
+
+        def swap(M):
+            return linalg.freeze([[M[i][j] for j in order] for i in order])
+
+        swapped = replace(
+            m, f_matrix=swap(m.f_matrix), v_matrix=swap(m.v_matrix),
+            polarization=swap(m.polarization), ok_action=swap(m.ok_action),
+        )
+        assert check_axioms(swapped).ok
+        with pytest.raises(ValidationError, match="not diag"):
+            reduce_pairing(swapped)
+
+    @pytest.mark.parametrize(
+        "p, alpha, r, s, gram",
+        [
+            (3, -1, 1, 1, [[(2, 0), (0, 0)], [(0, 0), (2, 0)]]),
+            (
+                3, -1, 2, 2,
+                [
+                    [(2, 0), (0, 0), (0, 0), (0, 0)],
+                    [(0, 0), (2, 0), (0, 0), (0, 0)],
+                    [(0, 0), (0, 0), (2, 0), (0, 0)],
+                    [(0, 0), (0, 0), (0, 0), (2, 0)],
+                ],
+            ),
+            (
+                5, -2, 3, 1,
+                [
+                    [(4, 0), (0, 0), (0, 0), (0, 0)],
+                    [(0, 0), (4, 0), (0, 0), (0, 0)],
+                    [(0, 0), (0, 0), (4, 0), (0, 0)],
+                    [(0, 0), (0, 0), (0, 0), (4, 0)],
+                ],
+            ),
+            (
+                7, -1, 4, 4,
+                [
+                    [(6, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)],
+                    [(0, 0), (6, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)],
+                    [(0, 0), (0, 0), (6, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0)],
+                    [(0, 0), (0, 0), (0, 0), (6, 0), (0, 0), (0, 0), (0, 0), (0, 0)],
+                    [(0, 0), (0, 0), (0, 0), (0, 0), (6, 0), (0, 0), (0, 0), (0, 0)],
+                    [(0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (6, 0), (0, 0), (0, 0)],
+                    [(0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (6, 0), (0, 0)],
+                    [(0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (6, 0)],
+                ],
+            ),
+        ],
+    )
+    def test_golden_grams(self, p, alpha, r, s, gram):
+        h = reduce_pairing(build_superspecial_unitary(p, 3, alpha, r, s))
+        assert [[x.coeffs for x in row] for row in h.gram] == gram
+        assert h.grading == (r, s)
 
     def test_sigma_alternating_exactly(self):
         for r, s in [(1, 1), (2, 2)]:
@@ -227,7 +328,7 @@ class TestAutomorphisms:
     def test_identity_member_with_unit_similitude(self):
         h = reduce_pairing(build_superspecial_unitary(3, 2, -1, 1, 1))
         _, elements = automorphism_group_bruteforce(h)
-        ident = linalg.identity_matrix(2, h.ctx.one(), h.ctx.zero())
+        ident = linalg.scalar_matrix(2, h.ctx.one(), h.ctx.zero())
         assert ident in elements
         assert similitude_factor(h, ident) == h.ctx.one()
 

@@ -56,21 +56,7 @@ def test_det_and_inverse_over_field():
                 linalg.inverse(A, ctx.one(), ctx.zero())
             continue
         Ainv = linalg.inverse(A, ctx.one(), ctx.zero())
-        assert linalg.mat_mul(A, Ainv) == linalg.identity_matrix(3, ctx.one(), ctx.zero())
-
-
-def test_nullspace_dimension_rank_theorem():
-    ctx = witt_ring(3, 2, 1)
-    rng = random.Random(17)
-    for _ in range(10):
-        rows = rng.randrange(1, 5)
-        cols = rng.randrange(1, 5)
-        A = [[ctx.el((rng.randrange(3), rng.randrange(3))) for _ in range(cols)] for _ in range(rows)]
-        r = linalg.rank(A)
-        basis = linalg.nullspace(A, ctx.one(), ctx.zero())
-        assert r + len(basis) == cols
-        for v in basis:
-            assert all(x.is_zero() for x in linalg.mat_vec(A, v))
+        assert linalg.mat_mul(A, Ainv) == linalg.scalar_matrix(3, ctx.one(), ctx.zero())
 
 
 def test_inverse_witt():
@@ -87,7 +73,7 @@ def test_inverse_witt():
             if linalg.det(A, ring.one()).val() == 0:
                 break
         Ainv = linalg.inverse(A, ring.one(), ring.zero())
-        assert linalg.mat_mul(A, Ainv) == linalg.identity_matrix(3, ring.one(), ring.zero())
+        assert linalg.mat_mul(A, Ainv) == linalg.scalar_matrix(3, ring.one(), ring.zero())
     # det = 3 is non-zero but not a unit: no unit pivot in the first column
     with pytest.raises(ValidationError, match="singular"):
         linalg.inverse(((ring.el(3), ring.el(1)), (ring.zero(), ring.one())), ring.one(), ring.zero())
@@ -408,15 +394,6 @@ def test_elimination_matches_dense_fold_on_sparse_matrices(p, s, n):
         want_rows, want_pivots = _dense_rref(A)
         assert linalg.rref(A) == (want_rows, want_pivots)
         assert linalg.rank(A) == len(want_pivots)
-        basis = linalg.nullspace(A, one, zero)
-        assert len(basis) == cols - len(want_pivots)
-        for v, fc in zip(basis, [c for c in range(cols) if c not in want_pivots]):
-            want = [one if c == fc else zero for c in range(cols)]
-            for r, pc in enumerate(want_pivots):
-                want[pc] = -want_rows[r][fc]
-            assert v == tuple(want)
-            if n == 1:
-                assert all(_slow_dot(row, v).is_zero() for row in A)
     for size in range(1, 7):
         for _ in range(4):
             A = _sparse_square(ring, rng, size)
@@ -428,7 +405,7 @@ def test_elimination_matches_dense_fold_on_sparse_matrices(p, s, n):
                 continue
             inv = linalg.inverse(A, one, zero)
             assert inv == tuple(tuple(row[size:]) for row in want_rows[:size])
-            assert tuple(tuple(_slow_dot(row, col) for col in zip(*inv)) for row in A) == linalg.identity_matrix(
+            assert tuple(tuple(_slow_dot(row, col) for col in zip(*inv)) for row in A) == linalg.scalar_matrix(
                 size, one, zero
             )
 
