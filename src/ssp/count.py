@@ -212,19 +212,6 @@ def eigensystem_bound(params: SignatureParams) -> CountReport:
     )
 
 
-def supersingular_mass_g1(p: int) -> Fraction:
-    """C_1 * (p - 1) = (p - 1)/24, the classical supersingular mass.
-
-    Outside the pipeline preconditions (g = 1); a standalone sanity
-    check for the mass constant."""
-    if not is_prime(p) or p == 2:
-        raise ValidationError("p must be an odd prime")
-    value = mass_constant(1) * (p - 1)
-    if value != Fraction(p - 1, 24):
-        raise FormulaInconsistencyError("supersingular mass deviates from (p-1)/24")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # equivariant function spaces on finite coset fixtures
 
@@ -273,14 +260,6 @@ class GroupRepresentation:
                 raise ValidationError(f"representation matrix #{i} is singular")
 
 
-def _validate_action_pair(space: CosetSpace, rho: GroupRepresentation):
-    if len(space.generators) != len(rho.generators):
-        raise ValidationError(
-            "inconsistent action data: "
-            f"{len(space.generators)} permutations vs {len(rho.generators)} matrices"
-        )
-
-
 def equivariant_dimension(space: CosetSpace, rho: GroupRepresentation) -> int:
     """dim { f : space -> F^d with f(x . g) = rho(g)^{-1} f(x) }.
 
@@ -290,7 +269,11 @@ def equivariant_dimension(space: CosetSpace, rho: GroupRepresentation) -> int:
     orbit adds d minus the rank of those rows; an edge whose two
     matrices are equal asks nothing.  Each generator is inverted once,
     up front."""
-    _validate_action_pair(space, rho)
+    if len(space.generators) != len(rho.generators):
+        raise ValidationError(
+            "inconsistent action data: "
+            f"{len(space.generators)} permutations vs {len(rho.generators)} matrices"
+        )
     one, zero = rho.ctx.one(), rho.ctx.zero()
     d = rho.dim
     inv = [linalg.inverse(M, one, zero) for M in rho.generators]
@@ -317,26 +300,6 @@ def equivariant_dimension(space: CosetSpace, rho: GroupRepresentation) -> int:
                     )
         total += d - linalg.rank(constraints)
     return total
-
-
-def equivariant_dimension_dense(space: CosetSpace, rho: GroupRepresentation) -> int:
-    """Independent oracle: assemble the full linear system on all values
-    f(x) at once and return the kernel dimension."""
-    _validate_action_pair(space, rho)
-    one, zero = rho.ctx.one(), rho.ctx.zero()
-    n, d = space.points, rho.dim
-    inv = [linalg.inverse(M, one, zero) for M in rho.generators]
-    rows = []
-    for gi, perm in enumerate(space.generators):
-        for x in range(n):
-            z = perm[x]
-            for row_idx in range(d):
-                row = [zero] * (n * d)
-                for col in range(d):
-                    row[x * d + col] = row[x * d + col] - inv[gi][row_idx][col]
-                row[z * d + row_idx] = row[z * d + row_idx] + one
-                rows.append(tuple(row))
-    return n * d - linalg.rank(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -112,22 +112,6 @@ class DieudonneModule:
     def sigma_inv_mat(self, M):
         return linalg.mat_map(self.ring.sigma_inv, M)
 
-    def apply_f(self, vec):
-        return linalg.mat_vec(self.f_matrix, tuple(self.ring.sigma(x) for x in vec))
-
-    def apply_v(self, vec):
-        return linalg.mat_vec(self.v_matrix, tuple(self.ring.sigma_inv(x) for x in vec))
-
-    def pairing(self, x, y):
-        if self.polarization is None:
-            raise ValidationError("polarization required")
-        return linalg.dot(x, linalg.mat_vec(self.polarization, y))
-
-    def basis_vector(self, i: int):
-        return tuple(
-            self.ring.one() if j == i else self.ring.zero() for j in range(self.rank)
-        )
-
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -493,27 +477,6 @@ def canonical_lie_action(ring: WittRing, alpha: int, r: int, s: int):
 
 # ---------------------------------------------------------------------------
 # JSON interchange (CLI surface)
-
-
-def module_to_dict(m: DieudonneModule) -> dict:
-    def enc(M):
-        return [[list(x.coeffs) for x in row] for row in M]
-
-    out = {
-        "p": m.ring.p,
-        "s": m.ring.s,
-        "n": m.ring.n,
-        "rank": m.rank,
-        "F": enc(m.f_matrix),
-        "V": enc(m.v_matrix),
-    }
-    if m.polarization is not None:
-        out["E"] = enc(m.polarization)
-    if m.ok_action is not None:
-        out["action"] = enc(m.ok_action)
-    if m.alpha is not None:
-        out["alpha"] = m.alpha
-    return out
 
 
 def truncation_level(n: int) -> int:

@@ -59,9 +59,6 @@ class HermitianQuotient:
                     if not (self.gram[i][j].is_zero() and self.gram[j][i].is_zero()):
                         raise ValidationError("Gram is not block diagonal for the grading")
 
-    def pairing(self, x, y) -> WittElem:
-        return linalg.dot(x, linalg.mat_vec(self.gram, tuple(self.ctx.sigma(c) for c in y)))
-
     def blocks(self):
         r, s = self.grading if self.grading is not None else (self.dim, 0)
         minus = tuple(tuple(self.gram[i][j] for j in range(r)) for i in range(r))
@@ -78,8 +75,10 @@ def reduce_pairing(m: DieudonneModule) -> HermitianQuotient:
     the graded one: the induced action must be canonical_lie_action(alpha,
     r, g - r), r being its number of leading -sqrt(alpha) entries, or a
     ValidationError is raised (the superspecial models are built so).
-    The pairing must also be skew-Hermitian for the action, and
-    HermitianQuotient checks that it is sigma-alternating and perfect.
+    For that diagonal action, with sigma(u) = -u and p odd, the pairing
+    is skew-Hermitian (J^T G = -G sigma(J)) exactly when G is block
+    diagonal for the grading; HermitianQuotient checks that, and that
+    the pairing is sigma-alternating and perfect.
     """
     if m.polarization is None:
         raise ValidationError("polarization required")
@@ -106,11 +105,6 @@ def reduce_pairing(m: DieudonneModule) -> HermitianQuotient:
         r = next((i for i in range(g) if jq[i][i] != minus_ubar), g)
         if jq != canonical_lie_action(ctx, m.alpha, r, g - r):
             raise ValidationError("the action on the quotient basis is not diag(-sqrt(alpha) I_r, sqrt(alpha) I_s)")
-        # skew-Hermitian: <J x, y> = <x, -J y>, i.e. J^T G = -G sigma(J)
-        lhs = linalg.mat_mul(linalg.transpose(jq), gram)
-        rhs = linalg.mat_neg(linalg.mat_mul(gram, linalg.mat_map(ctx.sigma, jq)))
-        if lhs != rhs:
-            raise ValidationError("induced pairing is not skew-Hermitian for the action")
         grading = (r, g - r)
 
     return HermitianQuotient(ctx=ctx, dim=len(quot), gram=gram, grading=grading)
@@ -190,31 +184,3 @@ def automorphism_group_bruteforce(h: HermitianQuotient) -> tuple[int, list]:
     elements = field_table(h.ctx.p, h.ctx.s).mats_decode(coded)
     return len(elements), elements
 
-
-def similitude_factor(h: HermitianQuotient, X) -> WittElem:
-    """The c with X* gram X = c gram; raises if X is not an automorphism."""
-    lhs = linalg.mat_mul(
-        linalg.mat_mul(linalg.transpose(linalg.mat_map(h.ctx.sigma, X)), h.gram), X
-    )
-    anchor = next(
-        (i, j)
-        for i in range(h.dim)
-        for j in range(h.dim)
-        if not h.gram[i][j].is_zero()
-    )
-    c = lhs[anchor[0]][anchor[1]] * h.gram[anchor[0]][anchor[1]].inv()
-    if lhs != linalg.mat_scale(c, h.gram) or not c.in_prime_subfield() or c.is_zero():
-        raise ValidationError("matrix is not a similitude of the pairing")
-    return c
-
-
-def cotangent_dual(h: HermitianQuotient) -> HermitianQuotient:
-    """The dual space with the pairing transported through v -> <., v>.
-
-    On coded bases the transported Gram is sigma(G^{-1})^T; the grading
-    is unchanged (the functionals supported on an eigenspace form the
-    eigenspace of the dual action for the same eigenvalue)."""
-    one, zero = h.ctx.one(), h.ctx.zero()
-    ginv = linalg.inverse(h.gram, one, zero)
-    dual_gram = linalg.transpose(linalg.mat_map(h.ctx.sigma, ginv))
-    return HermitianQuotient(ctx=h.ctx, dim=h.dim, gram=linalg.freeze(dual_gram), grading=h.grading)

@@ -71,21 +71,6 @@ def mat_mul(A, B) -> Matrix:
     return tuple(out)
 
 
-def mat_vec(A, v) -> tuple:
-    """A v, each entry a `dot` over the positions where both the row and
-    v are non-zero, as in mat_mul."""
-    if not A:
-        return ()
-    ring = A[0][0].ring
-    zero = ring.zero()
-    live = set(ring.support(v))
-    out = []
-    for row in A:
-        both = [k for k in ring.support(row) if k in live]
-        out.append(dot([row[k] for k in both], [v[k] for k in both]) if both else zero)
-    return tuple(out)
-
-
 def mat_sub(A, B) -> Matrix:
     return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
@@ -93,10 +78,6 @@ def mat_sub(A, B) -> Matrix:
 def mat_neg(A) -> Matrix:
     """-A, each distinct value negated once, as in mat_map."""
     return mat_map(operator.neg, A)
-
-
-def mat_scale(c, A) -> Matrix:
-    return tuple(tuple(c * a for a in row) for row in A)
 
 
 def transpose(A) -> Matrix:
@@ -132,7 +113,7 @@ def charpoly(A, one) -> list:
     per component, so the characteristic polynomial is, exactly, the
     product of the blocks' Berkowitz polynomials.  Within a block the
     steps w -> R w and w -> M w run over the positions where both factors
-    are non-zero, as in mat_vec, with the non-zero positions of the
+    are non-zero, as in mat_mul, with the non-zero positions of the
     block's rows found once."""
     ring = one.ring
     zero = ring.zero()

@@ -3,7 +3,9 @@
 Each check is a (name, thunk) pair and a thunk returns (ok, detail).
 `QUICK` is the default level; `FULL` appends the larger enumerations.
 A check is registered here once: `ssp verify` runs these tuples, and
-the acceptance suite runs every entry of `FULL`.
+the acceptance suite, which is this registry alone, runs every entry of
+`FULL` under a wall-time bound.  A check registered here is not
+repeated in the unit tests of its subject.
 """
 
 from __future__ import annotations

@@ -249,10 +249,6 @@ class WittElem:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def in_prime_subfield(self) -> bool:
-        """True when x lies in Z/p^n, the constants."""
-        return all(c == 0 for c in self.coeffs[1:])
-
     def _coerce(self, other) -> "WittElem":
         if type(other) is WittElem and other.ring is self.ring:
             return other

@@ -17,11 +17,9 @@ from ssp.count import (
     coset_space_from_dict,
     eigensystem_bound,
     equivariant_dimension,
-    equivariant_dimension_dense,
     mass_factor_product,
     representation_from_dict,
     superspecial_bound,
-    supersingular_mass_g1,
 )
 
 
@@ -154,14 +152,28 @@ class TestAsymptotics:
         assert abs(slopes[0] - 6) <= 0.5  # pre-asymptotic pair is close but looser
 
 
-class TestSupersingularMass:
-    @pytest.mark.parametrize("p", [5, 7, 11, 13])
-    def test_classical_values(self, p):
-        assert supersingular_mass_g1(p) == Fraction(p - 1, 24)
-
-
 # ---------------------------------------------------------------------------
 # equivariant fixtures
+
+
+def equivariant_dimension_dense(space, rho):
+    """Independent oracle of equivariant_dimension: assemble the full
+    linear system on all values f(x) at once and return the kernel
+    dimension."""
+    one, zero = rho.ctx.one(), rho.ctx.zero()
+    n, d = space.points, rho.dim
+    inv = [linalg.inverse(M, one, zero) for M in rho.generators]
+    rows = []
+    for gi, perm in enumerate(space.generators):
+        for x in range(n):
+            z = perm[x]
+            for row_idx in range(d):
+                row = [zero] * (n * d)
+                for col in range(d):
+                    row[x * d + col] = row[x * d + col] - inv[gi][row_idx][col]
+                row[z * d + row_idx] = row[z * d + row_idx] + one
+                rows.append(tuple(row))
+    return n * d - linalg.rank(rows)
 
 
 def trivial_rep(ctx, k):
@@ -239,7 +251,7 @@ def linear_fixture(rng, ctx):
             if linalg.is_invertible(M):
                 break
         M_inv = linalg.inverse(M, one, zero)
-        perms.append(tuple(index[linalg.mat_vec(M_inv, x)] for x in points))
+        perms.append(tuple(index[tuple(linalg.dot(row, x) for row in M_inv)] for x in points))
         mats.append(M)
     return CosetSpace(points=len(points), generators=tuple(perms)), GroupRepresentation(ctx=ctx, dim=2, generators=tuple(mats))
 

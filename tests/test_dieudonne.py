@@ -20,13 +20,51 @@ from ssp.dieudonne import (
     is_basic_gl,
     is_isoclinic,
     module_from_dict,
-    module_to_dict,
     newton_polygon,
     newton_polygon_with_retry,
     quotient_projection,
 )
 from ssp.errors import FormulaInconsistencyError, InsufficientPrecisionError, ValidationError
 from ssp.witt import hensel_sqrt, witt_ring
+
+
+def basis_vector(m, i):
+    return tuple(m.ring.one() if j == i else m.ring.zero() for j in range(m.rank))
+
+
+def mat_vec(A, v):
+    return tuple(linalg.dot(row, v) for row in A)
+
+
+def apply_f(m, vec):
+    """F x = A sigma(x), vector by vector: the oracle of the matrix products."""
+    return mat_vec(m.f_matrix, tuple(m.ring.sigma(x) for x in vec))
+
+
+def apply_v(m, vec):
+    """V x = B sigma^{-1}(x)."""
+    return mat_vec(m.v_matrix, tuple(m.ring.sigma_inv(x) for x in vec))
+
+
+def pairing(m, x, y):
+    """e(x, y) = x^T E y."""
+    return linalg.dot(x, mat_vec(m.polarization, y))
+
+
+def module_to_dict(m):
+    """The JSON spec of m that module_from_dict reads: a fixture writer."""
+
+    def enc(M):
+        return [[list(x.coeffs) for x in row] for row in M]
+
+    out = {"p": m.ring.p, "s": m.ring.s, "n": m.ring.n, "rank": m.rank, "F": enc(m.f_matrix), "V": enc(m.v_matrix)}
+    if m.polarization is not None:
+        out["E"] = enc(m.polarization)
+    if m.ok_action is not None:
+        out["action"] = enc(m.ok_action)
+    if m.alpha is not None:
+        out["alpha"] = m.alpha
+    return out
 
 
 def toy_module(ring, f_diag, v_diag):
@@ -99,9 +137,9 @@ class TestAHalf:
         ring = m.ring
         for i in range(2):
             for j in range(2):
-                x, y = m.basis_vector(i), m.basis_vector(j)
-                lhs = m.pairing(m.apply_f(x), y)
-                rhs = ring.sigma(m.pairing(x, m.apply_v(y)))
+                x, y = basis_vector(m, i), basis_vector(m, j)
+                lhs = pairing(m, apply_f(m, x), y)
+                rhs = ring.sigma(pairing(m, x, apply_v(m, y)))
                 assert lhs == rhs
 
 
@@ -141,26 +179,28 @@ class TestSuperspecialUnitary:
 
     @pytest.mark.parametrize("r, s", [(1, 1), (2, 2), (2, 0), (1, 3)])
     def test_graded_quotient_dims(self, r, s):
-        m = build_superspecial_unitary(3, 2, -1, r, s)
-        assert graded_quotient_dims(m) == (r, s)
+        for n in (2, 4):
+            m = build_superspecial_unitary(3, n, -1, r, s)
+            assert graded_quotient_dims(m) == (r, s)
 
     def test_isotropy_and_swapping(self):
         from ssp.dieudonne import action_eigen_indices
 
-        m = build_superspecial_unitary(3, 3, -1, 2, 2)
-        minus, plus = action_eigen_indices(m)
-        zero = m.ring.zero()
-        for idxs in (minus, plus):
-            for i in idxs:
-                for j in idxs:
-                    assert m.pairing(m.basis_vector(i), m.basis_vector(j)) == zero
-        # V M_+ and F M_+ land in M_-, and symmetrically
-        for src, dst in ((plus, minus), (minus, plus)):
-            for i in src:
-                for vec in (m.apply_v(m.basis_vector(i)), m.apply_f(m.basis_vector(i))):
-                    for j, c in enumerate(vec):
-                        if j not in dst:
-                            assert c == zero
+        for r, s, n in [(2, 2, 3), (1, 1, 2), (1, 1, 4), (2, 2, 2), (2, 2, 4)]:
+            m = build_superspecial_unitary(3, n, -1, r, s)
+            minus, plus = action_eigen_indices(m)
+            zero = m.ring.zero()
+            for idxs in (minus, plus):
+                for i in idxs:
+                    for j in idxs:
+                        assert pairing(m, basis_vector(m, i), basis_vector(m, j)) == zero
+            # V M_+ and F M_+ land in M_-, and symmetrically
+            for src, dst in ((plus, minus), (minus, plus)):
+                for i in src:
+                    for vec in (apply_v(m, basis_vector(m, i)), apply_f(m, basis_vector(m, i))):
+                        for j, c in enumerate(vec):
+                            if j not in dst:
+                                assert c == zero
 
     def test_orientation_is_checked(self, monkeypatch):
         # the model is built in one orientation; a wrong induced action is an error
@@ -264,6 +304,9 @@ class TestEndpoints:
             )
 
 
+SIGNATURES_UP_TO_4 = [(r, g - r) for g in (2, 4) for r in range(g + 1)]
+
+
 class TestDeterminantCondition:
     @pytest.mark.parametrize("r, s", [(1, 1), (2, 0), (0, 2), (1, 3), (2, 2), (4, 0), (3, 1), (0, 4)])
     def test_accepts_canonical_matrix(self, r, s):
@@ -273,7 +316,7 @@ class TestDeterminantCondition:
 
     def test_rejects_wrong_multiplicities(self):
         ctx = witt_ring(3, 2, 1)
-        for r, s in [(1, 1), (2, 0), (1, 3), (2, 2)]:
+        for r, s in SIGNATURES_UP_TO_4:
             g = r + s
             for r2 in range(g + 1):
                 s2 = g - r2
@@ -281,21 +324,23 @@ class TestDeterminantCondition:
                 assert determinant_condition(r, s, -1, L) == ((r2, s2) == (r, s))
 
     def test_conjugation_invariance(self):
+        # 10 conjugates at (1, 1), then 3 at every other signature with g <= 4
         rng = random.Random(11)
         ctx = witt_ring(3, 2, 1)
-        L = canonical_lie_action(ctx, -1, 1, 1)
-        for _ in range(10):
+        for r, s in [(1, 1)] * 10 + [rs for rs in SIGNATURES_UP_TO_4 if rs != (1, 1)] * 3:
+            g = r + s
             while True:
                 P = linalg.freeze(
                     [
-                        [ctx.el((rng.randrange(3), rng.randrange(3))) for _ in range(2)]
-                        for _ in range(2)
+                        [ctx.el((rng.randrange(3), rng.randrange(3))) for _ in range(g)]
+                        for _ in range(g)
                     ]
                 )
                 if linalg.is_invertible(P):
                     break
+            L = canonical_lie_action(ctx, -1, r, s)
             Lc = linalg.mat_mul(linalg.mat_mul(linalg.inverse(P, ctx.one(), ctx.zero()), L), P)
-            assert determinant_condition(1, 1, -1, Lc)
+            assert determinant_condition(r, s, -1, Lc)
 
     def test_non_square_rejected(self):
         ctx = witt_ring(3, 2, 1)

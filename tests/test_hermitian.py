@@ -17,10 +17,8 @@ from ssp.hermitian import (
     HermitianQuotient,
     automorphism_group_bruteforce,
     automorphism_group_coded,
-    cotangent_dual,
     pairing_well_defined,
     reduce_pairing,
-    similitude_factor,
 )
 from ssp.witt import witt_ring
 
@@ -33,17 +31,42 @@ def _per_trial_oracle(m, h, trials, seed):
     rng = random.Random(seed)
     ring = m.ring
     quot, _ = quotient_projection(m)
+
+    def unit(k):
+        return tuple(ring.one() if t == k else ring.zero() for t in range(m.rank))
+
+    def apply(M, twist, vec):
+        """F = M o sigma or V = M o sigma^{-1} on one vector."""
+        return tuple(linalg.dot(row, tuple(twist(c) for c in vec)) for row in M)
+
     disagreements = 0
     for _ in range(trials):
         i = rng.randrange(len(quot))
         j = rng.randrange(len(quot))
         a = tuple(ring.el(rng.randrange(ring.pn)) for _ in range(m.rank))
         b = tuple(ring.el(rng.randrange(ring.pn)) for _ in range(m.rank))
-        x = tuple(u + v for u, v in zip(m.basis_vector(quot[i]), m.apply_f(a)))
-        y = tuple(u + v for u, v in zip(m.basis_vector(quot[j]), m.apply_v(b)))
-        if ring.reduce(m.pairing(x, m.apply_f(y))) != h.gram[i][j]:
+        x = tuple(u + v for u, v in zip(unit(quot[i]), apply(m.f_matrix, ring.sigma, a)))
+        y = tuple(u + v for u, v in zip(unit(quot[j]), apply(m.v_matrix, ring.sigma_inv, b)))
+        fy = apply(m.f_matrix, ring.sigma, y)
+        if ring.reduce(linalg.dot(x, tuple(linalg.dot(row, fy) for row in m.polarization))) != h.gram[i][j]:
             disagreements += 1
     return disagreements
+
+
+def similitude_factor(h, X):
+    """The c with X* gram X = c gram, checked entry by entry; raises if X
+    is not an automorphism.  The per-element oracle of the enumerated
+    automorphism list."""
+    lhs = linalg.mat_mul(linalg.mat_mul(linalg.transpose(linalg.mat_map(h.ctx.sigma, X)), h.gram), X)
+    i, j = next((i, j) for i in range(h.dim) for j in range(h.dim) if not h.gram[i][j].is_zero())
+    c = lhs[i][j] * h.gram[i][j].inv()
+    if lhs != _scaled(c, h.gram) or any(c.coeffs[1:]) or c.is_zero():
+        raise ValidationError("matrix is not a similitude of the pairing")
+    return c
+
+
+def _scaled(c, A):
+    return tuple(tuple(c * a for a in row) for row in A)
 
 
 def _restricted_quotient(m):
@@ -149,11 +172,15 @@ class TestReducePairing:
         with pytest.raises(ValidationError, match="F \\+ V"):
             reduce_pairing(m)
 
-    @pytest.mark.parametrize("r, s", [(1, 1), (2, 2), (2, 0)])
-    def test_well_definedness_oracle(self, r, s):
-        m = build_superspecial_unitary(3, 3, -1, r, s)
+    @pytest.mark.parametrize(
+        "r, s, n, seed",
+        [(1, 1, 3, 1), (2, 2, 3, 1), (2, 0, 3, 1), (2, 2, 2, 0)],
+        ids=["1-1", "2-2", "2-0", "2-2-n2-seed0"],
+    )
+    def test_well_definedness_oracle(self, r, s, n, seed):
+        m = build_superspecial_unitary(3, n, -1, r, s)
         h = reduce_pairing(m)
-        assert pairing_well_defined(m, h, trials=20, seed=1) == 0
+        assert pairing_well_defined(m, h, trials=20, seed=seed) == 0
 
     def test_oracle_without_polarization_is_a_validation_error(self):
         m = build_superspecial_unitary(3, 2, -1, 1, 1)
@@ -229,7 +256,7 @@ class TestReducePairing:
             m = build_superspecial_unitary(p, 3, alpha, r, s)
             h = reduce_pairing(m)
             doubled = HermitianQuotient(
-                ctx=h.ctx, dim=h.dim, gram=linalg.mat_scale(h.ctx.el(2), h.gram), grading=h.grading
+                ctx=h.ctx, dim=h.dim, gram=_scaled(h.ctx.el(2), h.gram), grading=h.grading
             )
             assert pairing_well_defined(m, h, trials=20, seed=0) == 0
             assert pairing_well_defined(m, doubled, trials=20, seed=0) > 0
@@ -313,6 +340,11 @@ class TestAutomorphisms:
         order, elements = automorphism_group_bruteforce(h)
         assert order == 32 and len(elements) == 32
 
+    def test_order_of_the_ungraded_a_half_is_8(self):
+        h = reduce_pairing(build_a_half(witt_ring(3, 2, 2)))
+        assert h.grading is None
+        assert automorphism_group_bruteforce(h)[0] == 8
+
     def test_order_2_0_is_192(self):
         h = reduce_pairing(build_superspecial_unitary(3, 2, -1, 2, 0))
         order, _ = automorphism_group_bruteforce(h)
@@ -337,7 +369,7 @@ class TestAutomorphisms:
         _, elements = automorphism_group_bruteforce(h)
         for X in elements:
             c = similitude_factor(h, X)
-            assert c.in_prime_subfield() and not c.is_zero()
+            assert not any(c.coeffs[1:]) and not c.is_zero()
 
     def test_order_needs_no_decoding(self, monkeypatch, capsys):
         # `pairing` and `verify` read the order alone, from the coded list
@@ -364,28 +396,21 @@ class TestAutomorphisms:
             automorphism_group_bruteforce(h)
 
 
-class TestCotangentDual:
-    def test_double_dual_is_identity(self):
-        h = reduce_pairing(build_superspecial_unitary(3, 2, -1, 1, 1))
-        assert cotangent_dual(cotangent_dual(h)) == h
-
-    def test_dual_preserves_grading_and_aut_order(self):
-        h = reduce_pairing(build_superspecial_unitary(3, 2, -1, 1, 1))
-        hd = cotangent_dual(h)
-        assert hd.grading == h.grading
-        assert automorphism_group_bruteforce(hd)[0] == automorphism_group_bruteforce(h)[0] == 32
-
-    def test_dual_of_ungraded(self):
-        h = reduce_pairing(build_a_half(witt_ring(3, 2, 2)))
-        hd = cotangent_dual(h)
-        assert automorphism_group_bruteforce(hd)[0] == automorphism_group_bruteforce(h)[0] == 8
-
-
 class TestQuotientType:
     def test_degenerate_gram_rejected(self):
         ctx = witt_ring(3, 2, 1)
         with pytest.raises(ValidationError, match="degenerate|alternating"):
             HermitianQuotient(ctx=ctx, dim=1, gram=((ctx.zero(),),))
+
+    def test_cross_block_entry_rejected(self):
+        # sigma-alternating and perfect, but pairing the two eigenlines: for
+        # the canonical action this is the pairing that is not skew-Hermitian
+        ctx = witt_ring(3, 2, 1)
+        one, zero = ctx.one(), ctx.zero()
+        gram = ((zero, one), (one, zero))
+        assert HermitianQuotient(ctx=ctx, dim=2, gram=gram).grading is None
+        with pytest.raises(ValidationError, match="not block diagonal"):
+            HermitianQuotient(ctx=ctx, dim=2, gram=gram, grading=(1, 1))
 
     def test_non_alternating_rejected(self):
         ctx = witt_ring(3, 2, 1)

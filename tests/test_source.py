@@ -6,7 +6,8 @@ from pathlib import Path
 
 from ssp import groups
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ssp"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ssp"
 
 
 def _modules():
@@ -141,11 +142,8 @@ def test_sums_of_products_go_through_linalg_dot():
     offenders = []
     for module, qualname in (
         ("linalg", "mat_mul"),
-        ("linalg", "mat_vec"),
         ("linalg", "charpoly"),
         ("linalg", "_poly_mul"),
-        ("dieudonne", "DieudonneModule.pairing"),
-        ("hermitian", "HermitianQuotient.pairing"),
     ):
         fn = _function(modules[module], qualname)
         folds = [node.lineno for node in ast.walk(fn) if _own_fold(node)]
@@ -299,3 +297,44 @@ def test_group_families_live_in_groups():
     # chain over the names is left in GroupSpec
     named = [node.value for node in ast.walk(modules["groups"]) if isinstance(node, ast.Constant) and node.value in names]
     assert sorted(named) == sorted(groups.FAMILIES)
+
+
+def _public_definitions(tree):
+    """The public functions and classes at the top of a module, and the
+    public methods of its classes, as (qualname, name) pairs."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub.name
+
+
+def _referenced_names(tree) -> set:
+    """Every name `tree` reads, imports or looks up as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+    return out
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # the package keeps only what it or the benchmark runs: a function,
+    # method or class that only tests call belongs in those tests
+    modules = _modules()
+    callers = set().union(*map(_referenced_names, modules.values()))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        callers |= _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    unused = [
+        f"{module}.{qualname}"
+        for module, tree in modules.items()
+        for qualname, name in _public_definitions(tree)
+        if name not in callers
+    ]
+    assert unused == []
