@@ -168,7 +168,7 @@ def _polygon_results(np_: dieudonne.NewtonPolygon, hp: dieudonne.HodgePolygon, n
     return {
         "slopes": _val("; ".join(f"{lam} x{m}" for lam, m in np_.slopes), "formula"),
         "isoclinic": dieudonne.is_isoclinic(np_),
-        "basic": dieudonne.is_basic_gl(np_),
+        "basic": dieudonne.is_isoclinic(np_),
         "hodge_weights": _val("; ".join(f"{w} x{m}" for w, m in hp.weights), "formula"),
         "t_newton": _val(adm.t_newton, "formula"),
         "t_hodge": _val(adm.t_hodge, "formula"),
@@ -178,12 +178,18 @@ def _polygon_results(np_: dieudonne.NewtonPolygon, hp: dieudonne.HodgePolygon, n
     }
 
 
-def _cmd_newton(args) -> tuple[dict, int]:
-    with open(args.file, "r", encoding="utf-8") as fh:
+def _load_json(path, what):
+    """The JSON value in the file at `path`; `what` names the file in
+    the ValidationError for malformed JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
-            raise ValidationError(f"module file is not valid JSON: {e}") from None
+            raise ValidationError(f"{what} is not valid JSON: {e}") from None
+
+
+def _cmd_newton(args) -> tuple[dict, int]:
+    data = _load_json(args.file, "module file")
     np_, n_used = dieudonne.newton_polygon_with_retry(data)
     hp = dieudonne.hodge_polygon(dieudonne.module_from_dict(data, n_override=n_used))
     return _report("newton", {"file": args.file}, _polygon_results(np_, hp, n_used)), 0
@@ -209,15 +215,8 @@ def _cmd_pairing(args) -> tuple[dict, int]:
 
 
 def _cmd_amf(args) -> tuple[dict, int]:
-    def load(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                return json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ValidationError(f"{path} is not valid JSON: {e}") from None
-
-    space = count_mod.coset_space_from_dict(load(args.space_file))
-    rho = count_mod.representation_from_dict(load(args.rep_file))
+    space = count_mod.coset_space_from_dict(_load_json(args.space_file, args.space_file))
+    rho = count_mod.representation_from_dict(_load_json(args.rep_file, args.rep_file))
     dim = count_mod.equivariant_dimension(space, rho)
     results = {
         "dimension": _val(dim, "enumeration"),

@@ -411,11 +411,6 @@ def is_isoclinic(np: NewtonPolygon) -> bool:
     return len(np.slopes) == 1
 
 
-def is_basic_gl(np: NewtonPolygon) -> bool:
-    """For GL, basic coincides with isoclinic."""
-    return is_isoclinic(np)
-
-
 @dataclass(frozen=True)
 class EndpointReport:
     t_newton: Fraction

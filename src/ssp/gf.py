@@ -38,25 +38,13 @@ def _pmul(a, b, p):
     return _trim(out)
 
 
-def _pmod(a, mod, p):
-    # mod is monic
-    a = list(a)
-    d = len(mod) - 1
-    for i in range(len(a) - 1, d - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(d + 1):
-                a[i - d + j] = (a[i - d + j] - c * mod[j]) % p
-    return _trim(a)
-
-
 def _pmulmod(a, b, mod, p):
-    return _pmod(_pmul(a, b, p), mod, p)
+    return _poly_divmod(_pmul(a, b, p), mod, p)[1]
 
 
 def _ppowmod(a, e, mod, p):
     result = (1,)
-    base = _pmod(a, mod, p)
+    base = _poly_divmod(a, mod, p)[1]
     while e:
         if e & 1:
             result = _pmulmod(result, base, mod, p)
@@ -114,36 +102,18 @@ def poly_inverse(a, mod, p) -> tuple[int, ...]:
 
 
 def is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Rabin test for a monic polynomial over F_p (degree >= 1)."""
+    """Ben-Or's test (Ben-Or 1981) for a monic polynomial f over F_p:
+    f of degree d >= 1 is irreducible iff gcd(x^(p^i) - x, f) = 1 for
+    i = 1..floor(d/2), as x^(p^i) - x is the product of the monic
+    irreducibles of degree dividing i.  A factor of degree i is found
+    at step i, so most candidates are rejected early."""
     d = len(poly) - 1
     if d < 1 or poly[-1] != 1:
         return False
-    x = _pmod((0, 1), poly, p)
-    # x^{p^d} == x (mod poly)
-    xq = x
-    for _ in range(d):
+    x = xq = (0, 1)
+    for _ in range(d // 2):
         xq = _ppowmod(xq, p, poly, p)
-    minus_x = _trim([(c - xc) % p for c, xc in itertools.zip_longest(xq, x, fillvalue=0)])
-    if minus_x:
-        return False
-    # gcd(x^{p^{d/q}} - x, poly) == 1 for every prime q | d
-    q = 2
-    dd = d
-    primes = set()
-    while q * q <= dd:
-        if dd % q == 0:
-            primes.add(q)
-            while dd % q == 0:
-                dd //= q
-        q += 1
-    if dd > 1:
-        primes.add(dd)
-    for q in primes:
-        xq = x
-        for _ in range(d // q):
-            xq = _ppowmod(xq, p, poly, p)
-        diff = _trim([(c - xc) % p for c, xc in itertools.zip_longest(xq, x, fillvalue=0)])
-        if len(_pgcd(diff, poly, p)) != 1:
+        if len(_pgcd(_psub(xq, x, p), poly, p)) != 1:
             return False
     return True
 

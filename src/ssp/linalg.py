@@ -13,9 +13,11 @@ allowed.
 The models built in `dieudonne` are block diagonal, so most of their
 entries are zero.  Products and the elimination find each row's
 non-zero positions (`WittRing.support`, which checks every entry's ring
-as `dot` does) and work on those alone, `charpoly` runs Berkowitz on
-each component of the support graph, and `mat_map` maps each distinct
-value once; the values are those of the dense formulas.
+as `dot` does) and work on those alone, `charpoly` splits the indices
+into the components of the support graph and runs plain Berkowitz
+inside each, and `mat_map` maps each distinct value once; the values
+are those of the dense formulas.  Every entry is an element of the
+matrix's ring: an int is not an operand (`WittRing.el` makes constants).
 """
 
 from __future__ import annotations
@@ -107,16 +109,13 @@ def charpoly(A, one) -> list:
     """Coefficients of det(T*I - A), highest degree first (Berkowitz).
 
     `one` is the ring's one, needed for the 0 x 0 matrix; every sum of
-    products here is a non-empty `dot`.  The indices split into the
-    components of the relation i ~ j where A[i][j] != 0; a simultaneous
-    permutation of rows and columns makes A block diagonal with one block
-    per component, so the characteristic polynomial is, exactly, the
-    product of the blocks' Berkowitz polynomials.  Within a block the
-    steps w -> R w and w -> M w run over the positions where both factors
-    are non-zero, as in mat_mul, with the non-zero positions of the
-    block's rows found once."""
+    products here is a non-empty `dot`, which skips zero factors.  The
+    indices split into the components of the relation i ~ j where
+    A[i][j] != 0; a simultaneous permutation of rows and columns makes A
+    block diagonal with one block per component, so the characteristic
+    polynomial is, exactly, the product of the blocks' polynomials, each
+    computed by plain Berkowitz."""
     ring = one.ring
-    zero = ring.zero()
     supports = [ring.support(row) for row in A]
     # union-find on the support graph; each root is its component's least index
     root = list(range(len(A)))
@@ -139,26 +138,18 @@ def charpoly(A, one) -> list:
     total = [one]
     for idx in components.values():
         B = [[A[i][j] for j in idx] for i in idx]
-        bsupports = [ring.support(row) for row in B]
         coeffs = [one]
         for k in range(1, len(B) + 1):
             ts = [one, -B[k - 1][k - 1]]
             if k >= 2:
-                # the rows of B stand in for those of the leading block M
-                # and of R = B[k - 1][: k - 1]: w has k - 1 entries, so only
-                # the positions below k - 1 of their supports meet its own
-                R = B[k - 1]
+                # R and the column w border the leading block M = B[: k - 1]
+                # on the left of and above B[k - 1][k - 1]; w steps to M w
+                R = B[k - 1][: k - 1]
                 w = [B[i][k - 1] for i in range(k - 1)]
                 for m in range(2, k + 1):
-                    live = set(ring.support(w))
-                    both = [j for j in bsupports[k - 1] if j in live]
-                    ts.append(-dot([R[j] for j in both], [w[j] for j in both]) if both else zero)
+                    ts.append(-dot(R, w))
                     if m < k:
-                        Mw = []
-                        for row, ks in zip(B, bsupports[: k - 1]):
-                            both = [j for j in ks if j in live]
-                            Mw.append(dot([row[j] for j in both], [w[j] for j in both]) if both else zero)
-                        w = Mw
+                        w = [dot(row[: k - 1], w) for row in B[: k - 1]]
             # the Berkowitz step keeps the first k + 1 coefficients of ts * coeffs
             coeffs = _poly_mul(ts, coeffs, k + 1)
         total = _poly_mul(total, coeffs, len(total) + len(coeffs) - 1)

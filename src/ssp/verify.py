@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from . import count, dieudonne, exact, groups, hermitian
+from . import count, dieudonne, exact, groups, hermitian, linalg
 from .errors import SspError, ValidationError
 from .ftables import field_table
 from .witt import witt_ring
@@ -58,7 +58,7 @@ def _model(r: int, s: int):
     rep = dieudonne.check_axioms(m)
     if not rep.ok:
         return False, f"axioms: {rep.failures()}"
-    if m.f_matrix != tuple(tuple(-x for x in row) for row in m.v_matrix):
+    if m.f_matrix != linalg.mat_neg(m.v_matrix):
         return False, "F + V != 0"
     dims = dieudonne.graded_quotient_dims(m)
     return dims == (r, s), f"quotient dims {dims} vs ({r},{s})"

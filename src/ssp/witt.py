@@ -10,7 +10,8 @@ power and fixes Z/p^n; at n = 1 it is the Frobenius x -> x^p.
 WittElem is the one element type of the package.  Its products and
 linalg's sums of products are the ring's inner-product kernel
 `WittRing.dot`, which works on the raw coefficient tuples and reduces
-once per sum.
+once per sum.  Every operand is an element of the ring or of an equal
+ring; an int is not one, and `WittRing.el(c)` makes the constant c.
 
 Valuations on a truncated ring are censored: an element that is zero at
 level n has valuation >= n, and val() returns math.inf to signal this.
@@ -165,9 +166,9 @@ class WittRing:
     # -- the inner-product kernel ---------------------------------------------
 
     def _raw(self, x) -> tuple[int, ...]:
-        """Coefficients of an operand: an int or an element of this ring."""
-        if isinstance(x, int):
-            return self.el(x).coeffs
+        """Coefficients of an operand, which must be an element of this
+        ring or of an equal one; an int is not an operand, `el` makes the
+        constant."""
         if not isinstance(x, WittElem) or x.ring != self:
             raise ValidationError("mixed-ring arithmetic")
         return x.coeffs
@@ -202,8 +203,8 @@ class WittRing:
 
     def support(self, xs) -> list[int]:
         """The positions of the non-zero entries of xs, each entry checked
-        as `dot` checks a factor: an int or an element of this ring.  The
-        shared zero() is recognised by identity alone."""
+        as `dot` checks a factor: an element of this ring.  The shared
+        zero() is recognised by identity alone."""
         z, zero = self._zero, self._zero_coeffs
         return [
             k
@@ -235,8 +236,6 @@ class WittElem:
         return f"W({list(self.coeffs)} mod {self.ring.p}^{self.ring.n})"
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.el(other)
         return (
             isinstance(other, WittElem)
             and (other.ring is self.ring or self.ring == other.ring)
@@ -244,7 +243,8 @@ class WittElem:
         )
 
     def __hash__(self):
-        return hash((self.ring.p, self.ring.s, self.ring.n, self.coeffs))
+        # equal elements have equal rings, so the coefficients suffice
+        return hash(self.coeffs)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -259,8 +259,6 @@ class WittElem:
         pn = self.ring.pn
         return WittElem(self.ring, tuple((a + b) % pn for a, b in zip(self.coeffs, other.coeffs)))
 
-    __radd__ = __add__
-
     def __neg__(self):
         pn = self.ring.pn
         return WittElem(self.ring, tuple((-a) % pn for a in self.coeffs))
@@ -268,13 +266,8 @@ class WittElem:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + self._coerce(other)
-
     def __mul__(self, other):
         return self.ring.dot((self,), (other,))
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:

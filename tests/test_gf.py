@@ -166,6 +166,53 @@ def test_minimal_irreducible_matches_plain_search(p):
         assert minimal_irreducible(p, s) == plain
 
 
+def _monic(p, d):
+    """Every monic polynomial of degree d over F_p, low-degree first."""
+    return [lower + (1,) for lower in itertools.product(range(p), repeat=d)]
+
+
+def _product(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_irreducible_matches_product_sieve(p):
+    # a monic polynomial of degree <= 4 is reducible iff it is a product
+    # of two monic polynomials of degree >= 1
+    reducible = {
+        _product(f, g, p)
+        for df in range(1, 4)
+        for dg in range(1, 5 - df)
+        for f in _monic(p, df)
+        for g in _monic(p, dg)
+    }
+    for d in range(1, 5):
+        for poly in _monic(p, d):
+            assert is_irreducible(poly, p) == (poly not in reducible), poly
+
+
+MODULI = {
+    3: [(0, 1), (1, 0, 1), (1, 0, 2, 1), (1, 0, 1, 1, 1)],
+    5: [(0, 1), (1, 1, 1), (1, 0, 1, 1), (1, 0, 1, 1, 1)],
+    7: [(0, 1), (1, 0, 1), (1, 0, 1, 1), (1, 0, 0, 1, 1)],
+    11: [(0, 1), (1, 0, 1), (1, 0, 4, 1), (1, 0, 0, 4, 1)],
+    13: [(0, 1), (1, 3, 1), (1, 0, 4, 1), (1, 0, 0, 1, 1)],
+    31: [(0, 1), (1, 0, 1), (1, 0, 3, 1), (1, 0, 0, 1, 1)],
+}
+
+
+@pytest.mark.parametrize("p", sorted(MODULI))
+def test_minimal_irreducible_pinned(p):
+    assert [minimal_irreducible(p, s) for s in range(1, 5)] == MODULI[p]
+    if p == 3:
+        # t^30 + 2 t^29 + t^27 + 1
+        assert minimal_irreducible(3, 30) == (1,) + (0,) * 26 + (1, 0, 2, 1)
+
+
 def test_large_degree_modulus_is_found_quickly(run_snippet):
     # the plain search would first test all 3^29 multiples of t
     run = run_snippet("from ssp.witt import witt_ring; print(witt_ring(3, 30, 1).modulus)", timeout=20)

@@ -332,7 +332,7 @@ def test_mat_map_applies_f_once_per_distinct_value():
 
     def f(x):
         calls.append(x)
-        return 2 * x
+        return x + x
 
     assert linalg.mat_map(f, [[1, 0, 1], [0, 3, 1]]) == ((2, 0, 2), (0, 6, 2))
     assert sorted(calls) == [0, 1, 3]
@@ -406,8 +406,19 @@ def test_elimination_matches_dense_fold_on_sparse_matrices(p, s, n):
             )
 
 
-def test_witt_dot_accepts_ints_and_equal_rings():
+def test_witt_dot_accepts_equal_rings_and_refuses_ints():
     ring = witt_ring(3, 2, 4)
     twin = WittRing(3, 2, 4)  # equal to ring but not the cached object
     x = ring.el((2, 5))
-    assert linalg.dot([x, twin.el((1, 1))], [3, twin.one()]) == _slow_mul(x, ring.el(3)) + ring.el((1, 1))
+    three = ring.el(3)
+    assert linalg.dot([x, twin.el((1, 1))], [three, twin.one()]) == _slow_mul(x, three) + ring.el((1, 1))
+    # an int is not an operand: ring.el(3) is the constant 3
+    for ys in ([3], [ring.one(), 3]):
+        with pytest.raises(ValidationError, match="mixed-ring arithmetic"):
+            linalg.dot([x] * len(ys), ys)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValidationError, match="mixed-ring arithmetic"):
+            op(x, 3)
+        with pytest.raises(TypeError):
+            op(3, x)
+    assert three != 3

@@ -249,6 +249,18 @@ def test_one_coded_ring():
     assert offenders == []
 
 
+def test_one_path_per_arithmetic_job():
+    # gf has one polynomial remainder, Witt operands are ring elements with
+    # no reflected int operators, and basic-for-GL is is_isoclinic itself
+    gone = re.compile(r"\b(_pmod|__radd__|__rsub__|__rmul__|is_basic_gl)\b")
+    offenders = [
+        f"{path.name}:{match.group()}"
+        for path in sorted(SRC.glob("*.py"))
+        for match in gone.finditer(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
 def _functions(tree):
     return [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
