@@ -163,7 +163,8 @@ def _cmd_group(args) -> tuple[dict, int]:
     return _report("group", {"family": args.family, "params": list(params)}, results), 0
 
 
-def _polygon_results(np_: dieudonne.NewtonPolygon, hp: dieudonne.HodgePolygon, n_used: int) -> dict:
+def _polygon_results(np_: dieudonne.NewtonPolygon, m: dieudonne.DieudonneModule) -> dict:
+    hp = dieudonne.hodge_polygon(m)
     adm = dieudonne.endpoint_admissibility(np_, hp)
     return {
         "slopes": _val("; ".join(f"{lam} x{m}" for lam, m in np_.slopes), "formula"),
@@ -174,7 +175,7 @@ def _polygon_results(np_: dieudonne.NewtonPolygon, hp: dieudonne.HodgePolygon, n
         "t_hodge": _val(adm.t_hodge, "formula"),
         "endpoints_equal": adm.endpoints_equal,
         "newton_at_or_above": adm.newton_at_or_above,
-        "truncation_used": _val(n_used, "formula"),
+        "truncation_used": _val(m.ring.n, "formula"),
     }
 
 
@@ -189,10 +190,8 @@ def _load_json(path, what):
 
 
 def _cmd_newton(args) -> tuple[dict, int]:
-    data = _load_json(args.file, "module file")
-    np_, n_used = dieudonne.newton_polygon_with_retry(data)
-    hp = dieudonne.hodge_polygon(dieudonne.module_from_dict(data, n_override=n_used))
-    return _report("newton", {"file": args.file}, _polygon_results(np_, hp, n_used)), 0
+    np_, m = dieudonne.newton_polygon_with_retry(_load_json(args.file, "module file"))
+    return _report("newton", {"file": args.file}, _polygon_results(np_, m)), 0
 
 
 def _cmd_pairing(args) -> tuple[dict, int]:

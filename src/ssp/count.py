@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -59,7 +59,7 @@ class SignatureParams:
 
     Hard requirements: p an odd prime not dividing alpha, alpha a
     negative squarefree non-residue mod p (p inert), g = r + s even and
-    at least 2.  Soft conditions are recorded in .warnings: rs = 0 is
+    at least 2.  Soft conditions are read off .warnings: rs = 0 is
     allowed (the counting formulas cover it), N < 3 drops level
     rigidity, and p | N loses the prime-to-p level interpretation while
     the bound still evaluates."""
@@ -69,7 +69,6 @@ class SignatureParams:
     r: int
     s: int
     N: int
-    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         p, alpha, r, s, N = self.p, self.alpha, self.r, self.s, self.N
@@ -90,14 +89,17 @@ class SignatureParams:
             raise ValidationError(f"alpha = {alpha} must be squarefree")
         if not is_nonresidue(alpha, p):
             raise ValidationError(f"alpha is a QR mod p: p splits or ramifies in Q(sqrt({alpha}))")
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
         warns = []
-        if r * s == 0:
+        if self.r * self.s == 0:
             warns.append("rs = 0: degenerate signature, counting formulas still apply")
-        if N < 3:
+        if self.N < 3:
             warns.append("N < 3: level structure is not rigid")
-        if N % p == 0:
+        if self.N % self.p == 0:
             warns.append("p divides N: level is not prime to p; bound evaluated formally")
-        object.__setattr__(self, "warnings", tuple(warns))
+        return tuple(warns)
 
     @property
     def g(self) -> int:
@@ -226,7 +228,6 @@ class CosetSpace:
     points: int
     generators: tuple[tuple[int, ...], ...]
     names: tuple[str, ...] = ()
-    group: str = ""
 
     def __post_init__(self):
         if self.points < 1:
@@ -315,8 +316,7 @@ def coset_space_from_dict(data: dict) -> CosetSpace:
         perm = spec_list(spec_value(g, "perm", spec, at), f"{at}.perm", spec)
         perms.append(tuple(spec_int(x, f"{at}.perm[{k}]", spec) for k, x in enumerate(perm)))
         names.append(str(g.get("name", f"#{i}")))
-    group = str(data.get("group", ""))
-    return CosetSpace(points=points, generators=tuple(perms), names=tuple(names), group=group)
+    return CosetSpace(points=points, generators=tuple(perms), names=tuple(names))
 
 
 def representation_from_dict(data: dict) -> GroupRepresentation:

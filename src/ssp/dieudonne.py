@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import linalg
@@ -98,19 +99,64 @@ class HodgePolygon:
 
 @dataclass(frozen=True)
 class DieudonneModule:
+    """The matrices of F, V, the polarization E and the action J over
+    `ring`; everything else is derived from them.  The rank is the size
+    of F.  The module is frozen, so the matrices below are computed on
+    first use and kept on the instance for as long as it lives: the
+    build, reduce_pairing and the well-definedness oracle share them."""
+
     ring: WittRing
-    rank: int
     f_matrix: tuple[tuple, ...]
     v_matrix: tuple[tuple, ...]
     polarization: Optional[tuple[tuple, ...]] = None
     ok_action: Optional[tuple[tuple, ...]] = None
     alpha: Optional[int] = None
 
+    @property
+    def rank(self) -> int:
+        return len(self.f_matrix)
+
     def sigma_mat(self, M):
         return linalg.mat_map(self.ring.sigma, M)
 
     def sigma_inv_mat(self, M):
         return linalg.mat_map(self.ring.sigma_inv, M)
+
+    @cached_property
+    def quotient_projection(self):
+        """M/VM over the residue field: (quot, P).
+
+        quot lists, in order, the basis vectors of M that span M/VM: the
+        rows that are not pivots of the reduced echelon columns of V mod
+        p.  Row a of P sends a vector of M mod p to its coordinate a in
+        that basis: e_a on the quot indices, and minus the echelon columns
+        on the pivots, since each column is 1 at its own pivot and 0 at
+        every other pivot."""
+        vbar = linalg.mat_map(self.ring.reduce, self.v_matrix)
+        cols, pivots = linalg.rref(linalg.transpose(vbar))
+        quot = tuple(i for i in range(self.rank) if i not in pivots)
+        ctx = self.ring.residue
+        P = [[ctx.zero()] * self.rank for _ in quot]
+        for row, i in zip(P, quot):
+            row[i] = ctx.one()
+            for r, col in zip(pivots, cols):
+                if not col[i].is_zero():
+                    row[r] = -col[i]
+        return quot, linalg.freeze(P)
+
+    @cached_property
+    def induced_quotient_action(self):
+        """Matrix of the ok_action on M/VM, in the basis of quotient_projection."""
+        if self.ok_action is None:
+            raise ValidationError("module carries no imaginary-quadratic action")
+        quot, P = self.quotient_projection
+        jbar = linalg.mat_map(self.ring.reduce, self.ok_action)
+        return linalg.mat_mul(P, linalg.freeze([[row[i] for i in quot] for row in jbar]))
+
+    @cached_property
+    def ef_matrix(self):
+        """E F, so that e(x, F y) = x^T (E F) sigma(y); needs a polarization."""
+        return linalg.mat_mul(self.polarization, self.f_matrix)
 
 
 @dataclass(frozen=True)
@@ -149,10 +195,11 @@ def check_axioms(m: DieudonneModule) -> AxiomReport:
         len(m.polarization) != h or any(len(r) != h for r in m.polarization)
     ):
         raise ValidationError("polarization Gram matrix has wrong dimensions")
-    if m.ok_action is not None and (
-        len(m.ok_action) != h or any(len(r) != h for r in m.ok_action)
-    ):
-        raise ValidationError("ok_action matrix has wrong dimensions")
+    if m.ok_action is not None:
+        if len(m.ok_action) != h or any(len(r) != h for r in m.ok_action):
+            raise ValidationError("ok_action matrix has wrong dimensions")
+        if m.alpha is None:
+            raise ValidationError("module with an action must record alpha")
 
     checks = []
     p_id = linalg.scalar_matrix(h, ring.el(ring.p), ring.zero())
@@ -173,15 +220,8 @@ def check_axioms(m: DieudonneModule) -> AxiomReport:
 
     if m.ok_action is not None:
         J = m.ok_action
-        jj = linalg.mat_mul(J, J)
-        if m.alpha is not None:
-            target = linalg.scalar_matrix(h, ring.el(m.alpha), ring.zero())
-            checks.append(_equal("action-squares-to-alpha", jj, target))
-        else:
-            scalar = jj[0][0]
-            target = linalg.scalar_matrix(h, scalar, ring.zero())
-            name, ok, detail = _equal("action-squares-to-scalar", jj, target)
-            checks.append((name, ok and ring.sigma(scalar) == scalar, detail))
+        target = linalg.scalar_matrix(h, ring.el(m.alpha), ring.zero())
+        checks.append(_equal("action-squares-to-alpha", linalg.mat_mul(J, J), target))
         lhs = linalg.mat_mul(J, m.f_matrix)
         rhs = linalg.mat_mul(m.f_matrix, m.sigma_mat(J))
         checks.append(_equal("action-commutes-with-f", lhs, rhs))
@@ -211,7 +251,7 @@ def build_a_half(ring: WittRing) -> DieudonneModule:
     F = ((zero, one), (-p, zero))
     V = ((zero, -one), (p, zero))
     E = ((zero, one), (-one, zero))
-    return DieudonneModule(ring=ring, rank=2, f_matrix=F, v_matrix=V, polarization=E)
+    return DieudonneModule(ring=ring, f_matrix=F, v_matrix=V, polarization=E)
 
 
 def _block_diag(blocks, zero):
@@ -225,49 +265,6 @@ def _block_diag(blocks, zero):
                 out[off + i][off + j] = b[i][j]
         off += k
     return linalg.freeze(out)
-
-
-def quotient_projection(m: DieudonneModule):
-    """M/VM over the residue field: (quot, P).
-
-    quot lists, in order, the basis vectors of M that span M/VM: the
-    rows that are not pivots of the reduced echelon columns of V mod p.
-    Row a of P sends a vector of M mod p to its coordinate a in that
-    basis: e_a on the quot indices, and minus the echelon columns on
-    the pivots, since each column is 1 at its own pivot and 0 at every
-    other pivot.
-
-    The module is frozen, so V never changes: the result is computed on
-    the first call and kept on m (in its __dict__, as
-    functools.cached_property keeps a value), and it lives as long as m."""
-    memo = m.__dict__
-    if "quotient_projection" not in memo:
-        vbar = linalg.mat_map(m.ring.reduce, m.v_matrix)
-        cols, pivots = linalg.rref(linalg.transpose(vbar))
-        quot = tuple(i for i in range(m.rank) if i not in pivots)
-        ctx = m.ring.residue
-        P = [[ctx.zero()] * m.rank for _ in quot]
-        for row, i in zip(P, quot):
-            row[i] = ctx.one()
-            for r, col in zip(pivots, cols):
-                if not col[i].is_zero():
-                    row[r] = -col[i]
-        memo["quotient_projection"] = quot, linalg.freeze(P)
-    return memo["quotient_projection"]
-
-
-def induced_quotient_action(m: DieudonneModule):
-    """Matrix of the ok_action on M/VM, in the basis of quotient_projection.
-    Computed once and kept on m, as quotient_projection is."""
-    if m.ok_action is None:
-        raise ValidationError("module carries no imaginary-quadratic action")
-    memo = m.__dict__
-    if "induced_quotient_action" not in memo:
-        quot, P = quotient_projection(m)
-        jbar = linalg.mat_map(m.ring.reduce, m.ok_action)
-        columns = linalg.freeze([[row[i] for i in quot] for row in jbar])
-        memo["induced_quotient_action"] = linalg.mat_mul(P, columns)
-    return memo["induced_quotient_action"]
 
 
 def build_superspecial_unitary(p: int, n: int, alpha: int, r: int, s: int) -> DieudonneModule:
@@ -293,11 +290,8 @@ def build_superspecial_unitary(p: int, n: int, alpha: int, r: int, s: int) -> Di
     u = hensel_sqrt(ring, alpha)
     su = ring.sigma(u)
     J = _block_diag([((u, zero), (zero, su))] * r + [((su, zero), (zero, u))] * s, zero)
-    m = DieudonneModule(
-        ring=ring, rank=2 * g, f_matrix=F, v_matrix=V,
-        polarization=E, ok_action=J, alpha=alpha,
-    )
-    if induced_quotient_action(m) != canonical_lie_action(ring.residue, alpha, r, s):
+    m = DieudonneModule(ring=ring, f_matrix=F, v_matrix=V, polarization=E, ok_action=J, alpha=alpha)
+    if m.induced_quotient_action != canonical_lie_action(ring.residue, alpha, r, s):
         raise FormulaInconsistencyError(
             "the model does not induce diag(-sqrt(a) I_r, sqrt(a) I_s) on M/VM"
         )
@@ -508,17 +502,16 @@ def module_from_dict(data: dict, n_override: Optional[int] = None) -> DieudonneM
     E = dec("E") if "E" in data else None
     J = dec("action") if "action" in data else None
     alpha = spec_field(data, "alpha") if "alpha" in data else None
-    return DieudonneModule(
-        ring=ring, rank=rank, f_matrix=F, v_matrix=V,
-        polarization=E, ok_action=J, alpha=alpha,
-    )
+    return DieudonneModule(ring=ring, f_matrix=F, v_matrix=V, polarization=E, ok_action=J, alpha=alpha)
 
 
-def newton_polygon_with_retry(data: dict) -> tuple[NewtonPolygon, int]:
-    """Newton polygon of a JSON module spec, doubling the truncation on
-    censored valuations (default start 2*height + 2, cap 64, so a spec
-    of rank 32 or more without "n" starts at the cap).  A spec's own "n"
-    is checked like any other field, and refused above the cap."""
+def newton_polygon_with_retry(data: dict) -> tuple[NewtonPolygon, DieudonneModule]:
+    """Newton polygon of a JSON module spec, and the module read at the
+    truncation that gave it (its ring.n is the level used), doubling the
+    truncation on censored valuations (default start 2*height + 2, cap
+    64, so a spec of rank 32 or more without "n" starts at the cap).  A
+    spec's own "n" is checked like any other field, and refused above
+    the cap."""
     rank = spec_field(data, "rank")
     if "n" in data:
         n = truncation_level(spec_field(data, "n"))
@@ -526,7 +519,8 @@ def newton_polygon_with_retry(data: dict) -> tuple[NewtonPolygon, int]:
         n = min(2 * rank + DEFAULT_TRUNCATION_SLACK, MAX_TRUNCATION)
     while True:
         try:
-            return newton_polygon(module_from_dict(data, n_override=n)), n
+            m = module_from_dict(data, n_override=n)
+            return newton_polygon(m), m
         except InsufficientPrecisionError:
             if n >= MAX_TRUNCATION:
                 raise

@@ -10,14 +10,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import FormulaInconsistencyError
+from .errors import FormulaInconsistencyError, ValidationError
 
 
 @lru_cache(maxsize=None)
 def bernoulli(m: int) -> Fraction:
     """B_m via the defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0."""
     if m < 0:
-        raise ValueError("m must be >= 0")
+        raise ValidationError("m must be >= 0")
     if m == 0:
         return Fraction(1)
     if m >= 3 and m % 2 == 1:
@@ -31,7 +31,7 @@ def bernoulli(m: int) -> Fraction:
 def zeta_negative_odd(i: int) -> Fraction:
     """zeta(1 - 2i) = -B_{2i} / (2i) for i >= 1."""
     if i < 1:
-        raise ValueError("i must be >= 1")
+        raise ValidationError("i must be >= 1")
     return -bernoulli(2 * i) / (2 * i)
 
 
@@ -44,7 +44,7 @@ def mass_constant(g: int) -> Fraction:
     a sweep evaluates each once.
     """
     if g < 1:
-        raise ValueError("g must be >= 1")
+        raise ValidationError("g must be >= 1")
     prod = Fraction(1)
     for i in range(1, g + 1):
         prod *= zeta_negative_odd(i)
@@ -58,7 +58,7 @@ def mass_constant(g: int) -> Fraction:
 def mass_constant_bernoulli_abs(g: int) -> Fraction:
     """|prod_{i=1}^{g} B_{2i}| / (2^{2g} g!), the Bernoulli form of |C_g|."""
     if g < 1:
-        raise ValueError("g must be >= 1")
+        raise ValidationError("g must be >= 1")
     prod = Fraction(1)
     for i in range(1, g + 1):
         prod *= bernoulli(2 * i)

@@ -138,8 +138,13 @@ class FieldTable:
         return total
 
 
-@lru_cache(maxsize=None)
 def field_table(p: int, s: int = 2) -> FieldTable:
+    """The one table of F_{p^s}: field_table(p) is field_table(p, 2)."""
+    return _field_table(p, s)
+
+
+@lru_cache(maxsize=None)
+def _field_table(p: int, s: int) -> FieldTable:
     return FieldTable(witt_ring(p, s, 1))
 
 

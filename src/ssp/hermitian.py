@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .dieudonne import (
-    DieudonneModule,
-    canonical_lie_action,
-    check_axioms,
-    induced_quotient_action,
-    quotient_projection,
-)
+from .dieudonne import DieudonneModule, canonical_lie_action, check_axioms
 from .errors import EnumBudget, ValidationError
 from .ftables import block_similitudes, field_table, metered_table
 from .witt import WittElem, WittRing, hensel_sqrt
@@ -30,7 +24,7 @@ from .witt import WittElem, WittRing, hensel_sqrt
 @dataclass(frozen=True)
 class HermitianQuotient:
     """A sigma-alternating perfect pairing on F_{p^2}^dim, F_{p^2} = `ctx`
-    = W_1(F_{p^2}).
+    = W_1(F_{p^2}), dim being the size of the Gram matrix.
 
     gram[i][j] = <e_i, e_j>; the pairing of vectors is
     x^T . gram . sigma(y).  When the space is graded, the first
@@ -39,12 +33,15 @@ class HermitianQuotient:
     """
 
     ctx: WittRing
-    dim: int
     gram: tuple[tuple[WittElem, ...], ...]
     grading: Optional[tuple[int, int]] = None
 
+    @property
+    def dim(self) -> int:
+        return len(self.gram)
+
     def __post_init__(self):
-        if len(self.gram) != self.dim or any(len(r) != self.dim for r in self.gram):
+        if any(len(r) != self.dim for r in self.gram):
             raise ValidationError("Gram matrix has wrong dimensions")
         if self.gram != linalg.transpose(linalg.mat_map(self.ctx.sigma, self.gram)):
             raise ValidationError("pairing is not sigma-alternating")
@@ -68,7 +65,7 @@ class HermitianQuotient:
 
 def reduce_pairing(m: DieudonneModule) -> HermitianQuotient:
     """The induced pairing on M/VM for a module with F = -V: the Gram is
-    reduce(E F) restricted to the basis of quotient_projection, in its
+    reduce(E F) restricted to the basis of m.quotient_projection, in its
     order (the basis is not reordered).
 
     When an imaginary quadratic action is present, that basis must be
@@ -91,15 +88,13 @@ def reduce_pairing(m: DieudonneModule) -> HermitianQuotient:
         raise ValidationError("F + V != 0 on this module")
 
     ctx = m.ring.residue
-    quot, _ = quotient_projection(m)
-    pairing_full = linalg.mat_map(m.ring.reduce, linalg.mat_mul(m.polarization, m.f_matrix))
+    quot, _ = m.quotient_projection
+    pairing_full = linalg.mat_map(m.ring.reduce, m.ef_matrix)
     gram = linalg.freeze([[pairing_full[i][j] for j in quot] for i in quot])
 
     grading = None
     if m.ok_action is not None:
-        if m.alpha is None:
-            raise ValidationError("module with an action must record alpha")
-        jq = induced_quotient_action(m)
+        jq = m.induced_quotient_action
         g = len(quot)
         minus_ubar = -hensel_sqrt(ctx, m.alpha)
         r = next((i for i in range(g) if jq[i][i] != minus_ubar), g)
@@ -107,27 +102,28 @@ def reduce_pairing(m: DieudonneModule) -> HermitianQuotient:
             raise ValidationError("the action on the quotient basis is not diag(-sqrt(alpha) I_r, sqrt(alpha) I_s)")
         grading = (r, g - r)
 
-    return HermitianQuotient(ctx=ctx, dim=len(quot), gram=gram, grading=grading)
+    return HermitianQuotient(ctx=ctx, gram=gram, grading=grading)
 
 
 def pairing_well_defined(m: DieudonneModule, h: HermitianQuotient, trials: int = 20, seed: int = 0) -> int:
     """Oracle: recompute the pairing of h from random coset representatives
     x + Fa, y + Vb and count disagreements with h.gram (0 for a correct
-    pairing).  h must live on M/VM in the basis of quotient_projection;
+    pairing).  h must live on M/VM in the basis of m.quotient_projection;
     an h of another dimension is refused.
 
     Each trial draws positions i and j in that basis, then the entries of
     a and of b, in that order; all trials are drawn first.  The
     representatives are then three products over the trials stacked as
     columns: X = e_quot[i] + F sigma(a), Y = e_quot[j] + V sigma^{-1}(b)
-    and (E F) sigma(Y), since e(x, F y) = x^T (E F) sigma(y); each
-    trial's value is a `dot` of two columns, reduced mod p, and is
-    compared with h.gram[i][j]."""
+    and (E F) sigma(Y), since e(x, F y) = x^T (E F) sigma(y); E F is
+    m.ef_matrix, which reduce_pairing has already formed.  Each trial's
+    value is a `dot` of two columns, reduced mod p, and is compared with
+    h.gram[i][j]."""
     import random
 
     if m.polarization is None:
         raise ValidationError("polarization required")
-    quot, _ = quotient_projection(m)
+    quot, _ = m.quotient_projection
     if h.dim != len(quot):
         raise ValidationError(f"pairing of dimension {h.dim} on a quotient of dimension {len(quot)}")
     if trials < 1:
@@ -151,8 +147,7 @@ def pairing_well_defined(m: DieudonneModule, h: HermitianQuotient, trials: int =
 
     xs = representatives(m.f_matrix, ring.sigma, a, x_pos)
     ys = representatives(m.v_matrix, ring.sigma_inv, b, y_pos)
-    ef = linalg.mat_mul(m.polarization, m.f_matrix)
-    zs = zip(*linalg.mat_mul(ef, linalg.mat_map(ring.sigma, linalg.transpose(ys))))
+    zs = zip(*linalg.mat_mul(m.ef_matrix, linalg.mat_map(ring.sigma, linalg.transpose(ys))))
     disagreements = 0
     for x, z, i, j in zip(xs, zs, x_pos, y_pos):
         if ring.reduce(linalg.dot(x, z)) != h.gram[i][j]:

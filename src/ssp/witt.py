@@ -117,20 +117,11 @@ class WittRing:
             return coeffs
         if isinstance(coeffs, int):
             coeffs = (coeffs,)
+        if len(coeffs) > self.s:
+            raise ValidationError(f"an element of {self} has at most {self.s} coefficients, got {len(coeffs)}")
         c = [x % self.pn for x in coeffs]
-        if len(c) > self.s:
-            c = self._reduce_poly(c)
         c += [0] * (self.s - len(c))
-        return WittElem(self, tuple(c[: self.s]))
-
-    def _reduce_poly(self, c: list[int]) -> list[int]:
-        d = self.s
-        for i in range(len(c) - 1, d - 1, -1):
-            top = c[i]
-            if top:
-                for j in range(d + 1):
-                    c[i - d + j] = (c[i - d + j] - top * self.modulus[j]) % self.pn
-        return c[:d]
+        return WittElem(self, tuple(c))
 
     def zero(self) -> "WittElem":
         return self._zero

@@ -325,6 +325,28 @@ class TestNewton:
         assert code == 2
         assert error in json.loads(out)["results"]["error"]
 
+    @pytest.mark.parametrize("n, levels", [(None, ["6"]), (2, ["2", "4"])], ids=["default-n", "n2"])
+    def test_module_is_read_once_per_level(self, tmp_path, capsys, monkeypatch, n, levels):
+        # the README example: the Hodge polygon and truncation_used come from
+        # the module the retry built, not from a second read.  Without "n"
+        # the start 2 * rank + 2 = 6 suffices; n = 2 censors det F^2 and is
+        # doubled once
+        from ssp import dieudonne
+
+        reads = []
+        real = dieudonne.module_from_dict
+        monkeypatch.setattr(
+            dieudonne, "module_from_dict", lambda d, n_override: reads.append(n_override) or real(d, n_override)
+        )
+        spec = {"p": 3, "s": 2, "rank": 2, "F": [[0, 1], [-3, 0]], "V": [[0, -1], [3, 0]], "E": [[0, 1], [-1, 0]]}
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(spec if n is None else spec | {"n": n}))
+        code, out = run(capsys, "newton", str(path))
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["hodge_weights"]["value"] == "0 x1; 1 x1" and res["truncation_used"]["value"] == levels[-1]
+        assert [str(k) for k in reads] == levels
+
     def test_truncation_at_the_cap_is_used(self, tmp_path, capsys):
         spec = {"p": 3, "s": 2, "n": 64, "rank": 2, "F": [[0, 1], [-3, 0]], "V": [[0, -1], [3, 0]]}
         path = tmp_path / "spec.json"

@@ -196,7 +196,7 @@ def regular_fixture():
     perms = tuple(
         tuple(index[table.mat_mul(x, g)] for x in elements) for g in elements
     )
-    space = CosetSpace(points=len(elements), generators=perms, group="GUsplit(1,1,3)")
+    space = CosetSpace(points=len(elements), generators=perms)
     rho = GroupRepresentation(ctx=table.ctx, dim=2, generators=tuple(table.mat_decode(g) for g in elements))
     return space, rho
 
@@ -363,6 +363,8 @@ class TestFixtureJson:
             }
         )
         assert space.points == 4 and space.names == ("c",)
+        # "group" is a label for the reader; like any extra key it is ignored
+        assert space == CosetSpace(points=4, generators=((1, 2, 3, 0),), names=("c",))
         rho = representation_from_dict(
             {
                 "dim": 1,

@@ -16,12 +16,10 @@ from ssp.dieudonne import (
     endpoint_admissibility,
     graded_quotient_dims,
     hodge_polygon,
-    induced_quotient_action,
     is_isoclinic,
     module_from_dict,
     newton_polygon,
     newton_polygon_with_retry,
-    quotient_projection,
 )
 from ssp.errors import FormulaInconsistencyError, InsufficientPrecisionError, ValidationError
 from ssp.witt import hensel_sqrt, witt_ring
@@ -71,7 +69,7 @@ def toy_module(ring, f_diag, v_diag):
     n = len(f_diag)
     F = linalg.freeze([[ring.el(f_diag[i]) if i == j else zero for j in range(n)] for i in range(n)])
     V = linalg.freeze([[ring.el(v_diag[i]) if i == j else zero for j in range(n)] for i in range(n)])
-    return DieudonneModule(ring=ring, rank=n, f_matrix=F, v_matrix=V)
+    return DieudonneModule(ring=ring, f_matrix=F, v_matrix=V)
 
 
 class TestAxioms:
@@ -111,13 +109,26 @@ class TestAxioms:
         assert len(located) == 2
 
     def test_dimension_mismatch_is_an_error(self):
+        # the rank is the size of F, so a V of another size is refused
         ring = witt_ring(3, 2, 2)
         good = build_a_half(ring)
+        zero = ring.zero()
         bad = DieudonneModule(
-            ring=ring, rank=3, f_matrix=good.f_matrix, v_matrix=good.v_matrix
+            ring=ring, f_matrix=good.f_matrix, v_matrix=linalg.scalar_matrix(3, ring.one(), zero)
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="V matrix is not 2 x 2"):
             check_axioms(bad)
+        ragged = DieudonneModule(ring=ring, f_matrix=((zero, zero),), v_matrix=((zero,),))
+        with pytest.raises(ValidationError, match="F matrix is not 1 x 1"):
+            check_axioms(ragged)
+
+    def test_an_action_needs_alpha(self):
+        m = build_superspecial_unitary(3, 2, -1, 1, 1)
+        bare = DieudonneModule(
+            ring=m.ring, f_matrix=m.f_matrix, v_matrix=m.v_matrix, polarization=m.polarization, ok_action=m.ok_action
+        )
+        with pytest.raises(ValidationError, match="must record alpha"):
+            check_axioms(bare)
 
 
 class TestAHalf:
@@ -169,12 +180,12 @@ class TestSuperspecialUnitary:
     def test_quotient_action_orientation(self, r, s):
         m = build_superspecial_unitary(3, 2, -1, r, s)
         ctx = m.ring.residue
-        got = induced_quotient_action(m)
+        got = m.induced_quotient_action
         assert got == canonical_lie_action(ctx, -1, r, s)
 
     def test_quotient_action_is_kept_on_the_module(self):
         m = build_superspecial_unitary(3, 2, -1, 1, 1)
-        assert induced_quotient_action(m) is induced_quotient_action(m)
+        assert m.induced_quotient_action is m.induced_quotient_action
 
     @pytest.mark.parametrize("r, s", [(1, 1), (2, 2), (2, 0), (1, 3)])
     def test_graded_quotient_dims(self, r, s):
@@ -206,7 +217,8 @@ class TestSuperspecialUnitary:
         from ssp import dieudonne
 
         ctx = witt_ring(3, 2, 1)
-        monkeypatch.setattr(dieudonne, "induced_quotient_action", lambda m: canonical_lie_action(ctx, -1, 0, 2))
+        wrong = property(lambda m: canonical_lie_action(ctx, -1, 0, 2))
+        monkeypatch.setattr(dieudonne.DieudonneModule, "induced_quotient_action", wrong)
         with pytest.raises(FormulaInconsistencyError):
             build_superspecial_unitary(3, 2, -1, 1, 1)
 
@@ -257,7 +269,7 @@ class TestNewton:
             Pinv = linalg.inverse(P, ring.one(), ring.zero())
             F2 = linalg.mat_mul(linalg.mat_mul(Pinv, m.f_matrix), m.sigma_mat(P))
             V2 = linalg.mat_mul(linalg.mat_mul(Pinv, m.v_matrix), m.sigma_inv_mat(P))
-            m2 = DieudonneModule(ring=ring, rank=4, f_matrix=F2, v_matrix=V2)
+            m2 = DieudonneModule(ring=ring, f_matrix=F2, v_matrix=V2)
             assert check_axioms(m2).ok
             assert newton_polygon(m2) == np0
 
@@ -364,17 +376,18 @@ class TestJsonRoundTrip:
             "F": [[0, 1], [-3, 0]],
             "V": [[0, -1], [3, 0]],
         }
-        np_, n_used = newton_polygon_with_retry(d)
+        np_, m = newton_polygon_with_retry(d)
         assert np_.slopes == ((Fraction(1, 2), 2),)
-        assert n_used > 1
+        assert m.ring.n > 1
+        assert m == module_from_dict(d, n_override=m.ring.n)
 
     @pytest.mark.parametrize("rank", [31, 32, 40])
     def test_default_truncation_starts_at_most_at_the_cap(self, rank):
         # without "n" the start is 2*rank + 2, which passes the cap of 64 from rank 32 on
         ident = [[int(i == j) for j in range(rank)] for i in range(rank)]
         d = {"p": 3, "s": 2, "rank": rank, "F": ident, "V": [[3 * x for x in row] for row in ident]}
-        np_, n_used = newton_polygon_with_retry(d)
-        assert n_used == 64
+        np_, m = newton_polygon_with_retry(d)
+        assert m.ring.n == 64
         assert np_.slopes == ((Fraction(0), rank),)
 
     @pytest.mark.parametrize("n", [65, 10**6, 10**9])
@@ -395,7 +408,6 @@ class TestJsonRoundTrip:
         zero, one = ring.zero(), ring.one()
         m = DieudonneModule(
             ring=ring,
-            rank=2,
             f_matrix=((zero, zero), (zero, zero)),
             v_matrix=((one, zero), (zero, one)),
         )
@@ -518,9 +530,9 @@ class TestAgainstEarlierPaths:
             V = linalg.freeze(
                 [[sum((X[i][t] * Y[t][j] for t in range(k)), ring.el(p) * Z[i][j]) for j in range(h)] for i in range(h)]
             )
-            m = DieudonneModule(ring=ring, rank=h, f_matrix=V, v_matrix=V, ok_action=_random_matrix(rng, ring, h, h))
-            assert induced_quotient_action(m) == induced_quotient_action_by_columns(m)
-            quot, P = quotient_projection(m)
+            m = DieudonneModule(ring=ring, f_matrix=V, v_matrix=V, ok_action=_random_matrix(rng, ring, h, h))
+            assert m.induced_quotient_action == induced_quotient_action_by_columns(m)
+            quot, P = m.quotient_projection
             ctx = ring.residue
             # P is the identity on the quotient basis and kills V M mod p
             assert [[row[i] for i in quot] for row in P] == [

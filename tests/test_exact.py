@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ssp.errors import ValidationError, exit_code
 from ssp.exact import bernoulli, mass_constant, mass_constant_bernoulli_abs, zeta_negative_odd
 
 # expected values frozen from the defining recurrence
@@ -66,3 +67,15 @@ def test_mass_constant_positive_and_matches_bernoulli_form(g):
 @given(st.fractions(), st.fractions())
 def test_rational_arithmetic_is_exact(a, b):
     assert (a + b) - b == a
+
+
+@pytest.mark.parametrize(
+    "fn, arg",
+    [(bernoulli, -1), (zeta_negative_odd, 0), (mass_constant, 0), (mass_constant_bernoulli_abs, 0)],
+    ids=["bernoulli(-1)", "zeta_negative_odd(0)", "mass_constant(0)", "mass_constant_bernoulli_abs(0)"],
+)
+def test_out_of_range_arguments_are_validation_errors(fn, arg):
+    # a refusal of `exact` maps to exit code 2, as every other refusal does
+    with pytest.raises(ValidationError) as info:
+        fn(arg)
+    assert exit_code(info.value) == 2

@@ -317,6 +317,12 @@ def test_inverse_and_division():
         ctx.zero().inv()
 
 
+def test_one_table_per_field():
+    # the default s and an explicit s = 2 are one cache entry, not two tables
+    assert field_table(3) is field_table(3, 2) is field_table(p=3, s=2)
+    assert field_table(3, 1) is not field_table(3)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_field_table_matches_polynomial_arithmetic(p):
     # the tables of F_{p^2} straight from the polynomial helpers, with

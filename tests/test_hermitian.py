@@ -10,7 +10,6 @@ from ssp.dieudonne import (
     build_a_half,
     build_superspecial_unitary,
     check_axioms,
-    quotient_projection,
 )
 from ssp.errors import BudgetExceededError, ValidationError
 from ssp.hermitian import (
@@ -30,7 +29,7 @@ def _per_trial_oracle(m, h, trials, seed):
     by entry, and compares e(x, F y) mod p with h.gram[i][j]."""
     rng = random.Random(seed)
     ring = m.ring
-    quot, _ = quotient_projection(m)
+    quot, _ = m.quotient_projection
 
     def unit(k):
         return tuple(ring.one() if t == k else ring.zero() for t in range(m.rank))
@@ -73,11 +72,11 @@ def _restricted_quotient(m):
     """reduce(E F) restricted to the basis of quotient_projection, as a
     HermitianQuotient where it is a valid pairing and otherwise as a
     stand-in carrying only dim and gram."""
-    quot, _ = quotient_projection(m)
+    quot, _ = m.quotient_projection
     full = linalg.mat_map(m.ring.reduce, linalg.mat_mul(m.polarization, m.f_matrix))
     gram = linalg.freeze([[full[i][j] for j in quot] for i in quot])
     try:
-        return HermitianQuotient(ctx=m.ring.residue, dim=len(quot), gram=gram)
+        return HermitianQuotient(ctx=m.ring.residue, gram=gram)
     except ValidationError:
         return SimpleNamespace(dim=len(quot), gram=gram)
 
@@ -95,7 +94,7 @@ def _random_module(rng, p, s, n, rank):
     V = matrix()
     # V mod p of rank below `rank`, so M/VM is not zero
     V = linalg.freeze([[ring.el(p) * x for x in row] if i == 0 else row for i, row in enumerate(V)])
-    return DieudonneModule(ring=ring, rank=rank, f_matrix=matrix(), v_matrix=V, polarization=matrix())
+    return DieudonneModule(ring=ring, f_matrix=matrix(), v_matrix=V, polarization=matrix())
 
 
 def _conjugated(rng, m):
@@ -112,7 +111,7 @@ def _conjugated(rng, m):
     )
     Ci = linalg.inverse(C, one, zero)
     return DieudonneModule(
-        ring=ring, rank=h,
+        ring=ring,
         f_matrix=linalg.mat_mul(linalg.mat_mul(Ci, m.f_matrix), m.sigma_mat(C)),
         v_matrix=linalg.mat_mul(linalg.mat_mul(Ci, m.v_matrix), m.sigma_inv_mat(C)),
         polarization=linalg.mat_mul(linalg.mat_mul(linalg.transpose(C), m.polarization), C),
@@ -129,7 +128,7 @@ def _a_half_squared(p, s, n):
         return ((zero, a, zero, zero), (b, zero, zero, zero), (zero, zero, zero, a), (zero, zero, b, zero))
 
     return DieudonneModule(
-        ring=ring, rank=4, f_matrix=blocks(one, -q), v_matrix=blocks(-one, q),
+        ring=ring, f_matrix=blocks(one, -q), v_matrix=blocks(-one, q),
         polarization=blocks(one, -one),
     )
 
@@ -153,7 +152,7 @@ class TestReducePairing:
     def test_missing_polarization(self):
         m = build_a_half(witt_ring(3, 2, 2))
         bare = DieudonneModule(
-            ring=m.ring, rank=2, f_matrix=m.f_matrix, v_matrix=m.v_matrix
+            ring=m.ring, f_matrix=m.f_matrix, v_matrix=m.v_matrix
         )
         with pytest.raises(ValidationError, match="polarization required"):
             reduce_pairing(bare)
@@ -164,7 +163,6 @@ class TestReducePairing:
         # ordinary toy: F + V != 0
         m = DieudonneModule(
             ring=ring,
-            rank=2,
             f_matrix=((one, zero), (zero, p)),
             v_matrix=((p, zero), (zero, one)),
             polarization=((zero, one), (-one, zero)),
@@ -185,7 +183,7 @@ class TestReducePairing:
     def test_oracle_without_polarization_is_a_validation_error(self):
         m = build_superspecial_unitary(3, 2, -1, 1, 1)
         h = reduce_pairing(m)
-        bare = DieudonneModule(ring=m.ring, rank=m.rank, f_matrix=m.f_matrix, v_matrix=m.v_matrix)
+        bare = DieudonneModule(ring=m.ring, f_matrix=m.f_matrix, v_matrix=m.v_matrix)
         for trials in (0, 20):
             with pytest.raises(ValidationError, match="polarization required"):
                 pairing_well_defined(bare, h, trials=trials, seed=1)
@@ -207,7 +205,7 @@ class TestReducePairing:
         )
         skew = linalg.mat_sub(E, linalg.transpose(E))
         twisted = DieudonneModule(
-            ring=ring, rank=m.rank, f_matrix=m.f_matrix, v_matrix=m.v_matrix, polarization=skew
+            ring=ring, f_matrix=m.f_matrix, v_matrix=m.v_matrix, polarization=skew
         )
         rng = random.Random(5)
         models = [m] + [_conjugated(rng, model) for model in (m, _a_half_squared(3, 3, 3), _a_half_squared(5, 1, 2))]
@@ -229,9 +227,10 @@ class TestReducePairing:
         # on the module, so V mod p is put into echelon form once; the only
         # other elimination is the rank of the Gram in HermitianQuotient,
         # since the quotient basis is already graded.  The induced action,
-        # kept on the module too, reduces J mod p once
-        calls, maps = [], []
-        rref, mat_map = linalg.rref, linalg.mat_map
+        # kept on the module too, reduces J mod p once, and E F, which
+        # reduce_pairing and the oracle both read, is formed once
+        calls, maps, products = [], [], []
+        rref, mat_map, mat_mul = linalg.rref, linalg.mat_map, linalg.mat_mul
 
         def counting(rows):
             calls.append(linalg.freeze(rows))
@@ -243,12 +242,14 @@ class TestReducePairing:
 
         monkeypatch.setattr(linalg, "rref", counting)
         monkeypatch.setattr(linalg, "mat_map", recording)
+        monkeypatch.setattr(linalg, "mat_mul", lambda A, B: products.append((A, B)) or mat_mul(A, B))
         m = build_superspecial_unitary(7, 3, -1, 4, 4)
         h = reduce_pairing(m)
         assert pairing_well_defined(m, h, trials=20, seed=0) == 0
         vbar = linalg.transpose(mat_map(m.ring.reduce, m.v_matrix))
         assert calls == [vbar, h.gram]
         assert maps.count((m.ring.reduce, m.ok_action)) == 1
+        assert products.count((m.polarization, m.f_matrix)) == 1
 
     def test_oracle_reads_the_gram_it_is_given(self):
         # a valid pairing that is not the one of the module: twice its Gram
@@ -256,7 +257,7 @@ class TestReducePairing:
             m = build_superspecial_unitary(p, 3, alpha, r, s)
             h = reduce_pairing(m)
             doubled = HermitianQuotient(
-                ctx=h.ctx, dim=h.dim, gram=_scaled(h.ctx.el(2), h.gram), grading=h.grading
+                ctx=h.ctx, gram=_scaled(h.ctx.el(2), h.gram), grading=h.grading
             )
             assert pairing_well_defined(m, h, trials=20, seed=0) == 0
             assert pairing_well_defined(m, doubled, trials=20, seed=0) > 0
@@ -397,10 +398,16 @@ class TestAutomorphisms:
 
 
 class TestQuotientType:
+    def test_non_square_gram_rejected(self):
+        # dim is the number of rows, so a ragged Gram is refused
+        ctx = witt_ring(3, 2, 1)
+        with pytest.raises(ValidationError, match="wrong dimensions"):
+            HermitianQuotient(ctx=ctx, gram=((ctx.one(), ctx.zero()),))
+
     def test_degenerate_gram_rejected(self):
         ctx = witt_ring(3, 2, 1)
         with pytest.raises(ValidationError, match="degenerate|alternating"):
-            HermitianQuotient(ctx=ctx, dim=1, gram=((ctx.zero(),),))
+            HermitianQuotient(ctx=ctx, gram=((ctx.zero(),),))
 
     def test_cross_block_entry_rejected(self):
         # sigma-alternating and perfect, but pairing the two eigenlines: for
@@ -408,12 +415,12 @@ class TestQuotientType:
         ctx = witt_ring(3, 2, 1)
         one, zero = ctx.one(), ctx.zero()
         gram = ((zero, one), (one, zero))
-        assert HermitianQuotient(ctx=ctx, dim=2, gram=gram).grading is None
+        assert HermitianQuotient(ctx=ctx, gram=gram).grading is None
         with pytest.raises(ValidationError, match="not block diagonal"):
-            HermitianQuotient(ctx=ctx, dim=2, gram=gram, grading=(1, 1))
+            HermitianQuotient(ctx=ctx, gram=gram, grading=(1, 1))
 
     def test_non_alternating_rejected(self):
         ctx = witt_ring(3, 2, 1)
         t = ctx.gen()  # sigma(t) = -t, so gram [t] fails gram = sigma(gram)^T
         with pytest.raises(ValidationError, match="alternating"):
-            HermitianQuotient(ctx=ctx, dim=1, gram=((t,),))
+            HermitianQuotient(ctx=ctx, gram=((t,),))

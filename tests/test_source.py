@@ -261,6 +261,19 @@ def test_one_path_per_arithmetic_job():
     assert offenders == []
 
 
+def test_frozen_objects_store_only_their_inputs():
+    # derived matrices are cached properties, not hand-rolled memos in an
+    # instance's __dict__; Witt elements are reduced by the modulus in
+    # WittRing.dot alone; an action always comes with its alpha
+    gone = re.compile(r"__dict__|\b_reduce_poly\b|action-squares-to-scalar")
+    offenders = [
+        f"{path.name}:{match.group()}"
+        for path in sorted(SRC.glob("*.py"))
+        for match in gone.finditer(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
 def _functions(tree):
     return [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
 

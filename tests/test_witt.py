@@ -117,3 +117,13 @@ def test_unit_inverse():
     assert x * x.inv() == ring.one()
     with pytest.raises(ValidationError):
         ring.el(3).inv()
+
+
+def test_el_refuses_more_than_s_coefficients():
+    # the one reduction by the modulus is WittRing.dot's: el only pads
+    ring = witt_ring(3, 2, 2)
+    assert ring.el((4,)).coeffs == (4, 0) and ring.el((1, 10)).coeffs == (1, 1)
+    with pytest.raises(ValidationError, match="at most 2 coefficients"):
+        ring.el((1, 2, 3))
+    with pytest.raises(ValidationError, match="at most 1 coefficients"):
+        witt_ring(5, 1, 1).el((0, 1))
