@@ -7,8 +7,9 @@ decimal strings, and every numeric result carries a provenance label
 
 Exit codes: 0 ok, 1 verify mismatch, 2 parse/validation, 3 insufficient
 precision, 4 enumeration budget exceeded.  A truncation level n given
-from outside, a module file's "n" or `pairing --n`, must lie in 1..64
-(64 is the cap of the newton retry); any other n exits 2.  The
+from outside, a module file's "n" or `pairing --n`, and a field degree
+s, a module file's "s" or a representation's "field.s", must lie in
+1..64 (64 is the cap of the newton retry); any other n or s exits 2.  The
 SSP_MAX_ENUM environment variable, and nothing else, caps the candidates
 one enumeration check may examine (default 10^8): vectors scanned or
 filtered while unitary frames are built column by column, the frames of
@@ -109,17 +110,16 @@ def _flatten(prefix: str, obj, writer):
         writer.writerow((prefix, _fmt(obj), ""))
 
 
-def _emit(report: dict, as_csv: bool, stream=None):
-    """Write `report`.  CSV rows go out as they are made; JSON is built in
-    full first (an iterator becomes a list), so it is written whole or
-    not at all."""
-    stream = stream or sys.stdout
+def _emit(report: dict, as_csv: bool):
+    """Write `report` to stdout.  CSV rows go out as they are made; JSON
+    is built in full first (an iterator becomes a list), so it is written
+    whole or not at all."""
     if as_csv:
-        writer = csv.writer(stream, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["name", "value", "provenance"])
         _flatten("", report["results"], writer)
     else:
-        stream.write(json.dumps(report, indent=2, sort_keys=True, default=list) + "\n")
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True, default=list) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +195,7 @@ def _cmd_newton(args) -> tuple[dict, int]:
 
 
 def _cmd_pairing(args) -> tuple[dict, int]:
-    n = dieudonne.truncation_level(args.n) if args.n is not None else 2
-    m = dieudonne.build_superspecial_unitary(args.p, n, args.alpha, args.r, args.s)
+    m = dieudonne.build_superspecial_unitary(args.p, args.n, args.alpha, args.r, args.s)
     h = hermitian.reduce_pairing(m)
     order_formula = groups.order_gusplit(args.r, args.s, args.p)
     order_enum = len(hermitian.automorphism_group_coded(h))
@@ -210,7 +209,7 @@ def _cmd_pairing(args) -> tuple[dict, int]:
         "aut_order_enumerated": _val(order_enum, "enumeration"),
         "match": order_enum == order_formula,
     }
-    return _report("pairing", _echo(args, "p alpha r s") | {"n": n}, results), 0
+    return _report("pairing", _echo(args, "p alpha r s n"), results), 0
 
 
 def _cmd_amf(args) -> tuple[dict, int]:
@@ -314,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pairing", help="mod-p pairing and automorphism group of the model")
     for flag in ("--p", "--alpha", "--r", "--s"):
         p.add_argument(flag, type=int, required=True)
-    p.add_argument("--n", type=int, default=None, help="truncation level (default 2)")
+    p.add_argument("--n", type=int, default=2, help="truncation level, 1..64 (default 2)")
     add_fmt(p)
     p.set_defaults(handler="_cmd_pairing")
 

@@ -25,22 +25,15 @@ from . import linalg
 from .errors import (
     FormulaInconsistencyError,
     ValidationError,
-    spec_entry,
     spec_field,
     spec_int,
     spec_list,
+    spec_matrix,
     spec_value,
 )
 from .exact import mass_constant, mass_constant_bernoulli_abs
-from .gf import is_nonresidue
-from .groups import (
-    factorize,
-    irrep_dim_bound,
-    irrep_sum_bound,
-    is_prime,
-    order_gsp_mod,
-    p_regular_classes,
-)
+from .gf import is_nonresidue, is_prime
+from .groups import factorize, irrep_dim_bound, irrep_sum_bound, order_gsp_mod, p_regular_classes
 from .witt import WittElem, WittRing, witt_ring
 
 SUPERSPECIAL_BOUND_NOTE = "upper bound via Siegel embedding"
@@ -326,15 +319,7 @@ def representation_from_dict(data: dict) -> GroupRepresentation:
     gens = spec_list(spec_value(data, "generators", spec), "generators", spec)
     p = spec_field(fld, "p", spec, "field")
     ctx = witt_ring(p, spec_field(fld, "s", spec, "field") if "s" in fld else 1, 1)
-
-    def entry(x, field):
-        return ctx.el(spec_entry(x, field, ctx.s, spec))
-
-    def matrix(M, at):
-        rows = [spec_list(row, f"{at}[{r}]", spec) for r, row in enumerate(spec_list(M, at, spec))]
-        return linalg.freeze(
-            [[entry(x, f"{at}[{r}][{c}]") for c, x in enumerate(row)] for r, row in enumerate(rows)]
-        )
-
-    mats = tuple(matrix(M, f"generators[{i}]") for i, M in enumerate(gens))
+    mats = tuple(
+        linalg.mat_map(ctx.el, spec_matrix(M, f"generators[{i}]", ctx.s, spec)) for i, M in enumerate(gens)
+    )
     return GroupRepresentation(ctx=ctx, dim=dim, generators=mats)

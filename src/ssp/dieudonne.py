@@ -24,13 +24,13 @@ from .errors import (
     FormulaInconsistencyError,
     InsufficientPrecisionError,
     ValidationError,
-    spec_entry,
     spec_field,
+    spec_matrix,
+    spec_value,
 )
-from .witt import INF, WittRing, hensel_sqrt, witt_ring
+from .witt import INF, MAX_TRUNCATION, WittRing, hensel_sqrt, witt_ring
 
 DEFAULT_TRUNCATION_SLACK = 2  # polygon default n = 2*height + 2
-MAX_TRUNCATION = 64
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,9 @@ class DieudonneModule:
     `ring`; everything else is derived from them.  The rank is the size
     of F.  The module is frozen, so the matrices below are computed on
     first use and kept on the instance for as long as it lives: the
-    build, reduce_pairing and the well-definedness oracle share them."""
+    build, reduce_pairing and the well-definedness oracle share them.
+    F, V, E and J must be square of one size, and J must come with its
+    alpha."""
 
     ring: WittRing
     f_matrix: tuple[tuple, ...]
@@ -111,6 +113,15 @@ class DieudonneModule:
     polarization: Optional[tuple[tuple, ...]] = None
     ok_action: Optional[tuple[tuple, ...]] = None
     alpha: Optional[int] = None
+
+    def __post_init__(self):
+        h = self.rank
+        named = {"F": self.f_matrix, "V": self.v_matrix, "E": self.polarization, "action": self.ok_action}
+        for name, M in named.items():
+            if M is not None and (len(M) != h or any(len(row) != h for row in M)):
+                raise ValidationError(f"{name} matrix is not {h} x {h}")
+        if self.ok_action is not None and self.alpha is None:
+            raise ValidationError("module with an action must record alpha")
 
     @property
     def rank(self) -> int:
@@ -188,19 +199,6 @@ def _equal(name: str, A, B) -> tuple[str, bool, str]:
 def check_axioms(m: DieudonneModule) -> AxiomReport:
     """Verify the semilinear module axioms at the truncation level."""
     ring, h = m.ring, m.rank
-    for name, M in (("F", m.f_matrix), ("V", m.v_matrix)):
-        if len(M) != h or any(len(row) != h for row in M):
-            raise ValidationError(f"{name} matrix is not {h} x {h}")
-    if m.polarization is not None and (
-        len(m.polarization) != h or any(len(r) != h for r in m.polarization)
-    ):
-        raise ValidationError("polarization Gram matrix has wrong dimensions")
-    if m.ok_action is not None:
-        if len(m.ok_action) != h or any(len(r) != h for r in m.ok_action):
-            raise ValidationError("ok_action matrix has wrong dimensions")
-        if m.alpha is None:
-            raise ValidationError("module with an action must record alpha")
-
     checks = []
     p_id = linalg.scalar_matrix(h, ring.el(ring.p), ring.zero())
     fv = linalg.mat_mul(m.f_matrix, m.sigma_mat(m.v_matrix))
@@ -468,60 +466,32 @@ def canonical_lie_action(ring: WittRing, alpha: int, r: int, s: int):
 # JSON interchange (CLI surface)
 
 
-def truncation_level(n: int) -> int:
-    """n, once checked against MAX_TRUNCATION: a level given from outside
-    (a module file's "n", `pairing --n`) costs time that grows with n.
-    A level below 1 is left to witt_ring to refuse."""
-    if n > MAX_TRUNCATION:
-        raise ValidationError(f"truncation level n must be <= {MAX_TRUNCATION}, got {n}")
-    return n
-
-
-def module_from_dict(data: dict, n_override: Optional[int] = None) -> DieudonneModule:
-    p, s, rank = (spec_field(data, key) for key in ("p", "s", "rank"))
-    n = truncation_level(spec_field(data, "n")) if n_override is None else n_override
-    ring = witt_ring(p, s, n)
-
-    def dec(name):
-        if name not in data:
-            raise ValidationError(f"module spec missing field {name!r}")
-        M = data[name]
-        if (
-            not isinstance(M, list)
-            or len(M) != rank
-            or any(not isinstance(row, list) or len(row) != rank for row in M)
-        ):
-            raise ValidationError(f"{name} must be {rank} x {rank}")
-
-        return linalg.freeze(
-            [[ring.el(spec_entry(x, f"{name}[{i}][{j}]", s)) for j, x in enumerate(row)]
-             for i, row in enumerate(M)]
-        )
-
-    F, V = dec("F"), dec("V")
-    E = dec("E") if "E" in data else None
-    J = dec("action") if "action" in data else None
-    alpha = spec_field(data, "alpha") if "alpha" in data else None
-    return DieudonneModule(ring=ring, f_matrix=F, v_matrix=V, polarization=E, ok_action=J, alpha=alpha)
-
-
 def newton_polygon_with_retry(data: dict) -> tuple[NewtonPolygon, DieudonneModule]:
-    """Newton polygon of a JSON module spec, and the module read at the
+    """Newton polygon of a JSON module spec, and the module built at the
     truncation that gave it (its ring.n is the level used), doubling the
     truncation on censored valuations (default start 2*height + 2, cap
-    64, so a spec of rank 32 or more without "n" starts at the cap).  A
-    spec's own "n" is checked like any other field, and refused above
-    the cap."""
+    64, so a spec of rank 32 or more without "n" starts at the cap).
+
+    Each field is read once: the matrices into integer entries, which
+    are mapped into the ring of each level.  The ring refuses an n, p or
+    s it cannot have, before any matrix is read, and the module a matrix
+    of the wrong size."""
     rank = spec_field(data, "rank")
-    if "n" in data:
-        n = truncation_level(spec_field(data, "n"))
-    else:
-        n = min(2 * rank + DEFAULT_TRUNCATION_SLACK, MAX_TRUNCATION)
+    n = spec_field(data, "n") if "n" in data else min(2 * rank + DEFAULT_TRUNCATION_SLACK, MAX_TRUNCATION)
+    p, s = spec_field(data, "p"), spec_field(data, "s")
+    ring = witt_ring(p, s, n)
+    F = spec_matrix(spec_value(data, "F"), "F", s)
+    if len(F) != rank:
+        raise ValidationError(f"F matrix is not {rank} x {rank}")
+    V = spec_matrix(spec_value(data, "V"), "V", s)
+    E, J = (spec_matrix(data[key], key, s) if key in data else None for key in ("E", "action"))
+    alpha = spec_field(data, "alpha") if "alpha" in data else None
     while True:
+        mats = (None if M is None else linalg.mat_map(ring.el, M) for M in (F, V, E, J))
+        m = DieudonneModule(ring, *mats, alpha)
         try:
-            m = module_from_dict(data, n_override=n)
             return newton_polygon(m), m
         except InsufficientPrecisionError:
-            if n >= MAX_TRUNCATION:
+            if ring.n >= MAX_TRUNCATION:
                 raise
-            n = min(2 * n, MAX_TRUNCATION)
+            ring = witt_ring(p, s, min(2 * ring.n, MAX_TRUNCATION))

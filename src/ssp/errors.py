@@ -102,6 +102,16 @@ def spec_list(x, field: str, spec: str) -> list:
     return x
 
 
+def spec_matrix(x, field: str, length: int, spec: str = "module spec") -> tuple:
+    """A matrix in a JSON spec: a list of rows, each a list of
+    `spec_entry`s.  Its shape is left to the object it builds."""
+    rows = [spec_list(row, f"{field}[{i}]", spec) for i, row in enumerate(spec_list(x, field, spec))]
+    return tuple(
+        tuple(spec_entry(e, f"{field}[{i}][{j}]", length, spec) for j, e in enumerate(row))
+        for i, row in enumerate(rows)
+    )
+
+
 class EnumBudget:
     """Counts the candidates one enumeration examines and stops it once
     the count passes the limit, SSP_MAX_ENUM (10^8 if unset or empty).

@@ -20,7 +20,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
 from .ftables import block_similitudes, field_table, metered_table, similitude_frames
@@ -208,7 +208,7 @@ def _value_counts(a: tuple, halves: list, N: int) -> list:
     return counts
 
 
-def hyperbolic_pair_count(g: int, N: int, meter: Optional[EnumBudget] = None) -> int:
+def hyperbolic_pair_count(g: int, N: int, meter: EnumBudget) -> int:
     """#{(u, v) in ((Z/N)^{2g})^2 : <u, v> = 1} by enumeration of u.
 
     With u = (a, b) and v = (x, y) split into halves, <u, v> = a.y - b.x.
@@ -216,7 +216,7 @@ def hyperbolic_pair_count(g: int, N: int, meter: Optional[EnumBudget] = None) ->
     half-vectors, and the v with a.y = b.x + 1 are counted from the two
     tables.  The _pair_count_steps(g, N) steps are charged to `meter`
     before the first is taken."""
-    (meter or EnumBudget("hyperbolic_pair_count")).spend(_pair_count_steps(g, N))
+    meter.spend(_pair_count_steps(g, N))
     one = 1 % N  # 1 = 0 in Z/1
     halves = list(itertools.product(range(N), repeat=g))
     count = 0

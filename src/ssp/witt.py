@@ -27,18 +27,24 @@ from .errors import FormulaInconsistencyError, InsufficientPrecisionError, Valid
 from .gf import is_nonresidue, is_prime, minimal_irreducible, poly_inverse, sqrt_mod_p
 
 INF = math.inf
+MAX_TRUNCATION = 64  # the cap on n and on s: a ring costs time that grows with both
 
 
 class WittRing:
-    """W_n(F_{p^s}) with Frobenius lift sigma, sigma^s = id."""
+    """W_n(F_{p^s}) with Frobenius lift sigma, sigma^s = id; n and s lie
+    in 1..MAX_TRUNCATION."""
 
     def __init__(self, p: int, s: int, n: int):
         if n < 1:
             raise ValidationError("truncation level n must be >= 1")
+        if n > MAX_TRUNCATION:
+            raise ValidationError(f"truncation level n must be <= {MAX_TRUNCATION}, got {n}")
         if not is_prime(p) or p == 2:
             raise ValidationError(f"p = {p} must be an odd prime")
         if s < 1:
             raise ValidationError("s must be >= 1")
+        if s > MAX_TRUNCATION:
+            raise ValidationError(f"s must be <= {MAX_TRUNCATION}, got {s}")
         self.p = p
         self.s = s
         self.n = n

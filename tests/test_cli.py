@@ -303,8 +303,27 @@ class TestNewton:
                 {"p": 3, "s": 2, "n": 2, "rank": 2, "F": [[[0, 1, 5], 1], [-3, 0]], "V": [[0, -1], [3, 0]]},
                 "'F[0][0]'",
             ),
+            (
+                {"p": 3, "s": 2, "n": 2, "rank": 2, "F": [[0, 1], 1], "V": [[0, -1], [3, 0]]},
+                "'F[1]' must be a list",
+            ),
+            ({"p": 3, "s": 2, "n": 2, "rank": 3, "F": [[0, 1], [-3, 0]], "V": [[0, -1], [3, 0]]}, "F matrix is not 3 x 3"),
+            ({"p": 3, "s": 2, "n": 2, "rank": 2, "F": [[0, 1], [-3, 0]], "V": [[0, -1], [3]]}, "V matrix is not 2 x 2"),
+            (
+                {"p": 3, "s": 2, "n": 2, "rank": 2, "F": [[0, 1], [-3, 0]], "V": [[0, -1], [3, 0]], "action": [[1, 0]] * 2},
+                "must record alpha",
+            ),
         ],
-        ids=["top-level-list", "missing-rank", "non-integer-entry", "long-coefficient-vector"],
+        ids=[
+            "top-level-list",
+            "missing-rank",
+            "non-integer-entry",
+            "long-coefficient-vector",
+            "row-not-a-list",
+            "rank-is-not-the-size-of-F",
+            "ragged-V",
+            "action-without-alpha",
+        ],
     )
     def test_malformed_spec_exits_2_naming_field(self, tmp_path, capsys, doc, field):
         path = tmp_path / "spec.json"
@@ -325,27 +344,35 @@ class TestNewton:
         assert code == 2
         assert error in json.loads(out)["results"]["error"]
 
-    @pytest.mark.parametrize("n, levels", [(None, ["6"]), (2, ["2", "4"])], ids=["default-n", "n2"])
-    def test_module_is_read_once_per_level(self, tmp_path, capsys, monkeypatch, n, levels):
-        # the README example: the Hodge polygon and truncation_used come from
-        # the module the retry built, not from a second read.  Without "n"
-        # the start 2 * rank + 2 = 6 suffices; n = 2 censors det F^2 and is
-        # doubled once
-        from ssp import dieudonne
+    @pytest.mark.parametrize("n, level", [(None, "6"), (2, "4")], ids=["default-n", "n2"])
+    def test_spec_is_read_once_for_every_level(self, tmp_path, capsys, monkeypatch, n, level):
+        # the README example: without "n" the start 2 * rank + 2 = 6 suffices;
+        # n = 2 censors det F^2 and is doubled once, to 4.  Either way each
+        # entry of F, V and E is read once, and the Hodge polygon and
+        # truncation_used come from the module of the level used
+        from ssp import errors
 
         reads = []
-        real = dieudonne.module_from_dict
-        monkeypatch.setattr(
-            dieudonne, "module_from_dict", lambda d, n_override: reads.append(n_override) or real(d, n_override)
-        )
+        real = errors.spec_entry
+        monkeypatch.setattr(errors, "spec_entry", lambda x, field, *rest: reads.append(field) or real(x, field, *rest))
         spec = {"p": 3, "s": 2, "rank": 2, "F": [[0, 1], [-3, 0]], "V": [[0, -1], [3, 0]], "E": [[0, 1], [-1, 0]]}
         path = tmp_path / "module.json"
         path.write_text(json.dumps(spec if n is None else spec | {"n": n}))
         code, out = run(capsys, "newton", str(path))
         assert code == 0
         res = json.loads(out)["results"]
-        assert res["hodge_weights"]["value"] == "0 x1; 1 x1" and res["truncation_used"]["value"] == levels[-1]
-        assert [str(k) for k in reads] == levels
+        assert res["hodge_weights"]["value"] == "0 x1; 1 x1" and res["truncation_used"]["value"] == level
+        assert sorted(reads) == sorted(f"{M}[{i}][{j}]" for M in "FVE" for i in range(2) for j in range(2))
+
+    @pytest.mark.parametrize("s", [65, 10**9], ids=["65", "1e9"])
+    def test_degree_outside_1_to_64_exits_2_at_once(self, tmp_path, run_capped, s):
+        # the cost of a ring grows with s: s = 200 ran past 40 s before the cap
+        spec = {"p": 3, "s": s, "n": 2, "rank": 2, "F": [[0, 1], [-3, 0]], "V": [[0, -1], [3, 0]]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        proc = run_capped("newton", str(path), timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        assert "s must be <= 64" in json.loads(proc.stdout)["results"]["error"]
 
     def test_truncation_at_the_cap_is_used(self, tmp_path, capsys):
         spec = {"p": 3, "s": 2, "n": 64, "rank": 2, "F": [[0, 1], [-3, 0]], "V": [[0, -1], [3, 0]]}
@@ -431,6 +458,14 @@ class TestAmf:
         assert code == 0
         res = json.loads(out)["results"]
         assert res["dimension"]["value"] == "0" and res["bound_check"] is True
+
+    @pytest.mark.parametrize("s", [65, 10**9], ids=["65", "1e9"])
+    def test_degree_outside_1_to_64_exits_2_at_once(self, tmp_path, run_capped, s):
+        sp, rp = self.fixture_files(tmp_path)
+        (tmp_path / "rep.json").write_text(json.dumps({"dim": 1, "field": {"p": 3, "s": s}, "generators": [[[1]]]}))
+        proc = run_capped("amf", sp, rp, timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        assert "s must be <= 64" in json.loads(proc.stdout)["results"]["error"]
 
     @pytest.mark.parametrize(
         "space, rep, field",

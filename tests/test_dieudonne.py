@@ -17,7 +17,6 @@ from ssp.dieudonne import (
     graded_quotient_dims,
     hodge_polygon,
     is_isoclinic,
-    module_from_dict,
     newton_polygon,
     newton_polygon_with_retry,
 )
@@ -49,7 +48,7 @@ def pairing(m, x, y):
 
 
 def module_to_dict(m):
-    """The JSON spec of m that module_from_dict reads: a fixture writer."""
+    """The JSON spec of m that newton_polygon_with_retry reads: a fixture writer."""
 
     def enc(M):
         return [[list(x.coeffs) for x in row] for row in M]
@@ -109,26 +108,22 @@ class TestAxioms:
         assert len(located) == 2
 
     def test_dimension_mismatch_is_an_error(self):
-        # the rank is the size of F, so a V of another size is refused
+        # the rank is the size of F, so a V of another size is refused when
+        # the module is made
         ring = witt_ring(3, 2, 2)
         good = build_a_half(ring)
         zero = ring.zero()
-        bad = DieudonneModule(
-            ring=ring, f_matrix=good.f_matrix, v_matrix=linalg.scalar_matrix(3, ring.one(), zero)
-        )
         with pytest.raises(ValidationError, match="V matrix is not 2 x 2"):
-            check_axioms(bad)
-        ragged = DieudonneModule(ring=ring, f_matrix=((zero, zero),), v_matrix=((zero,),))
+            DieudonneModule(ring=ring, f_matrix=good.f_matrix, v_matrix=linalg.scalar_matrix(3, ring.one(), zero))
         with pytest.raises(ValidationError, match="F matrix is not 1 x 1"):
-            check_axioms(ragged)
+            DieudonneModule(ring=ring, f_matrix=((zero, zero),), v_matrix=((zero,),))
 
     def test_an_action_needs_alpha(self):
         m = build_superspecial_unitary(3, 2, -1, 1, 1)
-        bare = DieudonneModule(
-            ring=m.ring, f_matrix=m.f_matrix, v_matrix=m.v_matrix, polarization=m.polarization, ok_action=m.ok_action
-        )
         with pytest.raises(ValidationError, match="must record alpha"):
-            check_axioms(bare)
+            DieudonneModule(
+                ring=m.ring, f_matrix=m.f_matrix, v_matrix=m.v_matrix, polarization=m.polarization, ok_action=m.ok_action
+            )
 
 
 class TestAHalf:
@@ -361,10 +356,12 @@ class TestDeterminantCondition:
 
 class TestJsonRoundTrip:
     def test_round_trip(self):
-        m = build_superspecial_unitary(3, 2, -1, 1, 1)
-        d = module_to_dict(m)
-        m2 = module_from_dict(d)
+        # det F^2 = 3^4 is not censored at n = 6, so the module is read at
+        # the spec's own level
+        m = build_superspecial_unitary(3, 6, -1, 1, 1)
+        np_, m2 = newton_polygon_with_retry(module_to_dict(m))
         assert m2 == m
+        assert np_.slopes == ((Fraction(1, 2), 4),)
 
     def test_retry_bumps_truncation(self):
         # exact integer data declared at a hopeless truncation level
@@ -379,7 +376,9 @@ class TestJsonRoundTrip:
         np_, m = newton_polygon_with_retry(d)
         assert np_.slopes == ((Fraction(1, 2), 2),)
         assert m.ring.n > 1
-        assert m == module_from_dict(d, n_override=m.ring.n)
+        # the integer entries, read once, are mapped into the ring of the level used
+        a_half = build_a_half(m.ring)
+        assert (m.f_matrix, m.v_matrix, m.polarization) == (a_half.f_matrix, a_half.v_matrix, None)
 
     @pytest.mark.parametrize("rank", [31, 32, 40])
     def test_default_truncation_starts_at_most_at_the_cap(self, rank):
@@ -393,9 +392,10 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize("n", [65, 10**6, 10**9])
     def test_truncation_above_the_cap_is_refused(self, n):
         d = module_to_dict(build_a_half(witt_ring(3, 2, 2))) | {"n": n}
-        for read in (newton_polygon_with_retry, module_from_dict):
-            with pytest.raises(ValidationError, match="<= 64"):
-                read(d)
+        with pytest.raises(ValidationError, match="<= 64"):
+            newton_polygon_with_retry(d)
+        with pytest.raises(ValidationError, match="<= 64"):
+            witt_ring(3, 2, n)
 
     @pytest.mark.parametrize("n", [0, -1, None])
     def test_present_truncation_is_validated(self, n):
@@ -519,7 +519,7 @@ class TestAgainstEarlierPaths:
     @pytest.mark.parametrize("p, s, n", [(3, 2, 2), (3, 1, 3), (5, 2, 1)])
     def test_quotient_action_matches_column_reduction(self, p, s, n):
         # random V = X Y + p Z, so V mod p has rank at most k, and random J;
-        # the constructor checks no axioms
+        # the constructor checks shapes and that J comes with an alpha, no axioms
         rng = random.Random(p * 100 + s * 10 + n)
         ring = witt_ring(p, s, n)
         for _ in range(12):
@@ -530,7 +530,7 @@ class TestAgainstEarlierPaths:
             V = linalg.freeze(
                 [[sum((X[i][t] * Y[t][j] for t in range(k)), ring.el(p) * Z[i][j]) for j in range(h)] for i in range(h)]
             )
-            m = DieudonneModule(ring=ring, f_matrix=V, v_matrix=V, ok_action=_random_matrix(rng, ring, h, h))
+            m = DieudonneModule(ring=ring, f_matrix=V, v_matrix=V, ok_action=_random_matrix(rng, ring, h, h), alpha=-1)
             assert m.induced_quotient_action == induced_quotient_action_by_columns(m)
             quot, P = m.quotient_projection
             ctx = ring.residue

@@ -121,7 +121,7 @@ class TestEnumerationOracles:
         assert gl2_order_enumerated(3) == order_gsp_mod(1, 3) == 48
 
     def test_gsp_hyperbolic_recursion(self):
-        assert hyperbolic_pair_count(1, 3) == (3**2 - 1) * 3
+        assert hyperbolic_pair_count(1, 3, EnumBudget("hyperbolic_pair_count")) == (3**2 - 1) * 3
         assert gsp_order_enumerated(1, 3) == order_gsp_mod(1, 3)
         assert gsp_order_enumerated(2, 3) == order_gsp_mod(2, 3) == 103680
 
@@ -147,7 +147,7 @@ class TestEnumerationOracles:
 
     @pytest.mark.parametrize("g, N", [(1, 1), (1, 3), (1, 4), (1, 5), (2, 1), (2, 3), (2, 4), (3, 2)])
     def test_hyperbolic_pairs_match_the_quadratic_loop(self, g, N):
-        assert hyperbolic_pair_count(g, N) == _hyperbolic_pairs_by_loop(g, N)
+        assert hyperbolic_pair_count(g, N, EnumBudget("hyperbolic_pair_count")) == _hyperbolic_pairs_by_loop(g, N)
 
     def test_budget_guard(self, monkeypatch):
         monkeypatch.setenv("SSP_MAX_ENUM", "100")

@@ -274,6 +274,18 @@ def test_frozen_objects_store_only_their_inputs():
     assert offenders == []
 
 
+def test_each_input_is_checked_where_its_object_is_made():
+    # a module spec is read by newton_polygon_with_retry once for every
+    # level, and the 1..64 caps on n and s are WittRing's
+    gone = re.compile(r"\b(module_from_dict|truncation_level|n_override)\b")
+    offenders = [
+        f"{path.name}:{match.group()}"
+        for path in sorted(SRC.glob("*.py"))
+        for match in gone.finditer(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
 def _functions(tree):
     return [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
@@ -289,13 +301,14 @@ def _defaulted(fn) -> list:
 
 def test_one_enumeration_limit():
     # SSP_MAX_ENUM, read by EnumBudget alone, is the one way to set the limit:
-    # no function takes a `budget` with a default, and EnumBudget only a name
+    # no function takes a `budget` or a `meter` with a default, and
+    # EnumBudget only a name
     modules = _modules()
     offenders = [
         f"{name}.{fn.name}"
         for name, tree in modules.items()
         for fn in _functions(tree)
-        if "budget" in _defaulted(fn)
+        if {"budget", "meter"} & set(_defaulted(fn))
     ]
     assert offenders == []
     init = _function(modules["errors"], "EnumBudget.__init__")

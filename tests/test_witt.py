@@ -127,3 +127,14 @@ def test_el_refuses_more_than_s_coefficients():
         ring.el((1, 2, 3))
     with pytest.raises(ValidationError, match="at most 1 coefficients"):
         witt_ring(5, 1, 1).el((0, 1))
+
+
+@pytest.mark.parametrize(
+    "s, n, error",
+    [(65, 1, "s must be <= 64, got 65"), (10**9, 1, "s must be <= 64"), (2, 65, "truncation level n must be <= 64, got 65")],
+)
+def test_level_and_degree_are_capped_at_64(s, n, error):
+    # a ring's cost grows with n and s, so both caps are the ring's own
+    with pytest.raises(ValidationError, match=error):
+        witt_ring(3, s, n)
+    assert witt_ring(3, 2, 64).n == 64
