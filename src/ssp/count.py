@@ -262,12 +262,15 @@ def equivariant_dimension(space: CosetSpace, rho: GroupRepresentation) -> int:
     Every other edge asks (S_z - rho(g)^{-1} S_y) f(rep) = 0, so the
     orbit adds d minus the rank of those rows; an edge whose two
     matrices are equal asks nothing.  Each generator is inverted once,
-    up front."""
+    up front.  With no generators every point is its own orbit and asks
+    nothing, so the dimension is points * d and no matrix is built."""
     if len(space.generators) != len(rho.generators):
         raise ValidationError(
             "inconsistent action data: "
             f"{len(space.generators)} permutations vs {len(rho.generators)} matrices"
         )
+    if not space.generators:
+        return space.points * rho.dim
     one, zero = rho.ctx.one(), rho.ctx.zero()
     d = rho.dim
     inv = [linalg.inverse(M, one, zero) for M in rho.generators]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import getitem
 
 from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
 from .witt import WittElem, WittRing, witt_ring
@@ -155,6 +156,44 @@ def metered_table(p: int, s: int, meter: EnumBudget) -> FieldTable:
     return field_table(p, s)
 
 
+def _code_sums(add, streams, n: int):
+    """The entry-wise sums of equally long streams of n codes, as one
+    lazy map pipeline over the add table; no streams sum to n zeros."""
+    total = None
+    for stream in streams:
+        total = stream if total is None else map(getitem, map(add.__getitem__, total), stream)
+    return itertools.repeat(0, n) if total is None else total
+
+
+def _check_similitude(table: FieldTable, gram, c, frames) -> None:
+    """Raise FormulaInconsistencyError on the first X of `frames`, in list
+    order, with X* G X != c G.  All frames are checked at once, one entry
+    (i, j) of the product at a time, each entry a stream over the list.
+    The list is never empty: a scalar frame with norm c always exists."""
+    t, n = len(gram), len(frames)
+    add, mul = table.add, table.mul
+    conj_mul = [mul[x] for x in table.conj]  # conj_mul[a][b] = conj(a) b
+    # entries[k][j] is the stream of X[k][j] over the frames
+    entries = [tuple(zip(*rows)) for rows in zip(*frames)]
+    # G X, entry by entry; zero entries of G add nothing
+    gx = [
+        [
+            list(_code_sums(add, (map(mul[g].__getitem__, col[j]) for g, col in zip(row, entries) if g), n))
+            for j in range(t)
+        ]
+        for row in gram
+    ]
+    first_bad = n
+    for i, want_row in enumerate(table.scale(c, gram)):
+        for j, w in enumerate(want_row):
+            terms = (map(getitem, map(conj_mul.__getitem__, entries[k][i]), gx[k][j]) for k in range(t))
+            got = list(_code_sums(add, terms, n))
+            if got.count(w) != n:
+                first_bad = min(first_bad, next(itertools.compress(itertools.count(), map(w.__ne__, got))))
+    if first_bad < n:
+        raise FormulaInconsistencyError(f"frame {frames[first_bad]} fails X* G X = c G for c = {c}")
+
+
 def similitude_frames(table: FieldTable, gram, similitudes, budget: EnumBudget) -> dict:
     """{c: sorted list of the t x t coded X with X* G X = c G} for c in
     `similitudes`, where G = `gram` is a coded Hermitian matrix.
@@ -163,11 +202,13 @@ def similitude_frames(table: FieldTable, gram, similitudes, budget: EnumBudget) 
     norm <x_j, x_j> = c G_jj and <x_i, x_j> = c G_ij for every earlier
     column i (the transposed conditions follow, as G is Hermitian and c
     lies in F_p).  The q^t vectors are scanned once and grouped by norm;
-    fixing a column filters the candidate lists of the later columns.
-    `budget` is charged one candidate per vector scanned or filtered; it
-    stops the enumeration as soon as the count is sure to pass the limit.
-    Every finished X is checked again in full with mat_mul, and sorting
-    puts each bucket in row-major enumeration order.
+    fixing a column filters the candidate lists of the later columns, a
+    whole list at a time: <x, v> for every v of a list is one map
+    pipeline over the list's coordinate columns.  `budget` is charged one
+    candidate per vector scanned or filtered; it stops the enumeration as
+    soon as the count is sure to pass the limit.  The finished frames of
+    each c are checked again in full, all at once, and sorting puts each
+    bucket in row-major enumeration order.
     """
     t = len(gram)
     if table.conj_transpose(gram) != gram:
@@ -205,24 +246,26 @@ def similitude_frames(table: FieldTable, gram, similitudes, budget: EnumBudget) 
 
     def extend(cols, pools, want, found):
         j = len(cols)
-        if j == t:
-            found.append(tuple(zip(*cols)))
+        if j == t - 1:
+            found.extend(tuple(zip(*cols, x)) for x in pools[0])
             return
+        # the coordinate columns of each later list, formed once per node
+        later_cols = [tuple(zip(*pool)) for pool in pools[1:]]
         for x in pools[0]:
             a = covector[x]
             later = []
-            for k, pool in enumerate(pools[1:], j + 1):
+            for k, (pool, pool_cols) in enumerate(zip(pools[1:], later_cols), j + 1):
                 budget.spend(len(pool))
-                later.append([v for v in pool if dot(a, v) == want[j][k]])
+                terms = (map(mul[ak].__getitem__, col) for ak, col in zip(a, pool_cols) if ak)
+                dots = _code_sums(add, terms, len(pool))
+                later.append(list(itertools.compress(pool, map(want[j][k].__eq__, dots))))
             extend(cols + [x], later, want, found)
 
     frames = {}
     for c, want in zip(similitudes, wants):
         found: list = []
         extend([], [by_norm.get(want[j][j], []) for j in range(t)], want, found)
-        for X in found:
-            if table.mat_mul(table.mat_mul(table.conj_transpose(X), gram), X) != want:
-                raise FormulaInconsistencyError(f"frame {X} fails X* G X = c G for c = {c}")
+        _check_similitude(table, gram, c, found)
         frames[c] = sorted(found)
     return frames
 

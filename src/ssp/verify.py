@@ -164,6 +164,10 @@ FULL = QUICK + (
     ("lemma-gp-check(7,-1,1,1)", partial(_lemma, 7, -1)),
     ("aut-bruteforce-vs-gusplit-order(3,2,2)", partial(_aut, 2, 2)),
     ("pregular-classes-vs-enumeration(2,0,5)", partial(_pregular, 2, 0, 5)),
+    ("gusplit-order-vs-enumeration(3,1,3)", partial(_order, "gusplit", 3, 1, 3)),
+    ("aut-bruteforce-vs-gusplit-order(3,3,1)", partial(_aut, 3, 1)),
+    ("superspecial-model-core(3,3,1)", partial(_model, 3, 1)),
+    ("endpoint-admissibility(3,3,1)", partial(_admissibility, 3, 1)),
 )
 
 

@@ -459,6 +459,16 @@ class TestAmf:
         res = json.loads(out)["results"]
         assert res["dimension"]["value"] == "0" and res["bound_check"] is True
 
+    def test_huge_representation_without_generators_builds_no_matrix(self, tmp_path, run_capped):
+        # every point is its own orbit: no dim x dim identity under the 1 GiB cap
+        sp, rp = self.fixture_files(tmp_path)
+        (tmp_path / "space.json").write_text(json.dumps({"points": 2, "generators": []}))
+        (tmp_path / "rep.json").write_text(json.dumps({"dim": 10**8, "field": {"p": 3}, "generators": []}))
+        proc = run_capped("amf", sp, rp, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        res = json.loads(proc.stdout)["results"]
+        assert res["dimension"]["value"] == str(2 * 10**8) and res["bound_check"] is True
+
     @pytest.mark.parametrize("s", [65, 10**9], ids=["65", "1e9"])
     def test_degree_outside_1_to_64_exits_2_at_once(self, tmp_path, run_capped, s):
         sp, rp = self.fixture_files(tmp_path)

@@ -287,6 +287,13 @@ class TestEquivariantDimension:
         space = CosetSpace(points=2, generators=((0, 1), (1, 0)))
         assert equivariant_dimension(space, rho) == equivariant_dimension_dense(space, rho) == 0
 
+    def test_no_generators_gives_points_times_dim(self):
+        ctx = witt_ring(3, 2, 1)
+        space = CosetSpace(points=3, generators=())
+        for dim in (0, 2):
+            rho = GroupRepresentation(ctx=ctx, dim=dim, generators=())
+            assert equivariant_dimension(space, rho) == equivariant_dimension_dense(space, rho) == 3 * dim
+
     def test_regular_space_gives_dim_rho(self):
         space, rho = regular_fixture()
         assert equivariant_dimension(space, rho) == 2

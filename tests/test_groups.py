@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssp import groups
+from ssp import ftables, groups
 from ssp.dieudonne import build_a_half, build_superspecial_unitary
 from ssp.errors import BudgetExceededError, EnumBudget, FormulaInconsistencyError, ValidationError
 from ssp.ftables import FieldTable, field_table, similitude_frames
@@ -241,6 +241,110 @@ class TestSimilitudeFrames:
         # the 9 x 9 field tables are charged first, before they are built
         with pytest.raises(BudgetExceededError, match="unitary_group_elements would reach 81 candidates"):
             unitary_group_elements(2, 3)
+
+
+def _frames_per_candidate(table, gram, similitudes, budget):
+    """The slow construction of ftables.similitude_frames: a dot product
+    per candidate in each later list, and mat_mul re-checks per frame."""
+    t = len(gram)
+    mul, add, conj = table.mul, table.add, table.conj
+
+    def dot(a, v):
+        acc = 0
+        for ak, vk in zip(a, v):
+            acc = add[acc][mul[ak][vk]]
+        return acc
+
+    budget.spend(table.q**t)
+    gram_cols = tuple(zip(*gram))
+    covector, by_norm = {}, {}
+    for v in itertools.product(range(table.q), repeat=t):
+        a = covector[v] = tuple(dot([conj[x] for x in v], col) for col in gram_cols)
+        by_norm.setdefault(dot(a, v), []).append(v)
+
+    def extend(cols, pools, want, found):
+        j = len(cols)
+        if j == t:
+            found.append(tuple(zip(*cols)))
+            return
+        for x in pools[0]:
+            a = covector[x]
+            later = []
+            for k, pool in enumerate(pools[1:], j + 1):
+                budget.spend(len(pool))
+                later.append([v for v in pool if dot(a, v) == want[j][k]])
+            extend(cols + [x], later, want, found)
+
+    frames = {}
+    for c in similitudes:
+        want = table.scale(c, gram)
+        found = []
+        extend([], [by_norm.get(want[j][j], []) for j in range(t)], want, found)
+        for X in found:
+            if table.mat_mul(table.mat_mul(table.conj_transpose(X), gram), X) != want:
+                raise FormulaInconsistencyError(f"frame {X} fails X* G X = c G for c = {c}")
+        frames[c] = sorted(found)
+    return frames
+
+
+def _gusplit_3_1_blocks():
+    h = reduce_pairing(build_superspecial_unitary(3, 2, -1, 3, 1))
+    table = field_table(3, 2)
+    return [(table, table.mat_encode(block), table.fp_units) for block in h.blocks()]
+
+
+def _per_candidate_cases():
+    t3, t5, t7 = field_table(3), field_table(5), field_table(7)
+    return {
+        "identity(3)-p3": [(t3, t3.identity(3), (1,))],
+        "identity(2)-p5": [(t5, t5.identity(2), t5.fp_units)],
+        "identity(2)-p7": [(t7, t7.identity(2), t7.fp_units)],
+        "pairing(3,-1,3,1)": _gusplit_3_1_blocks(),
+    }
+
+
+class TestListWiseFilter:
+    """The list-wise column filter and the batched re-check give the lists,
+    in the same order, and the candidate counts of the per-candidate path,
+    on cases the q^(t^2) filter oracle cannot reach."""
+
+    @pytest.mark.parametrize("name", ["identity(3)-p3", "identity(2)-p5", "identity(2)-p7", "pairing(3,-1,3,1)"])
+    def test_matches_per_candidate_enumeration(self, name):
+        for table, gram, similitudes in _per_candidate_cases()[name]:
+            fast, slow = EnumBudget("test"), EnumBudget("test")
+            assert similitude_frames(table, gram, similitudes, fast) == _frames_per_candidate(
+                table, gram, similitudes, slow
+            )
+            assert fast.count == slow.count
+
+    @staticmethod
+    def _corrupt(table, X, i, j):
+        rows = [list(row) for row in X]
+        rows[i][j] = table.add[rows[i][j]][1]
+        return tuple(map(tuple, rows))
+
+    @pytest.mark.parametrize("bad", [[(5, 0, 0)], [(7, 0, 0), (3, 1, 1)], [(3, 1, 0), (4, 0, 1)]])
+    def test_recheck_names_the_first_bad_frame(self, bad):
+        # GU_2(F_9) at c = 2: each listed frame, with one entry moved by 1,
+        # is no longer a similitude; the first corrupted frame in list
+        # order is named, whichever product entry finds the fault first
+        table = field_table(3)
+        gram = table.identity(2)
+        frames = list(_frames(table, gram, table.fp_units)[2])
+        ftables._check_similitude(table, gram, 2, frames)
+        for index, i, j in bad:
+            frames[index] = self._corrupt(table, frames[index], i, j)
+        first = frames[min(index for index, _, _ in bad)]
+        with pytest.raises(FormulaInconsistencyError) as err:
+            ftables._check_similitude(table, gram, 2, frames)
+        assert str(err.value) == f"frame {first} fails X* G X = c G for c = 2"
+
+    def test_every_similitude_is_rechecked(self, monkeypatch):
+        table = field_table(3)
+        checked = []
+        monkeypatch.setattr(ftables, "_check_similitude", lambda *args: checked.append(args))
+        frames = _frames(table, table.identity(2), table.fp_units)
+        assert [(c, sorted(found)) for _, _, c, found in checked] == list(frames.items())
 
 
 def _block_similitudes_per_product(table, grams):

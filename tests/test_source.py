@@ -174,6 +174,16 @@ def _callee(call):
     return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
 
 
+def test_similitude_frames_filters_whole_lists():
+    # the per-candidate path, a dot call per candidate and mat_mul per
+    # frame, lives only in tests/test_groups.py as _frames_per_candidate;
+    # the enumerator's dot closure serves the q^t vector scan alone
+    fn = _function(_modules()["ftables"], "similitude_frames")
+    assert "mat_mul" not in {_callee(node) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    extend = _function(fn, "extend")
+    assert "dot" not in {_callee(node) for node in ast.walk(extend) if isinstance(node, ast.Call)}
+
+
 def _modular_power_loops(tree):
     """The loops and comprehensions whose body calls three-argument pow,
     as Miller-Rabin does."""

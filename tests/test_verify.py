@@ -36,6 +36,10 @@ FULL_NAMES = [
     "lemma-gp-check(7,-1,1,1)",
     "aut-bruteforce-vs-gusplit-order(3,2,2)",
     "pregular-classes-vs-enumeration(2,0,5)",
+    "gusplit-order-vs-enumeration(3,1,3)",
+    "aut-bruteforce-vs-gusplit-order(3,3,1)",
+    "superspecial-model-core(3,3,1)",
+    "endpoint-admissibility(3,3,1)",
 ]
 
 
