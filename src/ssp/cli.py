@@ -3,24 +3,12 @@
 Reports are JSON by default (CSV with --csv), deterministic byte-for-byte
 for identical inputs: keys are sorted, big integers are serialized as
 decimal strings, and every numeric result carries a provenance label
-("formula", "enumeration" or "bound").
+("formula", "enumeration" or "bound").  The exit codes, the bounds on
+n and s and what SSP_MAX_ENUM charges are listed once, in the README's
+CLI section; `errors.EXIT_CODES` is the code of that table.
 
-Exit codes: 0 ok, 1 verify mismatch, 2 parse/validation, 3 insufficient
-precision, 4 enumeration budget exceeded.  A truncation level n given
-from outside, a module file's "n" or `pairing --n`, and a field degree
-s, a module file's "s" or a representation's "field.s", must lie in
-1..64 (64 is the cap of the newton retry); any other n or s exits 2.  The
-SSP_MAX_ENUM environment variable, and nothing else, caps the candidates
-one enumeration check may examine (default 10^8): vectors scanned or
-filtered while unitary frames are built column by column, the frames of
-G(p) together with the |G(p)| x 4rs basis images of the level-p lemma
-check, the isqrt(hi) base primes a sweep sieves, the trial divisors past
-4096 that factoring a composite alpha or N needs, the N^4 quadruples of
-the GL_2 oracle, the N^(2k) (2 N^k + N) half-vector steps (k = 1..g) and
-N units of the GSp oracle, and the q^2 entries of each dense F_{p^2}
-table a group oracle, class count, lemma check or the `pairing`
-automorphism count builds.  It stops an enumeration as soon as the count
-is sure to pass the cap.
+Subcommand x is run by `_cmd_x`, which returns its report; the report
+echoes the parsed arguments as its parameters.
 
 A reader that closes stdout early (`ssp sweep ... --csv | head`) ends
 the command: writing stops, stdout is pointed at os.devnull so that the
@@ -80,14 +68,17 @@ def _val(x, provenance: str) -> dict:
     return {"value": _fmt(x), "provenance": provenance}
 
 
-def _report(command: str, parameters: dict, results: dict, notes=(), status: str = "ok") -> dict:
+def _report(args, results: dict, notes=(), **fields) -> dict:
+    """The report of `args.command`.  Its parameters are the parsed
+    arguments and its status is "ok", unless `fields` gives others."""
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "csv")}
     return {
-        "command": command,
+        "command": args.command,
         "parameters": parameters,
         "results": results,
         "notes": list(notes),
-        "status": status,
-    }
+        "status": "ok",
+    } | fields
 
 
 def _flatten(prefix: str, obj, writer):
@@ -126,29 +117,36 @@ def _emit(report: dict, as_csv: bool):
 # subcommand handlers
 
 
-def _cmd_bound(args) -> tuple[dict, int]:
+# (key, CountReport field, provenance) of each result of `bound`; a
+# sweep row carries the last four
+_BOUND_RESULTS = (
+    ("c_g", "c_g", "formula"),
+    ("gsp_order", "gsp_order", "formula"),
+    ("mass_product", "mass_product", "formula"),
+    ("superspecial_bound", "superspecial_bound_exact", "bound"),
+    ("class_count", "class_count", "formula"),
+    ("dim_bound", "dim_bound", "bound"),
+    ("superspecial_bound_ceiling", "superspecial_bound_ceiling", "bound"),
+    ("irr_sum_bound", "irr_sum_bound", "bound"),
+    ("final_bound", "final_bound", "bound"),
+    ("asymptotic_exponent", "asymptotic_exponent", "formula"),
+)
+_SWEEP_RESULTS = _BOUND_RESULTS[-4:]
+_SUPERSPECIAL_NOTE = f"superspecial_bound: {count_mod.SUPERSPECIAL_BOUND_NOTE}"
+
+
+def _results(rep: count_mod.CountReport, table) -> dict:
+    return {key: _val(getattr(rep, field), provenance) for key, field, provenance in table}
+
+
+def _cmd_bound(args) -> dict:
     params = count_mod.SignatureParams(p=args.p, alpha=args.alpha, r=args.r, s=args.s, N=args.N)
     rep = count_mod.eigensystem_bound(params)
-    results = {
-        "c_g": _val(rep.c_g, "formula"),
-        "gsp_order": _val(rep.gsp_order, "formula"),
-        "mass_product": _val(rep.mass_product, "formula"),
-        "superspecial_bound": _val(rep.superspecial_bound_exact, "bound"),
-        "superspecial_bound_ceiling": _val(rep.superspecial_bound_ceiling, "bound"),
-        "class_count": _val(rep.class_count, "formula"),
-        "dim_bound": _val(rep.dim_bound, "bound"),
-        "irr_sum_bound": _val(rep.irr_sum_bound, "bound"),
-        "final_bound": _val(rep.final_bound, "bound"),
-        "asymptotic_exponent": _val(rep.asymptotic_exponent, "formula"),
-    }
-    notes = list(params.warnings) + [
-        f"superspecial_bound: {count_mod.SUPERSPECIAL_BOUND_NOTE}",
-        "final_bound = ceil(superspecial_bound) * irr_sum_bound",
-    ]
-    return _report("bound", _echo(args, "p alpha r s N"), results, notes), 0
+    notes = [*params.warnings, _SUPERSPECIAL_NOTE, "final_bound = ceil(superspecial_bound) * irr_sum_bound"]
+    return _report(args, _results(rep, _BOUND_RESULTS), notes)
 
 
-def _cmd_group(args) -> tuple[dict, int]:
+def _cmd_group(args) -> dict:
     arity = groups.group_family(args.family).arity
     try:
         params = tuple(int(x) for x in args.params.split(","))
@@ -160,23 +158,7 @@ def _cmd_group(args) -> tuple[dict, int]:
         enum = spec.enumerated_order()
         results["order_enumerated"] = _val(enum, "enumeration")
         results["match"] = enum == spec.order()
-    return _report("group", {"family": args.family, "params": list(params)}, results), 0
-
-
-def _polygon_results(np_: dieudonne.NewtonPolygon, m: dieudonne.DieudonneModule) -> dict:
-    hp = dieudonne.hodge_polygon(m)
-    adm = dieudonne.endpoint_admissibility(np_, hp)
-    return {
-        "slopes": _val("; ".join(f"{lam} x{m}" for lam, m in np_.slopes), "formula"),
-        "isoclinic": dieudonne.is_isoclinic(np_),
-        "basic": dieudonne.is_isoclinic(np_),
-        "hodge_weights": _val("; ".join(f"{w} x{m}" for w, m in hp.weights), "formula"),
-        "t_newton": _val(adm.t_newton, "formula"),
-        "t_hodge": _val(adm.t_hodge, "formula"),
-        "endpoints_equal": adm.endpoints_equal,
-        "newton_at_or_above": adm.newton_at_or_above,
-        "truncation_used": _val(m.ring.n, "formula"),
-    }
+    return _report(args, results, parameters={"family": args.family, "params": list(params)})
 
 
 def _load_json(path, what):
@@ -189,16 +171,29 @@ def _load_json(path, what):
             raise ValidationError(f"{what} is not valid JSON: {e}") from None
 
 
-def _cmd_newton(args) -> tuple[dict, int]:
+def _cmd_newton(args) -> dict:
     np_, m = dieudonne.newton_polygon_with_retry(_load_json(args.file, "module file"))
-    return _report("newton", {"file": args.file}, _polygon_results(np_, m)), 0
+    hp = dieudonne.hodge_polygon(m)
+    adm = dieudonne.endpoint_admissibility(np_, hp)
+    results = {
+        "slopes": _val("; ".join(f"{lam} x{k}" for lam, k in np_.slopes), "formula"),
+        "isoclinic": dieudonne.is_isoclinic(np_),
+        "basic": dieudonne.is_isoclinic(np_),
+        "hodge_weights": _val("; ".join(f"{w} x{k}" for w, k in hp.weights), "formula"),
+        "t_newton": _val(adm.t_newton, "formula"),
+        "t_hodge": _val(adm.t_hodge, "formula"),
+        "endpoints_equal": adm.endpoints_equal,
+        "newton_at_or_above": adm.newton_at_or_above,
+        "truncation_used": _val(m.ring.n, "formula"),
+    }
+    return _report(args, results)
 
 
-def _cmd_pairing(args) -> tuple[dict, int]:
+def _cmd_pairing(args) -> dict:
     m = dieudonne.build_superspecial_unitary(args.p, args.n, args.alpha, args.r, args.s)
     h = hermitian.reduce_pairing(m)
     order_formula = groups.order_gusplit(args.r, args.s, args.p)
-    order_enum = len(hermitian.automorphism_group_coded(h))
+    order_enum = hermitian.automorphism_group_order(h)
     disagreements = hermitian.pairing_well_defined(m, h, trials=20, seed=0)
     results = {
         "quotient_dim": _val(h.dim, "formula"),
@@ -209,10 +204,10 @@ def _cmd_pairing(args) -> tuple[dict, int]:
         "aut_order_enumerated": _val(order_enum, "enumeration"),
         "match": order_enum == order_formula,
     }
-    return _report("pairing", _echo(args, "p alpha r s n"), results), 0
+    return _report(args, results)
 
 
-def _cmd_amf(args) -> tuple[dict, int]:
+def _cmd_amf(args) -> dict:
     space = count_mod.coset_space_from_dict(_load_json(args.space_file, args.space_file))
     rho = count_mod.representation_from_dict(_load_json(args.rep_file, args.rep_file))
     dim = count_mod.equivariant_dimension(space, rho)
@@ -222,28 +217,15 @@ def _cmd_amf(args) -> tuple[dict, int]:
         "rep_dim": _val(rho.dim, "formula"),
         "bound_check": dim <= space.points * rho.dim,
     }
-    return _report("amf", {"space_file": args.space_file, "rep_file": args.rep_file}, results), 0
+    return _report(args, results)
 
 
-def _echo(args, names: str) -> dict:
-    return {k: getattr(args, k) for k in names.split()}
-
-
-# ---------------------------------------------------------------------------
-# verify
-
-
-def _cmd_verify(args) -> tuple[dict, int]:
+def _cmd_verify(args) -> dict:
     results = verify.run(args.level)
-    ok = results["first_failure"] is None
-    return _report("verify", {"level": args.level}, results, status="ok" if ok else "fail"), 0 if ok else 1
+    return _report(args, results, status="ok" if results["first_failure"] is None else "fail")
 
 
-# ---------------------------------------------------------------------------
-# sweep
-
-
-def _cmd_sweep(args) -> tuple[dict, int]:
+def _cmd_sweep(args) -> dict:
     """The range is parsed and checked here; the rows are a generator,
     evaluated as the report is written."""
     try:
@@ -256,23 +238,15 @@ def _cmd_sweep(args) -> tuple[dict, int]:
 
     def rows():
         for p in primes:
-            row = {"p": p}
             try:
                 params = count_mod.SignatureParams(p=p, alpha=args.alpha, r=args.r, s=args.s, N=args.N)
                 rep = count_mod.eigensystem_bound(params)
             except ValidationError as e:
-                row["status"] = "skipped"
-                row["reason"] = str(e)
+                yield {"p": p, "status": "skipped", "reason": str(e)}
             else:
-                row["status"] = "ok"
-                row["final_bound"] = _val(rep.final_bound, "bound")
-                row["superspecial_bound_ceiling"] = _val(rep.superspecial_bound_ceiling, "bound")
-                row["irr_sum_bound"] = _val(rep.irr_sum_bound, "bound")
-                row["asymptotic_exponent"] = _val(rep.asymptotic_exponent, "formula")
-            yield row
+                yield {"p": p, "status": "ok"} | _results(rep, _SWEEP_RESULTS)
 
-    notes = [f"superspecial_bound: {count_mod.SUPERSPECIAL_BOUND_NOTE}"]
-    return _report("sweep", _echo(args, "alpha r s N") | {"sweep": args.sweep}, {"rows": rows()}, notes), 0
+    return _report(args, {"rows": rows()}, [_SUPERSPECIAL_NOTE])
 
 
 # ---------------------------------------------------------------------------
@@ -281,60 +255,44 @@ def _cmd_sweep(args) -> tuple[dict, int]:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use.  A subcommand's handler is stored
-    by name and looked up when it runs."""
+    """The parser, built on first use."""
     parser = argparse.ArgumentParser(
         prog="ssp",
         description="Exact superspecial unitary module computations and eigensystem-count bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_fmt(p):
-        p.add_argument("--csv", action="store_true", help="CSV output instead of JSON")
-
     p = sub.add_parser("bound", help="eigensystem-count bound pipeline")
     for flag in ("--p", "--alpha", "--r", "--s", "--N"):
         p.add_argument(flag, type=int, required=True)
-    add_fmt(p)
-    p.set_defaults(handler="_cmd_bound")
 
     p = sub.add_parser("group", help="exact order of a finite group family")
     p.add_argument("--family", required=True, help=" | ".join(groups.FAMILIES))
     p.add_argument("--params", required=True, help="comma-separated parameters")
     p.add_argument("--oracle", action="store_true", help="also run the enumeration oracle")
-    add_fmt(p)
-    p.set_defaults(handler="_cmd_group")
 
     p = sub.add_parser("newton", help="Newton polygon of a JSON module spec")
     p.add_argument("file")
-    add_fmt(p)
-    p.set_defaults(handler="_cmd_newton")
 
     p = sub.add_parser("pairing", help="mod-p pairing and automorphism group of the model")
     for flag in ("--p", "--alpha", "--r", "--s"):
         p.add_argument(flag, type=int, required=True)
     p.add_argument("--n", type=int, default=2, help="truncation level, 1..64 (default 2)")
-    add_fmt(p)
-    p.set_defaults(handler="_cmd_pairing")
 
     p = sub.add_parser("amf", help="equivariant-function dimension on a coset fixture")
     p.add_argument("space_file")
     p.add_argument("rep_file")
-    add_fmt(p)
-    p.set_defaults(handler="_cmd_amf")
 
     p = sub.add_parser("verify", help="run the formula-vs-oracle suite")
     p.add_argument("--level", default="quick", help="quick | full")
-    add_fmt(p)
-    p.set_defaults(handler="_cmd_verify")
 
     p = sub.add_parser("sweep", help="bound pipeline over a range of primes")
     p.add_argument("--sweep", required=True, help="prime range, e.g. 3:13")
     for flag in ("--alpha", "--r", "--s", "--N"):
         p.add_argument(flag, type=int, required=True)
-    add_fmt(p)
-    p.set_defaults(handler="_cmd_sweep")
 
+    for p in sub.choices.values():
+        p.add_argument("--csv", action="store_true", help="CSV output instead of JSON")
     return parser
 
 
@@ -346,13 +304,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         try:
-            report, code = globals()[args.handler](args)
+            report = globals()[f"_cmd_{args.command}"](args)
+            code = 1 if report["status"] == "fail" else 0
             _emit(report, args.csv)
         except Exception as e:
             code = exit_code(e)
             if code is None:
                 raise
-            _emit(_report(args.command, {}, {"error": str(e)}, status="error"), args.csv)
+            _emit(_report(args, {"error": str(e)}, parameters={}, status="error"), args.csv)
         # flushed here, so that a closed pipe is met by the handler below
         # and not by the interpreter's flush at exit
         sys.stdout.flush()

@@ -2,9 +2,8 @@
 JSON specs, and `EnumBudget`, the one meter of each enumeration check,
 whose limit the SSP_MAX_ENUM environment variable alone sets.
 
-Exit-code mapping used by the CLI (`EXIT_CODES`): ValidationError and
-FileNotFoundError -> 2, InsufficientPrecisionError -> 3,
-BudgetExceededError -> 4, any other SspError -> 1.
+`EXIT_CODES` maps each exception type to its CLI exit code; the
+README's CLI section lists the codes and what SSP_MAX_ENUM charges.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ every unitary-group and automorphism-group oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from operator import getitem
 
@@ -290,4 +291,12 @@ def block_similitudes(table: FieldTable, grams, budget: EnumBudget) -> list:
             offset += size
         out += elements
     return out
+
+
+def block_similitude_order(table: FieldTable, grams, budget: EnumBudget) -> int:
+    """len(block_similitudes(table, grams, budget)), with the same budget
+    charges: the sum over c of the product of the blocks' frame counts,
+    with no element listed."""
+    frames = [similitude_frames(table, G, table.fp_units, budget) for G in grams]
+    return sum(math.prod(len(f[c]) for f in frames) for c in table.fp_units)
 

@@ -23,7 +23,7 @@ from math import gcd
 from typing import Callable, NamedTuple
 
 from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
-from .ftables import block_similitudes, field_table, metered_table, similitude_frames
+from .ftables import block_similitude_order, block_similitudes, field_table, metered_table, similitude_frames
 from .gf import is_prime
 from .linalg import rank
 from .witt import hensel_sqrt, witt_ring
@@ -102,11 +102,6 @@ def order_u(t: int, p: int) -> int:
     return order_su(t, p) * (p + 1)
 
 
-def order_gu(t: int, p: int) -> int:
-    """Unitary similitudes; the similitude character is onto F_p^x."""
-    return order_u(t, p) * (p - 1)
-
-
 def order_gusplit(r: int, s: int, p: int) -> int:
     if r < 0 or s < 0:
         raise ValidationError("r, s must be >= 0")
@@ -171,6 +166,13 @@ def su_group_elements(t: int, p: int) -> list:
     return [X for X in elements if det(X) == 1]
 
 
+def _gusplit_blocks(r: int, s: int, p: int):
+    """(table, grams, meter) of the two identity blocks of G(U_r x U_s)."""
+    meter = EnumBudget("gusplit_group_elements")
+    table = metered_table(p, 2, meter)
+    return table, (table.identity(r), table.identity(s)), meter
+
+
 def gusplit_group_elements(r: int, s: int, p: int) -> list:
     """All block-diagonal (X, Y) with X*X = cI_r, Y*Y = cI_s, c in F_p^x.
 
@@ -178,9 +180,13 @@ def gusplit_group_elements(r: int, s: int, p: int) -> list:
     and paired up by c, so the work is that of the two blocks, not of
     their product.
     """
-    meter = EnumBudget("gusplit_group_elements")
-    table = metered_table(p, 2, meter)
-    return block_similitudes(table, (table.identity(r), table.identity(s)), meter)
+    return block_similitudes(*_gusplit_blocks(r, s, p))
+
+
+def gusplit_order_enumerated(r: int, s: int, p: int) -> int:
+    """len(gusplit_group_elements(r, s, p)), counted from the frames of
+    each block with the same budget charges."""
+    return block_similitude_order(*_gusplit_blocks(r, s, p))
 
 
 def gl2_order_enumerated(N: int) -> int:
@@ -260,10 +266,9 @@ class Family(NamedTuple):
 FAMILIES = {
     "su": Family(2, lambda t, p: order_su(t, p), lambda t, p: len(su_group_elements(t, p))),
     "u": Family(2, lambda t, p: order_u(t, p), lambda t, p: len(unitary_group_elements(t, p))),
-    "gu": Family(2, lambda t, p: order_gu(t, p), lambda t, p: len(gusplit_group_elements(t, 0, p))),
-    "gusplit": Family(
-        3, lambda r, s, p: order_gusplit(r, s, p), lambda r, s, p: len(gusplit_group_elements(r, s, p))
-    ),
+    # GU_t is G(U_t x U_0); the similitude character is onto F_p^x
+    "gu": Family(2, lambda t, p: order_gusplit(t, 0, p), lambda t, p: gusplit_order_enumerated(t, 0, p)),
+    "gusplit": Family(3, lambda r, s, p: order_gusplit(r, s, p), lambda r, s, p: gusplit_order_enumerated(r, s, p)),
     "gsp": Family(
         2,
         lambda g, N: order_gsp_mod(g, N),

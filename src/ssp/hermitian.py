@@ -17,7 +17,7 @@ from typing import Optional
 from . import linalg
 from .dieudonne import DieudonneModule, canonical_lie_action, check_axioms
 from .errors import EnumBudget, ValidationError
-from .ftables import block_similitudes, field_table, metered_table
+from .ftables import block_similitude_order, block_similitudes, metered_table
 from .witt import WittElem, WittRing, hensel_sqrt
 
 
@@ -156,26 +156,27 @@ def pairing_well_defined(m: DieudonneModule, h: HermitianQuotient, trials: int =
 
 
 # ---------------------------------------------------------------------------
-# automorphism groups by exhaustive enumeration
+# automorphism groups by exhaustive enumeration: the block-diagonal X with
+# X* gram X = c gram for a common similitude c in F_p^x.  The frames of
+# each grading block are enumerated independently (the blocks only
+# interact through c; see ftables.similitude_frames).
 
 
-def automorphism_group_coded(h: HermitianQuotient) -> list:
-    """All automorphisms of the Hermitian space: block-diagonal matrices
-    with X* gram X = c gram for a common similitude c in F_p^x, coded
-    over field_table(p, s) of h.ctx.  The order is their number.
-
-    Enumerates the frames of each grading block independently (the
-    blocks only interact through c; see ftables.similitude_frames).
-    """
+def _coded_blocks(h: HermitianQuotient):
+    """(table, coded grading blocks, meter) of h over field_table(p, s)."""
     meter = EnumBudget("automorphism_group_bruteforce")
     table = metered_table(h.ctx.p, h.ctx.s, meter)
-    return block_similitudes(table, [table.mat_encode(block) for block in h.blocks()], meter)
+    return table, [table.mat_encode(block) for block in h.blocks()], meter
+
+
+def automorphism_group_order(h: HermitianQuotient) -> int:
+    """The number of automorphisms, counted from the frames of each block."""
+    return block_similitude_order(*_coded_blocks(h))
 
 
 def automorphism_group_bruteforce(h: HermitianQuotient) -> tuple[int, list]:
-    """(order, elements) of automorphism_group_coded(h), with the
-    elements decoded to matrices over h.ctx."""
-    coded = automorphism_group_coded(h)
-    elements = field_table(h.ctx.p, h.ctx.s).mats_decode(coded)
+    """(order, elements), the elements decoded to matrices over h.ctx."""
+    table, grams, meter = _coded_blocks(h)
+    elements = table.mats_decode(block_similitudes(table, grams, meter))
     return len(elements), elements
 

@@ -34,8 +34,8 @@ def _pregular(r: int, s: int, p: int):
 
 def _sylow():
     for r, s in ((1, 1), (2, 0)):
-        order = len(groups.gusplit_group_elements(r, s, 3))
-        want = 3 ** ((r * (r - 1) + s * (s - 1)) // 2)
+        order = groups.gusplit_order_enumerated(r, s, 3)
+        want = groups.irrep_dim_bound(r, s, 3)
         if groups.sylow_p_order(order, 3) != want:
             return False, f"(r,s)=({r},{s}): {groups.sylow_p_order(order, 3)} vs {want}"
     return True, "p-Sylow orders match p^((r(r-1)+s(s-1))/2)"
@@ -43,7 +43,7 @@ def _sylow():
 
 def _aut(r: int, s: int):
     m = dieudonne.build_superspecial_unitary(3, 2, -1, r, s)
-    order = len(hermitian.automorphism_group_coded(hermitian.reduce_pairing(m)))
+    order = hermitian.automorphism_group_order(hermitian.reduce_pairing(m))
     return _eq(order, groups.order_gusplit(r, s, 3))
 
 

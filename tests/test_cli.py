@@ -224,6 +224,14 @@ class TestGroup:
         assert proc.returncode == 4, proc.stderr
         assert message in json.loads(proc.stdout)["results"]["error"]
 
+    def test_gusplit_2_2_7_oracle_counts_without_a_list(self, run_capped):
+        # 43 352 064 elements: the oracle counts the frames of each block
+        # instead of listing their products, which ends in MemoryError
+        proc = run_capped("group", "--family", "gusplit", "--params", "2,2,7", "--oracle", timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        res = json.loads(proc.stdout)["results"]
+        assert res["order"]["value"] == res["order_enumerated"]["value"] == "43352064"
+
     def test_gsp_oracle_at_7_finishes(self, run_capped):
         # 7^8 vector pairs, but 7^4 (2 * 7^2 + 7) half-vector steps
         proc = run_capped("group", "--family", "gsp", "--params", "2,7", "--oracle", timeout=20)
@@ -409,6 +417,12 @@ class TestPairing:
         assert proc.returncode == 4, proc.stderr
         error = json.loads(proc.stdout)["results"]["error"]
         assert f"automorphism_group_bruteforce would reach {10201**2} candidates" in error
+
+    def test_2_2_7_counts_without_a_list(self, run_capped):
+        proc = run_capped("pairing", "--p", "7", "--alpha", "-1", "--r", "2", "--s", "2", timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        res = json.loads(proc.stdout)["results"]
+        assert res["aut_order_formula"]["value"] == res["aut_order_enumerated"]["value"] == "43352064"
 
     @pytest.mark.parametrize(
         "n, error",
@@ -616,6 +630,39 @@ class TestSweep:
         proc = run_capped("sweep", "--sweep", f"3:{10**30}", "--alpha", "-1", "--r", "1", "--s", "1", "--N", "3")
         assert proc.returncode == 4, proc.stderr
         assert f"sweep would reach {10**15} candidates" in json.loads(proc.stdout)["results"]["error"]
+
+
+_SIGNATURE = ["--alpha", "-1", "--r", "1", "--s", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, parameters",
+    [
+        (["bound", "--p", "3", *_SIGNATURE, "--N", "3"], {"p": 3, "alpha": -1, "r": 1, "s": 1, "N": 3}),
+        (["group", "--family", "gusplit", "--params", "1,1,3", "--oracle"], {"family": "gusplit", "params": [1, 1, 3]}),
+        (["newton", "module.json"], {"file": "module.json"}),
+        (["pairing", "--p", "3", *_SIGNATURE], {"p": 3, "alpha": -1, "r": 1, "s": 1, "n": 2}),
+        (["amf", "space.json", "rep.json"], {"space_file": "space.json", "rep_file": "rep.json"}),
+        (["verify"], {"level": "quick"}),
+        (["sweep", "--sweep", "3:7", *_SIGNATURE, "--N", "3"], {"sweep": "3:7", "alpha": -1, "r": 1, "s": 1, "N": 3}),
+        (["bound", "--p", "4", *_SIGNATURE, "--N", "3"], {}),
+    ],
+    ids=["bound", "group", "newton", "pairing", "amf", "verify", "sweep", "error"],
+)
+def test_report_echoes_its_parameters(tmp_path, monkeypatch, capsys, argv, parameters):
+    # a report echoes the parsed arguments but --csv; `group` echoes the
+    # parsed --params and an error report echoes none
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "module.json").write_text(
+        json.dumps({"p": 3, "s": 2, "n": 2, "rank": 2, "F": [[0, 1], [-3, 0]], "V": [[0, -1], [3, 0]]})
+    )
+    (tmp_path / "space.json").write_text(json.dumps({"points": 1, "generators": []}))
+    (tmp_path / "rep.json").write_text(json.dumps({"dim": 1, "field": {"p": 3}, "generators": []}))
+    code, out = run(capsys, *argv)
+    assert code == (2 if parameters == {} else 0)
+    report = json.loads(out)
+    assert report["command"] == argv[0]
+    assert report["parameters"] == parameters
 
 
 def _reference_sweep(window, alpha, r, s, N, as_csv):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ssp import ftables, groups
 from ssp.dieudonne import build_a_half, build_superspecial_unitary
 from ssp.errors import BudgetExceededError, EnumBudget, FormulaInconsistencyError, ValidationError
-from ssp.ftables import FieldTable, field_table, similitude_frames
+from ssp.ftables import FieldTable, block_similitude_order, block_similitudes, field_table, similitude_frames
 from ssp.gf import is_nonresidue
 from ssp.groups import (
     GroupSpec,
@@ -25,7 +25,6 @@ from ssp.groups import (
     irrep_sum_bound,
     lemma_gp_check,
     order_gsp_mod,
-    order_gu,
     order_gusplit,
     order_su,
     order_u,
@@ -35,7 +34,7 @@ from ssp.groups import (
     sylow_p_order,
     unitary_group_elements,
 )
-from ssp.hermitian import automorphism_group_bruteforce, automorphism_group_coded, reduce_pairing
+from ssp.hermitian import automorphism_group_bruteforce, automorphism_group_order, reduce_pairing
 from ssp.witt import hensel_sqrt, witt_ring
 
 
@@ -115,7 +114,8 @@ class TestEnumerationOracles:
 
     def test_gu_vs_enumeration(self):
         # GU_t = gusplit(t, 0)
-        assert len(gusplit_group_elements(2, 0, 3)) == order_gu(2, 3) == 192
+        gu = GroupSpec("gu", (2, 3))
+        assert len(gusplit_group_elements(2, 0, 3)) == gu.order() == gu.enumerated_order() == 192
 
     def test_gsp_1_3_vs_gl2(self):
         assert gl2_order_enumerated(3) == order_gsp_mod(1, 3) == 48
@@ -378,8 +378,28 @@ class TestBlockSimilitudes:
         h = reduce_pairing(build_superspecial_unitary(3, 2, -1, 2, 2))
         table = field_table(3)
         coded = _block_similitudes_per_product(table, [table.mat_encode(block) for block in h.blocks()])
-        assert automorphism_group_coded(h) == coded
+        assert automorphism_group_order(h) == len(coded)
         assert automorphism_group_bruteforce(h) == (len(coded), [table.mat_decode(X) for X in coded])
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            *[("gusplit", r, s, p) for r, s, p in [(1, 1, 3), (2, 0, 3), (2, 2, 3), (0, 2, 5)]],
+            *[("pairing", r, s, 3) for r, s in [(2, 2), (3, 1)]],
+        ],
+        ids=lambda b: f"{b[0]}({','.join(map(str, b[1:]))})",
+    )
+    def test_order_counts_the_list_with_equal_charges(self, blocks):
+        kind, r, s, p = blocks
+        table = field_table(p)
+        if kind == "gusplit":
+            grams = (table.identity(r), table.identity(s))
+        else:
+            h = reduce_pairing(build_superspecial_unitary(p, 2, -1, r, s))
+            grams = [table.mat_encode(block) for block in h.blocks()]
+        listed, counted = EnumBudget("list"), EnumBudget("count")
+        assert block_similitude_order(table, grams, counted) == len(block_similitudes(table, grams, listed))
+        assert counted.count == listed.count
 
     def test_mats_decode_matches_mat_decode(self):
         table = field_table(3)

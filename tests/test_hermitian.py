@@ -15,7 +15,7 @@ from ssp.errors import BudgetExceededError, ValidationError
 from ssp.hermitian import (
     HermitianQuotient,
     automorphism_group_bruteforce,
-    automorphism_group_coded,
+    automorphism_group_order,
     pairing_well_defined,
     reduce_pairing,
 )
@@ -373,7 +373,7 @@ class TestAutomorphisms:
             assert not any(c.coeffs[1:]) and not c.is_zero()
 
     def test_order_needs_no_decoding(self, monkeypatch, capsys):
-        # `pairing` and `verify` read the order alone, from the coded list
+        # `pairing` and `verify` read the order alone, counted from the frames
         import json
 
         from ssp import verify
@@ -385,7 +385,7 @@ class TestAutomorphisms:
 
         monkeypatch.setattr(FieldTable, "mats_decode", refuse)
         h = reduce_pairing(build_superspecial_unitary(3, 2, -1, 2, 2))
-        assert len(automorphism_group_coded(h)) == 18432
+        assert automorphism_group_order(h) == 18432
         assert verify._aut(2, 2)[0]
         assert main(["pairing", "--p", "3", "--alpha", "-1", "--r", "2", "--s", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["aut_order_enumerated"]["value"] == "18432"

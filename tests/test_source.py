@@ -244,56 +244,41 @@ def test_lemma_gp_check_counts_fibres_instead_of_filtering():
     assert "rank" in reached
 
 
+def _mentions(pattern: str) -> list:
+    """Each match of `pattern` in the package source, as "file:match"."""
+    gone = re.compile(pattern)
+    return [
+        f"{path.name}:{match.group()}"
+        for path in sorted(SRC.glob("*.py"))
+        for match in gone.finditer(path.read_text(encoding="utf-8"))
+    ]
+
 
 def test_one_coded_ring():
     # the level-p lemma runs on F_{p^2} field tables alone: ftables has the
     # one coded class, and no dense quaternion table or second ring is left
     classes = [node.name for node in ast.walk(_modules()["ftables"]) if isinstance(node, ast.ClassDef)]
     assert classes == ["FieldTable"]
-    gone = re.compile(r"\b(QuatTable|quat_table|CodedRing|QuatModP)\b")
-    offenders = [
-        f"{path.name}:{match.group()}"
-        for path in sorted(SRC.glob("*.py"))
-        for match in gone.finditer(path.read_text(encoding="utf-8"))
-    ]
-    assert offenders == []
+    assert _mentions(r"\b(QuatTable|quat_table|CodedRing|QuatModP)\b") == []
 
 
 def test_one_path_per_arithmetic_job():
     # gf has one polynomial remainder, Witt operands are ring elements with
     # no reflected int operators, and basic-for-GL is is_isoclinic itself
-    gone = re.compile(r"\b(_pmod|__radd__|__rsub__|__rmul__|is_basic_gl)\b")
-    offenders = [
-        f"{path.name}:{match.group()}"
-        for path in sorted(SRC.glob("*.py"))
-        for match in gone.finditer(path.read_text(encoding="utf-8"))
-    ]
-    assert offenders == []
+    assert _mentions(r"\b(_pmod|__radd__|__rsub__|__rmul__|is_basic_gl)\b") == []
 
 
 def test_frozen_objects_store_only_their_inputs():
     # derived matrices are cached properties, not hand-rolled memos in an
     # instance's __dict__; Witt elements are reduced by the modulus in
     # WittRing.dot alone; an action always comes with its alpha
-    gone = re.compile(r"__dict__|\b_reduce_poly\b|action-squares-to-scalar")
-    offenders = [
-        f"{path.name}:{match.group()}"
-        for path in sorted(SRC.glob("*.py"))
-        for match in gone.finditer(path.read_text(encoding="utf-8"))
-    ]
-    assert offenders == []
+    assert _mentions(r"__dict__|\b_reduce_poly\b|action-squares-to-scalar") == []
 
 
 def test_each_input_is_checked_where_its_object_is_made():
     # a module spec is read by newton_polygon_with_retry once for every
     # level, and the 1..64 caps on n and s are WittRing's
-    gone = re.compile(r"\b(module_from_dict|truncation_level|n_override)\b")
-    offenders = [
-        f"{path.name}:{match.group()}"
-        for path in sorted(SRC.glob("*.py"))
-        for match in gone.finditer(path.read_text(encoding="utf-8"))
-    ]
-    assert offenders == []
+    assert _mentions(r"\b(module_from_dict|truncation_level|n_override)\b") == []
 
 
 def _functions(tree):
@@ -345,6 +330,36 @@ def test_group_families_live_in_groups():
     # chain over the names is left in GroupSpec
     named = [node.value for node in ast.walk(modules["groups"]) if isinstance(node, ast.Constant) and node.value in names]
     assert sorted(named) == sorted(groups.FAMILIES)
+
+
+def test_cli_states_each_subcommand_once():
+    # a subcommand's handler is _cmd_<name>, --csv is added to every
+    # subparser in one loop, and a report echoes the parsed arguments
+    cli = _modules()["cli"]
+    calls = [node for node in ast.walk(cli) if isinstance(node, ast.Call)]
+    assert "set_defaults" not in {_callee(node) for node in calls}
+    csv_flags = [
+        node
+        for node in calls
+        if _callee(node) == "add_argument" and any(isinstance(a, ast.Constant) and a.value == "--csv" for a in node.args)
+    ]
+    assert len(csv_flags) == 1
+    assert "_echo" not in {node.name for node in _functions(cli)}
+
+
+def test_orders_are_counted_not_listed():
+    # an order is block_similitude_order's count of frames: no len(...)
+    # wraps a call that lists the elements of a group
+    listers = {"block_similitudes", "gusplit_group_elements"}
+    offenders = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _callee(node) == "len"
+        and any(isinstance(sub, ast.Call) and _callee(sub) in listers for arg in node.args for sub in ast.walk(arg))
+    ]
+    assert offenders == []
 
 
 def _public_definitions(tree):

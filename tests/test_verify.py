@@ -74,3 +74,12 @@ def test_lemma_check_pins_the_order_of_g_p(monkeypatch):
     assert verify._lemma(3, -1)[0]
     monkeypatch.setattr(verify.groups, "order_gusplit", lambda r, s, p: 31)
     assert not verify._lemma(3, -1)[0]
+
+
+def test_sylow_check_reads_the_shipped_dimension_factor(monkeypatch):
+    # sylow-order-vs-formula(3) checks groups.irrep_dim_bound, the factor
+    # that `bound` multiplies in, not a retyped p^((r(r-1)+s(s-1))/2)
+    assert verify._sylow() == (True, "p-Sylow orders match p^((r(r-1)+s(s-1))/2)")
+    real = verify.groups.irrep_dim_bound
+    monkeypatch.setattr(verify.groups, "irrep_dim_bound", lambda r, s, p: p * real(r, s, p))
+    assert verify._sylow() == (False, "(r,s)=(1,1): 1 vs 3")
