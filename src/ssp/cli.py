@@ -5,10 +5,12 @@ for identical inputs: keys are sorted, big integers are serialized as
 decimal strings, and every numeric result carries a provenance label
 ("formula", "enumeration" or "bound").  The exit codes, the bounds on
 n and s and what SSP_MAX_ENUM charges are listed once, in the README's
-CLI section; `errors.EXIT_CODES` is the code of that table.
+CLI section; each exception class carries its own code.
 
 Subcommand x is run by `_cmd_x`, which returns its report; the report
-echoes the parsed arguments as its parameters.
+echoes the parsed arguments as its parameters.  Every refusal, argv
+that does not parse and a file that cannot be read included, is an
+`SspError` and leaves by `main`'s one error report.
 
 A reader that closes stdout early (`ssp sweep ... --csv | head`) ends
 the command: writing stops, stdout is pointed at os.devnull so that the
@@ -28,7 +30,7 @@ from fractions import Fraction
 
 from . import count as count_mod
 from . import dieudonne, groups, hermitian, verify
-from .errors import EnumBudget, ValidationError, exit_code
+from .errors import EnumBudget, SspError, ValidationError
 from .gf import primes_between
 
 # ---------------------------------------------------------------------------
@@ -162,13 +164,16 @@ def _cmd_group(args) -> dict:
 
 
 def _load_json(path, what):
-    """The JSON value in the file at `path`; `what` names the file in
-    the ValidationError for malformed JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The JSON value in the file at `path`.  A file that cannot be read
+    as UTF-8 is a ValidationError with the error's own message, and
+    malformed JSON is one that names the file as `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{what} is not valid JSON: {e}") from None
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"{what} is not valid JSON: {e}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(str(e)) from None
 
 
 def _cmd_newton(args) -> dict:
@@ -253,6 +258,12 @@ def _cmd_sweep(args) -> dict:
 # entry point
 
 
+def _refuse(prog: str, message: str):
+    """argparse's `error` for the parser `prog`: malformed argv is a
+    ValidationError, reported like any other, not a usage line."""
+    raise ValidationError(f"{prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use."""
@@ -291,31 +302,33 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag in ("--alpha", "--r", "--s", "--N"):
         p.add_argument(flag, type=int, required=True)
 
+    parser.error = functools.partial(_refuse, parser.prog)
     for p in sub.choices.values():
+        p.error = functools.partial(_refuse, p.prog)
         p.add_argument("--csv", action="store_true", help="CSV output instead of JSON")
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command.  An error that maps to an exit code is reported
-    as an error report, also when it is raised while a sweep's rows are
-    written: JSON then holds the error report alone, CSV the rows already
-    written followed by the error report."""
-    args = _build_parser().parse_args(argv)
+    """Run one command.  An `SspError` exits with its class's code and an
+    error report (JSON with no command if argv does not parse), also
+    when it is raised while a sweep's rows are written: JSON then holds
+    the error report alone, CSV the rows already written followed by the
+    error report.  Any other exception is a bug and keeps its traceback."""
+    args = argparse.Namespace(command=None, csv=False)  # until argv parses
     try:
         try:
+            args = _build_parser().parse_args(argv)
             report = globals()[f"_cmd_{args.command}"](args)
             code = 1 if report["status"] == "fail" else 0
             _emit(report, args.csv)
-        except Exception as e:
-            code = exit_code(e)
-            if code is None:
-                raise
+        except SspError as e:
+            code = e.code
             _emit(_report(args, {"error": str(e)}, parameters={}, status="error"), args.csv)
         # flushed here, so that a closed pipe is met by the handler below
         # and not by the interpreter's flush at exit
         sys.stdout.flush()
-    except BrokenPipeError:  # exit_code maps no OSError but FileNotFoundError
+    except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     return code

@@ -1,23 +1,28 @@
-"""Shared exception types, their CLI exit codes, the parse helpers for
-JSON specs, and `EnumBudget`, the one meter of each enumeration check,
-whose limit the SSP_MAX_ENUM environment variable alone sets.
+"""Shared exception types, each with its CLI exit code, the parse
+helpers for JSON specs, and `EnumBudget`, the one meter of each
+enumeration check, whose limit the SSP_MAX_ENUM environment variable
+alone sets.
 
-`EXIT_CODES` maps each exception type to its CLI exit code; the
-README's CLI section lists the codes and what SSP_MAX_ENUM charges.
+Each exception class carries its exit code as `code`, which `cli.main`
+returns; the README's CLI section lists the codes and what SSP_MAX_ENUM
+charges.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 
 class SspError(Exception):
     """Base class for all library errors."""
 
+    code = 1
+
 
 class ValidationError(SspError):
     """Input violates a documented precondition or invariant."""
+
+    code = 2
 
 
 class InsufficientPrecisionError(SspError):
@@ -27,30 +32,17 @@ class InsufficientPrecisionError(SspError):
     truncation level and retry.
     """
 
+    code = 3
+
 
 class BudgetExceededError(SspError):
     """An exhaustive enumeration would exceed the configured budget."""
 
+    code = 4
+
 
 class FormulaInconsistencyError(SspError):
     """Two formulas that must agree did not (internal double-entry check)."""
-
-
-# tried in order, so the catch-all SspError comes last
-EXIT_CODES = (
-    ((ValidationError, FileNotFoundError), 2),
-    ((InsufficientPrecisionError,), 3),
-    ((BudgetExceededError,), 4),
-    ((SspError,), 1),
-)
-
-
-def exit_code(exc: BaseException) -> Optional[int]:
-    """The CLI exit code for `exc`, or None for an error the CLI does not report."""
-    for types, code in EXIT_CODES:
-        if isinstance(exc, types):
-            return code
-    return None
 
 
 # ---------------------------------------------------------------------------

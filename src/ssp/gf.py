@@ -53,16 +53,6 @@ def _ppowmod(a, e, mod, p):
     return result
 
 
-def _pgcd(a, b, p):
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    if a:
-        # normalize monic
-        inv = pow(a[-1], p - 2, p)
-        a = _trim([(c * inv) % p for c in a])
-    return a
-
-
 def _psub(a, b, p):
     out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):
@@ -87,18 +77,24 @@ def _poly_divmod(a, b, p):
     return _trim(q), tuple(a)
 
 
-def poly_inverse(a, mod, p) -> tuple[int, ...]:
-    """The inverse of a non-zero a in F_p[t]/(mod), mod irreducible, by
-    the extended Euclid in F_p[t]; low-degree-first coefficients."""
-    a, b = _trim(list(a)), mod
+def _euclid(a, b, p):
+    """(g, x) with g a gcd of a and b (not made monic) and x a = g mod b:
+    the extended Euclid in F_p[t]."""
     x0, x1 = (1,), ()
     while b:
         q, r = _poly_divmod(a, b, p)
         a, b = b, r
         x0, x1 = x1, _psub(x0, _pmul(q, x1, p), p)
-    # a is the gcd, a non-zero constant
-    inv_lead = pow(a[0], p - 2, p)
-    return tuple((c * inv_lead) % p for c in x0)
+    return a, x0
+
+
+def poly_inverse(a, mod, p) -> tuple[int, ...]:
+    """The inverse of a non-zero a in F_p[t]/(mod), mod irreducible, by
+    the extended Euclid in F_p[t]; low-degree-first coefficients."""
+    g, x = _euclid(_trim(list(a)), mod, p)
+    # g is a non-zero constant, made 1
+    inv_lead = pow(g[0], p - 2, p)
+    return tuple((c * inv_lead) % p for c in x)
 
 
 def is_irreducible(poly: tuple[int, ...], p: int) -> bool:
@@ -113,7 +109,7 @@ def is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     x = xq = (0, 1)
     for _ in range(d // 2):
         xq = _ppowmod(xq, p, poly, p)
-        if len(_pgcd(_psub(xq, x, p), poly, p)) != 1:
+        if len(_euclid(_psub(xq, x, p), poly, p)[0]) != 1:
             return False
     return True
 

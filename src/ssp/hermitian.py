@@ -105,7 +105,7 @@ def reduce_pairing(m: DieudonneModule) -> HermitianQuotient:
     return HermitianQuotient(ctx=ctx, gram=gram, grading=grading)
 
 
-def pairing_well_defined(m: DieudonneModule, h: HermitianQuotient, trials: int = 20, seed: int = 0) -> int:
+def pairing_well_defined(m: DieudonneModule, h: HermitianQuotient, trials: int, seed: int) -> int:
     """Oracle: recompute the pairing of h from random coset representatives
     x + Fa, y + Vb and count disagreements with h.gram (0 for a correct
     pairing).  h must live on M/VM in the basis of m.quotient_projection;

@@ -71,32 +71,27 @@ class WittRing:
         congruent to x^p mod p (Newton iteration)."""
         if self.s == 1:
             return [self.el(1)]
+        derivative = [i * c for i, c in enumerate(self.modulus)][1:]
         r = self.gen() ** self.p
         for _ in range(self.n + 2):
-            fr = self._eval_modulus(r)
+            fr = self._horner(self.modulus, r)
             if fr.is_zero():
                 break
-            dr = self._eval_modulus_derivative(r)
-            r = r - fr * dr.inv()
+            r = r - fr * self._horner(derivative, r).inv()
         else:
             raise InsufficientPrecisionError("Frobenius-lift Newton iteration stalled")
-        if not self._eval_modulus(r).is_zero():
+        if not self._horner(self.modulus, r).is_zero():
             raise FormulaInconsistencyError("Frobenius lift is not a root of the modulus")
         pows = [self.one()]
         for _ in range(1, self.s):
             pows.append(pows[-1] * r)
         return pows
 
-    def _eval_modulus(self, x: "WittElem") -> "WittElem":
+    def _horner(self, coeffs, x: "WittElem") -> "WittElem":
+        """The polynomial with integer `coeffs`, low degree first, at x."""
         acc = self.zero()
-        for c in reversed(self.modulus):
+        for c in reversed(coeffs):
             acc = acc * x + self.el(c)
-        return acc
-
-    def _eval_modulus_derivative(self, x: "WittElem") -> "WittElem":
-        acc = self.zero()
-        for i in range(len(self.modulus) - 1, 0, -1):
-            acc = acc * x + self.el(i * self.modulus[i])
         return acc
 
     # -- identity / comparison ----------------------------------------------

@@ -2,13 +2,21 @@ import csv
 import io
 import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ssp import cli, count, groups
+from ssp import cli, count, errors, groups
 from ssp.cli import main
-from ssp.errors import FormulaInconsistencyError, ValidationError
+from ssp.errors import (
+    BudgetExceededError,
+    FormulaInconsistencyError,
+    InsufficientPrecisionError,
+    SspError,
+    ValidationError,
+)
 from ssp.gf import PRIME_CERT_LIMIT
 
 
@@ -663,6 +671,108 @@ def test_report_echoes_its_parameters(tmp_path, monkeypatch, capsys, argv, param
     report = json.loads(out)
     assert report["command"] == argv[0]
     assert report["parameters"] == parameters
+
+
+def _refused(capsys, *argv) -> dict:
+    """The report of `argv`, once it is found to exit 2 with exactly one
+    JSON error report, echoing no parameters, on stdout and nothing on
+    stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "error" and report["parameters"] == {} and report["notes"] == []
+    return report
+
+
+class TestEveryRefusalIsAnErrorReport:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a negative first parameter reads as an option (--params=-1,3 passes)
+            (["group", "--family", "gu", "--params", "-1,3"], "ssp group: argument --params: expected one argument"),
+            (["bound", "--p", "3", *_SIGNATURE], "ssp bound: the following arguments are required: --N"),
+            (["bound", "--p", "x", *_SIGNATURE, "--N", "3", "--csv"], "ssp bound: argument --p: invalid int value: 'x'"),
+            ([], "ssp: the following arguments are required: command"),
+            (["bogus"], "ssp: argument command: invalid choice: "),
+            (["bound", "--p", "3", *_SIGNATURE, "--N", "3", "--bogus"], "ssp: unrecognized arguments: --bogus"),
+        ],
+        ids=["negative-params", "missing-N", "non-integer-p", "no-command", "unknown-command", "unknown-option"],
+    )
+    def test_malformed_argv(self, capsys, argv, message):
+        # argv that does not parse names no command, and its report is
+        # JSON even when --csv was asked for
+        report = _refused(capsys, *argv)
+        assert report["command"] is None
+        assert report["results"]["error"].startswith(message)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "[Errno 21] Is a directory: 'unreadable'"),
+            (b"\xff\xfe\x00", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ],
+        ids=["directory", "not-utf8"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["newton", "unreadable"], ["amf", "unreadable", "rep.json"], ["amf", "space.json", "unreadable"]],
+        ids=["newton", "amf-space", "amf-rep"],
+    )
+    def test_unreadable_file(self, tmp_path, monkeypatch, capsys, argv, content, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "space.json").write_text(json.dumps({"points": 1, "generators": []}))
+        (tmp_path / "rep.json").write_text(json.dumps({"dim": 1, "field": {"p": 3}, "generators": []}))
+        path = tmp_path / "unreadable"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        report = _refused(capsys, *argv)
+        assert report["command"] == argv[0]
+        assert report["results"] == {"error": message}
+
+    def test_missing_file_report_is_the_os_message(self, capsys):
+        report = _refused(capsys, "newton", "no-such-file.json")
+        assert report == {
+            "command": "newton",
+            "parameters": {},
+            "results": {"error": "[Errno 2] No such file or directory: 'no-such-file.json'"},
+            "notes": [],
+            "status": "error",
+        }
+
+    @pytest.mark.parametrize("argv", [["-h"], ["bound", "-h"], ["sweep", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: ssp") and captured.err == ""
+
+    def test_each_exception_class_carries_its_readme_code(self):
+        # the README's CLI section is the one list of the codes; every
+        # SspError class of `errors` is pinned here
+        text = " ".join((Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").split())
+        listed = text[text.index("Exit codes") : text.index("The environment variable")]
+        readme = {int(code): meaning for code, meaning in re.findall(r"`(\d)` ([^`]+)", listed)}
+        words = {
+            SspError: "internal",
+            FormulaInconsistencyError: "formula regression",
+            ValidationError: "validation failure",
+            InsufficientPrecisionError: "precision",
+            BudgetExceededError: "budget exceeded",
+        }
+        assert {cls: cls.code for cls in words} == {
+            SspError: 1,
+            FormulaInconsistencyError: 1,
+            ValidationError: 2,
+            InsufficientPrecisionError: 3,
+            BudgetExceededError: 4,
+        }
+        assert all(word in readme[cls.code] for cls, word in words.items())
+        defined = {v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, SspError)}
+        assert defined == set(words)
 
 
 def _reference_sweep(window, alpha, r, s, N, as_csv):

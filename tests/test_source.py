@@ -281,6 +281,12 @@ def test_each_input_is_checked_where_its_object_is_made():
     assert _mentions(r"\b(module_from_dict|truncation_level|n_override)\b") == []
 
 
+def test_each_exception_carries_its_exit_code():
+    # cli.main reads an SspError's class attribute `code`: no exit-code
+    # table is left, and gf and witt each run one Euclid and one Horner
+    assert _mentions(r"\b(EXIT_CODES|exit_code|_pgcd|_eval_modulus_derivative)\b") == []
+
+
 def _functions(tree):
     return [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
