@@ -164,15 +164,17 @@ def _cmd_group(args) -> dict:
 
 
 def _load_json(path, what):
-    """The JSON value in the file at `path`.  A file that cannot be read
-    as UTF-8 is a ValidationError with the error's own message, and
-    malformed JSON is one that names the file as `what`."""
+    """The JSON value in the file at `path`.  Malformed JSON is a
+    ValidationError that names the file as `what`.  A file that cannot be
+    read as UTF-8, or whose JSON Python's reader refuses (an integer past
+    its digit limit, arrays nested past its recursion limit), is one with
+    the error's own message."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{what} is not valid JSON: {e}") from None
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise ValidationError(str(e)) from None
 
 

@@ -103,7 +103,6 @@ class SignatureParams:
 class CountReport:
     """Every intermediate quantity of the eigensystem bound."""
 
-    params: SignatureParams
     c_g: Fraction
     gsp_order: int
     mass_product: int
@@ -193,7 +192,6 @@ def eigensystem_bound(params: SignatureParams) -> CountReport:
     if ss_exact != superspecial_bound(params):
         raise FormulaInconsistencyError("superspecial bound fails to reassemble")
     return CountReport(
-        params=params,
         c_g=c_g,
         gsp_order=gsp,
         mass_product=mass,

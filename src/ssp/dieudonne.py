@@ -28,7 +28,7 @@ from .errors import (
     spec_matrix,
     spec_value,
 )
-from .witt import INF, MAX_TRUNCATION, WittRing, hensel_sqrt, witt_ring
+from .witt import INF, MAX_TRUNCATION, WittRing, canonical_lie_action, hensel_sqrt, witt_ring
 
 DEFAULT_TRUNCATION_SLACK = 2  # polygon default n = 2*height + 2
 
@@ -451,15 +451,6 @@ def determinant_condition(r: int, s: int, alpha: int, matrix) -> bool:
         # times (T - root)
         rhs = [a - root * b for a, b in zip(rhs + [zero], [zero] + rhs)]
     return linalg.charpoly(matrix, ring.one()) == rhs
-
-
-def canonical_lie_action(ring: WittRing, alpha: int, r: int, s: int):
-    """diag(-sqrt(alpha) I_r, sqrt(alpha) I_s) over `ring` = W_1(F_{p^2})."""
-    u = hensel_sqrt(ring, alpha)
-    g = r + s
-    return linalg.freeze(
-        [[(-u if i < r else u) if i == j else ring.zero() for j in range(g)] for i in range(g)]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
 from .ftables import block_similitude_order, block_similitudes, field_table, metered_table, similitude_frames
 from .gf import is_prime
 from .linalg import rank
-from .witt import hensel_sqrt, witt_ring
+from .witt import canonical_lie_action, hensel_sqrt, witt_ring
 
 # ---------------------------------------------------------------------------
 # integer utilities
@@ -342,16 +342,16 @@ def _power(x, m: int, mat_mul, ident):
 
 
 def _generating_set(elements: list, elems: set, right_mul, ident) -> list:
-    """Greedy generators of `elements`, with the closure grown by right
-    multiplication as a union of right cosets (Dimino's algorithm).
-    `right_mul(M)` is the map X -> X M; every coset and every step by a
-    generator goes through one such map, so a product costs a lookup
-    per row once its rows have been seen.
+    """Greedy generators of `elements`, as (g, right_mul(g)) pairs, with
+    the closure grown by right multiplication as a union of right cosets
+    (Dimino's algorithm).  `right_mul(M)` is the map X -> X M; every
+    product of the closure is a product by a generator through its one
+    map, so a product costs a lookup per row once its rows have been
+    seen, and the orbit walk reuses the same maps.
 
     Every product must lie in `elems` and the closure must end up equal
     to it; that proves the generators generate the enumerated set."""
     gens: list = []
-    steps: list = []  # right_mul(g) for each generator g
     closure = [ident]
     reached = {ident}
     # candidates are taken at a stride near n / golden ratio, coprime to n:
@@ -361,35 +361,31 @@ def _generating_set(elements: list, elems: set, right_mul, ident) -> list:
     step = n * 618 // 1000 or 1
     while gcd(step, n) != 1:
         step += 1
-
-    def add_coset(sub, rep):
-        times_rep = right_mul(rep)
-        for h in sub:
-            y = times_rep(h)
-            if y not in elems:
-                raise FormulaInconsistencyError("a product left the enumerated group")
-            closure.append(y)
-            reached.add(y)
-
     for i in range(n):
         if len(reached) == len(elems):
             break
         x = elements[i * step % n]
         if x in reached:
             continue
-        gens.append(x)
-        steps.append(right_mul(x))
-        # H = <previous generators> starts with the identity, so each new
-        # right coset H*rep is a block of len(H) that starts with rep
-        sub = closure[:]
-        pos = len(closure)
-        add_coset(sub, x)
+        gens.append((x, right_mul(x)))
+        # H = <previous generators> is listed from the identity, and each
+        # block of len(H) is a right coset H y listed as h y for h in H; its
+        # image under a generator g is the coset H (y g), listed as h y g.
+        # Block 0 is H: the earlier generators map the identity into H, and
+        # x adds H x.
+        size = len(closure)
+        pos = 0
         while pos < len(closure):
-            for times_g in steps:
-                rep = times_g(closure[pos])
-                if rep not in reached:
-                    add_coset(sub, rep)
-            pos += len(sub)
+            block = closure[pos : pos + size]
+            for _, times_g in gens:
+                if times_g(block[0]) in reached:
+                    continue
+                for y in map(times_g, block):
+                    if y not in elems:
+                        raise FormulaInconsistencyError("a product left the enumerated group")
+                    closure.append(y)
+                    reached.add(y)
+            pos += size
     if reached != elems:
         raise FormulaInconsistencyError(
             f"the generators reach {len(reached)} of {len(elems)} enumerated elements"
@@ -406,9 +402,11 @@ def conjugacy_class_data(elements: list, p: int):
     enumerated set, which proves that they generate it, so each orbit is
     a full conjugacy class.  The cost is about |G| * #generators
     conjugations plus |G| products for the closure, and each of these
-    products is a lookup per row (FieldTable.right_mul): a conjugation
-    is ((y g)^T (g^-1)^T)^T.  Representatives are the first element of
-    each class in sorted order.
+    products is a lookup per row (FieldTable.right_mul): two maps per
+    generator g, X -> X g, which the closure and the orbit walk share,
+    and X -> X (g^-1)^T, as a conjugation is ((y g)^T (g^-1)^T)^T.
+    Representatives are the first element of each class in sorted
+    order.
 
     Once the closure and the generator inverses prove that the list is a
     group, the order of x divides |G|, so x is p-regular iff x^m = I for
@@ -423,11 +421,9 @@ def conjugacy_class_data(elements: list, p: int):
     right_mul = table.right_mul
     ident = table.identity(len(elements[0]))
     elems = set(elements)
-    gens = _generating_set(elements, elems, right_mul, ident)
     # no generator is the identity, so its inverse is the power before it
     conjugations = []
-    for g in gens:
-        times_g = right_mul(g)
+    for g, times_g in _generating_set(elements, elems, right_mul, ident):
         g_inv = _powers(g, times_g, ident, len(elems))[-2]
         conjugations.append((times_g, right_mul(tuple(zip(*g_inv)))))
     seen = set()
@@ -495,16 +491,6 @@ class LemmaGpReport:
         )
 
 
-def _phi_codes(table, alpha: int, r: int, g: int):
-    """The field code of u = sqrt(alpha) and Phi = diag(-u I_r, u I_s)."""
-    u_code = table.encode(hensel_sqrt(table.ctx, alpha))
-    phi = tuple(
-        tuple((table.neg[u_code] if i < r else u_code) if i == j else 0 for j in range(g))
-        for i in range(g)
-    )
-    return u_code, phi
-
-
 def _fibre_size(table, D, basis: list) -> int:
     """#{N in the F_p-span of `basis` : D*N = N^T sigma(D)}, as p^(dim - rank).
 
@@ -567,7 +553,8 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int) -> LemmaGpReport:
     g = r + s
     meter = EnumBudget("lemma_gp_check")
     table = metered_table(p, 2, meter)
-    u_code, phi = _phi_codes(table, alpha, r, g)
+    phi = table.mat_encode(canonical_lie_action(table.ctx, alpha, r, s))
+    u_code = table.encode(hensel_sqrt(table.ctx, alpha))
 
     gp_elements = block_similitudes(table, (table.identity(r), table.identity(s)), meter)
     # N = w at one off-diagonal entry, w in the F_p-basis 1, t of F_{p^2} (codes 1, p)

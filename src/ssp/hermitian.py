@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .dieudonne import DieudonneModule, canonical_lie_action, check_axioms
+from .dieudonne import DieudonneModule, check_axioms
 from .errors import EnumBudget, ValidationError
 from .ftables import block_similitude_order, block_similitudes, metered_table
-from .witt import WittElem, WittRing, hensel_sqrt
+from .witt import WittElem, WittRing, canonical_lie_action, hensel_sqrt
 
 
 @dataclass(frozen=True)

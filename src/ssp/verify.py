@@ -16,7 +16,7 @@ from functools import partial
 from . import count, dieudonne, exact, groups, hermitian, linalg
 from .errors import SspError, ValidationError
 from .ftables import field_table
-from .witt import witt_ring
+from .witt import canonical_lie_action, witt_ring
 
 
 def _eq(lhs, rhs):
@@ -94,8 +94,8 @@ def _pipeline():
 
 def _determinant_condition():
     ring = witt_ring(3, 2, 1)
-    good = dieudonne.canonical_lie_action(ring, -1, 1, 1)
-    bad = dieudonne.canonical_lie_action(ring, -1, 2, 0)
+    good = canonical_lie_action(ring, -1, 1, 1)
+    bad = canonical_lie_action(ring, -1, 2, 0)
     ok = dieudonne.determinant_condition(1, 1, -1, good)
     ok = ok and not dieudonne.determinant_condition(1, 1, -1, bad)
     return ok, "accepts diag(-u, u), rejects diag(-u, -u)"

@@ -346,3 +346,11 @@ def hensel_sqrt(ring: WittRing, alpha: int) -> WittElem:
     if ring.reduce(u).coeffs != u0:
         raise FormulaInconsistencyError("Hensel square root does not lift the residue root")
     return u
+
+
+def canonical_lie_action(ring: WittRing, alpha: int, r: int, s: int) -> tuple:
+    """diag(-sqrt(alpha) I_r, sqrt(alpha) I_s) over `ring` = W_1(F_{p^2}),
+    as a tuple of rows."""
+    u = hensel_sqrt(ring, alpha)
+    g = r + s
+    return tuple(tuple((-u if i < r else u) if i == j else ring.zero() for j in range(g)) for i in range(g))

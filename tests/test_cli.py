@@ -247,6 +247,11 @@ class TestGroup:
         assert '"match": true' in proc.stdout
 
 
+# (s, error message): a field degree the Witt ring refuses, in a newton spec
+# or in an amf representation's field
+_DEGREES_OUTSIDE_1_TO_64 = [(65, "s must be <= 64"), (10**9, "s must be <= 64"), (0, "s must be >= 1")]
+
+
 class TestNewton:
     def test_a_half_fixture(self, tmp_path, capsys):
         spec = {
@@ -380,15 +385,15 @@ class TestNewton:
         assert res["hodge_weights"]["value"] == "0 x1; 1 x1" and res["truncation_used"]["value"] == level
         assert sorted(reads) == sorted(f"{M}[{i}][{j}]" for M in "FVE" for i in range(2) for j in range(2))
 
-    @pytest.mark.parametrize("s", [65, 10**9], ids=["65", "1e9"])
-    def test_degree_outside_1_to_64_exits_2_at_once(self, tmp_path, run_capped, s):
+    @pytest.mark.parametrize("s, message", _DEGREES_OUTSIDE_1_TO_64, ids=["65", "1e9", "0"])
+    def test_degree_outside_1_to_64_exits_2_at_once(self, tmp_path, run_capped, s, message):
         # the cost of a ring grows with s: s = 200 ran past 40 s before the cap
         spec = {"p": 3, "s": s, "n": 2, "rank": 2, "F": [[0, 1], [-3, 0]], "V": [[0, -1], [3, 0]]}
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         proc = run_capped("newton", str(path), timeout=20)
         assert proc.returncode == 2, proc.stderr
-        assert "s must be <= 64" in json.loads(proc.stdout)["results"]["error"]
+        assert message in json.loads(proc.stdout)["results"]["error"]
 
     def test_truncation_at_the_cap_is_used(self, tmp_path, capsys):
         spec = {"p": 3, "s": 2, "n": 64, "rank": 2, "F": [[0, 1], [-3, 0]], "V": [[0, -1], [3, 0]]}
@@ -491,13 +496,13 @@ class TestAmf:
         res = json.loads(proc.stdout)["results"]
         assert res["dimension"]["value"] == str(2 * 10**8) and res["bound_check"] is True
 
-    @pytest.mark.parametrize("s", [65, 10**9], ids=["65", "1e9"])
-    def test_degree_outside_1_to_64_exits_2_at_once(self, tmp_path, run_capped, s):
+    @pytest.mark.parametrize("s, message", _DEGREES_OUTSIDE_1_TO_64, ids=["65", "1e9", "0"])
+    def test_degree_outside_1_to_64_exits_2_at_once(self, tmp_path, run_capped, s, message):
         sp, rp = self.fixture_files(tmp_path)
         (tmp_path / "rep.json").write_text(json.dumps({"dim": 1, "field": {"p": 3, "s": s}, "generators": [[[1]]]}))
         proc = run_capped("amf", sp, rp, timeout=20)
         assert proc.returncode == 2, proc.stderr
-        assert "s must be <= 64" in json.loads(proc.stdout)["results"]["error"]
+        assert message in json.loads(proc.stdout)["results"]["error"]
 
     @pytest.mark.parametrize(
         "space, rep, field",
@@ -507,6 +512,7 @@ class TestAmf:
             (None, {"dim": 1, "field": {"s": 2}, "generators": [[[1]]]}, "'field.p'"),
             (None, {"dim": 1, "field": {"p": 3, "s": 2}, "generators": [[[[0, 1, 5]]]]}, "'generators[0][0][0]'"),
             ({"points": 2, "generators": []}, {"dim": -1, "field": {"p": 3}, "generators": []}, "'dim'"),
+            ({"points": 0, "generators": []}, None, "a coset space needs at least one point"),
         ],
         ids=[
             "space-not-object",
@@ -514,6 +520,7 @@ class TestAmf:
             "rep-missing-field-p",
             "long-coefficient-vector",
             "negative-rep-dim",
+            "no-points",
         ],
     )
     def test_malformed_fixture_exits_2_naming_field(self, tmp_path, capsys, space, rep, field):
@@ -711,8 +718,18 @@ class TestEveryRefusalIsAnErrorReport:
         [
             (None, "[Errno 21] Is a directory: 'unreadable'"),
             (b"\xff\xfe\x00", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            # Python's JSON reader refuses these with ValueError and RecursionError
+            (
+                b'{"p": ' + b"1" * 5000 + b"}",
+                "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits;"
+                " use sys.set_int_max_str_digits() to increase the limit",
+            ),
+            (
+                b"[" * 100_000 + b"]" * 100_000,
+                "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+            ),
         ],
-        ids=["directory", "not-utf8"],
+        ids=["directory", "not-utf8", "long-integer", "deep-nesting"],
     )
     @pytest.mark.parametrize(
         "argv",

@@ -657,6 +657,21 @@ class TestClassWalkProducts:
         assert 0 < len(calls) <= 2 * m.bit_length() * len(reps)
 
 
+    @pytest.mark.parametrize("name", ["gusplit(1,1,3)", "gusplit(2,0,3)", "gusplit(1,1,5)"])
+    def test_two_maps_per_generator(self, monkeypatch, name):
+        # X -> X g for each generator g, shared by the closure and the
+        # orbit walk, then X -> X (g^-1)^T for the conjugations
+        elements, p = _CLASS_GROUPS[name]()
+        table = field_table(p)
+        gens = groups._generating_set(elements, set(elements), table.right_mul, table.identity(len(elements[0])))
+        maps = []
+        real = FieldTable.right_mul
+        monkeypatch.setattr(FieldTable, "right_mul", lambda table, M: maps.append(M) or real(table, M))
+        conjugacy_class_data(elements, p)
+        assert len(maps) == 2 * len(gens)
+        assert maps[: len(gens)] == [g for g, _ in gens]
+
+
 class TestSylowAndDimBounds:
     @pytest.mark.parametrize("r, s, p", [(1, 1, 3), (2, 0, 3)])
     def test_sylow_matches_exponent(self, r, s, p):

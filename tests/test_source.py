@@ -287,6 +287,12 @@ def test_each_exception_carries_its_exit_code():
     assert _mentions(r"\b(EXIT_CODES|exit_code|_pgcd|_eval_modulus_derivative)\b") == []
 
 
+def test_class_walk_multiplies_by_generators_and_phi_has_one_home():
+    # each closure coset is a generator's image of a listed coset, and Phi
+    # is witt.canonical_lie_action, encoded by the lemma's field table
+    assert _mentions(r"\b(add_coset|_phi_codes)\b") == []
+
+
 def _functions(tree):
     return [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
