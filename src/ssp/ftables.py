@@ -9,7 +9,9 @@ hand.  Coded matrices are tuples of tuples of codes, with 0 the zero
 and 1 the one.
 
 `similitude_frames` is the one enumerator of {X : X* G X = c G} behind
-every unitary-group and automorphism-group oracle.
+every unitary-group and automorphism-group oracle, and `packed_fp_rank`
+the one rank mod p of F_p matrices packed into ints, behind the fibres
+of the level-p lemma.
 """
 
 from __future__ import annotations
@@ -291,6 +293,73 @@ def block_similitudes(table: FieldTable, grams, budget: EnumBudget) -> list:
             offset += size
         out += elements
     return out
+
+
+def packed_fp_rank(p: int, images: list):
+    """(packed, rank) for K = len(images) equally shaped n-row matrices over
+    F_p, given as lists of rows of ints 0 .. p-1: packed[k] is images[k]
+    as one int, and rank(M) is the rank over F_p of a combination
+    M = sum d_k packed[k] with digits d_k in 0 .. p-1, each k used at
+    most once.  The caller forms M in plain integer arithmetic, so a
+    combination costs K products of ints, or fewer where it reuses
+    partial sums.
+
+    An int holds the matrix row after row, with one field of `width`
+    bits for each of the m columns that some image uses.  rank reduces
+    M mod p, then takes steps: a step takes the first non-zero field a
+    as the pivot and drops its row, and the rows before it, which are
+    zero.  Every later row, with v in the pivot's column, then gains
+    (p - v) a^-1 times the pivot's row, all in one product of the row
+    with a packed column, and the matrix is reduced again.  The rank is
+    the number of steps.  A field of M sums at most K terms of at most
+    (p - 1)^2, and after a step it holds at most p - 1 + p (p - 1)^2,
+    so `width` holds max(K, p + 1) (p - 1)^2.  8-bit fields, enough at
+    p = 3 for K <= 63, are reduced by one bytes.translate, wider ones
+    field by field."""
+    n = len(images[0]) if images else 0
+    live = [j for j, col in enumerate(zip(*itertools.chain.from_iterable(images))) if any(col)]
+    m = len(live)
+    width = 8 * -(-(max(len(images), p + 1) * (p - 1) ** 2).bit_length() // 8)
+    mask = (1 << width) - 1
+    row_bits = m * width
+    row_mask = (1 << row_bits) - 1
+    fields = n * m
+    packed = [
+        sum(row[j] << (width * (b * m + f)) for b, row in enumerate(matrix) for f, j in enumerate(live))
+        for matrix in images
+    ]
+    ones = sum(1 << (b * row_bits) for b in range(n))  # a 1 in the first field of each row
+    firsts, ps = ones * mask, ones * p
+    inverse = [0] + [pow(a, -1, p) for a in range(1, p)]
+    if width == 8:
+        residues = bytes(v % p for v in range(256))
+
+        def reduced(x) -> int:
+            return int.from_bytes(x.to_bytes(fields, "little").translate(residues), "little")
+
+    else:
+
+        def reduced(x) -> int:
+            return sum((x >> s & mask) % p << s for s in range(0, fields * width, width))
+
+    def rank(matrix) -> int:
+        matrix = reduced(matrix)
+        found = 0
+        while matrix:
+            low = (matrix & -matrix).bit_length() - 1
+            start = low - low % row_bits
+            shift = low - start
+            shift -= shift % width  # the pivot's field, within its row
+            row = matrix >> start & row_mask
+            matrix >>= start + row_bits
+            found += 1
+            column = matrix >> shift & firsts
+            if column:
+                # rows past the end gain p times the row, which reduces to 0
+                matrix = reduced(matrix + row * inverse[row >> shift & mask] * (ps - column))
+        return found
+
+    return packed, rank
 
 
 def block_similitude_order(table: FieldTable, grams, budget: EnumBudget) -> int:

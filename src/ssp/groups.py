@@ -23,10 +23,16 @@ from math import gcd
 from typing import Callable, NamedTuple
 
 from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
-from .ftables import block_similitude_order, block_similitudes, field_table, metered_table, similitude_frames
+from .ftables import (
+    block_similitude_order,
+    block_similitudes,
+    field_table,
+    metered_table,
+    packed_fp_rank,
+    similitude_frames,
+)
 from .gf import is_prime
-from .linalg import rank
-from .witt import canonical_lie_action, hensel_sqrt, witt_ring
+from .witt import canonical_lie_action, hensel_sqrt
 
 # ---------------------------------------------------------------------------
 # integer utilities
@@ -491,29 +497,55 @@ class LemmaGpReport:
         )
 
 
-def _fibre_size(table, D, basis: list) -> int:
-    """#{N in the F_p-span of `basis` : D*N = N^T sigma(D)}, as p^(dim - rank).
+def _units(p: int, g: int, r: int, in_blocks: bool) -> list:
+    """The F_p-basis of the coded g x g matrices supported on the diagonal
+    (r, s)-blocks (`in_blocks`) or off them: w at one such position, in
+    row-major order, for w in the F_p-basis 1, t of F_{p^2} (codes 1, p)."""
+    return [
+        tuple(tuple(w if (i, j) == pos else 0 for j in range(g)) for i in range(g))
+        for pos in itertools.product(range(g), repeat=2)
+        if ((pos[0] < r) == (pos[1] < r)) == in_blocks
+        for w in (1, p)
+    ]
 
-    Each basis image D*N - N^T sigma(D) = D*N - sigma(N* D) is computed
-    on the F_{p^2} codes of `table` and written in F_p coordinates: a
-    code x < q is c0 + c1 p over its two F_p digits, on which the
-    field's addition acts digit by digit."""
-    p = table.p
-    fp = witt_ring(p, 1, 1)
+
+def _fibre_sizes(table, gp_elements: list, r: int, basis: list) -> dict:
+    """{D: #{N in the F_p-span of `basis` : D*N = N^T sigma(D)}} for the
+    block-diagonal D of `gp_elements`, each as p^(dim - rank).
+
+    The image D*N - N^T sigma(D) = D*N - sigma(N* D) is F_p-linear in D,
+    so it is computed on the F_{p^2} codes of `table` once per call: for
+    each F_p-basis matrix E_k of the diagonal blocks and each N of
+    `basis`, written in F_p coordinates (a code x < q is c0 + c1 p over
+    its two F_p digits, on which the field's addition acts digit by
+    digit).  D = sum d_k E_k over the F_p digits d_k of its block
+    entries, read row by row, so its images are sum d_k images_k, and
+    ftables.packed_fp_rank takes their rank mod p.  Each row of D adds
+    its own terms to that sum, and a row is shared by many D, so the
+    packed share of each distinct row is formed once."""
+    p, g = table.p, len(gp_elements[0])
     add, neg, conj = table.add, table.neg, table.conj
     mul, conj_transpose = table.mat_mul, table.conj_transpose
-    Dh = conj_transpose(D)
-    rows = []
-    for N in basis:
-        image = [
-            add[x][neg[conj[y]]]
-            for left, right in zip(mul(Dh, N), mul(conj_transpose(N), D))
+
+    def image(E, N):
+        return [
+            c
+            for left, right in zip(mul(conj_transpose(E), N), mul(conj_transpose(N), E))
             for x, y in zip(left, right)
+            for c in divmod(add[x][neg[conj[y]]], p)
         ]
-        rows.append([c for x in image for c in divmod(x, p)])
-    # coordinates that are 0 in every image add nothing to the rank
-    live = [col for col in zip(*rows) if any(col)]
-    return p ** (len(basis) - rank([[fp.el(c) for c in row] for row in zip(*live)]))
+
+    packed, rank_of = packed_fp_rank(p, [[image(E, N) for N in basis] for E in _units(p, g, r, True)])
+    digits = [divmod(x, p)[::-1] for x in range(table.q)]  # (c0, c1) of the code c0 + c1 p
+    chain = itertools.chain.from_iterable
+    shares, start = [], 0
+    for i in range(g):
+        block = slice(0, r) if i < r else slice(r, g)  # the block entries of row i
+        terms = packed[start : start + 2 * (block.stop - block.start)]
+        start += len(terms)
+        rows = {D[i] for D in gp_elements}
+        shares.append({row: sum(map(operator.mul, chain(map(digits.__getitem__, row[block])), terms)) for row in rows})
+    return {D: p ** (len(basis) - rank_of(sum(map(operator.getitem, shares, D)))) for D in gp_elements}
 
 
 def lemma_gp_check(p: int, alpha: int, r: int, s: int) -> LemmaGpReport:
@@ -540,10 +572,15 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int) -> LemmaGpReport:
     X* X = D* D + (D* N - N^T sigma(D)) Pi.  So X* X = cI splits into
     D* D = cI, so D lies in G(U_r x U_s)(F_p), and D* N = N^T sigma(D),
     an F_p-linear condition on the 4rs coordinates of N.  So the fibre
-    over D has p^(4rs - rank) members (_fibre_size), and the group is
-    counted without being listed.  One meter counts the q^2 field-table
-    entries before the table is built, the frames of G(p) as they are
-    found, and the |G(p)| x 4rs basis images before the first.
+    over D has p^(4rs - rank) members, and the group is counted without
+    being listed.  The condition is also F_p-linear in D: the images of
+    the 4rs basis N under each of the 2(r^2 + s^2) F_p-basis matrices of
+    the diagonal blocks are built once, and each D's images are their
+    linear combination over D's F_p digits, with one rank mod p per D
+    (_fibre_sizes).  One meter counts the q^2 field-table entries before
+    the table is built, the frames of G(p) as they are found, and
+    |G(p)| x 4rs basis images before the first fibre, as when each D
+    built its own images.
 
     `kernel_is_identity_mod_pi` reports that every fibre of the
     reduction has exactly `kernel_size` members, as the fibres of a
@@ -557,15 +594,9 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int) -> LemmaGpReport:
     u_code = table.encode(hensel_sqrt(table.ctx, alpha))
 
     gp_elements = block_similitudes(table, (table.identity(r), table.identity(s)), meter)
-    # N = w at one off-diagonal entry, w in the F_p-basis 1, t of F_{p^2} (codes 1, p)
-    basis = [
-        tuple(tuple(w if (i, j) == pos else 0 for j in range(g)) for i in range(g))
-        for pos in itertools.product(range(g), repeat=2)
-        if (pos[0] < r) != (pos[1] < r)
-        for w in (1, p)
-    ]
+    basis = _units(p, g, r, False)  # N: w at one off-diagonal entry
     meter.spend(len(gp_elements) * len(basis))
-    fibres = {D: _fibre_size(table, D, basis) for D in gp_elements}
+    fibres = _fibre_sizes(table, gp_elements, r, basis)
     image_size = sum(1 for size in fibres.values() if size)
     kernel_size = fibres.get(table.identity(g), 0)
     fibres_uniform = all(size == kernel_size for size in fibres.values())

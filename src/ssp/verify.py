@@ -71,8 +71,8 @@ def _admissibility(r: int, s: int):
     return adm.endpoints_equal and adm.t_newton == g, f"t_N = {adm.t_newton}, t_H = {adm.t_hodge}"
 
 
-def _pairing():
-    m = dieudonne.build_superspecial_unitary(3, 3, -1, 1, 1)
+def _pairing(r: int, s: int):
+    m = dieudonne.build_superspecial_unitary(3, 3, -1, r, s)
     bad = hermitian.pairing_well_defined(m, hermitian.reduce_pairing(m), trials=20, seed=0)
     return bad == 0, f"{bad} disagreements in 20 trials"
 
@@ -109,9 +109,9 @@ def _exponent():
     return True, "factor degrees reproduce g^2+g+1-rs, g <= 8"
 
 
-def _lemma(p: int, alpha: int):
-    rep = groups.lemma_gp_check(p, alpha, 1, 1)
-    return rep.ok and rep.gp_order == groups.order_gusplit(1, 1, p), (
+def _lemma(p: int, alpha: int, r: int, s: int):
+    rep = groups.lemma_gp_check(p, alpha, r, s)
+    return rep.ok and rep.gp_order == groups.order_gusplit(r, s, p), (
         f"group {rep.group_order} = kernel {rep.kernel_size} x image {rep.image_size}; "
         f"surjective = {rep.surjective}"
     )
@@ -143,7 +143,7 @@ QUICK = (
     ("aut-bruteforce-vs-gusplit-order(3,1,1)", partial(_aut, 1, 1)),
     ("newton-polygon-a-half(3)", _newton),
     ("superspecial-model-core(3,1,1)", partial(_model, 1, 1)),
-    ("pairing-well-definedness(3,1,1)", _pairing),
+    ("pairing-well-definedness(3,1,1)", partial(_pairing, 1, 1)),
     ("mass-constant-zeta-vs-bernoulli(g<=8)", _mass),
     ("pipeline-decomposition(3,-1,1,1,3)", _pipeline),
     ("determinant-condition(3,-1,1,1)", _determinant_condition),
@@ -154,20 +154,25 @@ FULL = QUICK + (
     ("su-order-vs-enumeration(2,5)", partial(_order, "su", 2, 5)),
     ("gusplit-order-vs-enumeration(1,1,5)", partial(_order, "gusplit", 1, 1, 5)),
     ("pregular-classes-vs-enumeration(1,1,5)", partial(_pregular, 1, 1, 5)),
-    ("lemma-gp-check(3,-1,1,1)", partial(_lemma, 3, -1)),
+    ("lemma-gp-check(3,-1,1,1)", partial(_lemma, 3, -1, 1, 1)),
     ("superspecial-model-core(3,2,2)", partial(_model, 2, 2)),
     ("endpoint-admissibility(3,2,2)", partial(_admissibility, 2, 2)),
     ("equivariant-dimension-regular(3,1,1)", _equivariant),
     ("u-order-vs-enumeration(3,3)", partial(_order, "u", 3, 3)),
     ("gusplit-order-vs-enumeration(2,2,3)", partial(_order, "gusplit", 2, 2, 3)),
     ("pregular-classes-vs-enumeration(2,2,3)", partial(_pregular, 2, 2, 3)),
-    ("lemma-gp-check(7,-1,1,1)", partial(_lemma, 7, -1)),
+    ("lemma-gp-check(7,-1,1,1)", partial(_lemma, 7, -1, 1, 1)),
     ("aut-bruteforce-vs-gusplit-order(3,2,2)", partial(_aut, 2, 2)),
     ("pregular-classes-vs-enumeration(2,0,5)", partial(_pregular, 2, 0, 5)),
     ("gusplit-order-vs-enumeration(3,1,3)", partial(_order, "gusplit", 3, 1, 3)),
     ("aut-bruteforce-vs-gusplit-order(3,3,1)", partial(_aut, 3, 1)),
     ("superspecial-model-core(3,3,1)", partial(_model, 3, 1)),
     ("endpoint-admissibility(3,3,1)", partial(_admissibility, 3, 1)),
+    ("lemma-gp-check(3,-1,2,2)", partial(_lemma, 3, -1, 2, 2)),
+    ("pairing-well-definedness(3,2,2)", partial(_pairing, 2, 2)),
+    ("pairing-well-definedness(3,3,1)", partial(_pairing, 3, 1)),
+    ("gsp-order-vs-hyperbolic-pairs(4,3)", partial(_order, "gsp", 4, 3)),
+    ("lemma-gp-check(3,-1,3,1)", partial(_lemma, 3, -1, 3, 1)),
 )
 
 

@@ -35,6 +35,7 @@ from ssp.groups import (
     unitary_group_elements,
 )
 from ssp.hermitian import automorphism_group_bruteforce, automorphism_group_order, reduce_pairing
+from ssp.linalg import rank
 from ssp.witt import hensel_sqrt, witt_ring
 
 
@@ -850,15 +851,114 @@ def _lemma_gp_members_by_filter(p, alpha, r, s):
 def _kernel(images, basis, g, p):
     """Every g x g coded N = sum n_k basis_k with sum n_k images_k = 0 mod p,
     over all p^len(basis) coefficient vectors n; images_k is the image
-    of basis_k, a row over F_p = witt_ring(p, 1, 1).  A basis entry is
-    the code 1 or p of one F_p digit, so N's codes are sums of codes."""
-    columns = list(zip(*[[x.coeffs[0] for x in row] for row in images]))
+    of basis_k, a row of F_p digits 0 .. p-1.  A basis entry is the code
+    1 or p of one F_p digit, so N's codes are sums of codes."""
+    columns = list(zip(*images))
     kernel = set()
     for n in itertools.product(range(p), repeat=len(basis)):
         if all(sum(map(operator.mul, n, col)) % p == 0 for col in columns):
             N = tuple(tuple(sum(nk * B[i][j] for nk, B in zip(n, basis)) for j in range(g)) for i in range(g))
             kernel.add(N)
     return kernel
+
+
+def _fibre_size(table, D, basis: list) -> int:
+    """The reference fibre count, D by D: #{N in the F_p-span of `basis` :
+    D*N = N^T sigma(D)}, as p^(dim - rank), with the 4rs basis images
+    D*N - N^T sigma(D) = D*N - sigma(N* D) computed for this D on the
+    F_{p^2} codes of `table`, written in F_p coordinates (a code x < q is
+    c0 + c1 p over its two F_p digits) and ranked by linalg.rank over
+    F_p = witt_ring(p, 1, 1)."""
+    p = table.p
+    fp = witt_ring(p, 1, 1)
+    add, neg, conj = table.add, table.neg, table.conj
+    mul, conj_transpose = table.mat_mul, table.conj_transpose
+    Dh = conj_transpose(D)
+    rows = []
+    for N in basis:
+        image = [
+            add[x][neg[conj[y]]]
+            for left, right in zip(mul(Dh, N), mul(conj_transpose(N), D))
+            for x, y in zip(left, right)
+        ]
+        rows.append([c for x in image for c in divmod(x, p)])
+    # coordinates that are 0 in every image add nothing to the rank
+    live = [col for col in zip(*rows) if any(col)]
+    return p ** (len(basis) - rank([[fp.el(c) for c in row] for row in zip(*live)]))
+
+
+def _fp_rank(rows, p):
+    """linalg.rank of integer rows over F_p = witt_ring(p, 1, 1)."""
+    fp = witt_ring(p, 1, 1)
+    return rank([[fp.el(c % p) for c in row] for row in rows])
+
+
+def _packed_rank(p, images, digits):
+    """ftables.packed_fp_rank of sum d_k images_k, the combination formed
+    from the packed images as its callers form it."""
+    packed, rank_of = ftables.packed_fp_rank(p, images)
+    return rank_of(sum(map(operator.mul, digits, packed)))
+
+
+class TestPackedFpRank:
+    """ftables.packed_fp_rank against linalg.rank over witt_ring(p, 1, 1)."""
+
+    @staticmethod
+    def _check(p, images, digits):
+        # sum d_k images_k, entry by entry, ranked by linalg
+        combination = [[sum(map(operator.mul, digits, col)) for col in zip(*rows)] for rows in zip(*images)]
+        want = _fp_rank(combination, p)
+        assert _packed_rank(p, images, digits) == want
+        return want
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_seeded_random_matrices(self, p):
+        rng = random.Random(p)
+        ranks = set()
+        for _ in range(60):
+            K, n, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 7)
+            # sparse entries leave some columns zero in every image, and low ranks
+            density = rng.choice([0.2, 0.5, 1.0])
+
+            def entry():
+                return rng.randrange(p) if rng.random() < density else 0
+
+            images = [[[entry() for _ in range(m)] for _ in range(n)] for _ in range(K)]
+            ranks.add(self._check(p, images, [rng.randrange(p) for _ in range(K)]))
+        assert len(ranks) > 2
+
+    @pytest.mark.parametrize("p, K", [(3, 70), (5, 20), (13, 2), (13, 9)])
+    def test_sums_that_pass_8_bits(self, p, K):
+        # K (p - 1)^2 >= 256: an 8-bit field would overflow before its reduction
+        assert K * (p - 1) ** 2 >= 256
+        rng = random.Random(K * p)
+        for _ in range(20):
+            n, m = rng.randint(1, 5), rng.randint(1, 5)
+            images = [[[rng.choice([0, p - 1]) for _ in range(m)] for _ in range(n)] for _ in range(K)]
+            self._check(p, images, [rng.choice([p - 1, rng.randrange(p)]) for _ in range(K)])
+        # every term at its largest: each field sums K (p - 1)^2
+        images = [[[p - 1] * 3 for _ in range(2)] for _ in range(K)]
+        assert self._check(p, images, [p - 1] * K) == (0 if K % p == 0 else 1)
+
+    def test_all_zero_inputs(self):
+        assert _packed_rank(3, [[[0, 0], [0, 0]]] * 4, [1, 2, 1, 2]) == 0
+        assert _packed_rank(5, [[[1, 2], [3, 4]]], [0]) == 0
+        assert _packed_rank(3, [[]] * 3, [1, 1, 1]) == 0
+        assert _packed_rank(3, [], []) == 0
+
+    @pytest.mark.parametrize("p", [3, 7, 13])
+    def test_single_row(self, p):
+        rng = random.Random(p + 1)
+        for _ in range(20):
+            images = [[[rng.randrange(p) for _ in range(5)]] for _ in range(3)]
+            self._check(p, images, [rng.randrange(p) for _ in range(3)])
+        assert _packed_rank(p, [[[0, 0, 1]], [[0, 0, p - 1]]], [1, 1]) == 0
+
+
+def _block_digits(D, r, p):
+    """The F_p digits c0, c1 of each code c0 + c1 p in the diagonal
+    (r, s)-blocks of D, row by row."""
+    return [c for i, row in enumerate(D) for j, x in enumerate(row) if (i < r) == (j < r) for c in (x % p, x // p)]
 
 
 class TestLemmaGp:
@@ -893,10 +993,12 @@ class TestLemmaGp:
     def test_fibre_check_fails_when_a_member_is_dropped(self, monkeypatch, drop):
         identity = field_table(3).identity(2)
         victim = identity if drop == "kernel" else next(D for D in gusplit_group_elements(1, 1, 3) if D != identity)
-        fibre_size = groups._fibre_size
+        fibre_sizes = groups._fibre_sizes
         # the fibre over the victim comes out one member short
         monkeypatch.setattr(
-            groups, "_fibre_size", lambda table, D, basis: fibre_size(table, D, basis) - (D == victim)
+            groups,
+            "_fibre_sizes",
+            lambda *args: {D: size - (D == victim) for D, size in fibre_sizes(*args).items()},
         )
         rep = lemma_gp_check(3, -1, 1, 1)
         assert rep.surjective and rep.group_order == 9 * 32 - 1
@@ -905,23 +1007,41 @@ class TestLemmaGp:
 
     @pytest.mark.parametrize("alpha, r, s", [(-1, 1, 1), (-10, 1, 1), (-1, 2, 0), (-1, 0, 2)])
     def test_fibres_match_the_filter(self, monkeypatch, alpha, r, s):
-        # the fibre over D is the kernel of the matrix whose rank _fibre_size
-        # counts: compare the N in it, not only their number
-        sizes, kernels, matrices = {}, {}, []
-        fibre_size, rank = groups._fibre_size, groups.rank
+        # the fibre over D is the kernel of the combination of basis images
+        # whose rank packed_fp_rank takes: compare the N in it, not only
+        # their number
+        recorded, matrices = {}, []
+        fibre_sizes, packed_fp_rank = groups._fibre_sizes, groups.packed_fp_rank
 
-        def record_rank(matrix):
-            matrices.append(matrix)
-            return rank(matrix)
+        def record_rank(p, images):
+            packed, rank_of = packed_fp_rank(p, images)
+            recorded["images"], recorded["packed"] = images, packed
 
-        def record(table, D, basis):
-            sizes[D] = fibre_size(table, D, basis)
-            kernels[D] = _kernel(matrices.pop(), basis, len(D), table.p)
-            return sizes[D]
+            def rank_and_record(matrix):
+                matrices.append(matrix)
+                return rank_of(matrix)
 
-        monkeypatch.setattr(groups, "rank", record_rank)
-        monkeypatch.setattr(groups, "_fibre_size", record)
+            return packed, rank_and_record
+
+        def record(table, gp_elements, r, basis):
+            recorded["basis"] = basis
+            recorded["sizes"] = fibre_sizes(table, gp_elements, r, basis)
+            return recorded["sizes"]
+
+        monkeypatch.setattr(groups, "packed_fp_rank", record_rank)
+        monkeypatch.setattr(groups, "_fibre_sizes", record)
         rep = lemma_gp_check(3, alpha, r, s)
+        images, packed, basis, sizes = (recorded[key] for key in ("images", "packed", "basis", "sizes"))
+        # one ranked matrix per D, in the order of the fibres
+        assert len(matrices) == len(sizes)
+        kernels = {}
+        for D, matrix in zip(sizes, matrices):
+            digits = _block_digits(D, r, 3)
+            # what was ranked is sum d_k images_k over D's digits ...
+            assert matrix == sum(map(operator.mul, digits, packed))
+            # ... whose rows, one per basis N, are these
+            rows = [[sum(map(operator.mul, digits, col)) % 3 for col in zip(*rows)] for rows in zip(*images)]
+            kernels[D] = _kernel(rows, basis, len(D), 3)
         members = _lemma_gp_members_by_filter(3, alpha, r, s)
         fibres = {}
         for D, N in members:
@@ -929,6 +1049,44 @@ class TestLemmaGp:
         assert fibres == kernels
         assert {D: len(kernel) for D, kernel in kernels.items()} == sizes
         assert rep.group_order == len(members)
+
+    # every g <= 2 case of this class
+    @pytest.mark.parametrize(
+        "p, alpha, r, s",
+        [
+            (3, -1, 1, 1),
+            (3, -10, 1, 1),
+            (3, -1, 2, 0),
+            (3, -1, 0, 2),
+            (5, -2, 1, 1),
+            (5, -2, 2, 0),
+            (7, -1, 1, 1),
+            (11, -1, 1, 1),
+            (13, -2, 1, 1),
+        ],
+    )
+    def test_fibres_match_the_reference_d_by_d(self, monkeypatch, p, alpha, r, s):
+        recorded = []
+        fibre_sizes = groups._fibre_sizes
+
+        def record(table, gp_elements, r, basis):
+            recorded.append((table, basis, fibre_sizes(table, gp_elements, r, basis)))
+            return recorded[-1][2]
+
+        monkeypatch.setattr(groups, "_fibre_sizes", record)
+        lemma_gp_check(p, alpha, r, s)
+        [(table, basis, sizes)] = recorded
+        assert sizes == {D: _fibre_size(table, D, basis) for D in sizes}
+
+    def test_fibres_match_the_reference_on_a_g4_sample(self):
+        # 200 of the 18 432 D of G(U_2 x U_2)(F_9), seeded, and the identity
+        table = field_table(3)
+        elements = gusplit_group_elements(2, 2, 3)
+        sample = [table.identity(4)] + random.Random(22).sample(elements, 200)
+        basis = groups._units(3, 4, 2, False)
+        sizes = groups._fibre_sizes(table, sample, 2, basis)
+        assert sizes == {D: _fibre_size(table, D, basis) for D in sample}
+        assert set(sizes.values()) == {3**8}
 
     @pytest.mark.parametrize(
         "p, alpha, r, s, order",

@@ -231,7 +231,8 @@ def test_lemma_gp_check_counts_fibres_instead_of_filtering():
         and any(kw.arg == "repeat" and _is_square(kw.value) for kw in node.keywords)
     ]
     assert squares == []
-    # the fibres are counted by rank, in lemma_gp_check or a groups helper it calls
+    # the fibres are counted by rank, in lemma_gp_check or a groups helper it
+    # calls: linalg's or the packed rank mod p of ftables.packed_fp_rank
     defs = {node.name: node for node in groups.body if isinstance(node, ast.FunctionDef)}
     reached, todo = set(), ["lemma_gp_check"]
     while todo:
@@ -241,7 +242,7 @@ def test_lemma_gp_check_counts_fibres_instead_of_filtering():
                 reached.add(name)
                 if name in defs:
                     todo.append(name)
-    assert "rank" in reached
+    assert reached & {"rank", "packed_fp_rank"}
 
 
 def _mentions(pattern: str) -> list:
@@ -285,6 +286,13 @@ def test_each_exception_carries_its_exit_code():
     # cli.main reads an SspError's class attribute `code`: no exit-code
     # table is left, and gf and witt each run one Euclid and one Horner
     assert _mentions(r"\b(EXIT_CODES|exit_code|_pgcd|_eval_modulus_derivative)\b") == []
+
+
+def test_lemma_fibres_are_one_linear_combination_each():
+    # the images of the level-p lemma are built once per call, not per D,
+    # and groups takes no rank from linalg
+    assert _mentions(r"\b_fibre_size\b") == []
+    assert "linalg" not in _imported(_modules()["groups"])
 
 
 def test_class_walk_multiplies_by_generators_and_phi_has_one_home():

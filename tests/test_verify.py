@@ -40,6 +40,11 @@ FULL_NAMES = [
     "aut-bruteforce-vs-gusplit-order(3,3,1)",
     "superspecial-model-core(3,3,1)",
     "endpoint-admissibility(3,3,1)",
+    "lemma-gp-check(3,-1,2,2)",
+    "pairing-well-definedness(3,2,2)",
+    "pairing-well-definedness(3,3,1)",
+    "gsp-order-vs-hyperbolic-pairs(4,3)",
+    "lemma-gp-check(3,-1,3,1)",
 ]
 
 
@@ -71,9 +76,9 @@ def test_a_raising_check_fails_only_itself(monkeypatch):
 def test_lemma_check_pins_the_order_of_g_p(monkeypatch):
     # lemma-gp-check also requires |G(p)| = order_gusplit(1, 1, p), so with
     # surjectivity its image has all 32 elements at p = 3
-    assert verify._lemma(3, -1)[0]
+    assert verify._lemma(3, -1, 1, 1)[0]
     monkeypatch.setattr(verify.groups, "order_gusplit", lambda r, s, p: 31)
-    assert not verify._lemma(3, -1)[0]
+    assert not verify._lemma(3, -1, 1, 1)[0]
 
 
 def test_sylow_check_reads_the_shipped_dimension_factor(monkeypatch):
