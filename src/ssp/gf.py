@@ -136,6 +136,7 @@ def minimal_irreducible(p: int, s: int) -> tuple[int, ...]:
 # The first 12 are not enough: 318665857834031151167461 < PRIME_CERT_LIMIT
 # is composite and a strong probable prime to every base up to 37.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BASES_PRODUCT = math.prod(_MR_BASES)
 PRIME_CERT_LIMIT = 3317044064679887385961981
 
 # _PSI[k - 1] is psi_k, the least odd composite that is a strong probable
@@ -160,15 +161,14 @@ _PSI = (
 
 
 def is_prime(n: int) -> bool:
-    """Trial division by the 13 bases 2..41, then deterministic
-    Miller-Rabin to the first k of them, k the least with n < psi_k.
-    Raises ValidationError for an n >= PRIME_CERT_LIMIT with no factor
-    among the bases."""
+    """Trial division by the 13 bases 2..41, as one gcd with their
+    product, then deterministic Miller-Rabin to the first k of them, k
+    the least with n < psi_k.  Raises ValidationError for an
+    n >= PRIME_CERT_LIMIT with no factor among the bases."""
     if n < 2:
         return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
+    if math.gcd(n, _MR_BASES_PRODUCT) != 1:
+        return n in _MR_BASES
     if n < 43 * 43:
         return True
     if n >= PRIME_CERT_LIMIT:

@@ -207,43 +207,40 @@ def gl2_order_enumerated(N: int) -> int:
 
 
 def _pair_count_steps(g: int, N: int) -> int:
-    """The steps hyperbolic_pair_count(g, N) takes: for each of the N^{2g}
-    vectors u, two tables over the N^g half-vectors and a sum over Z/N."""
-    return N ** (2 * g) * (2 * N**g + N)
-
-
-def _value_counts(a: tuple, halves: list, N: int) -> list:
-    """counts[t] = #{w in halves : a . w = t mod N}."""
-    counts = [0] * N
-    for w in halves:
-        counts[sum(map(operator.mul, a, w)) % N] += 1
-    return counts
+    """The steps hyperbolic_pair_count(g, N) takes: one for each of the
+    N^{2g} pairs of half-vectors and a sum over Z/N."""
+    return N ** (2 * g) + N
 
 
 def hyperbolic_pair_count(g: int, N: int, meter: EnumBudget) -> int:
-    """#{(u, v) in ((Z/N)^{2g})^2 : <u, v> = 1} by enumeration of u.
+    """#{(u, v) in ((Z/N)^{2g})^2 : <u, v> = 1} by enumeration of the
+    pairs of half-vectors.
 
-    With u = (a, b) and v = (x, y) split into halves, <u, v> = a.y - b.x.
-    For each u, the values of a.y and b.x are tabulated over the N^g
-    half-vectors, and the v with a.y = b.x + 1 are counted from the two
-    tables.  The _pair_count_steps(g, N) steps are charged to `meter`
-    before the first is taken."""
+    With u = (a, b) and v = (x, y) split into halves, <u, v> = a.y - b.x,
+    and (a, y) and (b, x) range independently over the same pairs.  So
+    with C[t] = #{(a, y) : a.y = t mod N}, the count is
+    sum_t C[t] C[t - 1].  C is filled in one pass that lists a.y for
+    every y, one coordinate of y at a time, for each a.  The
+    _pair_count_steps(g, N) steps are charged to `meter` before the
+    first is taken."""
     meter.spend(_pair_count_steps(g, N))
     one = 1 % N  # 1 = 0 in Z/1
-    halves = list(itertools.product(range(N), repeat=g))
-    count = 0
-    for a, b in itertools.product(halves, repeat=2):
-        ay = _value_counts(a, halves, N)
-        bx = _value_counts(b, halves, N)
-        count += sum(ay[t] * bx[(t - one) % N] for t in range(N))
-    return count
+    counts = [0] * N
+    for a in itertools.product(range(N), repeat=g):
+        dots = [0]  # a.y over the y listed so far, in itertools.product order
+        for a_i in a:
+            dots = [d + a_i * y_i for d in dots for y_i in range(N)]
+        for d in dots:
+            counts[d % N] += 1
+    return sum(counts[t] * counts[(t - one) % N] for t in range(N))
 
 
 def gsp_order_enumerated(g: int, N: int) -> int:
     """#GSp_{2g}(Z/N) via enumerated hyperbolic-pair counts:
     #Sp_{2g} = #pairs(g) * #Sp_{2g-2}, and #GSp = #Sp * #(Z/N)^x, with
-    the units counted by enumeration too.  The whole count is charged to
-    the budget before any enumeration starts."""
+    the units counted by enumeration too.  The whole count,
+    N + sum_k (N^{2k} + N) for k = 1..g, is charged to the budget before
+    any enumeration starts."""
     meter = EnumBudget("gsp_order_enumerated")
     meter.ensure(N + sum(_pair_count_steps(k, N) for k in range(1, g + 1)))
     sp = 1
@@ -585,8 +582,10 @@ def lemma_gp_check(p: int, alpha: int, r: int, s: int) -> LemmaGpReport:
     `kernel_is_identity_mod_pi` reports that every fibre of the
     reduction has exactly `kernel_size` members, as the fibres of a
     homomorphism are cosets of its kernel; then
-    group_order = kernel_size x |image|.
+    group_order = kernel_size x |image|.  It needs r, s >= 0 and r + s >= 1.
     """
+    if r < 0 or s < 0 or r + s == 0:
+        raise ValidationError("r, s must be >= 0 with r + s >= 1")
     g = r + s
     meter = EnumBudget("lemma_gp_check")
     table = metered_table(p, 2, meter)

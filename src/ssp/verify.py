@@ -173,6 +173,9 @@ FULL = QUICK + (
     ("pairing-well-definedness(3,3,1)", partial(_pairing, 3, 1)),
     ("gsp-order-vs-hyperbolic-pairs(4,3)", partial(_order, "gsp", 4, 3)),
     ("lemma-gp-check(3,-1,3,1)", partial(_lemma, 3, -1, 3, 1)),
+    ("gsp-order-vs-hyperbolic-pairs(4,5)", partial(_order, "gsp", 4, 5)),
+    ("gsp-order-vs-hyperbolic-pairs(4,4)", partial(_order, "gsp", 4, 4)),
+    ("gsp-order-vs-hyperbolic-pairs(2,12)", partial(_order, "gsp", 2, 12)),
 )
 
 

@@ -216,12 +216,11 @@ class TestGroup:
     @pytest.mark.parametrize(
         "params, message",
         [
-            # N^(2k) (2 N^k + N) hyperbolic-pair steps, k = 1, 2, and N units,
+            # N^(2k) + N hyperbolic-pair steps, k = 1, 2, and N units,
             # charged before any is taken
             (
                 "2,101",
-                "gsp_order_enumerated would reach "
-                f"{101 + 101**2 * (2 * 101 + 101) + 101**4 * (2 * 101**2 + 101)} candidates",
+                f"gsp_order_enumerated would reach {101 + (101**2 + 101) + (101**4 + 101)} candidates",
             ),
             ("1,100000", f"gl2_order_enumerated reached {100000**4} candidates"),
         ],

@@ -135,18 +135,20 @@ class TestEnumerationOracles:
         monkeypatch.setenv("SSP_MAX_ENUM", "624")
         with pytest.raises(BudgetExceededError, match="gl2_order_enumerated reached 625 "):
             gl2_order_enumerated(5)
-        # 3^2 vectors u, each with two tables over 3 half-vectors and 3 sums
-        monkeypatch.setenv("SSP_MAX_ENUM", "80")
-        with pytest.raises(BudgetExceededError, match="hyperbolic_pair_count reached 81 "):
+        # 3^2 pairs (a, y) of half-vectors and a sum over 3 values
+        monkeypatch.setenv("SSP_MAX_ENUM", "11")
+        with pytest.raises(BudgetExceededError, match="hyperbolic_pair_count reached 12 "):
             hyperbolic_pair_count(1, 3, EnumBudget("hyperbolic_pair_count"))
-        # 3 units + 3^2 (2 * 3 + 3) + 3^4 (2 * 3^2 + 3) half-vector steps
-        monkeypatch.setenv("SSP_MAX_ENUM", "1784")
-        with pytest.raises(BudgetExceededError, match="gsp_order_enumerated would reach 1785 "):
+        # 3 units + (3^2 + 3) + (3^4 + 3) pair steps
+        monkeypatch.setenv("SSP_MAX_ENUM", "98")
+        with pytest.raises(BudgetExceededError, match="gsp_order_enumerated would reach 99 "):
             gsp_order_enumerated(2, 3)
-        monkeypatch.setenv("SSP_MAX_ENUM", "1785")
+        monkeypatch.setenv("SSP_MAX_ENUM", "99")
         assert gsp_order_enumerated(2, 3) == order_gsp_mod(2, 3)
 
-    @pytest.mark.parametrize("g, N", [(1, 1), (1, 3), (1, 4), (1, 5), (2, 1), (2, 3), (2, 4), (3, 2)])
+    @pytest.mark.parametrize(
+        "g, N", [(1, 1), (1, 3), (1, 4), (1, 5), (2, 1), (2, 3), (2, 4), (3, 2), (1, 7), (1, 11), (2, 5)]
+    )
     def test_hyperbolic_pairs_match_the_quadratic_loop(self, g, N):
         assert hyperbolic_pair_count(g, N, EnumBudget("hyperbolic_pair_count")) == _hyperbolic_pairs_by_loop(g, N)
 
@@ -976,6 +978,13 @@ class TestLemmaGp:
         monkeypatch.setenv("SSP_MAX_ENUM", "10")
         with pytest.raises(BudgetExceededError):
             lemma_gp_check(3, -1, 1, 1)
+
+    @pytest.mark.parametrize("r, s", [(-1, 2), (2, -1), (0, 0)])
+    def test_signature_needs_r_s_non_negative_and_g_positive(self, r, s):
+        # unchecked, (-1, 2) gives kernel_size 0, and (0, 0) puts the p - 1
+        # similitudes of the empty matrix on one key: gp_order 1, not 2
+        with pytest.raises(ValidationError, match="r, s must be >= 0 with r \\+ s >= 1"):
+            lemma_gp_check(3, -1, r, s)
 
     def test_one_meter_counts_the_whole_check(self, monkeypatch):
         # the 2 x 9 frames of G(p) = G(U_1 x U_1)(F_9), then its 32 x 4

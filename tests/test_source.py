@@ -301,6 +301,12 @@ def test_class_walk_multiplies_by_generators_and_phi_has_one_home():
     assert _mentions(r"\b(add_coset|_phi_codes)\b") == []
 
 
+def test_hyperbolic_pairs_come_from_one_dot_product_distribution():
+    # hyperbolic_pair_count tabulates a.y once over the pairs of
+    # half-vectors: no per-u tables of values are built
+    assert _mentions(r"\b_value_counts\b") == []
+
+
 def _functions(tree):
     return [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
 

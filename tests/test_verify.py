@@ -45,6 +45,9 @@ FULL_NAMES = [
     "pairing-well-definedness(3,3,1)",
     "gsp-order-vs-hyperbolic-pairs(4,3)",
     "lemma-gp-check(3,-1,3,1)",
+    "gsp-order-vs-hyperbolic-pairs(4,5)",
+    "gsp-order-vs-hyperbolic-pairs(4,4)",
+    "gsp-order-vs-hyperbolic-pairs(2,12)",
 ]
 
 
