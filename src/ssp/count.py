@@ -259,9 +259,17 @@ def equivariant_dimension(space: CosetSpace, rho: GroupRepresentation) -> int:
     S_z = rho(g)^{-1} S_y along the spanning-tree edge y --g--> z.
     Every other edge asks (S_z - rho(g)^{-1} S_y) f(rep) = 0, so the
     orbit adds d minus the rank of those rows; an edge whose two
-    matrices are equal asks nothing.  Each generator is inverted once,
-    up front.  With no generators every point is its own orbit and asks
-    nothing, so the dimension is points * d and no matrix is built."""
+    matrices are equal asks nothing.
+
+    The walk keeps the transposes T_y = S_y^T, so an edge is the right
+    product T_z = T_y (rho(g)^{-1})^T by one matrix per generator, and
+    an edge's constraint rows are the rows of (T_z - T_y (rho(g)^{-1})^T)^T.
+    Each generator is inverted once, up front, and gets one
+    `linalg.right_mul` map, which multiplies each distinct row of the
+    T_y once: the maps hold at most #generators x #distinct rows
+    products, and only for this call.  With no generators every point
+    is its own orbit and asks nothing, so the dimension is points * d
+    and no matrix is built."""
     if len(space.generators) != len(rho.generators):
         raise ValidationError(
             "inconsistent action data: "
@@ -271,26 +279,27 @@ def equivariant_dimension(space: CosetSpace, rho: GroupRepresentation) -> int:
         return space.points * rho.dim
     one, zero = rho.ctx.one(), rho.ctx.zero()
     d = rho.dim
-    inv = [linalg.inverse(M, one, zero) for M in rho.generators]
-    S = {}
+    steps = [linalg.right_mul(linalg.transpose(linalg.inverse(M, one, zero))) for M in rho.generators]
+    T = {}
     total = 0
     for start in range(space.points):
-        if start in S:
+        if start in T:
             continue
-        S[start] = linalg.scalar_matrix(d, one, zero)
+        T[start] = linalg.scalar_matrix(d, one, zero)
         queue = [start]
         constraints = []
         while queue:
             y = queue.pop()
-            for perm, g_inv in zip(space.generators, inv):
+            Ty = T[y]
+            for perm, step in zip(space.generators, steps):
                 z = perm[y]
-                image = linalg.mat_mul(g_inv, S[y])
-                if z not in S:
-                    S[z] = image
+                image = step(Ty)
+                if z not in T:
+                    T[z] = image
                     queue.append(z)
-                elif S[z] != image:
+                elif T[z] != image:
                     constraints.extend(
-                        row for row in linalg.mat_sub(S[z], image)
+                        row for row in linalg.transpose(linalg.mat_sub(T[z], image))
                         if any(not x.is_zero() for x in row)
                     )
         total += d - linalg.rank(constraints)

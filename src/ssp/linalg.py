@@ -15,9 +15,10 @@ entries are zero.  Products and the elimination find each row's
 non-zero positions (`WittRing.support`, which checks every entry's ring
 as `dot` does) and work on those alone, `charpoly` splits the indices
 into the components of the support graph and runs plain Berkowitz
-inside each, and `mat_map` maps each distinct value once; the values
-are those of the dense formulas.  Every entry is an element of the
-matrix's ring: an int is not an operand (`WittRing.el` makes constants).
+inside each, `mat_map` maps each distinct value once and a `right_mul`
+map multiplies each distinct row once; the values are those of the
+dense formulas.  Every entry is an element of the matrix's ring: an
+int is not an operand (`WittRing.el` makes constants).
 """
 
 from __future__ import annotations
@@ -71,6 +72,31 @@ def mat_mul(A, B) -> Matrix:
                     t[1].append(Bk[j])
         out.append(tuple([zero if t is None else dot(*t) for t in terms]))
     return tuple(out)
+
+
+def right_mul(M):
+    """The map X -> mat_mul(X, M), with the contract of
+    `FieldTable.right_mul`: each distinct row r of its arguments is
+    multiplied by M once, one `dot` per column of M (the columns are
+    formed once per map); the products r.M are kept only as long as the
+    map, so a walk that applies one M to many matrices with shared rows
+    pays a dict lookup per row."""
+    cols = transpose(M)
+    products: dict[tuple, tuple] = {}
+
+    def times_m(X):
+        try:
+            return tuple(map(products.__getitem__, X))
+        except KeyError:
+            out = []
+            for r in X:
+                rm = products.get(r)
+                if rm is None:
+                    rm = products[r] = tuple([dot(r, col) for col in cols])
+                out.append(rm)
+            return tuple(out)
+
+    return times_m
 
 
 def mat_sub(A, B) -> Matrix:

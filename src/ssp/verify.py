@@ -117,17 +117,21 @@ def _lemma(p: int, alpha: int, r: int, s: int):
     )
 
 
-def _equivariant():
+def _equivariant(elements_of, *params: int):
+    """The regular coset space of a group of coded matrices over F_9 with
+    its natural representation: the equivariant functions are the values
+    at the identity, so the dimension is the matrix size."""
     table = field_table(3)
-    elements = sorted(groups.gusplit_group_elements(1, 1, 3))
+    elements = sorted(elements_of(*params))
     index = {e: i for i, e in enumerate(elements)}
     perms = tuple(tuple(index[table.mat_mul(x, g)] for x in elements) for g in elements)
     space = count.CosetSpace(points=len(elements), generators=perms)
+    d = len(elements[0])
     rho = count.GroupRepresentation(
-        ctx=table.ctx, dim=2, generators=tuple(table.mat_decode(g) for g in elements)
+        ctx=table.ctx, dim=d, generators=tuple(table.mat_decode(g) for g in elements)
     )
     dim = count.equivariant_dimension(space, rho)
-    return dim == 2, f"regular-space dimension {dim} vs rep dim 2"
+    return dim == d, f"regular-space dimension {dim} vs rep dim {d}"
 
 
 QUICK = (
@@ -157,7 +161,7 @@ FULL = QUICK + (
     ("lemma-gp-check(3,-1,1,1)", partial(_lemma, 3, -1, 1, 1)),
     ("superspecial-model-core(3,2,2)", partial(_model, 2, 2)),
     ("endpoint-admissibility(3,2,2)", partial(_admissibility, 2, 2)),
-    ("equivariant-dimension-regular(3,1,1)", _equivariant),
+    ("equivariant-dimension-regular(3,1,1)", partial(_equivariant, groups.gusplit_group_elements, 1, 1, 3)),
     ("u-order-vs-enumeration(3,3)", partial(_order, "u", 3, 3)),
     ("gusplit-order-vs-enumeration(2,2,3)", partial(_order, "gusplit", 2, 2, 3)),
     ("pregular-classes-vs-enumeration(2,2,3)", partial(_pregular, 2, 2, 3)),
@@ -176,6 +180,7 @@ FULL = QUICK + (
     ("gsp-order-vs-hyperbolic-pairs(4,5)", partial(_order, "gsp", 4, 5)),
     ("gsp-order-vs-hyperbolic-pairs(4,4)", partial(_order, "gsp", 4, 4)),
     ("gsp-order-vs-hyperbolic-pairs(2,12)", partial(_order, "gsp", 2, 12)),
+    ("equivariant-dimension-regular-su(2,3)", partial(_equivariant, groups.su_group_elements, 2, 3)),
 )
 
 

@@ -286,6 +286,16 @@ class TestEquivariantDimension:
         rho = GroupRepresentation(ctx=ctx, dim=2, generators=(swap, ((one, zero), (zero, -one))))
         space = CosetSpace(points=2, generators=((0, 1), (1, 0)))
         assert equivariant_dimension(space, rho) == equivariant_dimension_dense(space, rho) == 0
+        # one point fixed by a = [[1, 1], [0, 1]] and b = diag(1, -1) over F_3:
+        # I - a^-1 and I - b^-1 both ask f_2 = 0 and leave the line f_1, but
+        # their transposes also ask f_1 = 0, so a walk whose constraint rows
+        # are columns finds nothing
+        F3 = witt_ring(3, 1, 1)
+        one, zero = F3.one(), F3.zero()
+        a, b = ((one, one), (zero, one)), ((one, zero), (zero, -one))
+        rho = GroupRepresentation(ctx=F3, dim=2, generators=(a, b))
+        space = CosetSpace(points=1, generators=((0,), (0,)))
+        assert equivariant_dimension(space, rho) == equivariant_dimension_dense(space, rho) == 1
 
     def test_no_generators_gives_points_times_dim(self):
         ctx = witt_ring(3, 2, 1)
@@ -311,6 +321,19 @@ class TestEquivariantDimension:
         monkeypatch.setattr(linalg, "inverse", counted)
         assert equivariant_dimension(space, rho) == 2
         assert len(calls) == len(rho.generators)
+
+    def test_multiplies_each_distinct_row_once_per_generator(self, monkeypatch):
+        # the 32 transposes of the walk have 16 distinct rows, and each of
+        # the 32 generators' maps meets all of them: 512 row products of
+        # one dot per column, where a product per edge would make 1024
+        # matrix products
+        space, rho = regular_fixture()
+        calls = []
+        real = linalg.dot
+        monkeypatch.setattr(linalg, "dot", lambda xs, ys: calls.append(xs) or real(xs, ys))
+        assert equivariant_dimension(space, rho) == 2
+        assert len(calls) == 512 * 2
+        assert len({tuple(x.coeffs for x in xs) for xs in calls}) == 16
 
     def test_dense_oracle_agrees_on_random_fixtures(self):
         rng = random.Random(42)

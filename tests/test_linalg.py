@@ -422,3 +422,58 @@ def test_witt_dot_accepts_equal_rings_and_refuses_ints():
         with pytest.raises(TypeError):
             op(3, x)
     assert three != 3
+
+
+# ---------------------------------------------------------------------------
+# right_mul: X -> mat_mul(X, M), each distinct row multiplied once per map
+
+
+@pytest.mark.parametrize("s, n", [(1, 1), (2, 1), (2, 3)])
+def test_right_mul_matches_mat_mul(s, n):
+    ring = witt_ring(3, s, n)
+    rng = random.Random(10 * s + n)
+    zero_row = (ring.zero(), ring.el(0), ring.zero())
+    for inner, cols in ((3, 3), (3, 1), (3, 5)):
+        M = _random_witt_matrix(ring, rng, inner, cols)
+        times_m = linalg.right_mul(M)
+        assert times_m(()) == linalg.mat_mul((), M) == ()
+        for _ in range(4):
+            # rows repeat within and across the arguments of one map
+            rows = list(_random_witt_matrix(ring, rng, 2, inner)) + [zero_row]
+            X = tuple(rng.choice(rows) for _ in range(rng.randrange(1, 6)))
+            assert times_m(X) == linalg.mat_mul(X, M)
+        assert times_m((zero_row, zero_row)) == linalg.mat_mul((zero_row, zero_row), M)
+
+
+def test_right_mul_dots_each_distinct_row_once_per_map(monkeypatch):
+    ring = witt_ring(5, 2, 2)
+    rng = random.Random(4)
+    M = _random_witt_matrix(ring, rng, 2, 3, zeros=0)
+    r, t = _random_witt_matrix(ring, rng, 2, 2, zeros=0)
+    t_copy = tuple(ring.el(x.coeffs) for x in t)  # equal to t, not the same objects
+    want = [linalg.mat_mul(X, M) for X in ((r, t, r), (t_copy, t), (r,))]
+    calls = []
+    real = linalg.dot
+    monkeypatch.setattr(linalg, "dot", lambda xs, ys: calls.append(xs) or real(xs, ys))
+    times_m = linalg.right_mul(M)
+    assert [times_m((r, t, r)), times_m((t_copy, t)), times_m((r,))] == want
+    assert len(calls) == 2 * len(M[0])  # two distinct rows, one dot per column of M
+    # a second map keeps its own products
+    calls.clear()
+    assert linalg.right_mul(M)((t,)) == want[1][1:]
+    assert len(calls) == len(M[0])
+
+
+def test_right_mul_refuses_entries_of_another_ring():
+    a, b = witt_ring(3, 2, 3), witt_ring(5, 2, 3)
+    one, zero = a.one(), a.zero()
+    for foreign in (b.zero(), b.one(), witt_ring(3, 2, 1).zero()):
+        for X, M in (
+            (((one, foreign),), ((one,), (one,))),
+            (((zero, foreign),), ((zero,), (zero,))),
+            (((one, one),), ((one,), (foreign,))),
+        ):
+            with pytest.raises(ValidationError):
+                linalg.mat_mul(X, M)
+            with pytest.raises(ValidationError):
+                linalg.right_mul(M)(X)

@@ -142,6 +142,7 @@ def test_sums_of_products_go_through_linalg_dot():
     offenders = []
     for module, qualname in (
         ("linalg", "mat_mul"),
+        ("linalg", "right_mul"),
         ("linalg", "charpoly"),
         ("linalg", "_poly_mul"),
     ):
@@ -182,6 +183,15 @@ def test_similitude_frames_filters_whole_lists():
     assert "mat_mul" not in {_callee(node) for node in ast.walk(fn) if isinstance(node, ast.Call)}
     extend = _function(fn, "extend")
     assert "dot" not in {_callee(node) for node in ast.walk(extend) if isinstance(node, ast.Call)}
+
+
+def test_equivariant_walk_multiplies_through_right_mul():
+    # each edge is one right_mul map applied to the walk's transposes; a
+    # generic product per edge redoes the rows the maps have stored
+    fn = _function(_modules()["count"], "equivariant_dimension")
+    called = {_callee(node) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    assert "mat_mul" not in called
+    assert "right_mul" in called
 
 
 def _modular_power_loops(tree):

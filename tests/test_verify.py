@@ -48,6 +48,7 @@ FULL_NAMES = [
     "gsp-order-vs-hyperbolic-pairs(4,5)",
     "gsp-order-vs-hyperbolic-pairs(4,4)",
     "gsp-order-vs-hyperbolic-pairs(2,12)",
+    "equivariant-dimension-regular-su(2,3)",
 ]
 
 
