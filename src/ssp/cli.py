@@ -54,12 +54,14 @@ def _decimal(n: int) -> str:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
+    # ints, most of what a sweep writes, are tested second: after bool,
+    # which is an int
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
         return _decimal(x)
+    if isinstance(x, str):
+        return x
     if isinstance(x, Fraction):
         num = _decimal(x.numerator)
         return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
@@ -84,10 +86,9 @@ def _report(args, results: dict, notes=(), **fields) -> dict:
 
 
 def _flatten(prefix: str, obj, writer):
-    """Write the (name, value, provenance) rows of `obj`; lists and other
-    iterators, such as the rows a sweep yields, are enumerated.  Leaves
-    are tested before the Iterator ABC, whose check is slow: they are
-    most of what a sweep writes."""
+    """Write the (name, value, provenance) rows of `obj`.  Lists are
+    enumerated; an iterator is a stream of leaf rows, such as a sweep's,
+    and each of its rows is written with one writerows."""
     if isinstance(obj, dict):
         if len(obj) == 2 and "value" in obj and "provenance" in obj:
             writer.writerow((prefix, obj["value"], obj["provenance"]))
@@ -96,23 +97,37 @@ def _flatten(prefix: str, obj, writer):
             _flatten(f"{prefix}.{k}" if prefix else k, obj[k], writer)
     elif isinstance(obj, (str, int, Fraction)):
         writer.writerow((prefix, _fmt(obj), ""))
-    elif isinstance(obj, (list, Iterator)):
+    elif isinstance(obj, list):
         for i, item in enumerate(obj):
             _flatten(f"{prefix}[{i}]", item, writer)
+    elif isinstance(obj, Iterator):
+        for i, leaves in enumerate(obj):
+            head = f"{prefix}[{i}]."
+            writer.writerows([(head + key, value, provenance) for key, value, provenance in leaves])
     else:
         writer.writerow((prefix, _fmt(obj), ""))
 
 
+def _leaf_dicts(rows) -> list:
+    """The JSON form of a stream of leaf rows: a row is the dict of its
+    leaves, a leaf with a provenance {"value", "provenance"} and one
+    without its bare value."""
+    return [
+        {key: {"value": value, "provenance": provenance} if provenance else value for key, value, provenance in leaves}
+        for leaves in rows
+    ]
+
+
 def _emit(report: dict, as_csv: bool):
     """Write `report` to stdout.  CSV rows go out as they are made; JSON
-    is built in full first (an iterator becomes a list), so it is written
-    whole or not at all."""
+    is built in full first (a stream of leaf rows becomes a list), so it
+    is written whole or not at all."""
     if as_csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["name", "value", "provenance"])
         _flatten("", report["results"], writer)
     else:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True, default=list) + "\n")
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True, default=_leaf_dicts) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +248,8 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_sweep(args) -> dict:
-    """The range is parsed and checked here; the rows are a generator,
-    evaluated as the report is written."""
+    """The range is parsed and checked here; the rows are a generator of
+    leaf rows, evaluated as the report is written."""
     try:
         lo, hi = (int(x) for x in args.sweep.split(":"))
     except ValueError:
@@ -242,6 +257,9 @@ def _cmd_sweep(args) -> dict:
     if lo > hi:
         raise ValidationError(f"--sweep range {args.sweep} is empty: {lo} > {hi}")
     primes = primes_between(lo, hi, EnumBudget("sweep"))
+    # an evaluated row's leaves, sorted by key once per sweep: the
+    # results of `_SWEEP_RESULTS`, p and status (which have no field)
+    layout = sorted((*_SWEEP_RESULTS, ("p", None, ""), ("status", None, "")))
 
     def rows():
         for p in primes:
@@ -249,9 +267,13 @@ def _cmd_sweep(args) -> dict:
                 params = count_mod.SignatureParams(p=p, alpha=args.alpha, r=args.r, s=args.s, N=args.N)
                 rep = count_mod.eigensystem_bound(params)
             except ValidationError as e:
-                yield {"p": p, "status": "skipped", "reason": str(e)}
+                yield (("p", p, ""), ("reason", str(e), ""), ("status", "skipped", ""))
             else:
-                yield {"p": p, "status": "ok"} | _results(rep, _SWEEP_RESULTS)
+                bare = {"p": p, "status": "ok"}
+                yield [
+                    (key, bare[key] if field is None else _fmt(getattr(rep, field)), provenance)
+                    for key, field, provenance in layout
+                ]
 
     return _report(args, {"rows": rows()}, [_SUPERSPECIAL_NOTE])
 

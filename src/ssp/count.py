@@ -20,6 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .errors import (
@@ -99,9 +100,10 @@ class SignatureParams:
         return self.r + self.s
 
 
-@dataclass(frozen=True)
-class CountReport:
-    """Every intermediate quantity of the eigensystem bound."""
+class CountReport(NamedTuple):
+    """Every intermediate quantity of the eigensystem bound.  A named
+    tuple, not a frozen dataclass: a sweep makes one per evaluated prime,
+    and the dataclass's __init__ took about three times as long."""
 
     c_g: Fraction
     gsp_order: int
@@ -116,11 +118,20 @@ class CountReport:
 
 
 def mass_factor_product(p: int, g: int) -> int:
-    """prod_{i=1}^{g} (p^i + (-1)^i)."""
-    out = 1
-    for i in range(1, g + 1):
-        out *= p**i + (-1) ** i
+    """prod_{i=1}^{g} (p^i + (-1)^i), each p^i one product from the last."""
+    out, power, sign = 1, 1, 1
+    for _ in range(g):
+        power *= p
+        sign = -sign
+        out *= power + sign
     return out
+
+
+@functools.cache
+def _level_factor(g: int, N: int) -> Fraction:
+    """C_g * #GSp_{2g}(Z/N), the factor of the superspecial bound that
+    does not depend on p.  Cached per (g, N), so a sweep forms it once."""
+    return mass_constant(g) * order_gsp_mod(g, N)
 
 
 def superspecial_bound(params: SignatureParams) -> Fraction:
@@ -129,11 +140,7 @@ def superspecial_bound(params: SignatureParams) -> Fraction:
     An upper bound for the superspecial point count (via the Siegel
     embedding); integrality is not asserted."""
     g = params.g
-    return (
-        mass_constant(g)
-        * order_gsp_mod(g, params.N)
-        * mass_factor_product(params.p, g)
-    )
+    return _level_factor(g, params.N) * mass_factor_product(params.p, g)
 
 
 @functools.cache
@@ -181,7 +188,7 @@ def eigensystem_bound(params: SignatureParams) -> CountReport:
     gsp = order_gsp_mod(g, params.N)
     mass = mass_factor_product(params.p, g)
     # integers first, so one Fraction product; superspecial_bound, which
-    # must reassemble to it below, multiplies from the left
+    # must reassemble to it below, multiplies the cached C_g * gsp by mass
     ss_exact = c_g * (gsp * mass)
     ss_ceiling = math.ceil(ss_exact)
     classes = p_regular_classes(params.r, params.s, params.p)
@@ -250,6 +257,22 @@ class GroupRepresentation:
                 raise ValidationError(f"representation matrix #{i} is not {self.dim} x {self.dim}")
             if not linalg.is_invertible(M):
                 raise ValidationError(f"representation matrix #{i} is singular")
+
+
+def regular_coset_space(table, elements) -> tuple[CosetSpace, GroupRepresentation]:
+    """A group of coded matrices over `table`'s field acting on itself by
+    right translation, x . g = xg, one generator per element (in sorted
+    order), with its natural representation rho(g) = g."""
+    elements = sorted(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    space = CosetSpace(
+        points=len(elements),
+        generators=tuple(tuple(index[table.mat_mul(x, g)] for x in elements) for g in elements),
+    )
+    rho = GroupRepresentation(
+        ctx=table.ctx, dim=len(elements[0]), generators=tuple(table.mat_decode(g) for g in elements)
+    )
+    return space, rho
 
 
 def equivariant_dimension(space: CosetSpace, rho: GroupRepresentation) -> int:

@@ -121,17 +121,9 @@ def _equivariant(elements_of, *params: int):
     """The regular coset space of a group of coded matrices over F_9 with
     its natural representation: the equivariant functions are the values
     at the identity, so the dimension is the matrix size."""
-    table = field_table(3)
-    elements = sorted(elements_of(*params))
-    index = {e: i for i, e in enumerate(elements)}
-    perms = tuple(tuple(index[table.mat_mul(x, g)] for x in elements) for g in elements)
-    space = count.CosetSpace(points=len(elements), generators=perms)
-    d = len(elements[0])
-    rho = count.GroupRepresentation(
-        ctx=table.ctx, dim=d, generators=tuple(table.mat_decode(g) for g in elements)
-    )
+    space, rho = count.regular_coset_space(field_table(3), elements_of(*params))
     dim = count.equivariant_dimension(space, rho)
-    return dim == d, f"regular-space dimension {dim} vs rep dim {d}"
+    return dim == rho.dim, f"regular-space dimension {dim} vs rep dim {rho.dim}"
 
 
 QUICK = (

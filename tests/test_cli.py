@@ -595,6 +595,8 @@ class TestSweep:
             ("--sweep=3:3000", "-1", "16", "16", "3"),
             ("--sweep=3:400", "-1000003", "1", "1", "3"),  # large prime alpha, factored once
             ("--sweep=3:400", "-4000012", "1", "1", "3"),  # large alpha, not squarefree
+            ("--sweep=3:200", "-1", "2", "0", "3"),  # rs = 0 branch of p_regular_classes
+            ("--sweep=3:60", "-1", "1", "1", "9"),  # p | N at p = 3
         ],
     )
     @pytest.mark.parametrize("as_csv", [False, True])
@@ -603,6 +605,58 @@ class TestSweep:
         code, out = run(capsys, *argv)
         assert code == 0
         assert out == _reference_sweep(window.split("=")[1], int(alpha), int(r), int(s), int(N), as_csv)
+
+    @pytest.mark.parametrize("as_csv", [False, True])
+    def test_every_row_runs_its_checks(self, capsys, monkeypatch, as_csv):
+        # the sieved prime is tested again and inertness checked on each of
+        # the 16 rows of 3:60; the 9 evaluated rows (p = 3 mod 4) each check
+        # the irreducible-sum factors and reassemble the superspecial bound
+        calls = {name: 0 for name in ("is_prime", "is_nonresidue", "irrep_sum_bound", "superspecial_bound")}
+
+        def counted(name):
+            real = getattr(count, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(count, name, counted(name))
+        code, _ = run(capsys, "sweep", "--sweep", "3:60", *_SIGNATURE, "--N", "3", *["--csv"] * as_csv)
+        assert code == 0
+        assert calls == {"is_prime": 16, "is_nonresidue": 16, "irrep_sum_bound": 9, "superspecial_bound": 9}
+
+    def test_csv_writes_each_row_with_one_writerows(self, capsys, monkeypatch):
+        calls = []
+
+        class Recorder:
+            def __init__(self, writer):
+                self.writer = writer
+
+            def writerow(self, row):
+                calls.append(("writerow", [tuple(row)]))
+                return self.writer.writerow(row)
+
+            def writerows(self, rows):
+                rows = list(rows)
+                calls.append(("writerows", rows))
+                return self.writer.writerows(rows)
+
+        want = _reference_sweep("3:60", -1, 1, 1, 3, True)
+        real = csv.writer
+        monkeypatch.setattr(cli.csv, "writer", lambda *a, **k: Recorder(real(*a, **k)))
+        code, out = run(capsys, "sweep", "--sweep", "3:60", *_SIGNATURE, "--N", "3", "--csv")
+        assert code == 0 and out == want
+        # the header, then one writerows per prime in 3:60, each holding
+        # that row's leaves and no other
+        assert calls[0] == ("writerow", [("name", "value", "provenance")])
+        rows = calls[1:]
+        assert [kind for kind, _ in rows] == ["writerows"] * 16
+        for i, (_, leaves) in enumerate(rows):
+            assert {name.partition(".")[0] for name, _, _ in leaves} == {f"rows[{i}]"}
+            assert len(leaves) in (3, 6)
 
     @pytest.mark.parametrize("as_csv", [False, True])
     def test_error_while_rows_stream(self, capsys, monkeypatch, as_csv):

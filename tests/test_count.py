@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from ssp.count import (
     eigensystem_bound,
     equivariant_dimension,
     mass_factor_product,
+    regular_coset_space,
     representation_from_dict,
     superspecial_bound,
 )
@@ -76,6 +78,11 @@ class TestSuperspecialBound:
         want = Fraction(1, 5760) * order_gsp_mod(2, 4) * 20
         assert superspecial_bound(params) == want
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 199967, 2999])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 16, 32])
+    def test_mass_product_matches_the_literal_product(self, p, g):
+        assert mass_factor_product(p, g) == math.prod(p**i + (-1) ** i for i in range(1, g + 1))
+
 
 class TestEigensystemBound:
     def test_headline_case(self):
@@ -118,6 +125,38 @@ class TestEigensystemBound:
         count._mass_constant_checked.cache_clear()
         with pytest.raises(FormulaInconsistencyError, match="zeta and Bernoulli forms of C_g disagree"):
             eigensystem_bound(SignatureParams(p=3, alpha=-1, r=1, s=1, N=3))
+
+    def test_level_factor_formed_once_per_g_and_level(self, monkeypatch):
+        from ssp import count
+
+        for g in (2, 4):
+            count._mass_constant_checked(g)  # the C_g check caches its own call
+        calls = []
+        real = count.mass_constant
+
+        def zeta_form(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(count, "mass_constant", zeta_form)
+        count._level_factor.cache_clear()
+        for (r, s), N in itertools.product([(1, 1), (2, 2)], [3, 4]):
+            for p in (3, 7, 11, 19, 23):
+                eigensystem_bound(SignatureParams(p=p, alpha=-1, r=r, s=s, N=N))
+        assert calls == [2, 2, 4, 4]
+        assert count._level_factor.cache_info().currsize == 4
+
+    def test_cached_level_factor_is_still_checked(self, monkeypatch):
+        # superspecial_bound multiplies the cached C_g * #GSp by the mass
+        # product, eigensystem_bound forms c_g * (gsp * mass): a wrong
+        # cached factor makes the two routes disagree on every row
+        from ssp import count
+
+        right = count._level_factor(2, 3)
+        monkeypatch.setattr(count, "_level_factor", lambda g, N: right + 1)
+        for p in (3, 7, 11):
+            with pytest.raises(FormulaInconsistencyError, match="superspecial bound fails to reassemble"):
+                eigensystem_bound(SignatureParams(p=p, alpha=-1, r=1, s=1, N=3))
 
 
 class TestAsymptotics:
@@ -190,15 +229,7 @@ def regular_fixture():
     """The split unitary similitude group G(U_1 x U_1)(F_9) acting on itself
     by right translation, one generator per element, with its natural
     2-dimensional matrix representation."""
-    table = field_table(3)
-    elements = sorted(gusplit_group_elements(1, 1, 3))
-    index = {e: i for i, e in enumerate(elements)}
-    perms = tuple(
-        tuple(index[table.mat_mul(x, g)] for x in elements) for g in elements
-    )
-    space = CosetSpace(points=len(elements), generators=perms)
-    rho = GroupRepresentation(ctx=table.ctx, dim=2, generators=tuple(table.mat_decode(g) for g in elements))
-    return space, rho
+    return regular_coset_space(field_table(3), gusplit_group_elements(1, 1, 3))
 
 
 def cyclic_space(k, copies):
