@@ -278,21 +278,24 @@ def regular_coset_space(table, elements) -> tuple[CosetSpace, GroupRepresentatio
 def equivariant_dimension(space: CosetSpace, rho: GroupRepresentation) -> int:
     """dim { f : space -> F^d with f(x . g) = rho(g)^{-1} f(x) }.
 
-    One walk per orbit: f(y) = S_y f(rep), with S_rep = I and
-    S_z = rho(g)^{-1} S_y along the spanning-tree edge y --g--> z.
-    Every other edge asks (S_z - rho(g)^{-1} S_y) f(rep) = 0, so the
-    orbit adds d minus the rank of those rows; an edge whose two
-    matrices are equal asks nothing.
+    The condition reads f(z) = rho(g) f(z . g), so the walk steps against
+    each permutation and inverts no matrix.  One walk per orbit:
+    f(y) = S_y f(rep), with S_rep = I and S_z = rho(g) S_y along the
+    spanning-tree edge from y to the z with z . g = y.  Every other edge
+    asks (S_z - rho(g) S_y) f(rep) = 0, so the orbit adds d minus the
+    rank of those rows; an edge whose two matrices are equal asks
+    nothing.  Those rows are -rho(g) (S_y - rho(g)^{-1} S_z), the forward
+    edge's constraint times an invertible matrix, so each edge asks what
+    a forward walk asks of it and the dimension is the same.
 
     The walk keeps the transposes T_y = S_y^T, so an edge is the right
-    product T_z = T_y (rho(g)^{-1})^T by one matrix per generator, and
-    an edge's constraint rows are the rows of (T_z - T_y (rho(g)^{-1})^T)^T.
-    Each generator is inverted once, up front, and gets one
-    `linalg.right_mul` map, which multiplies each distinct row of the
-    T_y once: the maps hold at most #generators x #distinct rows
-    products, and only for this call.  With no generators every point
-    is its own orbit and asks nothing, so the dimension is points * d
-    and no matrix is built."""
+    product T_z = T_y rho(g)^T by one matrix per generator, and an edge's
+    constraint rows are the rows of (T_z - T_y rho(g)^T)^T.  Each
+    generator gets one `linalg.right_mul` map, which multiplies each
+    distinct row of the T_y once: the maps hold at most
+    #generators x #distinct rows products, and only for this call.  With
+    no generators every point is its own orbit and asks nothing, so the
+    dimension is points * d and no matrix is built."""
     if len(space.generators) != len(rho.generators):
         raise ValidationError(
             "inconsistent action data: "
@@ -302,7 +305,9 @@ def equivariant_dimension(space: CosetSpace, rho: GroupRepresentation) -> int:
         return space.points * rho.dim
     one, zero = rho.ctx.one(), rho.ctx.zero()
     d = rho.dim
-    steps = [linalg.right_mul(linalg.transpose(linalg.inverse(M, one, zero))) for M in rho.generators]
+    steps = [linalg.right_mul(linalg.transpose(M)) for M in rho.generators]
+    # backs[i][y] is the z with z . g_i = y: a permutation's argsort is its inverse
+    backs = [sorted(range(space.points), key=perm.__getitem__) for perm in space.generators]
     T = {}
     total = 0
     for start in range(space.points):
@@ -314,8 +319,8 @@ def equivariant_dimension(space: CosetSpace, rho: GroupRepresentation) -> int:
         while queue:
             y = queue.pop()
             Ty = T[y]
-            for perm, step in zip(space.generators, steps):
-                z = perm[y]
+            for back, step in zip(backs, steps):
+                z = back[y]
                 image = step(Ty)
                 if z not in T:
                     T[z] = image

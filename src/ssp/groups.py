@@ -32,7 +32,7 @@ from .ftables import (
     similitude_frames,
 )
 from .gf import is_prime
-from .witt import canonical_lie_action, hensel_sqrt
+from .witt import MAX_TRUNCATION, canonical_lie_action, hensel_sqrt
 
 # ---------------------------------------------------------------------------
 # integer utilities
@@ -291,7 +291,9 @@ def group_family(name: str) -> Family:
 @dataclass(frozen=True)
 class GroupSpec:
     """A group of one of the FAMILIES, checked once when it is made: a
-    known family, as many parameters as its arity and, in a unitary
+    known family, as many parameters as its arity, every parameter but
+    the last (the sizes t, r, s or g) at most MAX_TRUNCATION, as the
+    digits of an order grow with their squares, and, in a unitary
     family, an odd prime p.  order() is its closed form and
     enumerated_order() its oracle."""
 
@@ -302,6 +304,11 @@ class GroupSpec:
         family, n = group_family(self.family), len(self.params)
         if n != family.arity:
             raise ValidationError(f"family {self.family} takes {family.arity} parameters, got {n}")
+        size = max(self.params[:-1])
+        if size > MAX_TRUNCATION:
+            raise ValidationError(
+                f"family {self.family} takes sizes (all but the last parameter) <= {MAX_TRUNCATION}, got {size}"
+            )
         if family.prime_p:
             p = self.params[-1]
             if not is_prime(p):

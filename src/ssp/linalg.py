@@ -3,12 +3,11 @@
 Matrices are tuples of tuples (rows) of `witt.WittElem`s of one ring;
 the field F_{p^s} is W_1(F_{p^s}).  Every sum of products is the ring's
 inner-product kernel `WittRing.dot`, and `rref` is the one Gauss
-elimination, with unit pivots (val() == 0), behind `rank`, `inverse`
-and the echelon basis of M/VM in `dieudonne`.  The identity is
-`scalar_matrix(n, one, zero)`.  The characteristic
-polynomial uses the division-free Berkowitz algorithm, so it is valid
-over W_n, where dividing by integers sharing a factor with p is not
-allowed.
+elimination, with unit pivots (val() == 0), behind `rank` and the
+echelon basis of M/VM in `dieudonne`.  The identity is
+`scalar_matrix(n, one, zero)`.  The characteristic polynomial uses the
+division-free Berkowitz algorithm, so it is valid over W_n, where
+dividing by integers sharing a factor with p is not allowed.
 
 The models built in `dieudonne` are block diagonal, so most of their
 entries are zero.  Products and the elimination find each row's
@@ -24,8 +23,6 @@ int is not an operand (`WittRing.el` makes constants).
 from __future__ import annotations
 
 import operator
-
-from .errors import ValidationError
 
 Matrix = tuple
 
@@ -252,16 +249,6 @@ def rref(rows):
 
 def rank(A) -> int:
     return len(rref(list(A))[1])
-
-
-def inverse(A, one, zero) -> Matrix:
-    """Inverse over W_n; raises ValidationError when singular."""
-    n = len(A)
-    aug = [list(A[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
-    rows, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValidationError("matrix is singular")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
 
 
 def is_invertible(A) -> bool:

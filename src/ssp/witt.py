@@ -27,7 +27,7 @@ from .errors import FormulaInconsistencyError, InsufficientPrecisionError, Valid
 from .gf import is_nonresidue, is_prime, minimal_irreducible, poly_inverse, sqrt_mod_p
 
 INF = math.inf
-MAX_TRUNCATION = 64  # the cap on n and on s: a ring costs time that grows with both
+MAX_TRUNCATION = 64  # the cap on n and on s, which a ring's cost grows with, and on a group's sizes
 
 
 class WittRing:

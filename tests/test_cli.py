@@ -183,6 +183,30 @@ class TestGroup:
         assert json.loads(out)["results"]["error"] == "p = 2 must be an odd prime"
 
     @pytest.mark.parametrize(
+        "family, last",
+        [("su", 1000003), ("u", 1000003), ("gu", 1000003), ("gusplit", 1000003), ("gsp", 10**6)],
+    )
+    def test_sizes_are_capped_at_64(self, capsys, monkeypatch, family, last):
+        # every parameter but the last is a size, and 64 is its cap
+        sizes = groups.group_family(family).arity - 1
+        code, out = run(capsys, "group", "--family", family, "--params", ",".join(["64"] * sizes + [str(last)]))
+        assert code == 0 and json.loads(out)["status"] == "ok"
+
+        def forbidden(*params):
+            raise AssertionError(f"order formed at {params}")
+
+        # past the cap, the refusal comes before any order is formed
+        refusing = groups.FAMILIES[family]._replace(order=forbidden, oracle=forbidden)
+        monkeypatch.setitem(groups.FAMILIES, family, refusing)
+        for i in range(sizes):
+            params = ["64"] * sizes + [str(last)]
+            params[i] = "65"
+            for oracle in ([], ["--oracle"]):
+                code, out = run(capsys, "group", "--family", family, "--params", ",".join(params), *oracle)
+                assert code == 2
+                assert json.loads(out)["results"]["error"].endswith("<= 64, got 65")
+
+    @pytest.mark.parametrize(
         "family, params",
         [("su", "2,4"), ("su", "2,-3"), ("u", "2,4"), ("gu", "2,-3"), ("gusplit", "1,1,4")],
     )

@@ -24,6 +24,8 @@ from ssp.count import (
     superspecial_bound,
 )
 
+from helpers import inverse
+
 
 class TestSignatureParams:
     def test_valid(self):
@@ -201,7 +203,7 @@ def equivariant_dimension_dense(space, rho):
     dimension."""
     one, zero = rho.ctx.one(), rho.ctx.zero()
     n, d = space.points, rho.dim
-    inv = [linalg.inverse(M, one, zero) for M in rho.generators]
+    inv = [inverse(M, one, zero) for M in rho.generators]
     rows = []
     for gi, perm in enumerate(space.generators):
         for x in range(n):
@@ -266,6 +268,34 @@ def random_fixture(rng, ctx):
     return CosetSpace(points=n, generators=tuple(perms)), GroupRepresentation(ctx=ctx, dim=d, generators=tuple(mats))
 
 
+def conjugated_permutation_fixture(rng, ctx):
+    """2 or 3 random permutations of 3 to 7 points, none an involution,
+    with rho(g) = P Pi_g P^-1 for one random invertible P, where Pi_g is
+    the permutation matrix with Pi_g e_(x . g) = e_x.  Then f(x) = P e_x
+    is equivariant, so the dimension is not 0.  P is not orthogonal, and
+    the permutations are not their own inverses and rarely commute, so a
+    walk that steps the wrong way or drops a transpose finds another
+    number."""
+    one, zero = ctx.one(), ctx.zero()
+    n = rng.randrange(3, 8)
+    while True:
+        P = linalg.freeze(
+            [[ctx.el(tuple(rng.randrange(ctx.p) for _ in range(ctx.s))) for _ in range(n)] for _ in range(n)]
+        )
+        if linalg.is_invertible(P):
+            break
+    P_inv = inverse(P, one, zero)
+    perms, mats = [], []
+    for _ in range(rng.randrange(2, 4)):
+        perm = list(range(n))
+        while all(perm[perm[x]] == x for x in range(n)):
+            rng.shuffle(perm)
+        Pi = tuple(tuple(one if perm[x] == y else zero for y in range(n)) for x in range(n))
+        perms.append(tuple(perm))
+        mats.append(linalg.mat_mul(linalg.mat_mul(P, Pi), P_inv))
+    return CosetSpace(points=n, generators=tuple(perms)), GroupRepresentation(ctx=ctx, dim=n, generators=tuple(mats))
+
+
 def linear_fixture(rng, ctx):
     """Up to 3 random invertible 2 x 2 matrices M over ctx acting on the
     non-zero column vectors by x . M = M^-1 x, with rho(M) = M.  The
@@ -281,7 +311,7 @@ def linear_fixture(rng, ctx):
             M = linalg.freeze([[ctx.el(rng.randrange(ctx.p)) for _ in range(2)] for _ in range(2)])
             if linalg.is_invertible(M):
                 break
-        M_inv = linalg.inverse(M, one, zero)
+        M_inv = inverse(M, one, zero)
         perms.append(tuple(index[tuple(linalg.dot(row, x) for row in M_inv)] for x in points))
         mats.append(M)
     return CosetSpace(points=len(points), generators=tuple(perms)), GroupRepresentation(ctx=ctx, dim=2, generators=tuple(mats))
@@ -340,18 +370,15 @@ class TestEquivariantDimension:
         assert equivariant_dimension(space, rho) == 2
         assert equivariant_dimension(space, trivial_rep(rho.ctx, space.points)) == 1
 
-    def test_inverts_each_generator_once(self, monkeypatch):
+    def test_steps_by_each_generator_transposed(self, monkeypatch):
+        # the walk steps against the permutations, so each generator's map
+        # multiplies by rho(g)^T itself: no matrix is inverted
         space, rho = regular_fixture()
-        calls = []
-        real = linalg.inverse
-
-        def counted(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(linalg, "inverse", counted)
+        factors = []
+        real = linalg.right_mul
+        monkeypatch.setattr(linalg, "right_mul", lambda M: factors.append(M) or real(M))
         assert equivariant_dimension(space, rho) == 2
-        assert len(calls) == len(rho.generators)
+        assert factors == [linalg.transpose(M) for M in rho.generators]
 
     def test_multiplies_each_distinct_row_once_per_generator(self, monkeypatch):
         # the 32 transposes of the walk have 16 distinct rows, and each of
@@ -374,15 +401,21 @@ class TestEquivariantDimension:
             (linear_fixture if i % 2 else random_fixture)(rng, witt_ring(rng.choice([3, 5]), 1, 1))
             for i in range(24)
         ]
+        # over F_9 and over F_5 or F_7, fixtures that fix something by construction
+        conjugated = [
+            conjugated_permutation_fixture(rng, witt_ring(p, s, 1))
+            for p, s in [(3, 2)] * 6 + [(rng.choice([5, 7]), 1) for _ in range(6)]
+        ]
         dims = []
-        for space, rho in fixtures + prime:
+        for space, rho in fixtures + prime + conjugated:
             dim = equivariant_dimension(space, rho)
             assert dim == equivariant_dimension_dense(space, rho)
             assert dim <= space.points * rho.dim
             dims.append(dim)
         # a walk that multiplies its words in the wrong order still finds 0
         # wherever nothing is fixed, so half the prime-field fixtures fix something
-        assert sum(1 for dim in dims[40:] if dim) >= 12
+        assert sum(1 for dim in dims[40:64] if dim) >= 12
+        assert all(dims[64:])
 
     def test_relabeling_invariance(self):
         rng = random.Random(5)

@@ -147,6 +147,8 @@ def test_amf_space(doc):
 # small integers only: the closed form of su has p^(t(t-1)/2) digits and
 # no size check, so a large t would run for minutes
 SMALL_INTS = st.integers(-12, 12)
+# group sizes: small ones, and ones past the cap of 64 that no order is formed at
+GROUP_SIZES = SMALL_INTS | st.sampled_from([65, 1000, 10**6])
 PRIMES = st.sampled_from([2, 3, 5, 7, 11])
 JUNK_TOKENS = st.sampled_from(["", "a", "1.5", "0x3", "-", "1e2", "3 "])
 GROUP_FAMILIES = ["su", "u", "gu", "gusplit", "gsp"]
@@ -198,10 +200,10 @@ def group_argv(draw):
     if draw(st.booleans()):
         family = draw(st.sampled_from(GROUP_FAMILIES))
         arity = 3 if family == "gusplit" else 2
-        params = [draw(SMALL_INTS) for _ in range(arity - 1)] + [draw(PRIMES)]
+        params = [draw(GROUP_SIZES) for _ in range(arity - 1)] + [draw(PRIMES)]
     else:
         family = draw(st.sampled_from(GROUP_FAMILIES + ["so", "", "gsp_mod", "SU", "su "]))
-        tokens = SMALL_INTS | PRIMES | JUNK_TOKENS
+        tokens = GROUP_SIZES | PRIMES | JUNK_TOKENS
         params = draw(st.lists(tokens, max_size=4))
     oracle = ["--oracle"] if draw(st.booleans()) else []
     return ["group", f"--family={family}", "--params=" + ",".join(map(str, params))] + oracle

@@ -21,6 +21,8 @@ from ssp.hermitian import (
 )
 from ssp.witt import witt_ring
 
+from helpers import inverse
+
 
 def _per_trial_oracle(m, h, trials, seed):
     """pairing_well_defined as one loop over the trials: each draws
@@ -109,7 +111,7 @@ def _conjugated(rng, m):
         [[one if i == j else ring.el(tuple(rng.randrange(ring.pn) for _ in range(ring.s))) if i < j else zero
           for j in range(h)] for i in range(h)]
     )
-    Ci = linalg.inverse(C, one, zero)
+    Ci = inverse(C, one, zero)
     return DieudonneModule(
         ring=ring,
         f_matrix=linalg.mat_mul(linalg.mat_mul(Ci, m.f_matrix), m.sigma_mat(C)),

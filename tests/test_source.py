@@ -187,10 +187,12 @@ def test_similitude_frames_filters_whole_lists():
 
 def test_equivariant_walk_multiplies_through_right_mul():
     # each edge is one right_mul map applied to the walk's transposes; a
-    # generic product per edge redoes the rows the maps have stored
+    # generic product per edge redoes the rows the maps have stored, and
+    # the walk steps against the permutations, so it inverts no matrix
     fn = _function(_modules()["count"], "equivariant_dimension")
     called = {_callee(node) for node in ast.walk(fn) if isinstance(node, ast.Call)}
     assert "mat_mul" not in called
+    assert not called & {"inverse", "inv"}
     assert "right_mul" in called
 
 
@@ -410,16 +412,38 @@ def _public_definitions(tree):
                     yield f"{node.name}.{sub.name}", sub.name
 
 
+def _local_names(fn) -> set:
+    """The names a function or lambda binds itself: its parameters and
+    the targets it assigns, but not those of the functions nested in it."""
+    args = fn.args
+    out = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a}
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
 def _referenced_names(tree) -> set:
-    """Every name `tree` reads, imports or looks up as an attribute."""
+    """Every name `tree` reads, imports or looks up as an attribute.  A
+    bare name counts only where no function around it binds it, so a
+    local list called `inverse` is not a caller of a function `inverse`."""
     out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+    stack = [(tree, frozenset())]
+    while stack:
+        node, local = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            local = local | _local_names(node)
+        if isinstance(node, ast.Name) and node.id not in local:
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name.split(".")[-1])
+        stack.extend((child, local) for child in ast.iter_child_nodes(node))
     return out
 
 
