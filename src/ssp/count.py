@@ -35,7 +35,7 @@ from .errors import (
 from .exact import mass_constant, mass_constant_bernoulli_abs
 from .gf import is_nonresidue, is_prime
 from .groups import factorize, irrep_dim_bound, irrep_sum_bound, order_gsp_mod, p_regular_classes
-from .witt import WittElem, WittRing, witt_ring
+from .witt import MAX_TRUNCATION, WittElem, WittRing, witt_ring
 
 SUPERSPECIAL_BOUND_NOTE = "upper bound via Siegel embedding"
 
@@ -52,7 +52,8 @@ class SignatureParams:
     """Validated parameters (p, alpha, r, s, N) for the pipeline.
 
     Hard requirements: p an odd prime not dividing alpha, alpha a
-    negative squarefree non-residue mod p (p inert), g = r + s even and
+    negative squarefree non-residue mod p (p inert), r and s at most
+    witt.MAX_TRUNCATION, as for a group's sizes, and g = r + s even and
     at least 2.  Soft conditions are read off .warnings: rs = 0 is
     allowed (the counting formulas cover it), N < 3 drops level
     rigidity, and p | N loses the prime-to-p level interpretation while
@@ -70,6 +71,8 @@ class SignatureParams:
             raise ValidationError(f"p = {p} must be an odd prime")
         if r < 0 or s < 0:
             raise ValidationError("r and s must be non-negative")
+        if max(r, s) > MAX_TRUNCATION:
+            raise ValidationError(f"r and s must be <= {MAX_TRUNCATION}, got r = {r}, s = {s}")
         g = r + s
         if g < 2 or g % 2 != 0:
             raise ValidationError(f"g = r + s = {g} must be even and >= 2")
@@ -134,15 +137,6 @@ def _level_factor(g: int, N: int) -> Fraction:
     return mass_constant(g) * order_gsp_mod(g, N)
 
 
-def superspecial_bound(params: SignatureParams) -> Fraction:
-    """C_g * #GSp_{2g}(Z/N) * prod (p^i + (-1)^i), exactly.
-
-    An upper bound for the superspecial point count (via the Siegel
-    embedding); integrality is not asserted."""
-    g = params.g
-    return _level_factor(g, params.N) * mass_factor_product(params.p, g)
-
-
 @functools.cache
 def asymptotic_exponent_symbolic(g: int, r: int, s: int) -> int:
     """Degree in p of the bound, as the sum of per-factor degrees.
@@ -187,8 +181,8 @@ def eigensystem_bound(params: SignatureParams) -> CountReport:
     c_g = _mass_constant_checked(g)
     gsp = order_gsp_mod(g, params.N)
     mass = mass_factor_product(params.p, g)
-    # integers first, so one Fraction product; superspecial_bound, which
-    # must reassemble to it below, multiplies the cached C_g * gsp by mass
+    # integers first, so one Fraction product; it must reassemble below
+    # as the cached C_g * #GSp_{2g}(Z/N) times the same mass product
     ss_exact = c_g * (gsp * mass)
     ss_ceiling = math.ceil(ss_exact)
     classes = p_regular_classes(params.r, params.s, params.p)
@@ -196,7 +190,7 @@ def eigensystem_bound(params: SignatureParams) -> CountReport:
     irr_sum = irrep_sum_bound(params.r, params.s, params.p)
     if irr_sum != classes * dim_b:
         raise FormulaInconsistencyError("irreducible-sum bound fails to factor")
-    if ss_exact != superspecial_bound(params):
+    if ss_exact != _level_factor(g, params.N) * mass:
         raise FormulaInconsistencyError("superspecial bound fails to reassemble")
     return CountReport(
         c_g=c_g,
@@ -262,12 +256,13 @@ class GroupRepresentation:
 def regular_coset_space(table, elements) -> tuple[CosetSpace, GroupRepresentation]:
     """A group of coded matrices over `table`'s field acting on itself by
     right translation, x . g = xg, one generator per element (in sorted
-    order), with its natural representation rho(g) = g."""
+    order), with its natural representation rho(g) = g.  Each generator's
+    permutation is one `table.right_mul(g)` map over the elements."""
     elements = sorted(elements)
     index = {e: i for i, e in enumerate(elements)}
     space = CosetSpace(
         points=len(elements),
-        generators=tuple(tuple(index[table.mat_mul(x, g)] for x in elements) for g in elements),
+        generators=tuple(tuple(map(index.__getitem__, map(table.right_mul(g), elements))) for g in elements),
     )
     rho = GroupRepresentation(
         ctx=table.ctx, dim=len(elements[0]), generators=tuple(table.mat_decode(g) for g in elements)

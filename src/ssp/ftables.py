@@ -42,47 +42,45 @@ class FieldTable:
         self.fp_codes = [self.encode(ctx.el(c)) for c in range(p)]
         self.fp_units = self.fp_codes[1:]
 
-    def mat_mul(self, A, B):
+    def row_times(self, M):
+        """The map r -> r M on coded rows, with the columns of M formed
+        once: the one coded row product, behind mat_mul, right_mul and the
+        covectors of similitude_frames."""
         mul, add = self.mul, self.add
-        n, k = len(A), len(B)
-        m = len(B[0]) if k else 0
-        out = []
-        for i in range(n):
-            Ai = A[i]
-            row = []
-            for j in range(m):
+        cols = tuple(zip(*M))
+
+        def times_m(r):
+            out = []
+            for col in cols:
                 acc = 0
-                for t in range(k):
-                    acc = add[acc][mul[Ai[t]][B[t][j]]]
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
+                for a, b in zip(r, col):
+                    acc = add[acc][mul[a][b]]
+                out.append(acc)
+            return tuple(out)
+
+        return times_m
+
+    def mat_mul(self, A, B):
+        return tuple(map(self.row_times(B), A))
 
     def right_mul(self, M):
         """The map X -> mat_mul(X, M).  Each distinct row r of its
         arguments is multiplied by M once; the products r.M are kept only
         as long as the map, so a walk that applies one M to many matrices
         with shared rows pays a dict lookup per row."""
-        mul, add = self.mul, self.add
-        cols = tuple(zip(*M))
+        times_m = self.row_times(M)
         products: dict[tuple, tuple] = {}
 
-        def times_m(X):
+        def times_rows(X):
             try:
                 return tuple(map(products.__getitem__, X))
             except KeyError:
                 for r in X:
                     if r not in products:
-                        out = []
-                        for col in cols:
-                            acc = 0
-                            for a, b in zip(r, col):
-                                acc = add[acc][mul[a][b]]
-                            out.append(acc)
-                        products[r] = tuple(out)
+                        products[r] = times_m(r)
                 return tuple(map(products.__getitem__, X))
 
-        return times_m
+        return times_rows
 
     def conj_transpose(self, A):
         conj = self.conj
@@ -229,7 +227,7 @@ def similitude_frames(table: FieldTable, gram, similitudes, budget: EnumBudget) 
     # charged before anything is stored, so an oversized t or q fails at once
     budget.spend(table.q**t)
     wants = [table.scale(c, gram) for c in similitudes]
-    gram_cols = tuple(zip(*gram))
+    times_gram = table.row_times(gram)
     covector: dict[tuple, tuple] = {}  # u -> u* G, so that <u, v> = dot(u* G, v)
     by_norm: dict[int, list] = {}
 
@@ -239,7 +237,7 @@ def similitude_frames(table: FieldTable, gram, similitudes, budget: EnumBudget) 
         return sum(n[0] * sum(n[1:]) for n in sizes)
 
     for i, v in enumerate(itertools.product(range(table.q), repeat=t)):
-        a = covector[v] = tuple(dot([conj[x] for x in v], col) for col in gram_cols)
+        a = covector[v] = times_gram([conj[x] for x in v])
         by_norm.setdefault(dot(a, v), []).append(v)
         if i % 1024 == 0:
             # bucket sizes only grow, so a cost that will certainly pass

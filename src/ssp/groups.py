@@ -436,22 +436,25 @@ def conjugacy_class_data(elements: list, p: int):
     for g, times_g in _generating_set(elements, elems, right_mul, ident):
         g_inv = _powers(g, times_g, ident, len(elems))[-2]
         conjugations.append((times_g, right_mul(tuple(zip(*g_inv)))))
-    seen = set()
+    # the elements no orbit has reached yet: a conjugate is looked up,
+    # dropped from this set and walked on, so the walk holds no copy of
+    # the group
+    unvisited = set(elems)
     reps = []
     for x in sorted(elems):
-        if x in seen:
+        if x not in unvisited:
             continue
-        seen.add(x)
+        unvisited.remove(x)
         todo = [x]
         while todo:
             y = todo.pop()
             for times_g, times_g_inv_t in conjugations:
                 z = tuple(zip(*times_g_inv_t(tuple(zip(*times_g(y))))))
-                if z not in seen:
-                    if z not in elems:
-                        raise FormulaInconsistencyError("conjugation left the enumerated group")
-                    seen.add(z)
+                if z in unvisited:
+                    unvisited.remove(z)
                     todo.append(z)
+                elif z not in elems:
+                    raise FormulaInconsistencyError("conjugation left the enumerated group")
         reps.append(x)
     m = len(elems) // sylow_p_order(len(elems), p)
     if m == len(elems):

@@ -18,6 +18,7 @@ from ssp.errors import (
     ValidationError,
 )
 from ssp.gf import PRIME_CERT_LIMIT
+from ssp.witt import MAX_TRUNCATION
 
 
 def run(capsys, *argv):
@@ -125,6 +126,21 @@ class TestBound:
         code, csv_out = run(capsys, "bound", *argv, "--csv")
         assert code == 0
         assert f"final_bound,{res['final_bound']['value']},bound" in csv_out.splitlines()
+
+    @pytest.mark.parametrize("r, s", [(64, 64), (65, 1), (1, 65)])
+    def test_r_and_s_share_the_group_size_cap(self, capsys, r, s):
+        # r and s are capped at witt.MAX_TRUNCATION, as GroupSpec's sizes
+        # are: past it `bound` exits 2 and `sweep` skips every row
+        sizes = ("--alpha", "-1", "--r", str(r), "--s", str(s), "--N", "3")
+        refused = max(r, s) > MAX_TRUNCATION
+        reason = f"r and s must be <= 64, got r = {r}, s = {s}"
+        code, out = run(capsys, "bound", "--p", "3", *sizes)
+        assert (code, json.loads(out)["results"].get("error")) == ((2, reason) if refused else (0, None))
+        code, out = run(capsys, "sweep", "--sweep", "3:13", *sizes)
+        assert code == 0
+        rows = json.loads(out)["results"]["rows"]
+        capped = [row for row in rows if row["status"] == "skipped" and row["reason"] == reason]
+        assert (len(rows), len(capped)) == (5, 5 if refused else 0)
 
     def test_decimal_matches_str(self):
         for n in (0, 7, -7, 10**599, 10**600 - 1, 10**600, -(10**600), 10**1200 + 5, -(3**5000)):
@@ -635,7 +651,8 @@ class TestSweep:
         # the sieved prime is tested again and inertness checked on each of
         # the 16 rows of 3:60; the 9 evaluated rows (p = 3 mod 4) each check
         # the irreducible-sum factors and reassemble the superspecial bound
-        calls = {name: 0 for name in ("is_prime", "is_nonresidue", "irrep_sum_bound", "superspecial_bound")}
+        # from the cached level factor
+        calls = {name: 0 for name in ("is_prime", "is_nonresidue", "irrep_sum_bound", "_level_factor")}
 
         def counted(name):
             real = getattr(count, name)
@@ -650,7 +667,7 @@ class TestSweep:
             monkeypatch.setattr(count, name, counted(name))
         code, _ = run(capsys, "sweep", "--sweep", "3:60", *_SIGNATURE, "--N", "3", *["--csv"] * as_csv)
         assert code == 0
-        assert calls == {"is_prime": 16, "is_nonresidue": 16, "irrep_sum_bound": 9, "superspecial_bound": 9}
+        assert calls == {"is_prime": 16, "is_nonresidue": 16, "irrep_sum_bound": 9, "_level_factor": 9}
 
     def test_csv_writes_each_row_with_one_writerows(self, capsys, monkeypatch):
         calls = []

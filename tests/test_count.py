@@ -21,7 +21,6 @@ from ssp.count import (
     mass_factor_product,
     regular_coset_space,
     representation_from_dict,
-    superspecial_bound,
 )
 
 from helpers import inverse
@@ -65,20 +64,20 @@ class TestSignatureParams:
 class TestSuperspecialBound:
     def test_pipeline_value_g2(self):
         params = SignatureParams(p=3, alpha=-1, r=1, s=1, N=3)
-        assert superspecial_bound(params) == 360
+        assert eigensystem_bound(params).superspecial_bound_exact == 360
         assert mass_factor_product(3, 2) == 20
 
     def test_level_one_collapses_gsp_factor(self):
         for p in (3, 7, 11):
             params = SignatureParams(p=p, alpha=-1, r=1, s=1, N=1)
-            assert superspecial_bound(params) == Fraction((p - 1) * (p * p + 1), 5760)
+            assert eigensystem_bound(params).superspecial_bound_exact == Fraction((p - 1) * (p * p + 1), 5760)
 
     def test_level_four(self):
         from ssp.groups import order_gsp_mod
 
         params = SignatureParams(p=3, alpha=-1, r=1, s=1, N=4)
         want = Fraction(1, 5760) * order_gsp_mod(2, 4) * 20
-        assert superspecial_bound(params) == want
+        assert eigensystem_bound(params).superspecial_bound_exact == want
 
     @pytest.mark.parametrize("p", [3, 5, 7, 199967, 2999])
     @pytest.mark.parametrize("g", [1, 2, 3, 4, 16, 32])
@@ -149,9 +148,9 @@ class TestEigensystemBound:
         assert count._level_factor.cache_info().currsize == 4
 
     def test_cached_level_factor_is_still_checked(self, monkeypatch):
-        # superspecial_bound multiplies the cached C_g * #GSp by the mass
-        # product, eigensystem_bound forms c_g * (gsp * mass): a wrong
-        # cached factor makes the two routes disagree on every row
+        # the reassembly check multiplies the cached C_g * #GSp by the mass
+        # product, the bound itself is c_g * (gsp * mass): a wrong cached
+        # factor makes the two routes disagree on every row
         from ssp import count
 
         right = count._level_factor(2, 3)

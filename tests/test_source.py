@@ -153,6 +153,35 @@ def test_sums_of_products_go_through_linalg_dot():
     assert offenders == []
 
 
+def _is_lookup(node, table):
+    """`table[x][y]` or `self.table[x][y]`."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript)):
+        return False
+    name = node.value.value
+    return getattr(name, "id", None) == table or getattr(name, "attr", None) == table
+
+
+def _coded_fold(node):
+    """A coded multiply-add: `add[acc][mul[a][b]]`."""
+    return _is_lookup(node, "add") and _is_lookup(node.slice, "mul")
+
+
+def test_coded_row_products_go_through_row_times():
+    # FieldTable's one coded fold is row_times: mat_mul and right_mul fold
+    # nothing themselves, and they and the covectors of similitude_frames
+    # call it (the frame scan's norm keeps its own dot)
+    tree = _modules()["ftables"]
+    field_table = _function(tree, "FieldTable")
+    methods = [fn for fn in field_table.body if isinstance(fn, ast.FunctionDef)]
+    assert {fn.name for fn in methods if any(map(_coded_fold, ast.walk(fn)))} == {"row_times"}
+    offenders = []
+    for qualname in ("FieldTable.mat_mul", "FieldTable.right_mul", "similitude_frames"):
+        called = {_callee(node) for node in ast.walk(_function(tree, qualname)) if isinstance(node, ast.Call)}
+        if "row_times" not in called:
+            offenders.append(qualname)
+    assert offenders == []
+
+
 def test_sweep_sieves_instead_of_testing_each_integer():
     # the range is sieved once; only SignatureParams tests each prime again,
     # with the two bases that prove it below 1 373 653 (gf._PSI)
