@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import getitem
 
 from .errors import EnumBudget, FormulaInconsistencyError, ValidationError
@@ -67,20 +67,9 @@ class FieldTable:
         """The map X -> mat_mul(X, M).  Each distinct row r of its
         arguments is multiplied by M once; the products r.M are kept only
         as long as the map, so a walk that applies one M to many matrices
-        with shared rows pays a dict lookup per row."""
-        times_m = self.row_times(M)
-        products: dict[tuple, tuple] = {}
-
-        def times_rows(X):
-            try:
-                return tuple(map(products.__getitem__, X))
-            except KeyError:
-                for r in X:
-                    if r not in products:
-                        products[r] = times_m(r)
-                return tuple(map(products.__getitem__, X))
-
-        return times_rows
+        with shared rows pays a cache lookup per row."""
+        times_m = cache(self.row_times(M))
+        return lambda X: tuple(map(times_m, X))
 
     def conj_transpose(self, A):
         conj = self.conj
@@ -108,14 +97,7 @@ class FieldTable:
         """[mat_decode(M) for M in Ms], with each distinct row decoded once:
         matrices that share a row share its decoded tuple."""
         els = self.elements
-        decoded: dict[tuple, tuple] = {}
-
-        def row(r):
-            d = decoded.get(r)
-            if d is None:
-                d = decoded[r] = tuple(map(els.__getitem__, r))
-            return d
-
+        row = cache(lambda r: tuple(map(els.__getitem__, r)))
         return [tuple(map(row, M)) for M in Ms]
 
     def scale(self, c, A):

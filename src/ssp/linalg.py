@@ -10,19 +10,22 @@ division-free Berkowitz algorithm, so it is valid over W_n, where
 dividing by integers sharing a factor with p is not allowed.
 
 The models built in `dieudonne` are block diagonal, so most of their
-entries are zero.  Products and the elimination find each row's
-non-zero positions (`WittRing.support`, which checks every entry's ring
-as `dot` does) and work on those alone, `charpoly` splits the indices
-into the components of the support graph and runs plain Berkowitz
-inside each, `mat_map` maps each distinct value once and a `right_mul`
-map multiplies each distinct row once; the values are those of the
-dense formulas.  Every entry is an element of the matrix's ring: an
-int is not an operand (`WittRing.el` makes constants).
+entries are zero.  The one row product, `row_times`, and the
+elimination find each row's non-zero positions (`WittRing.support`,
+which checks every entry's ring as `dot` does) and work on those alone;
+`mat_mul` maps `row_times` over the rows, and a `right_mul` map caches
+it, so it multiplies each distinct row once.  `charpoly` splits the
+indices into the components of the support graph and runs plain
+Berkowitz inside each, and `mat_map` maps each distinct value once; the
+values are those of the dense formulas.  Every entry is an element of
+the matrix's ring: an int is not an operand (`WittRing.el` makes
+constants).
 """
 
 from __future__ import annotations
 
 import operator
+from functools import cache
 
 Matrix = tuple
 
@@ -44,56 +47,49 @@ def dot(xs, ys):
 # peak memory of long runs.
 
 
-def mat_mul(A, B) -> Matrix:
-    """A B, row by row: entry (i, j) is a `dot` over the k with A[i][k]
-    and B[k][j] both non-zero, and the ring's zero when there is no such
-    k.  Each k in the support of A's row i sends its products to the
-    support of B's row k, so only those pairs are visited."""
-    if not A:
-        return ()
-    ring = A[0][0].ring
+def row_times(M):
+    """The map r -> r M, the one row product behind mat_mul and right_mul.
+    Entry j of r M is a `dot` over the k with r[k] and M[k][j] both
+    non-zero, and the ring's zero when there is no such k: each k in the
+    support of r sends its products to the support of M's row k, so only
+    those pairs are visited.  The supports of M's rows are found once per
+    map."""
+    if not M or not M[0]:
+        return lambda r: ()
+    ring = M[0][0].ring
     zero = ring.zero()
-    supports = [ring.support(row) for row in B]
-    width = len(B[0]) if B else 0
-    out = []
-    for row in A:
+    supports = [ring.support(row) for row in M]
+    width = len(M[0])
+
+    def times_m(r):
         terms = [None] * width  # per column j, the factors of its dot
-        for k in ring.support(row):
-            a, Bk = row[k], B[k]
+        for k in ring.support(r):
+            a, Mk = r[k], M[k]
             for j in supports[k]:
                 t = terms[j]
                 if t is None:
-                    terms[j] = ([a], [Bk[j]])
+                    terms[j] = ([a], [Mk[j]])
                 else:
                     t[0].append(a)
-                    t[1].append(Bk[j])
-        out.append(tuple([zero if t is None else dot(*t) for t in terms]))
-    return tuple(out)
+                    t[1].append(Mk[j])
+        return tuple([zero if t is None else dot(*t) for t in terms])
+
+    return times_m
+
+
+def mat_mul(A, B) -> Matrix:
+    """A B, row by row through row_times(B)."""
+    return tuple(map(row_times(B), A))
 
 
 def right_mul(M):
     """The map X -> mat_mul(X, M), with the contract of
     `FieldTable.right_mul`: each distinct row r of its arguments is
-    multiplied by M once, one `dot` per column of M (the columns are
-    formed once per map); the products r.M are kept only as long as the
+    multiplied by M once; the products r M are kept only as long as the
     map, so a walk that applies one M to many matrices with shared rows
-    pays a dict lookup per row."""
-    cols = transpose(M)
-    products: dict[tuple, tuple] = {}
-
-    def times_m(X):
-        try:
-            return tuple(map(products.__getitem__, X))
-        except KeyError:
-            out = []
-            for r in X:
-                rm = products.get(r)
-                if rm is None:
-                    rm = products[r] = tuple([dot(r, col) for col in cols])
-                out.append(rm)
-            return tuple(out)
-
-    return times_m
+    pays a cache lookup per row."""
+    times_m = cache(row_times(M))
+    return lambda X: tuple(map(times_m, X))
 
 
 def mat_sub(A, B) -> Matrix:
@@ -111,6 +107,7 @@ def transpose(A) -> Matrix:
 
 def mat_map(f, A) -> Matrix:
     """f applied entrywise, once per distinct entry value."""
+    # a plain dict: a functools.cache per call costs more than it saves on small matrices
     memo = {}
     out = []
     for row in A:

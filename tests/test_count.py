@@ -381,16 +381,24 @@ class TestEquivariantDimension:
 
     def test_multiplies_each_distinct_row_once_per_generator(self, monkeypatch):
         # the 32 transposes of the walk have 16 distinct rows, and each of
-        # the 32 generators' maps meets all of them: 512 row products of
-        # one dot per column, where a product per edge would make 1024
-        # matrix products
+        # the 32 generators' maps multiplies all of them once: 512 row
+        # products, where a product per edge would make 1024 matrix
+        # products.  The elements are diagonal, so each row product is one
+        # dot of a single factor
         space, rho = regular_fixture()
-        calls = []
-        real = linalg.dot
-        monkeypatch.setattr(linalg, "dot", lambda xs, ys: calls.append(xs) or real(xs, ys))
+        rows, calls = [], []
+        real_row_times, real_dot = linalg.row_times, linalg.dot
+
+        def row_times(M):
+            times_m = real_row_times(M)
+            return lambda r: rows.append(r) or times_m(r)
+
+        monkeypatch.setattr(linalg, "row_times", row_times)
+        monkeypatch.setattr(linalg, "dot", lambda xs, ys: calls.append(xs) or real_dot(xs, ys))
         assert equivariant_dimension(space, rho) == 2
-        assert len(calls) == 512 * 2
-        assert len({tuple(x.coeffs for x in xs) for xs in calls}) == 16
+        assert len(rows) == len(calls) == 512
+        assert len(set(rows)) == 16
+        assert {len(xs) for xs in calls} == {1}
 
     def test_dense_oracle_agrees_on_random_fixtures(self):
         rng = random.Random(42)

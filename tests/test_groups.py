@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssp import ftables, groups
+from ssp import ftables, groups, linalg
 from ssp.dieudonne import build_a_half, build_superspecial_unitary
 from ssp.errors import BudgetExceededError, EnumBudget, FormulaInconsistencyError, ValidationError
 from ssp.ftables import FieldTable, block_similitude_order, block_similitudes, field_table, similitude_frames
@@ -580,6 +580,37 @@ class TestRightMul:
                 # the same map is applied again, so its stored row products are read back
                 X = _rows_with_repeats(rng, table.q, rows, inner)
                 assert times_m(X) == table.mat_mul(X, M)
+
+    @pytest.mark.parametrize("p, s", [(3, 2), (5, 2), (7, 2), (5, 1), (7, 1)])
+    def test_coded_products_match_the_witt_products(self, p, s):
+        # mat_mul and right_mul share row_times, so both are checked
+        # against linalg.mat_mul on the decoded matrices
+        table = field_table(p, s)
+        rng = random.Random(10 * p + s)
+        shapes = [(n, n, n) for n in range(1, 5)] + [(3, 2, 4), (5, 4, 1), (1, 3, 2), (6, 1, 3)]
+        for rows, inner, cols in shapes:
+            M = _rows_with_repeats(rng, table.q, inner, cols)
+            times_m = table.right_mul(M)
+            for _ in range(3):
+                X = _rows_with_repeats(rng, table.q, rows, inner)
+                want = table.mat_encode(linalg.mat_mul(table.mat_decode(X), table.mat_decode(M)))
+                assert table.mat_mul(X, M) == times_m(X) == want
+
+    @pytest.mark.parametrize("p, s", [(3, 2), (5, 2), (7, 2), (5, 1), (7, 1)])
+    def test_mats_decode_shares_each_rows_decoded_tuple(self, p, s):
+        table = field_table(p, s)
+        rng = random.Random(10 * p + s)
+        for rows, width in [(4, 4), (6, 2), (3, 5)]:
+            X = _rows_with_repeats(rng, table.q, rows, width)
+            # equal rows that are not the same tuples, in another order
+            Ms = [X, tuple(tuple(list(r)) for r in reversed(X)), ()]
+            decoded = table.mats_decode(Ms)
+            assert decoded == [table.mat_decode(M) for M in Ms]
+            shared = {}
+            for M, D in zip(Ms, decoded):
+                for r, d in zip(M, D):
+                    assert shared.setdefault(r, d) is d
+            assert len(shared) < rows
 
     def test_each_distinct_row_is_multiplied_once(self, monkeypatch):
         table = field_table(3)

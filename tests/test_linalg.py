@@ -432,6 +432,8 @@ def test_witt_dot_accepts_equal_rings_and_refuses_ints():
 
 @pytest.mark.parametrize("s, n", [(1, 1), (2, 1), (2, 3)])
 def test_right_mul_matches_mat_mul(s, n):
+    # right_mul and mat_mul share row_times, so both are checked against
+    # the elementwise fold
     ring = witt_ring(3, s, n)
     rng = random.Random(10 * s + n)
     zero_row = (ring.zero(), ring.el(0), ring.zero())
@@ -439,12 +441,13 @@ def test_right_mul_matches_mat_mul(s, n):
         M = _random_witt_matrix(ring, rng, inner, cols)
         times_m = linalg.right_mul(M)
         assert times_m(()) == linalg.mat_mul((), M) == ()
-        for _ in range(4):
+        for X in [
             # rows repeat within and across the arguments of one map
-            rows = list(_random_witt_matrix(ring, rng, 2, inner)) + [zero_row]
-            X = tuple(rng.choice(rows) for _ in range(rng.randrange(1, 6)))
-            assert times_m(X) == linalg.mat_mul(X, M)
-        assert times_m((zero_row, zero_row)) == linalg.mat_mul((zero_row, zero_row), M)
+            tuple(rng.choice(rows) for _ in range(rng.randrange(1, 6)))
+            for rows in [list(_random_witt_matrix(ring, rng, 2, inner)) + [zero_row] for _ in range(4)]
+        ] + [(zero_row, zero_row)]:
+            want = tuple(tuple(_slow_dot(row, col) for col in zip(*M)) for row in X)
+            assert times_m(X) == linalg.mat_mul(X, M) == want
 
 
 def test_right_mul_dots_each_distinct_row_once_per_map(monkeypatch):

@@ -141,8 +141,7 @@ def test_sums_of_products_go_through_linalg_dot():
     modules = _modules()
     offenders = []
     for module, qualname in (
-        ("linalg", "mat_mul"),
-        ("linalg", "right_mul"),
+        ("linalg", "row_times"),
         ("linalg", "charpoly"),
         ("linalg", "_poly_mul"),
     ):
@@ -151,6 +150,28 @@ def test_sums_of_products_go_through_linalg_dot():
         if folds or not _calls_dot(fn):
             offenders.append((f"{module}.{qualname}", folds))
     assert offenders == []
+    # row_times is linalg's one row product: mat_mul and right_mul use it
+    linalg = modules["linalg"]
+    for qualname in ("mat_mul", "right_mul"):
+        fn = _function(linalg, qualname)
+        assert "row_times" in {_callee(node) for node in ast.walk(fn) if isinstance(node, ast.Call)}, qualname
+        assert not _calls_dot(fn), qualname
+
+
+def test_row_memos_are_functools_cache():
+    # the right_mul maps and mats_decode memoise through functools.cache,
+    # with no hand-written dict memo (a try/except KeyError or a .get)
+    modules = _modules()
+    for module, qualname in (
+        ("linalg", "right_mul"),
+        ("ftables", "FieldTable.right_mul"),
+        ("ftables", "FieldTable.mats_decode"),
+    ):
+        fn = _function(modules[module], qualname)
+        nodes = list(ast.walk(fn))
+        assert not any(isinstance(node, ast.Try) for node in nodes), qualname
+        assert not any(isinstance(node, ast.Attribute) and node.attr == "get" for node in nodes), qualname
+        assert "cache" in {_callee(node) for node in nodes if isinstance(node, ast.Call)}, qualname
 
 
 def _is_lookup(node, table):
