@@ -7,6 +7,12 @@ decimal strings, and every numeric result carries a provenance label
 n and s and what SSP_MAX_ENUM charges are listed once, in the README's
 CLI section; each exception class carries its own code.
 
+JSON is written by one writer, `_json`, byte-identical to
+json.dumps(report, indent=2, sort_keys=True).  It is not json.dumps
+because, with an indent, CPython before 3.13 encodes by its pure-Python
+generator path, about twice as slow, and because json.dumps would need
+each sweep row made into a dict first.
+
 Subcommand x is run by `_cmd_x`, which returns its report; the report
 echoes the parsed arguments as its parameters.  Every refusal, argv
 that does not parse and a file that cannot be read included, is an
@@ -108,26 +114,95 @@ def _flatten(prefix: str, obj, writer):
         writer.writerow((prefix, _fmt(obj), ""))
 
 
-def _leaf_dicts(rows) -> list:
-    """The JSON form of a stream of leaf rows: a row is the dict of its
-    leaves, a leaf with a provenance {"value", "provenance"} and one
-    without its bare value."""
-    return [
-        {key: {"value": value, "provenance": provenance} if provenance else value for key, value, provenance in leaves}
-        for leaves in rows
-    ]
+# the C escaper that json.dumps runs on every str with ensure_ascii
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(report) -> str:
+    """The text of `report` as json.dumps(report, indent=2, sort_keys=True)
+    writes it, a stream of leaf rows written as the list of its rows."""
+    out = []
+    _write(report, "", out)
+    return "".join(out)
+
+
+def _write(obj, pad: str, out: list):
+    """Append the JSON text of `obj` to `out`, its nested lines indented
+    two spaces per level past `pad`: dicts with str keys, lists, str, int,
+    bool and None, and streams of leaf rows.  Any other type is a bug (a
+    float included: the package has no floating point) and raises
+    TypeError."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
+        _write_object(sorted(obj.items()), pad, out)
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, list):
+        _write_array(obj, pad, out, _write)
+    elif isinstance(obj, Iterator):
+        _write_array(obj, pad, out, _write_row)
+    else:
+        raise TypeError(f"a report holds no {type(obj).__name__}")
+
+
+def _write_object(pairs, pad: str, out: list):
+    """An object of the (key, value) `pairs`, in the order given."""
+    inner = pad + "  "
+    opening = sep = "{\n" + inner
+    for key, value in pairs:
+        out += (sep, _quote(key), ": ")
+        _write(value, inner, out)
+        sep = ",\n" + inner
+    out.append("{}" if sep is opening else "\n" + pad + "}")
+
+
+def _write_array(items, pad: str, out: list, write):
+    """An array of the `items`, each written by `write`."""
+    inner = pad + "  "
+    opening = sep = "[\n" + inner
+    for item in items:
+        out.append(sep)
+        write(item, inner, out)
+        sep = ",\n" + inner
+    out.append("[]" if sep is opening else "\n" + pad + "]")
+
+
+def _write_row(leaves, pad: str, out: list):
+    """A leaf row as the object of its (key, value, provenance) leaves, in
+    the order given, which is sorted by key: a leaf with a provenance is
+    {"provenance", "value"}, one without its bare value."""
+    inner = pad + "  "
+    field = inner + "  "
+    opening = sep = "{\n" + inner
+    for key, value, provenance in leaves:
+        out += (sep, _quote(key), ": ")
+        if provenance:
+            out += ("{\n", field, '"provenance": ', _quote(provenance), ",\n", field, '"value": ')
+            _write(value, field, out)
+            out += ("\n", inner, "}")
+        else:
+            _write(value, inner, out)
+        sep = ",\n" + inner
+    out.append("{}" if sep is opening else "\n" + pad + "}")
 
 
 def _emit(report: dict, as_csv: bool):
     """Write `report` to stdout.  CSV rows go out as they are made; JSON
-    is built in full first (a stream of leaf rows becomes a list), so it
-    is written whole or not at all."""
+    is built in full first by `_json`, so it is written whole or not at
+    all."""
     if as_csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["name", "value", "provenance"])
         _flatten("", report["results"], writer)
     else:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True, default=_leaf_dicts) + "\n")
+        sys.stdout.write(_json(report) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +333,8 @@ def _cmd_sweep(args) -> dict:
         raise ValidationError(f"--sweep range {args.sweep} is empty: {lo} > {hi}")
     primes = primes_between(lo, hi, EnumBudget("sweep"))
     # an evaluated row's leaves, sorted by key once per sweep: the
-    # results of `_SWEEP_RESULTS`, p and status (which have no field)
+    # results of `_SWEEP_RESULTS`, p and status (which have no field).
+    # A skipped row's leaves are sorted too: `_write_row` keeps the order
     layout = sorted((*_SWEEP_RESULTS, ("p", None, ""), ("status", None, "")))
 
     def rows():

@@ -511,3 +511,19 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if name not in callers
     ]
     assert unused == []
+
+
+def test_reports_are_written_by_one_json_writer():
+    # cli._json writes every JSON report; no module encodes with json.dumps
+    # or json.dump, and no sweep row is made into a dict to be written
+    modules = _modules()
+    offenders = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _callee(node) in ("dumps", "dump")
+    ]
+    assert offenders == []
+    assert "_leaf_dicts" not in {node.name for node in _functions(modules["cli"])}
+    emit = _function(modules["cli"], "_emit")
+    assert "_json" in {_callee(node) for node in ast.walk(emit) if isinstance(node, ast.Call)}
