@@ -11,7 +11,8 @@ JSON is written by one writer, `_json`, byte-identical to
 json.dumps(report, indent=2, sort_keys=True).  It is not json.dumps
 because, with an indent, CPython before 3.13 encodes by its pure-Python
 generator path, about twice as slow, and because json.dumps would need
-each sweep row made into a dict first.
+each sweep row made into a dict first.  CSV takes the types JSON takes,
+spells bools and None as JSON does, and raises TypeError on any other.
 
 Subcommand x is run by `_cmd_x`, which returns its report; the report
 echoes the parsed arguments as its parameters.  Every refusal, argv
@@ -60,6 +61,9 @@ def _decimal(n: int) -> str:
 
 
 def _fmt(x) -> str:
+    """The CSV text of a leaf: bool and None as JSON spells them, an int
+    in decimal, a str as it is.  Any other type raises TypeError, as in
+    `_write`."""
     # ints, most of what a sweep writes, are tested second: after bool,
     # which is an int
     if isinstance(x, bool):
@@ -68,14 +72,20 @@ def _fmt(x) -> str:
         return _decimal(x)
     if isinstance(x, str):
         return x
-    if isinstance(x, Fraction):
-        num = _decimal(x.numerator)
-        return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
-    return str(x)
+    if x is None:
+        return "null"
+    raise TypeError(f"a report holds no {type(x).__name__}")
 
 
 def _val(x, provenance: str) -> dict:
-    return {"value": _fmt(x), "provenance": provenance}
+    """A result: its value as a string, a Fraction as num/den (num alone
+    when it is whole), and its provenance."""
+    if isinstance(x, Fraction):
+        num = _decimal(x.numerator)
+        text = num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
+    else:
+        text = _fmt(x)
+    return {"value": text, "provenance": provenance}
 
 
 def _report(args, results: dict, notes=(), **fields) -> dict:
@@ -94,15 +104,14 @@ def _report(args, results: dict, notes=(), **fields) -> dict:
 def _flatten(prefix: str, obj, writer):
     """Write the (name, value, provenance) rows of `obj`.  Lists are
     enumerated; an iterator is a stream of leaf rows, such as a sweep's,
-    and each of its rows is written with one writerows."""
+    and each of its rows is written with one writerows, its values as
+    `_cmd_sweep` formatted them.  Any other leaf goes through `_fmt`."""
     if isinstance(obj, dict):
         if len(obj) == 2 and "value" in obj and "provenance" in obj:
             writer.writerow((prefix, obj["value"], obj["provenance"]))
             return
         for k in sorted(obj):
             _flatten(f"{prefix}.{k}" if prefix else k, obj[k], writer)
-    elif isinstance(obj, (str, int, Fraction)):
-        writer.writerow((prefix, _fmt(obj), ""))
     elif isinstance(obj, list):
         for i, item in enumerate(obj):
             _flatten(f"{prefix}[{i}]", item, writer)

@@ -9,6 +9,10 @@ kept as an exact rational until the single final ceiling.  The first
 factor bounds the superspecial point count via the Siegel embedding
 (it is an upper bound, not claimed sharp, and is labeled as such in
 all output); the second bounds the total dimension of irreducibles.
+What does not depend on p, C_g and #GSp_{2g}(Z/N) with their product
+and the degree of the bound in p, is one cached record, `_level_part`,
+checked once when it is formed; the checks that involve p run on
+every row.
 
 Double-coset spaces are input data here (fixtures), never computed
 from global arithmetic: honest class-set enumeration is out of scope.
@@ -130,20 +134,11 @@ def mass_factor_product(p: int, g: int) -> int:
     return out
 
 
-@functools.cache
-def _level_factor(g: int, N: int) -> Fraction:
-    """C_g * #GSp_{2g}(Z/N), the factor of the superspecial bound that
-    does not depend on p.  Cached per (g, N), so a sweep forms it once."""
-    return mass_constant(g) * order_gsp_mod(g, N)
-
-
-@functools.cache
 def asymptotic_exponent_symbolic(g: int, r: int, s: int) -> int:
     """Degree in p of the bound, as the sum of per-factor degrees.
 
     The sum must reproduce g^2 + g + 1 - rs (and g^2 + g + 1 on the
-    rs = 0 branch); a mismatch is a formula regression and raises.
-    Cached per (g, r, s), so a sweep checks the sum once."""
+    rs = 0 branch); a mismatch is a formula regression and raises."""
     if r + s != g or r < 0 or s < 0:
         raise ValidationError("need r + s = g with r, s >= 0")
     deg_mass = g * (g + 1) // 2
@@ -162,27 +157,31 @@ def asymptotic_exponent_symbolic(g: int, r: int, s: int) -> int:
 
 
 @functools.cache
-def _mass_constant_checked(g: int) -> Fraction:
-    """C_g, once its zeta and Bernoulli forms agree.  Cached, so a sweep
-    compares them once per g and not once per prime."""
+def _level_part(g: int, r: int, s: int, N: int) -> tuple[Fraction, int, Fraction, int]:
+    """(C_g, #GSp_{2g}(Z/N), C_g * #GSp_{2g}(Z/N), the degree of the bound
+    in p): the part of the bound that does not depend on p, once C_g's
+    zeta form has matched its Bernoulli form and the degree sum of
+    `asymptotic_exponent_symbolic` its closed form.  Cached, so a sweep
+    forms and checks it once per (g, r, s, N)."""
     c_g = mass_constant(g)
     if c_g != mass_constant_bernoulli_abs(g):
         raise FormulaInconsistencyError("zeta and Bernoulli forms of C_g disagree")
-    return c_g
+    gsp = order_gsp_mod(g, N)
+    return c_g, gsp, c_g * gsp, asymptotic_exponent_symbolic(g, r, s)
 
 
 def eigensystem_bound(params: SignatureParams) -> CountReport:
     """Assemble the full bound with a term-by-term double entry.
 
-    The mass constant is evaluated through both the zeta product and
-    the absolute Bernoulli product; the final number must factor as
-    ceil(superspecial bound) * (class count * dimension bound)."""
+    What does not depend on p is one `_level_part` lookup, checked when
+    it is formed.  On every row the final number must factor as
+    ceil(superspecial bound) * (class count * dimension bound), and the
+    superspecial bound must reassemble from the lookup's product."""
     g = params.g
-    c_g = _mass_constant_checked(g)
-    gsp = order_gsp_mod(g, params.N)
+    c_g, gsp, level, degree = _level_part(g, params.r, params.s, params.N)
     mass = mass_factor_product(params.p, g)
     # integers first, so one Fraction product; it must reassemble below
-    # as the cached C_g * #GSp_{2g}(Z/N) times the same mass product
+    # as the looked-up C_g * #GSp_{2g}(Z/N) times the same mass product
     ss_exact = c_g * (gsp * mass)
     ss_ceiling = math.ceil(ss_exact)
     classes = p_regular_classes(params.r, params.s, params.p)
@@ -190,7 +189,7 @@ def eigensystem_bound(params: SignatureParams) -> CountReport:
     irr_sum = irrep_sum_bound(params.r, params.s, params.p)
     if irr_sum != classes * dim_b:
         raise FormulaInconsistencyError("irreducible-sum bound fails to factor")
-    if ss_exact != _level_factor(g, params.N) * mass:
+    if ss_exact != level * mass:
         raise FormulaInconsistencyError("superspecial bound fails to reassemble")
     return CountReport(
         c_g=c_g,
@@ -202,7 +201,7 @@ def eigensystem_bound(params: SignatureParams) -> CountReport:
         dim_bound=dim_b,
         irr_sum_bound=irr_sum,
         final_bound=ss_ceiling * irr_sum,
-        asymptotic_exponent=asymptotic_exponent_symbolic(g, params.r, params.s),
+        asymptotic_exponent=degree,
     )
 
 

@@ -2,6 +2,8 @@
 
 Everything here is a fractions.Fraction; no floating point.  Bernoulli
 numbers use the convention B_1 = -1/2 (so B_m = 0 for odd m >= 3).
+Only they are cached: the bound forms C_g once per record of
+`count._level_part`.
 """
 
 from __future__ import annotations
@@ -35,13 +37,11 @@ def zeta_negative_odd(i: int) -> Fraction:
     return -bernoulli(2 * i) / (2 * i)
 
 
-@lru_cache(maxsize=None)
 def mass_constant(g: int) -> Fraction:
     """C_g = (-1)^{g(g+1)/2} 2^{-g} prod_{i=1}^{g} zeta(1-2i); always > 0.
 
     The zeta-product form is normative; it is provably positive, which
-    a mass constant must be.  Cached per g, like its Bernoulli form, so
-    a sweep evaluates each once.
+    a mass constant must be.
     """
     if g < 1:
         raise ValidationError("g must be >= 1")
@@ -54,7 +54,6 @@ def mass_constant(g: int) -> Fraction:
     return value
 
 
-@lru_cache(maxsize=None)
 def mass_constant_bernoulli_abs(g: int) -> Fraction:
     """|prod_{i=1}^{g} B_{2i}| / (2^{2g} g!), the Bernoulli form of |C_g|."""
     if g < 1:

@@ -5,7 +5,9 @@ F_{p^s} itself is the Witt ring W_1(F_{p^s}) = witt.witt_ring(p, s, 1),
 whose elements are coefficient vectors modulo the polynomial chosen
 here.  The modulus for given (p, s) is always the lexicographically
 smallest monic irreducible of degree s, comparing coefficient vectors
-low-degree first, so fixtures are reproducible.
+low-degree first, so fixtures are reproducible.  Neither that search
+nor a square root mod p walks or builds anything of size p, so a prime
+near 10^8 meets the enumeration budget, not a search.
 """
 
 from __future__ import annotations
@@ -118,11 +120,15 @@ def minimal_irreducible(p: int, s: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree s, low-degree-first lexicographic.
 
     The constant term varies slowest; for s > 1 every candidate with
-    constant term 0 is divisible by t, so the search starts at 1.
+    constant term 0 is divisible by t, so the search starts at 1.  The
+    other coefficients are the base-p digits of 0, 1, 2, ..., most
+    significant first: the order of itertools.product(range(p),
+    repeat=s - 1), one candidate at a time, where product would first
+    build a pool of all p values.
     """
     for c0 in range(0 if s == 1 else 1, p):
-        for upper in itertools.product(range(p), repeat=s - 1):
-            poly = (c0,) + upper + (1,)
+        for n in range(p ** (s - 1)):
+            poly = (c0, *(n // p**k % p for k in range(s - 2, -1, -1)), 1)
             if is_irreducible(poly, p):
                 return poly
     raise ValidationError(f"no irreducible polynomial of degree {s} over F_{p}")
@@ -229,9 +235,15 @@ def is_nonresidue(alpha: int, p: int) -> bool:
 
 
 def sqrt_mod_p(v: int, p: int) -> int:
-    """Smallest square root of a quadratic residue mod p (desk-scale search)."""
+    """The smaller square root of a quadratic residue v mod a prime p, by
+    Cipolla's algorithm: with a the least integer for which a^2 - v is a
+    non-residue, (a + x)^((p+1)/2) mod x^2 - (a^2 - v) is a constant whose
+    square is v.  O(log p) products, where a search would take O(p)."""
     v %= p
-    for y in range(p):
-        if (y * y) % p == v:
-            return y
-    raise ValidationError(f"{v} is not a square mod {p}")
+    if v < 2:
+        return v
+    if pow(v, (p - 1) // 2, p) != 1:
+        raise ValidationError(f"{v} is not a square mod {p}")
+    a = next(a for a in range(p) if is_nonresidue(a * a - v, p))
+    (y,) = _ppowmod((a, 1), (p + 1) // 2, ((v - a * a) % p, 0, 1), p)
+    return min(y, p - y)

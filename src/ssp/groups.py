@@ -15,7 +15,6 @@ independent of the closed forms so each route checks the other.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -121,10 +120,8 @@ def order_gsp_fp(g: int, ell: int) -> int:
     return out
 
 
-@functools.cache
 def order_gsp_mod(g: int, N: int) -> int:
-    """#GSp_{2g}(Z/N): prime-power lifting and CRT multiplicativity.
-    Cached per (g, N), so a sweep factors N once."""
+    """#GSp_{2g}(Z/N): prime-power lifting and CRT multiplicativity."""
     if g < 1 or N < 1:
         raise ValidationError("need g >= 1 and N >= 1")
     out = 1
@@ -415,8 +412,8 @@ def conjugacy_class_data(elements: list, p: int):
     products is a lookup per row (FieldTable.right_mul): two maps per
     generator g, X -> X g, which the closure and the orbit walk share,
     and X -> X (g^-1)^T, as a conjugation is ((y g)^T (g^-1)^T)^T.
-    Representatives are the first element of each class in sorted
-    order.
+    Representatives are the first element of each class in the order
+    of `elements`, so no element is sorted.
 
     Once the closure and the generator inverses prove that the list is a
     group, the order of x divides |G|, so x is p-regular iff x^m = I for
@@ -441,7 +438,7 @@ def conjugacy_class_data(elements: list, p: int):
     # the group
     unvisited = set(elems)
     reps = []
-    for x in sorted(elems):
+    for x in elements:
         if x not in unvisited:
             continue
         unvisited.remove(x)

@@ -651,8 +651,8 @@ class TestSweep:
         # the sieved prime is tested again and inertness checked on each of
         # the 16 rows of 3:60; the 9 evaluated rows (p = 3 mod 4) each check
         # the irreducible-sum factors and reassemble the superspecial bound
-        # from the cached level factor
-        calls = {name: 0 for name in ("is_prime", "is_nonresidue", "irrep_sum_bound", "_level_factor")}
+        # from its one lookup of the cached part that does not depend on p
+        calls = {name: 0 for name in ("is_prime", "is_nonresidue", "irrep_sum_bound", "_level_part")}
 
         def counted(name):
             real = getattr(count, name)
@@ -667,7 +667,7 @@ class TestSweep:
             monkeypatch.setattr(count, name, counted(name))
         code, _ = run(capsys, "sweep", "--sweep", "3:60", *_SIGNATURE, "--N", "3", *["--csv"] * as_csv)
         assert code == 0
-        assert calls == {"is_prime": 16, "is_nonresidue": 16, "irrep_sum_bound": 9, "_level_factor": 9}
+        assert calls == {"is_prime": 16, "is_nonresidue": 16, "irrep_sum_bound": 9, "_level_part": 9}
 
     def test_csv_writes_each_row_with_one_writerows(self, capsys, monkeypatch):
         calls = []
@@ -772,6 +772,34 @@ def test_report_echoes_its_parameters(tmp_path, monkeypatch, capsys, argv, param
     report = json.loads(out)
     assert report["command"] == argv[0]
     assert report["parameters"] == parameters
+
+
+_BIG = 100000007
+# the modulus of F_{p^2} is searched one candidate at a time and a square
+# root mod p is Cipolla's, so a prime near 10^8 or 10^9 meets the budget
+# (or, for newton and amf, the answer) in O(log p) steps and memory
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["pairing", "--p", str(_BIG), *_SIGNATURE], 4),
+        (["pairing", "--p", "100000037", "--alpha", "-2", "--r", "1", "--s", "1"], 4),
+        (["group", "--family", "u", "--params", f"1,{_BIG}", "--oracle"], 4),
+        (["group", "--family", "gusplit", "--params", "1,1,1000000007", "--oracle"], 4),
+        (["amf", "space.json", "rep.json"], 0),
+        (["newton", "module.json"], 0),
+    ],
+    ids=["pairing", "pairing-alpha-2", "group-u", "group-gusplit", "amf", "newton"],
+)
+def test_large_prime_gets_its_exit_code_at_once(tmp_path, monkeypatch, run_capped, argv, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "module.json").write_text(
+        json.dumps({"p": _BIG, "s": 2, "n": 2, "rank": 2, "F": [[0, 1], [-_BIG, 0]], "V": [[0, -1], [_BIG, 0]]})
+    )
+    (tmp_path / "space.json").write_text(json.dumps({"points": 1, "generators": [{"perm": [0]}]}))
+    (tmp_path / "rep.json").write_text(json.dumps({"dim": 1, "field": {"p": _BIG, "s": 2}, "generators": [[[1]]]}))
+    proc = run_capped(*argv, timeout=10)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert json.loads(proc.stdout)["status"] == ("ok" if code == 0 else "error")
 
 
 def _refused(capsys, *argv) -> dict:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ssp import linalg
+from ssp import count, linalg
 from ssp.errors import FormulaInconsistencyError, ValidationError
 from ssp.ftables import field_table
 from ssp.witt import witt_ring
@@ -24,6 +24,15 @@ from ssp.count import (
 )
 
 from helpers import inverse
+
+
+@pytest.fixture
+def fresh_level_part():
+    """An empty `count._level_part` cache before and after the test, so
+    a record formed from patched factors reaches no other test."""
+    count._level_part.cache_clear()
+    yield
+    count._level_part.cache_clear()
 
 
 class TestSignatureParams:
@@ -107,9 +116,7 @@ class TestEigensystemBound:
             assert report.final_bound == report.superspecial_bound_ceiling * report.irr_sum_bound
             assert report.irr_sum_bound == report.class_count * report.dim_bound
 
-    def test_checks_independent_of_p_run_once_per_g(self, monkeypatch):
-        from ssp import count
-
+    def test_checks_independent_of_p_run_once_per_g(self, monkeypatch, fresh_level_part):
         calls = []
 
         def bernoulli_form(g):
@@ -117,21 +124,16 @@ class TestEigensystemBound:
             return count.mass_constant(g)
 
         monkeypatch.setattr(count, "mass_constant_bernoulli_abs", bernoulli_form)
-        count._mass_constant_checked.cache_clear()
         for p in (3, 7, 11):
             eigensystem_bound(SignatureParams(p=p, alpha=-1, r=1, s=1, N=3))
         assert calls == [2]
-        # the cached check still compares the two forms
+        # the cached record still compares the two forms when it is formed
         monkeypatch.setattr(count, "mass_constant_bernoulli_abs", lambda g: Fraction(1))
-        count._mass_constant_checked.cache_clear()
+        count._level_part.cache_clear()
         with pytest.raises(FormulaInconsistencyError, match="zeta and Bernoulli forms of C_g disagree"):
             eigensystem_bound(SignatureParams(p=3, alpha=-1, r=1, s=1, N=3))
 
-    def test_level_factor_formed_once_per_g_and_level(self, monkeypatch):
-        from ssp import count
-
-        for g in (2, 4):
-            count._mass_constant_checked(g)  # the C_g check caches its own call
+    def test_level_factor_formed_once_per_g_and_level(self, monkeypatch, fresh_level_part):
         calls = []
         real = count.mass_constant
 
@@ -140,21 +142,18 @@ class TestEigensystemBound:
             return real(g)
 
         monkeypatch.setattr(count, "mass_constant", zeta_form)
-        count._level_factor.cache_clear()
         for (r, s), N in itertools.product([(1, 1), (2, 2)], [3, 4]):
             for p in (3, 7, 11, 19, 23):
                 eigensystem_bound(SignatureParams(p=p, alpha=-1, r=r, s=s, N=N))
         assert calls == [2, 2, 4, 4]
-        assert count._level_factor.cache_info().currsize == 4
+        assert count._level_part.cache_info().currsize == 4
 
     def test_cached_level_factor_is_still_checked(self, monkeypatch):
-        # the reassembly check multiplies the cached C_g * #GSp by the mass
-        # product, the bound itself is c_g * (gsp * mass): a wrong cached
-        # factor makes the two routes disagree on every row
-        from ssp import count
-
-        right = count._level_factor(2, 3)
-        monkeypatch.setattr(count, "_level_factor", lambda g, N: right + 1)
+        # the reassembly check multiplies the record's C_g * #GSp by the
+        # mass product, the bound itself is c_g * (gsp * mass): a wrong
+        # cached factor makes the two routes disagree on every row
+        c_g, gsp, level, degree = count._level_part(2, 1, 1, 3)
+        monkeypatch.setattr(count, "_level_part", lambda g, r, s, N: (c_g, gsp, level + 1, degree))
         for p in (3, 7, 11):
             with pytest.raises(FormulaInconsistencyError, match="superspecial bound fails to reassemble"):
                 eigensystem_bound(SignatureParams(p=p, alpha=-1, r=1, s=1, N=3))

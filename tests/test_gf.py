@@ -18,7 +18,9 @@ from ssp.gf import (
     is_prime,
     primes_between,
     minimal_irreducible,
+    sqrt_mod_p,
 )
+from ssp import witt
 from ssp.witt import hensel_sqrt, witt_ring
 
 
@@ -193,6 +195,57 @@ def test_is_irreducible_matches_product_sieve(p):
     for d in range(1, 5):
         for poly in _monic(p, d):
             assert is_irreducible(poly, p) == (poly not in reducible), poly
+
+
+def _sqrt_mod_p_desk(v, p):
+    """The smallest square root of v mod p, by trying 0, 1, ..., p - 1."""
+    v %= p
+    for y in range(p):
+        if y * y % p == v:
+            return y
+    raise ValidationError(f"{v} is not a square mod {p}")
+
+
+_PRIMES_BELOW_200 = [p for p in range(200) if is_prime(p)]
+
+
+def test_sqrt_mod_p_matches_the_desk_search():
+    for p in _PRIMES_BELOW_200:
+        for v in range(p):
+            if pow(v, (p - 1) // 2, p) in (0, 1):
+                assert sqrt_mod_p(v, p) == _sqrt_mod_p_desk(v, p), (v, p)
+            else:
+                with pytest.raises(ValidationError, match=f"{v} is not a square mod {p}"):
+                    sqrt_mod_p(v, p)
+
+
+def test_hensel_sqrt_is_the_same_with_the_desk_search(monkeypatch):
+    # hensel_sqrt takes the smaller of the roots u, -u, whichever root mod
+    # p it is given; each phase starts and ends with an empty cache
+    cases = [
+        (witt_ring(p, 2, 2), alpha)
+        for p in _PRIMES_BELOW_200[1:]
+        for alpha in range(-49, 50)
+        if pow(alpha % p, (p - 1) // 2, p) == p - 1
+    ]
+    hensel_sqrt.cache_clear()
+    now = [hensel_sqrt(ring, alpha) for ring, alpha in cases]
+    hensel_sqrt.cache_clear()
+    monkeypatch.setattr(witt, "sqrt_mod_p", _sqrt_mod_p_desk)
+    try:
+        assert [hensel_sqrt(ring, alpha) for ring, alpha in cases] == now
+    finally:
+        hensel_sqrt.cache_clear()
+    assert len(cases) > 2000
+
+
+def test_sqrt_mod_p_at_large_primes():
+    # Cipolla's algorithm takes O(log p) steps, where the search took O(p)
+    for p in (100000007, 1000000007, 3317044064679887385961813):
+        for v in (2, 3, 5, 7, 10, 11, 13, 17, 19, 23):
+            if pow(v, (p - 1) // 2, p) == 1:
+                y = sqrt_mod_p(v, p)
+                assert y * y % p == v and y <= p - y
 
 
 MODULI = {

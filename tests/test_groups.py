@@ -474,7 +474,8 @@ def _order_by_products(table, x):
 
 def _conjugacy_class_data_slow(elements, p):
     """The slow oracle: conjugate every element by every element of the
-    group, O(|G|^2) products, with inverses found by powering."""
+    group, O(|G|^2) products, with inverses found by powering.  A class's
+    representative is its first element in the order given."""
     table = field_table(p)
     ident = table.identity(len(elements[0]))
     order = functools.partial(_order_by_products, table)
@@ -485,7 +486,7 @@ def _conjugacy_class_data_slow(elements, p):
             y = table.mat_mul(y, x)
         inverses[x] = y
     seen, reps, regular = set(), [], 0
-    for x in sorted(set(elements)):
+    for x in elements:
         if x in seen:
             continue
         seen |= {table.mat_mul(table.mat_mul(inverses[g], x), g) for g in elements}

@@ -1,7 +1,10 @@
 """The JSON writer of `ssp.cli` against json.dumps(indent=2, sort_keys=True),
 the stdlib encoder whose bytes it must reproduce: on the report of every
-subcommand, on error reports and sweeps, and on random trees."""
+subcommand, on error reports and sweeps, and on random trees; and the
+types that it and the CSV writer refuse."""
 
+import csv
+import io
 import json
 from collections.abc import Iterator
 from fractions import Fraction
@@ -168,7 +171,11 @@ def _holding(inner):
 
 
 _NOT_JSON = st.sampled_from([0.5, -0.0, float("inf"), float("nan"), Fraction(1, 3), Fraction(4, 2)])
-# a float or a Fraction anywhere: in a container, or as the value of a leaf
+# a float or a Fraction in a list or a dict, which both writers refuse
+_BAD_IN_CONTAINERS = _holding(st.recursive(_NOT_JSON, _holding, max_leaves=3))
+# a float or a Fraction anywhere: in a container, or as the value of a
+# leaf, which only the JSON writer checks (CSV writes a stream's values as
+# `_cmd_sweep` formatted them)
 _BAD_TREES = st.recursive(
     _NOT_JSON | st.tuples(_TEXT, _NOT_JSON, _PROVENANCE).map(lambda leaf: _Stream([[leaf]])),
     _holding,
@@ -176,8 +183,14 @@ _BAD_TREES = st.recursive(
 )
 
 
+def _csv(tree):
+    cli._flatten("", tree, csv.writer(io.StringIO(), lineterminator="\n"))
+
+
 @settings(max_examples=100, derandomize=True, database=None)
-@given(_BAD_TREES)
-def test_float_or_fraction_in_a_report_raises_type_error(tree):
+@given(_BAD_TREES, _BAD_IN_CONTAINERS)
+def test_float_or_fraction_in_a_report_raises_type_error(tree, in_container):
     with pytest.raises(TypeError):
         cli._json(_split(tree)[0])
+    with pytest.raises(TypeError):
+        _csv(_split(in_container)[0])

@@ -527,3 +527,28 @@ def test_reports_are_written_by_one_json_writer():
     assert "_leaf_dicts" not in {node.name for node in _functions(modules["cli"])}
     emit = _function(modules["cli"], "_emit")
     assert "_json" in {_callee(node) for node in ast.walk(emit) if isinstance(node, ast.Call)}
+
+
+def test_each_process_cache_has_one_reason():
+    # the process-lifetime caches of the package, one per reason; what the
+    # bound needs that does not depend on p is the one record
+    # count._level_part, so no factor it reads keeps a cache of its own
+    cached = {
+        f"{name}.{node.name}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for decorator in node.decorator_list
+        if ast.unparse(decorator.func if isinstance(decorator, ast.Call) else decorator).split(".")[-1]
+        in ("cache", "lru_cache")
+    }
+    assert cached == {
+        "cli._build_parser",
+        "count._squarefree",
+        "count._level_part",
+        "exact.bernoulli",
+        "ftables._field_table",
+        "witt.witt_ring",
+        "witt.hensel_sqrt",
+    }
+    assert not {"_level_factor", "_mass_constant_checked"} & {node.name for node in _functions(_modules()["count"])}
