@@ -162,21 +162,23 @@ def pairing_well_defined(m: DieudonneModule, h: HermitianQuotient, trials: int, 
 # interact through c; see ftables.similitude_frames).
 
 
-def _coded_blocks(h: HermitianQuotient):
-    """(table, coded grading blocks, meter) of h over field_table(p, s)."""
-    meter = EnumBudget("automorphism_group_bruteforce")
+def _coded_blocks(h: HermitianQuotient, meter: EnumBudget):
+    """(table, coded grading blocks) of h over field_table(p, s), the
+    table's entries charged to the caller's `meter`."""
     table = metered_table(h.ctx.p, h.ctx.s, meter)
-    return table, [table.mat_encode(block) for block in h.blocks()], meter
+    return table, [table.mat_encode(block) for block in h.blocks()]
 
 
 def automorphism_group_order(h: HermitianQuotient) -> int:
     """The number of automorphisms, counted from the frames of each block."""
-    return block_similitude_order(*_coded_blocks(h))
+    meter = EnumBudget("automorphism_group_order")
+    return block_similitude_order(*_coded_blocks(h, meter), meter)
 
 
 def automorphism_group_bruteforce(h: HermitianQuotient) -> tuple[int, list]:
     """(order, elements), the elements decoded to matrices over h.ctx."""
-    table, grams, meter = _coded_blocks(h)
+    meter = EnumBudget("automorphism_group_bruteforce")
+    table, grams = _coded_blocks(h, meter)
     elements = table.mats_decode(block_similitudes(table, grams, meter))
     return len(elements), elements
 

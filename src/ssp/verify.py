@@ -29,7 +29,8 @@ def _order(family: str, *params: int):
 
 
 def _pregular(r: int, s: int, p: int):
-    return _eq(groups.p_regular_class_count_enumerated(r, s, p), groups.p_regular_classes(r, s, p))
+    enumerated = groups.conjugacy_class_data(groups.gusplit_group_elements(r, s, p), p)[1]
+    return _eq(enumerated, groups.p_regular_classes(r, s, p))
 
 
 def _sylow():

@@ -256,13 +256,13 @@ class TestGroup:
     @pytest.mark.parametrize(
         "params, message",
         [
-            # N^(2k) + N hyperbolic-pair steps, k = 1, 2, and N units,
-            # charged before any is taken
+            # N^(2k) + N hyperbolic-pair steps, k = 1..g, and N units,
+            # charged before any is taken, at g = 1 as at g = 2
             (
                 "2,101",
                 f"gsp_order_enumerated would reach {101 + (101**2 + 101) + (101**4 + 101)} candidates",
             ),
-            ("1,100000", f"gl2_order_enumerated reached {100000**4} candidates"),
+            ("1,100000", f"gsp_order_enumerated would reach {100000 + (100000**2 + 100000)} candidates"),
         ],
         ids=["gsp", "gl2"],
     )
@@ -461,14 +461,14 @@ class TestPairing:
         monkeypatch.setenv("SSP_MAX_ENUM", "5")
         _, out = run(capsys, "pairing", "--p", "3", "--alpha", "-1", "--r", "1", "--s", "1")
         # the 81 entries of each dense F_9 table are charged before they are built
-        assert "automorphism_group_bruteforce would reach 81 candidates" in json.loads(out)["results"]["error"]
+        assert "automorphism_group_order would reach 81 candidates" in json.loads(out)["results"]["error"]
 
     def test_oversized_field_tables_exit_4_at_once(self, run_capped):
         # F_{101^2} has q = 10201: each dense table would hold q^2 > 10^8 entries
         proc = run_capped("pairing", "--p", "101", "--alpha", "-2", "--r", "1", "--s", "1", timeout=20)
         assert proc.returncode == 4, proc.stderr
         error = json.loads(proc.stdout)["results"]["error"]
-        assert f"automorphism_group_bruteforce would reach {10201**2} candidates" in error
+        assert f"automorphism_group_order would reach {10201**2} candidates" in error
 
     def test_2_2_7_counts_without_a_list(self, run_capped):
         proc = run_capped("pairing", "--p", "7", "--alpha", "-1", "--r", "2", "--s", "2", timeout=60)

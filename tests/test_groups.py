@@ -28,7 +28,6 @@ from ssp.groups import (
     order_gusplit,
     order_su,
     order_u,
-    p_regular_class_count_enumerated,
     p_regular_classes,
     su_group_elements,
     sylow_p_order,
@@ -120,6 +119,9 @@ class TestEnumerationOracles:
 
     def test_gsp_1_3_vs_gl2(self):
         assert gl2_order_enumerated(3) == order_gsp_mod(1, 3) == 48
+        # the quartic GL_2 count cross-checks the g = 1 pair count
+        for N in range(1, 21):
+            assert gl2_order_enumerated(N) == gsp_order_enumerated(1, N) == order_gsp_mod(1, N), N
 
     def test_gsp_hyperbolic_recursion(self):
         assert hyperbolic_pair_count(1, 3, EnumBudget("hyperbolic_pair_count")) == (3**2 - 1) * 3
@@ -445,7 +447,7 @@ class TestClassCounts:
     # (2,2,3) runs as test_verify_check[pregular-classes-vs-enumeration(2,2,3)]
     @pytest.mark.parametrize("r, s, p", [(1, 1, 3), (2, 0, 3), (1, 1, 5)])
     def test_formula_vs_enumeration(self, r, s, p):
-        assert p_regular_class_count_enumerated(r, s, p) == p_regular_classes(r, s, p)
+        assert conjugacy_class_data(gusplit_group_elements(r, s, p), p)[1] == p_regular_classes(r, s, p)
 
     def test_abelian_case_all_classes_regular(self):
         elements = gusplit_group_elements(1, 1, 3)

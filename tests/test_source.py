@@ -406,6 +406,36 @@ def test_one_enumeration_limit():
     assert readers == {"errors"}
 
 
+def _calls_in_functions(tree):
+    """(name of the innermost function around it, call) for every call."""
+    stack = [(tree, None)]
+    while stack:
+        node, fn = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call):
+            yield fn, node
+        stack.extend((child, fn) for child in ast.iter_child_nodes(node))
+
+
+def test_each_meter_is_opened_by_the_routine_it_names():
+    # a budget error names what was running: EnumBudget("name") is opened
+    # in the function `name`, or in `_cmd_name` for the subcommand `name`,
+    # and a helper that builds part of an enumeration takes its caller's meter
+    opened, offenders = 0, []
+    for module, tree in _modules().items():
+        for fn, call in _calls_in_functions(tree):
+            if _callee(call) != "EnumBudget":
+                continue
+            opened += 1
+            args = call.args
+            name = args[0].value if len(args) == 1 and isinstance(args[0], ast.Constant) else None
+            if call.keywords or not (fn and isinstance(name, str) and name in (fn, fn.removeprefix("_cmd_"))):
+                offenders.append(f"{module}.py:{call.lineno} {fn} opens {ast.unparse(call)}")
+    assert offenders == []
+    assert opened
+
+
 def test_group_families_live_in_groups():
     # the family table is groups.FAMILIES; cli names no family and maps none
     modules = _modules()
