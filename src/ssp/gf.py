@@ -8,6 +8,11 @@ smallest monic irreducible of degree s, comparing coefficient vectors
 low-degree first, so fixtures are reproducible.  Neither that search
 nor a square root mod p walks or builds anything of size p, so a prime
 near 10^8 meets the enumeration budget, not a search.
+
+`power` is the package's one square-and-multiply, for any product: it
+raises polynomials mod f here (Ben-Or's test and Cipolla's square
+root), Witt elements (WittElem.__pow__) and coded matrices (the
+p-regularity test of groups.conjugacy_class_data).
 """
 
 from __future__ import annotations
@@ -44,15 +49,21 @@ def _pmulmod(a, b, mod, p):
     return _poly_divmod(_pmul(a, b, p), mod, p)[1]
 
 
+def power(x, m: int, mul, one):
+    """x^m by square-and-multiply, for m >= 0: at most 2 m.bit_length()
+    products mul(a, b), with no squaring after the last bit."""
+    out = one
+    while m:
+        if m & 1:
+            out = mul(out, x)
+        m >>= 1
+        if m:
+            x = mul(x, x)
+    return out
+
+
 def _ppowmod(a, e, mod, p):
-    result = (1,)
-    base = _poly_divmod(a, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
-        e >>= 1
-    return result
+    return power(_poly_divmod(a, mod, p)[1], e, lambda x, y: _pmulmod(x, y, mod, p), (1,))
 
 
 def _psub(a, b, p):
@@ -242,7 +253,7 @@ def sqrt_mod_p(v: int, p: int) -> int:
     v %= p
     if v < 2:
         return v
-    if pow(v, (p - 1) // 2, p) != 1:
+    if is_nonresidue(v, p):
         raise ValidationError(f"{v} is not a square mod {p}")
     a = next(a for a in range(p) if is_nonresidue(a * a - v, p))
     (y,) = _ppowmod((a, 1), (p + 1) // 2, ((v - a * a) % p, 0, 1), p)

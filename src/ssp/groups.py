@@ -30,7 +30,7 @@ from .ftables import (
     packed_fp_rank,
     similitude_frames,
 )
-from .gf import is_prime
+from .gf import is_prime, power
 from .witt import MAX_TRUNCATION, canonical_lie_action, hensel_sqrt
 
 # ---------------------------------------------------------------------------
@@ -334,18 +334,6 @@ def _powers(x, times_x, ident, bound: int) -> list:
     return out
 
 
-def _power(x, m: int, mat_mul, ident):
-    """x^m by square-and-multiply: at most 2 m.bit_length() products."""
-    out = ident
-    while m:
-        if m & 1:
-            out = mat_mul(out, x)
-        m >>= 1
-        if m:
-            x = mat_mul(x, x)
-    return out
-
-
 def _generating_set(elements: list, elems: set, right_mul, ident) -> list:
     """Greedy generators of `elements`, as (g, right_mul(g)) pairs, with
     the closure grown by right multiplication as a union of right cosets
@@ -454,7 +442,7 @@ def conjugacy_class_data(elements: list, p: int):
     m = len(elems) // sylow_p_order(len(elems), p)
     if m == len(elems):
         return reps, len(reps)
-    return reps, sum(1 for x in reps if _power(x, m, table.mat_mul, ident) == ident)
+    return reps, sum(1 for x in reps if power(x, m, table.mat_mul, ident) == ident)
 
 
 # ---------------------------------------------------------------------------

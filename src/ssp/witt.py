@@ -24,7 +24,7 @@ import math
 from functools import lru_cache
 
 from .errors import FormulaInconsistencyError, InsufficientPrecisionError, ValidationError
-from .gf import is_nonresidue, is_prime, minimal_irreducible, poly_inverse, sqrt_mod_p
+from .gf import is_nonresidue, is_prime, minimal_irreducible, poly_inverse, power, sqrt_mod_p
 
 INF = math.inf
 MAX_TRUNCATION = 64  # the cap on n and on s, which a ring's cost grows with, and on a group's sizes
@@ -264,14 +264,7 @@ class WittElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, WittElem.__mul__, self.ring.one())
 
     def inv(self) -> "WittElem":
         """Inverse of a unit: the extended Euclid on the coefficients mod p,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssp import ftables, groups, linalg
+from ssp import ftables, gf, groups, linalg
 from ssp.dieudonne import build_a_half, build_superspecial_unitary
 from ssp.errors import BudgetExceededError, EnumBudget, FormulaInconsistencyError, ValidationError
 from ssp.ftables import FieldTable, block_similitude_order, block_similitudes, field_table, similitude_frames
@@ -650,7 +650,7 @@ class TestPRegularByOnePower:
         ident = table.identity(2)
         m = len(elements) // sylow_p_order(len(elements), p)
         assert m < len(elements)  # p divides |G|, so the criterion is exercised
-        regular = [groups._power(x, m, table.mat_mul, ident) == ident for x in elements]
+        regular = [gf.power(x, m, table.mat_mul, ident) == ident for x in elements]
         assert regular == [gcd(_order_by_products(table, x), p) == 1 for x in elements]
         assert 0 < sum(regular) < len(elements)
 
@@ -660,7 +660,7 @@ class TestPRegularByOnePower:
         ident = table.identity(2)
         y = ident
         for m in range(12):
-            assert groups._power(x, m, table.mat_mul, ident) == y
+            assert gf.power(x, m, table.mat_mul, ident) == y
             y = table.mat_mul(y, x)
 
 

@@ -406,16 +406,20 @@ def test_one_enumeration_limit():
     assert readers == {"errors"}
 
 
-def _calls_in_functions(tree):
-    """(name of the innermost function around it, call) for every call."""
+def _nodes_in_functions(tree):
+    """(name of the innermost function around it, node) for every node."""
     stack = [(tree, None)]
     while stack:
         node, fn = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = node.name
-        if isinstance(node, ast.Call):
-            yield fn, node
+        yield fn, node
         stack.extend((child, fn) for child in ast.iter_child_nodes(node))
+
+
+def _calls_in_functions(tree):
+    """(name of the innermost function around it, call) for every call."""
+    return ((fn, node) for fn, node in _nodes_in_functions(tree) if isinstance(node, ast.Call))
 
 
 def test_each_meter_is_opened_by_the_routine_it_names():
@@ -434,6 +438,34 @@ def test_each_meter_is_opened_by_the_routine_it_names():
                 offenders.append(f"{module}.py:{call.lineno} {fn} opens {ast.unparse(call)}")
     assert offenders == []
     assert opened
+
+
+def _is_euler_criterion(node):
+    """`pow(a, (p - 1) // 2, p)`, for any names a and p."""
+    if not (isinstance(node, ast.Call) and _callee(node) == "pow" and len(node.args) == 3):
+        return False
+    modulus = node.args[2]
+    return isinstance(modulus, ast.Name) and ast.unparse(node.args[1]) == f"({modulus.id} - 1) // 2"
+
+
+def test_one_square_and_multiply_and_one_euler_criterion():
+    # gf.power is the one power loop for every ring, so no other function
+    # halves an exponent in place, and a quadratic residue is tested by
+    # gf.is_nonresidue alone
+    halvings, criteria = [], []
+    for module, tree in _modules().items():
+        for fn, node in _nodes_in_functions(tree):
+            if (
+                isinstance(node, ast.AugAssign)
+                and isinstance(node.op, ast.RShift)
+                and isinstance(node.value, ast.Constant)
+                and node.value.value == 1
+            ):
+                halvings.append(f"{module}.{fn}")
+            if _is_euler_criterion(node):
+                criteria.append(f"{module}.{fn}")
+    assert halvings == ["gf.power"]
+    assert criteria == ["gf.is_nonresidue"]
 
 
 def test_group_families_live_in_groups():

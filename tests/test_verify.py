@@ -3,61 +3,19 @@
 from ssp import verify
 from ssp.errors import ValidationError
 
-# `ssp verify --level full` names its checks in this order; a check is
-# added by appending it here and to the registry
-FULL_NAMES = [
-    "su-order-vs-enumeration(2,3)",
-    "u-order-vs-enumeration(1,3)",
-    "gusplit-order-vs-enumeration(1,1,3)",
-    "gusplit-order-vs-enumeration(2,0,3)",
-    "gsp-order-vs-enumeration(1,3)",
-    "gsp-order-vs-hyperbolic-pairs(2,3)",
-    "pregular-classes-vs-enumeration(1,1,3)",
-    "pregular-classes-vs-enumeration(2,0,3)",
-    "sylow-order-vs-formula(3)",
-    "aut-bruteforce-vs-gusplit-order(3,1,1)",
-    "newton-polygon-a-half(3)",
-    "superspecial-model-core(3,1,1)",
-    "pairing-well-definedness(3,1,1)",
-    "mass-constant-zeta-vs-bernoulli(g<=8)",
-    "pipeline-decomposition(3,-1,1,1,3)",
-    "determinant-condition(3,-1,1,1)",
-    "asymptotic-exponent-decomposition(g<=8)",
-    "su-order-vs-enumeration(2,5)",
-    "gusplit-order-vs-enumeration(1,1,5)",
-    "pregular-classes-vs-enumeration(1,1,5)",
-    "lemma-gp-check(3,-1,1,1)",
-    "superspecial-model-core(3,2,2)",
-    "endpoint-admissibility(3,2,2)",
-    "equivariant-dimension-regular(3,1,1)",
-    "u-order-vs-enumeration(3,3)",
-    "gusplit-order-vs-enumeration(2,2,3)",
-    "pregular-classes-vs-enumeration(2,2,3)",
-    "lemma-gp-check(7,-1,1,1)",
-    "aut-bruteforce-vs-gusplit-order(3,2,2)",
-    "pregular-classes-vs-enumeration(2,0,5)",
-    "gusplit-order-vs-enumeration(3,1,3)",
-    "aut-bruteforce-vs-gusplit-order(3,3,1)",
-    "superspecial-model-core(3,3,1)",
-    "endpoint-admissibility(3,3,1)",
-    "lemma-gp-check(3,-1,2,2)",
-    "pairing-well-definedness(3,2,2)",
-    "pairing-well-definedness(3,3,1)",
-    "gsp-order-vs-hyperbolic-pairs(4,3)",
-    "lemma-gp-check(3,-1,3,1)",
-    "gsp-order-vs-hyperbolic-pairs(4,5)",
-    "gsp-order-vs-hyperbolic-pairs(4,4)",
-    "gsp-order-vs-hyperbolic-pairs(2,12)",
-    "equivariant-dimension-regular-su(2,3)",
-]
+from test_acceptance import DETAILS
+
+# `ssp verify --level full` names its checks in the order of
+# test_acceptance.DETAILS, which pins each check's detail; a check is
+# added by appending it to the registry and to DETAILS
 
 
 def test_full_names_in_order():
-    assert [name for name, _ in verify.FULL] == FULL_NAMES
+    assert [name for name, _ in verify.FULL] == list(DETAILS)
 
 
 def test_quick_is_the_first_17():
-    assert [name for name, _ in verify.QUICK] == FULL_NAMES[:17]
+    assert [name for name, _ in verify.QUICK] == list(DETAILS)[:17]
 
 
 def test_names_are_unique():
