@@ -38,7 +38,7 @@ from .errors import (
 )
 from .exact import mass_constant, mass_constant_bernoulli_abs
 from .gf import is_nonresidue, is_prime
-from .groups import factorize, irrep_dim_bound, irrep_sum_bound, order_gsp_mod, p_regular_classes
+from .groups import factorize, irrep_dim_bound, order_gsp_mod, p_regular_classes
 from .witt import MAX_TRUNCATION, WittElem, WittRing, witt_ring
 
 SUPERSPECIAL_BOUND_NOTE = "upper bound via Siegel embedding"
@@ -171,12 +171,12 @@ def _level_part(g: int, r: int, s: int, N: int) -> tuple[Fraction, int, Fraction
 
 
 def eigensystem_bound(params: SignatureParams) -> CountReport:
-    """Assemble the full bound with a term-by-term double entry.
+    """Assemble the full bound, each factor formed once.
 
     What does not depend on p is one `_level_part` lookup, checked when
-    it is formed.  On every row the final number must factor as
-    ceil(superspecial bound) * (class count * dimension bound), and the
-    superspecial bound must reassemble from the lookup's product."""
+    it is formed.  On every row the superspecial bound must reassemble
+    from the lookup's stored product; the irreducible-sum factor, class
+    count times dimension bound, has no second route to check it."""
     g = params.g
     c_g, gsp, level, degree = _level_part(g, params.r, params.s, params.N)
     mass = mass_factor_product(params.p, g)
@@ -186,9 +186,7 @@ def eigensystem_bound(params: SignatureParams) -> CountReport:
     ss_ceiling = math.ceil(ss_exact)
     classes = p_regular_classes(params.r, params.s, params.p)
     dim_b = irrep_dim_bound(params.r, params.s, params.p)
-    irr_sum = irrep_sum_bound(params.r, params.s, params.p)
-    if irr_sum != classes * dim_b:
-        raise FormulaInconsistencyError("irreducible-sum bound fails to factor")
+    irr_sum = classes * dim_b
     if ss_exact != level * mass:
         raise FormulaInconsistencyError("superspecial bound fails to reassemble")
     return CountReport(

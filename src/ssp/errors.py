@@ -42,7 +42,8 @@ class BudgetExceededError(SspError):
 
 
 class FormulaInconsistencyError(SspError):
-    """Two formulas that must agree did not (internal double-entry check)."""
+    """Two different computations of one value, or a value and its stored
+    copy, did not agree (internal double-entry check)."""
 
 
 # ---------------------------------------------------------------------------

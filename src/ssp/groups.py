@@ -147,10 +147,6 @@ def irrep_dim_bound(r: int, s: int, p: int) -> int:
     return p ** ((r * (r - 1) + s * (s - 1)) // 2)
 
 
-def irrep_sum_bound(r: int, s: int, p: int) -> int:
-    return p_regular_classes(r, s, p) * irrep_dim_bound(r, s, p)
-
-
 # ---------------------------------------------------------------------------
 # exhaustive enumeration oracles (coded matrices over F_{p^2})
 

@@ -23,7 +23,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .errors import FormulaInconsistencyError, InsufficientPrecisionError, ValidationError
+from .errors import FormulaInconsistencyError, ValidationError
 from .gf import is_nonresidue, is_prime, minimal_irreducible, poly_inverse, power, sqrt_mod_p
 
 INF = math.inf
@@ -68,20 +68,10 @@ class WittRing:
 
     def _build_sigma(self):
         """Powers of sigma(x), where sigma(x) is the root of the modulus
-        congruent to x^p mod p (Newton iteration)."""
+        congruent to x^p mod p, lifted by `_lift_root`."""
         if self.s == 1:
             return [self.el(1)]
-        derivative = [i * c for i, c in enumerate(self.modulus)][1:]
-        r = self.gen() ** self.p
-        for _ in range(self.n + 2):
-            fr = self._horner(self.modulus, r)
-            if fr.is_zero():
-                break
-            r = r - fr * self._horner(derivative, r).inv()
-        else:
-            raise InsufficientPrecisionError("Frobenius-lift Newton iteration stalled")
-        if not self._horner(self.modulus, r).is_zero():
-            raise FormulaInconsistencyError("Frobenius lift is not a root of the modulus")
+        r = self._lift_root(self.modulus, self.gen() ** self.p)
         pows = [self.one()]
         for _ in range(1, self.s):
             pows.append(pows[-1] * r)
@@ -93,6 +83,19 @@ class WittRing:
         for c in reversed(coeffs):
             acc = acc * x + self.el(c)
         return acc
+
+    def _lift_root(self, coeffs, x: "WittElem") -> "WittElem":
+        """The root of the polynomial with integer `coeffs`, low degree
+        first, that is congruent to x mod p, for x a simple root mod p:
+        Newton's iteration doubles the precision at each step, so it
+        reaches the root within n.bit_length() + 2 evaluations, or raises."""
+        derivative = [i * c for i, c in enumerate(coeffs)][1:]
+        for _ in range(self.n.bit_length() + 2):
+            fx = self._horner(coeffs, x)
+            if fx.is_zero():
+                return x
+            x = x - fx * self._horner(derivative, x).inv()
+        raise FormulaInconsistencyError(f"Newton's iteration found no root of {tuple(coeffs)} in {self}")
 
     # -- identity / comparison ----------------------------------------------
 
@@ -311,7 +314,8 @@ def hensel_sqrt(ring: WittRing, alpha: int) -> WittElem:
     Mod p, u = x + y t over F_p[t]/(t^2 + b t + c) solves u^2 = alpha
     when y^2 = 4 alpha / (b^2 - 4c) and x = b y / 2; of the two roots
     u and -u = sigma(u), the one with the lexicographically smaller
-    coefficient vector is taken, and Newton's iteration lifts it to W_n.
+    coefficient vector is taken, and `WittRing._lift_root` lifts it, a
+    simple root of t^2 - alpha, to W_n.
     """
     if ring.s != 2:
         raise ValidationError("hensel_sqrt requires a W_n(F_{p^2}) ring")
@@ -325,15 +329,7 @@ def hensel_sqrt(ring: WittRing, alpha: int) -> WittElem:
     y = sqrt_mod_p(4 * a * pow((b * b - 4 * c0) % p, p - 2, p) % p, p)
     x = b * y * pow(2, p - 2, p) % p
     u0 = min((x, y), ((-x) % p, (-y) % p))
-    target = ring.el(alpha)
-    u = ring.el(u0)
-    for _ in range(ring.n.bit_length() + 2):
-        err = u * u - target
-        if err.is_zero():
-            break
-        u = u - err * (ring.el(2) * u).inv()
-    if u * u != target:
-        raise FormulaInconsistencyError(f"square root of {alpha} in W_{ring.n}(F_{p}^2) failed its check")
+    u = ring._lift_root((-alpha, 0, 1), ring.el(u0))
     if ring.sigma(u) != -u:
         raise FormulaInconsistencyError("Hensel square root is not negated by sigma")
     if ring.reduce(u).coeffs != u0:

@@ -649,10 +649,11 @@ class TestSweep:
     @pytest.mark.parametrize("as_csv", [False, True])
     def test_every_row_runs_its_checks(self, capsys, monkeypatch, as_csv):
         # the sieved prime is tested again and inertness checked on each of
-        # the 16 rows of 3:60; the 9 evaluated rows (p = 3 mod 4) each check
-        # the irreducible-sum factors and reassemble the superspecial bound
-        # from its one lookup of the cached part that does not depend on p
-        calls = {name: 0 for name in ("is_prime", "is_nonresidue", "irrep_sum_bound", "_level_part")}
+        # the 16 rows of 3:60; the 9 evaluated rows (p = 3 mod 4) each form
+        # the irreducible-sum factors once and reassemble the superspecial
+        # bound from its one lookup of the cached part that does not depend on p
+        names = ("is_prime", "is_nonresidue", "p_regular_classes", "irrep_dim_bound", "_level_part")
+        calls = {name: 0 for name in names}
 
         def counted(name):
             real = getattr(count, name)
@@ -667,7 +668,13 @@ class TestSweep:
             monkeypatch.setattr(count, name, counted(name))
         code, _ = run(capsys, "sweep", "--sweep", "3:60", *_SIGNATURE, "--N", "3", *["--csv"] * as_csv)
         assert code == 0
-        assert calls == {"is_prime": 16, "is_nonresidue": 16, "irrep_sum_bound": 9, "_level_part": 9}
+        assert calls == {
+            "is_prime": 16,
+            "is_nonresidue": 16,
+            "p_regular_classes": 9,
+            "irrep_dim_bound": 9,
+            "_level_part": 9,
+        }
 
     def test_csv_writes_each_row_with_one_writerows(self, capsys, monkeypatch):
         calls = []

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -87,6 +88,30 @@ def test_replay_is_byte_identical(row, tmp_path, monkeypatch):
     assert (code, digest) == (row["code"], row["sha256"]), (
         f"exit {code} (recorded {row['code']}), new sha256 {digest}; {_first_difference(row, out)}"
     )
+
+
+# the rows whose ints pass 600 digits: cli._CHUNK writes those in chunks,
+# as CPython's int -> str limit is never below 640 digits
+_LONG_INT_ROWS = (
+    ["bound", "--p", "3", "--alpha", "-1", "--r", "40", "--s", "40", "--N", "3"],
+    ["sweep", "--sweep", "3:5000", "--alpha", "-1", "--r", "8", "--s", "8", "--N", "12", "--csv"],
+    ["sweep", "--sweep", "3:3000", "--alpha", "-1", "--r", "16", "--s", "16", "--N", "3", "--csv"],
+)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str digit limit to test")
+@pytest.mark.parametrize("argv", _LONG_INT_ROWS, ids=" ".join)
+def test_replay_under_the_smallest_digit_limit(argv, monkeypatch):
+    row = next(row for row in _CORPUS["rows"] if row["argv"] == argv)
+    monkeypatch.delenv("SSP_MAX_ENUM", raising=False)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert re.search(r"\d{641}", out)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (row["code"], row["sha256"])
 
 
 def _regenerate():

@@ -22,7 +22,6 @@ from ssp.groups import (
     gusplit_group_elements,
     hyperbolic_pair_count,
     irrep_dim_bound,
-    irrep_sum_bound,
     lemma_gp_check,
     order_gsp_mod,
     order_gusplit,
@@ -717,11 +716,8 @@ class TestSylowAndDimBounds:
 
     def test_dim_bounds(self):
         assert irrep_dim_bound(1, 1, 3) == 1
-        assert irrep_sum_bound(1, 1, 3) == 32
         assert irrep_dim_bound(2, 0, 3) == 3
-        assert irrep_sum_bound(2, 0, 3) == 72
         assert irrep_dim_bound(2, 2, 3) == 9
-        assert irrep_sum_bound(2, 2, 3) == 2592
 
 
 @dataclasses.dataclass(frozen=True)

@@ -614,3 +614,22 @@ def test_each_process_cache_has_one_reason():
         "witt.hensel_sqrt",
     }
     assert not {"_level_factor", "_mass_constant_checked"} & {node.name for node in _functions(_modules()["count"])}
+
+
+def test_the_irreducible_sum_factor_is_formed_once():
+    # k^p * p^N is the class count times the dimension bound, formed on the
+    # row itself: no function re-forms the product to compare it with itself
+    modules = _modules()
+    assert "irrep_sum_bound" not in {node.name for node in _functions(modules["groups"])}
+    fn = _function(modules["count"], "eigensystem_bound")
+    called = [_callee(node) for node in ast.walk(fn) if isinstance(node, ast.Call)]
+    factors = ("_level_part", "mass_factor_product", "p_regular_classes", "irrep_dim_bound")
+    assert {name: called.count(name) for name in factors} == dict.fromkeys(factors, 1)
+
+
+def test_one_newton_lift_in_witt():
+    # WittRing._lift_root is the one Newton iteration that lifts a simple
+    # root mod p, for sigma and for the Hensel square root alike
+    witt = _modules()["witt"]
+    lifts = [fn for fn, node in _nodes_in_functions(witt) if isinstance(node, ast.For) and _inv_calls(node)]
+    assert lifts == ["_lift_root"]
